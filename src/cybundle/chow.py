@@ -12,13 +12,18 @@ engine serves both.
 
 Top-degree integration reads off the coefficient of xi^(r-1) * H^m, which is
 the class of a point.
+
+Coefficients are exact rationals: a grid stores ``int`` where a coefficient
+is integral and ``Fraction`` otherwise.  With integer Chern data every
+product of integral classes stays integral, so the oracle path runs on ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 SUPPORTED_CASES = {(3, 2), (1, 4)}
 
@@ -105,7 +110,26 @@ class BundleSpec:
         return self.c1 ** 2 - 4 * self.c2
 
 
-FormalPoly = Dict[Tuple[int, int], Fraction]  # (xi_pow, h_pow) -> coefficient
+Coefficient = Union[int, Fraction]
+FormalPoly = Dict[Tuple[int, int], Coefficient]  # (xi_pow, h_pow) -> coefficient
+NormalForm = Tuple[Tuple[Tuple[int, int], Coefficient], ...]  # items of a grid
+
+
+def _exact(c) -> Coefficient:
+    """Any rational as stored in a grid: int when integral, else Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _stored(coeffs: FormalPoly) -> FormalPoly:
+    """Drop zero entries and turn integral Fractions back into ints."""
+    return {
+        k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        for k, c in coeffs.items()
+        if c
+    }
 
 
 class ChowClass:
@@ -113,6 +137,8 @@ class ChowClass:
 
     Grid indices satisfy 0 <= i < rank and 0 <= j <= base_dim.  Mixed-degree
     (inhomogeneous) classes are allowed; ``graded_part`` extracts pure pieces.
+    Nonzero coefficients are stored as ``int`` when integral and as
+    ``Fraction`` otherwise; ``coefficient`` always returns a ``Fraction``.
     """
 
     __slots__ = ("spec", "coeffs")
@@ -122,7 +148,7 @@ class ChowClass:
         self.coeffs: FormalPoly = {}
         if coeffs:
             for (i, j), c in coeffs.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c == 0:
                     continue
                 if not (0 <= i < spec.rank and 0 <= j <= spec.base_dim):
@@ -130,23 +156,31 @@ class ChowClass:
                 self.coeffs[(i, j)] = c
 
     @classmethod
+    def _trusted(cls, spec: BundleSpec, coeffs: FormalPoly) -> "ChowClass":
+        """Wrap a grid already in normal form, nonzero and stored as above."""
+        obj = object.__new__(cls)
+        obj.spec = spec
+        obj.coeffs = coeffs
+        return obj
+
+    @classmethod
     def zero(cls, spec: BundleSpec) -> "ChowClass":
         return cls(spec)
 
     @classmethod
     def one(cls, spec: BundleSpec) -> "ChowClass":
-        return cls(spec, {(0, 0): Fraction(1)})
+        return cls(spec, {(0, 0): 1})
 
     @classmethod
     def xi(cls, spec: BundleSpec) -> "ChowClass":
-        return cls(spec, {(1, 0): Fraction(1)})
+        return cls(spec, {(1, 0): 1})
 
     @classmethod
     def hyperplane(cls, spec: BundleSpec) -> "ChowClass":
-        return cls(spec, {(0, 1): Fraction(1)})
+        return cls(spec, {(0, 1): 1})
 
     def coefficient(self, xi_pow: int, h_pow: int) -> Fraction:
-        return self.coeffs.get((xi_pow, h_pow), Fraction(0))
+        return Fraction(self.coeffs.get((xi_pow, h_pow), 0))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -165,32 +199,48 @@ class ChowClass:
         self._check(other)
         cs = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            cs[k] = cs.get(k, Fraction(0)) + c
-        return ChowClass(self.spec, cs)
+            cs[k] = cs.get(k, 0) + c
+        return ChowClass._trusted(self.spec, _stored(cs))
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass(self.spec, {k: -c for k, c in self.coeffs.items()})
+        return ChowClass._trusted(self.spec, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return ChowClass(
-                self.spec, {k: c * other for k, c in self.coeffs.items()}
+            return ChowClass._trusted(
+                self.spec, _stored({k: c * other for k, c in self.coeffs.items()})
             )
         self._check(other)
+        spec = self.spec
+        m, r = spec.base_dim, spec.rank
+        # formal product, H-powers above m already dropped
         formal: FormalPoly = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                k = (i1 + i2, j1 + j2)
-                formal[k] = formal.get(k, Fraction(0)) + c1 * c2
-        return reduce(self.spec, formal)
+        for (i1, j1), a in self.coeffs.items():
+            for (i2, j2), b in other.coeffs.items():
+                j = j1 + j2
+                if j <= m:
+                    k = (i1 + i2, j)
+                    formal[k] = formal.get(k, 0) + a * b
+        # xi^t with r <= t <= 2r-2 folds through its normal form
+        table = _xi_power_normal_forms(m, r, spec.c1, spec.c2)
+        out: FormalPoly = {}
+        for (t, j), c in formal.items():
+            if t < r:
+                out[(t, j)] = out.get((t, j), 0) + c
+                continue
+            for (i, jt), e in table[t - r]:
+                jt += j
+                if jt <= m:
+                    out[(i, jt)] = out.get((i, jt), 0) + c * e
+        return ChowClass._trusted(spec, _stored(out))
 
     __rmul__ = __mul__
 
     def graded_part(self, degree: int) -> "ChowClass":
-        return ChowClass(
+        return ChowClass._trusted(
             self.spec,
             {k: c for k, c in self.coeffs.items() if k[0] + k[1] == degree},
         )
@@ -253,6 +303,16 @@ def reduce(spec: BundleSpec, formal: FormalPoly) -> ChowClass:
     return ChowClass(spec, {k: c for k, c in out.items() if c != 0})
 
 
+@lru_cache(maxsize=256)
+def _xi_power_normal_forms(m: int, r: int, c1: int, c2: int) -> Tuple[NormalForm, ...]:
+    """Normal forms of xi^t for r <= t <= 2r-2, the xi-powers a product of
+    two normal forms can reach; they depend on the Chern data alone."""
+    spec = BundleSpec(m, r, c1, c2)
+    return tuple(
+        tuple(reduce(spec, {(t, 0): 1}).coeffs.items()) for t in range(r, 2 * r - 1)
+    )
+
+
 def integrate(c: ChowClass) -> Fraction:
     """Degree of the top piece: the coefficient of xi^(r-1) * H^m."""
     return c.coefficient(c.spec.rank - 1, c.spec.base_dim)
@@ -262,10 +322,7 @@ def anticanonical_class(spec: BundleSpec) -> ChowClass:
     """-K_Z = r*xi + (m + 1 - c1)*H."""
     return ChowClass(
         spec,
-        {
-            (1, 0): Fraction(spec.rank),
-            (0, 1): Fraction(spec.base_dim + 1 - spec.c1),
-        },
+        {(1, 0): spec.rank, (0, 1): spec.base_dim + 1 - spec.c1},
     )
 
 
@@ -333,11 +390,9 @@ def tangent_total_chern(spec: BundleSpec) -> ChernTotal:
         raise ValueError("tangent Chern classes need split degrees")
     acc = ChowClass.one(spec)
     for a in spec.split_degrees:
-        factor = ChowClass(
-            spec, {(0, 0): Fraction(1), (1, 0): Fraction(1), (0, 1): Fraction(-a)}
-        )
+        factor = ChowClass(spec, {(0, 0): 1, (1, 0): 1, (0, 1): -a})
         acc = acc * factor
-    h_factor = ChowClass(spec, {(0, 0): Fraction(1), (0, 1): Fraction(1)})
+    h_factor = ChowClass(spec, {(0, 0): 1, (0, 1): 1})
     for _ in range(spec.base_dim + 1):
         acc = acc * h_factor
     return ChernTotal([acc.graded_part(k) for k in range(5)])

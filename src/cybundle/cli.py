@@ -3,8 +3,11 @@ analysis, contraction classification and discriminant export.
 
 All output is deterministic byte-for-byte for a fixed configuration and
 seed.  JSON reports carry ``"schema": 1``; the CSV column order is fixed
-(see CSV_COLUMNS).  Exit codes: 0 ok, 2 invalid degrees, 3 oracle mismatch,
-4 inadmissible or refused spec.
+(see CSV_COLUMNS).  Exit codes: 0 ok, 2 invalid input (malformed or
+wrong-arity degrees, a negative ``--max-degree`` or ``--bound``), 3 oracle
+mismatch, 4 inadmissible or refused spec.  Codes 2-4 raised by a command
+come with one JSON object ``{"error": ..., "exit_code": ...}`` on stderr;
+argparse's own usage errors keep its usage message.
 """
 
 from __future__ import annotations
@@ -13,9 +16,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
 from .chow import BundleSpec
@@ -45,7 +46,7 @@ from .kahler import (
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
-EXIT_INVALID_DEGREES = 2
+EXIT_INVALID_INPUT = 2
 EXIT_ORACLE_MISMATCH = 3
 EXIT_INADMISSIBLE = 4
 
@@ -87,11 +88,11 @@ def _parse_degrees(text: str, base: str) -> List[int]:
     try:
         degs = [int(x) for x in text.split(",")]
     except ValueError:
-        raise CliError(EXIT_INVALID_DEGREES, f"unparsable degrees: {text!r}")
+        raise CliError(EXIT_INVALID_INPUT, f"unparsable degrees: {text!r}")
     want = 2 if base == "p3" else 4
     if len(degs) != want:
         raise CliError(
-            EXIT_INVALID_DEGREES,
+            EXIT_INVALID_INPUT,
             f"base {base} needs {want} degrees, got {len(degs)}",
         )
     return degs
@@ -211,13 +212,10 @@ def _enumerate_specs(base: str, max_degree: int) -> List[BundleSpec]:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.max_degree < 0:
+        raise CliError(EXIT_INVALID_INPUT, "--max-degree must be >= 0")
     specs = _enumerate_specs(args.base, args.max_degree)
-    workers = max(1, int(os.environ.get("CYB_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_report_row, specs))
-    else:
-        rows = [_report_row(s) for s in specs]
+    rows = [_report_row(s) for s in specs]
     rows.sort(key=lambda r: (r["base"], r["degrees"]))
     payload = {
         "schema": SCHEMA_VERSION,
@@ -283,7 +281,10 @@ def _cmd_discriminant(args) -> int:
     spec = _spec_for("p3", degs)
     if not admissibility_p3(spec).admissible:
         raise CliError(EXIT_INADMISSIBLE, "splitting gap > 4")
-    q = sample_section(spec, args.seed, args.bound)
+    try:
+        q = sample_section(spec, args.seed, args.bound)
+    except ValueError as exc:  # the bound is out of range
+        raise CliError(EXIT_INVALID_INPUT, str(exc))
     octic = build_discriminant(q)
     checks = {
         "homogeneous_degree_8": octic.poly.is_zero()

@@ -1,7 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cybundle.chow import (
     BundleSpec,
@@ -15,6 +16,13 @@ from cybundle.chow import (
 )
 
 P3_SPECS = [BundleSpec.from_split(3, (0, b)) for b in range(0, 9)]
+# c1 = 60 is the largest p1 c1 in the N = 20 survey
+HOMOMORPHISM_SPECS = [
+    BundleSpec.from_chern(3, 2),
+    BundleSpec.from_split(3, (-1, 4)),
+    BundleSpec.from_split(1, (0, 1, 2, 3)),
+    BundleSpec.from_split(1, (0, 20, 20, 20)),
+]
 P1_SPECS = [
     BundleSpec.from_split(1, (0, a1, a2, a3))
     for a1 in range(4)
@@ -47,21 +55,29 @@ class TestReduce:
         spec1 = BundleSpec.from_split(1, (0, 0, 1, 1))
         assert reduce(spec1, {(0, 2): Fraction(1)}).is_zero()
 
-    def test_ring_homomorphism(self):
-        rng = random.Random(23)
-        for spec in (BundleSpec.from_chern(3, 2), BundleSpec.from_split(1, (0, 1, 2, 3))):
-            r, m = spec.rank, spec.base_dim
-            for _ in range(20):
-                f1 = {(rng.randint(0, r + 2), rng.randint(0, m)): Fraction(rng.randint(-4, 4))
-                      for _ in range(4)}
-                f2 = {(rng.randint(0, r + 2), rng.randint(0, m)): Fraction(rng.randint(-4, 4))
-                      for _ in range(4)}
-                prod = {}
-                for (i1, j1), c1 in f1.items():
-                    for (i2, j2), c2 in f2.items():
-                        k = (i1 + i2, j1 + j2)
-                        prod[k] = prod.get(k, Fraction(0)) + c1 * c2
-                assert reduce(spec, f1) * reduce(spec, f2) == reduce(spec, prod)
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_ring_homomorphism(self, data):
+        spec = data.draw(st.sampled_from(HOMOMORPHISM_SPECS))
+        r, m = spec.rank, spec.base_dim
+        coeff = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6)
+        formal = st.dictionaries(
+            st.tuples(st.integers(0, r + 2), st.integers(0, m + 1)), coeff, max_size=5
+        )
+        f1, f2 = data.draw(formal), data.draw(formal)
+        prod = {}
+        for (i1, j1), c1 in f1.items():
+            for (i2, j2), c2 in f2.items():
+                k = (i1 + i2, j1 + j2)
+                prod[k] = prod.get(k, Fraction(0)) + c1 * c2
+        x = reduce(spec, f1) * reduce(spec, f2)
+        assert x == reduce(spec, prod)
+        # storage rule: int when integral, Fraction otherwise; reads are Fractions
+        assert all(type(c) is int or c.denominator != 1 for c in x.coeffs.values())
+        assert type(integrate(x)) is Fraction
+        assert all(
+            type(x.coefficient(i, j)) is Fraction for i in range(r) for j in range(m + 1)
+        )
 
 
 class TestIntegrate:

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -77,6 +76,12 @@ class TestEnumerateCommand:
         main(["enumerate", "--base", "p1", "--max-degree", "2", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_max_degree_exit_2(self, capsys):
+        assert main(["enumerate", "--base", "p1", "--max-degree", "-3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "--max-degree must be >= 0", "exit_code": 2}
+
 
 class TestKaehlerCommand:
     def test_report(self, tmp_path):
@@ -108,6 +113,12 @@ class TestDiscriminantCommand:
         main(["discriminant", "--degrees", "0,1", "--seed", "3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_bound_exit_2(self, capsys):
+        assert main(["discriminant", "--degrees", "0,2", "--bound", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "bound must be >= 0", "exit_code": 2}
+
 
 class TestSubprocessEntry:
     def test_module_invocation(self):
@@ -122,15 +133,3 @@ class TestSubprocessEntry:
         err = json.loads(result.stderr)
         assert "reason" not in err or err["reason"]
         assert err["exit_code"] == 4
-
-    def test_threaded_enumeration_matches_serial(self, tmp_path):
-        serial = run_cli(["enumerate", "--base", "p1", "--max-degree", "2"])
-        env = dict(os.environ, CYB_THREADS="4")
-        threaded = subprocess.run(
-            [sys.executable, "-m", "cybundle.cli", "enumerate", "--base", "p1",
-             "--max-degree", "2"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert serial.stdout == threaded.stdout

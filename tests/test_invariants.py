@@ -1,9 +1,13 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from cybundle.chow import BundleSpec
+import cybundle.invariants
+from cybundle.chow import BundleSpec, ChernTotal, ChowClass
+from cybundle.cli import main
 from cybundle.invariants import (
+    OracleMismatchError,
     admissibility_p3,
     euler_characteristic_rank2_p3,
     fiber_count,
@@ -86,6 +90,38 @@ class TestInvariantsP1:
         assert inv.h_dot_c2 == 24
         assert inv.mk_sq_h == 64
         assert inv.oracle_checked
+
+
+class TestOracleMismatch:
+    """A wrong c2(T_Z) must be caught: the closed forms are really compared."""
+
+    @pytest.fixture(autouse=True)
+    def perturbed_c2(self, monkeypatch):
+        real = cybundle.invariants.tangent_total_chern
+
+        def tangent_total_chern(spec):
+            # xi*H survives H^2 = 0 on P^1, so xi.c2(X) moves in both geometries
+            bump = ChowClass.xi(spec) * ChowClass.hyperplane(spec)
+            parts = real(spec).parts
+            return ChernTotal(parts[:2] + [parts[2] + bump] + parts[3:])
+
+        monkeypatch.setattr(cybundle.invariants, "tangent_total_chern", tangent_total_chern)
+
+    def test_p1_raises(self):
+        with pytest.raises(OracleMismatchError):
+            invariants_p1(BundleSpec.from_split(1, (0, 0, 1, 1)))
+
+    def test_p3_raises(self):
+        with pytest.raises(OracleMismatchError):
+            invariants_p3(BundleSpec.from_split(3, (0, 2)))
+
+    def test_cli_exit_3(self, capsys):
+        assert main(["invariants", "--base", "p3", "--degrees", "0,2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["exit_code"] == 3
+        assert "oracle" in payload["error"]
 
 
 class TestFiberCount:
