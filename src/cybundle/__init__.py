@@ -42,6 +42,7 @@ from .invariants import (
     fiber_count,
     gamma,
     h0_split,
+    invariants_for,
     invariants_p1,
     invariants_p3,
     picard_number,
@@ -58,9 +59,10 @@ from .kahler import (
     degeneracy_determinant,
     h4_basis_determinant,
     rationality_analysis,
+    require_rho_two,
     verify_KY_squared,
     w_cubic,
 )
-from .ratpoly import MultiPoly, UniPoly, derivative, multipoly_gradient, multipoly_mul, poly_gcd
+from .ratpoly import MultiPoly, UniPoly, derivative, multipoly_gradient, poly_gcd
 
 __version__ = "0.1.0"

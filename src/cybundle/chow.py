@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 SUPPORTED_CASES = {(3, 2), (1, 4)}
@@ -380,19 +381,28 @@ class ChernTotal:
 
 
 def tangent_total_chern(spec: BundleSpec) -> ChernTotal:
-    """Total Chern class of the tangent bundle of Z for split E.
+    """Total Chern class of the tangent bundle of Z = P(E).
 
-    From the relative Euler sequence and the pullback of the Euler sequence
-    on the base:  c(T_Z) = prod_i (1 + xi - a_i*H) * (1 + H)^(m+1).
-    The split degrees are the Chern roots of E, hence the product form.
+    The relative Euler sequence and the pullback of the Euler sequence on
+    the base give (Fulton, Intersection Theory, ch. 3)
+
+      c(T_Z) = [sum_k (-1)^k c_k H^k (1 + xi)^(r-k)] * (1 + H)^(m+1),
+
+    the bracket being c(p^*E^dual (x) O(1)).  Only the Chern data enter, so
+    split and non-split bundles take the same path; for split E with
+    degrees a_i the bracket is prod_i (1 + xi - a_i*H).
     """
-    if not spec.is_split:
-        raise ValueError("tangent Chern classes need split degrees")
-    acc = ChowClass.one(spec)
-    for a in spec.split_degrees:
-        factor = ChowClass(spec, {(0, 0): 1, (1, 0): 1, (0, 1): -a})
-        acc = acc * factor
-    h_factor = ChowClass(spec, {(0, 0): 1, (0, 1): 1})
-    for _ in range(spec.base_dim + 1):
-        acc = acc * h_factor
-    return ChernTotal([acc.graded_part(k) for k in range(5)])
+    m, r = spec.base_dim, spec.rank
+    # every bracket term but xi^r is in normal form as written; xi^r is
+    # reduced as the product xi * xi^(r-1)
+    below = {
+        (i, k): (-1) ** k * spec.chern_coefficient(k) * comb(r - k, i)
+        for k in range(min(r, m) + 1)
+        for i in range(r - k + 1)
+        if i < r
+    }
+    xi_r = ChowClass.xi(spec) * ChowClass(spec, {(r - 1, 0): 1})
+    bracket = ChowClass(spec, below) + xi_r
+    base = ChowClass(spec, {(0, j): comb(m + 1, j) for j in range(m + 1)})
+    total = bracket * base
+    return ChernTotal([total.graded_part(k) for k in range(5)])

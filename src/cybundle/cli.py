@@ -4,10 +4,12 @@ analysis, contraction classification and discriminant export.
 All output is deterministic byte-for-byte for a fixed configuration and
 seed.  JSON reports carry ``"schema": 1``; the CSV column order is fixed
 (see CSV_COLUMNS).  Exit codes: 0 ok, 2 invalid input (malformed or
-wrong-arity degrees, a negative ``--max-degree`` or ``--bound``), 3 oracle
-mismatch, 4 inadmissible or refused spec.  Codes 2-4 raised by a command
-come with one JSON object ``{"error": ..., "exit_code": ...}`` on stderr;
-argparse's own usage errors keep its usage message.
+wrong-arity degrees, a negative ``--max-degree`` or ``--bound``, an
+``--out`` path that cannot be written), 3 oracle mismatch, 4 inadmissible
+or refused spec.  Codes 2-4 raised by a command come with one JSON object
+``{"error": ..., "exit_code": ...}`` on stderr; argparse's own usage errors
+keep its usage message.  ``--out`` is written atomically: a failed write
+leaves no partial file.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -28,19 +31,12 @@ from .discriminant import (
     singularity_witness,
     witness_section,
 )
-from .invariants import (
-    CyInvariants,
-    OracleMismatchError,
-    admissibility_p3,
-    invariants_p1,
-    invariants_p3,
-)
+from .invariants import OracleMismatchError, admissibility_p3, invariants_for
 from .kahler import (
     RhoNotTwoError,
     boundary_rays,
     classify_contraction_p1,
-    rationality_analysis,
-    w_cubic,
+    require_rho_two,
 )
 
 SCHEMA_VERSION = 1
@@ -102,24 +98,19 @@ def _spec_for(base: str, degrees: List[int]) -> BundleSpec:
     return BundleSpec.from_split(3 if base == "p3" else 1, degrees)
 
 
-def _invariants(spec: BundleSpec) -> CyInvariants:
-    if spec.base_dim == 3:
-        return invariants_p3(spec)
-    return invariants_p1(spec)
-
-
 def _report_row(spec: BundleSpec) -> dict:
-    inv = _invariants(spec)
+    inv = invariants_for(spec)
     row = {
         "base": "p3" if spec.base_dim == 3 else "p1",
         "degrees": list(spec.split_degrees),
-        "oracle_ok": inv.oracle_checked,
+        # every record is oracle-checked; a mismatch raises before this
+        "oracle_ok": True,
     }
     row.update(inv.to_dict())
     del row["base_dim"]
-    del row["oracle_checked"]
     try:
-        kr = boundary_rays(spec)
+        norm = require_rho_two(spec)
+        kr = boundary_rays(spec, inv if norm == spec else invariants_for(norm))
         row["rationality"] = kr.rationality.value
         row["ray_c2_xi"], row["ray_c2_h"] = kr.c2_values
     except RhoNotTwoError:
@@ -160,10 +151,27 @@ def _emit(payload: dict, fmt: str, out: Optional[str]) -> None:
                 lines.append(f"{key}: {json.dumps(payload[key], sort_keys=True)}")
         text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            _write_atomic(out, text)
+        except OSError as exc:
+            reason = exc.strerror or str(exc)
+            raise CliError(EXIT_INVALID_INPUT, f"cannot write {out}: {reason}")
     else:
         sys.stdout.write(text)
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write through a temporary file in the target directory and rename it
+    over ``path``, so a failed write leaves no partial file behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _csv_cell(value):
@@ -225,8 +233,6 @@ def _cmd_enumerate(args) -> int:
         "rows": rows,
     }
     _emit(payload, args.format, args.out)
-    if not all(r["oracle_ok"] for r in rows):
-        raise CliError(EXIT_ORACLE_MISMATCH, "an oracle comparison failed")
     return EXIT_OK
 
 
@@ -234,12 +240,10 @@ def _cmd_kaehler(args) -> int:
     degs = _parse_degrees(args.degrees, args.base)
     spec = _spec_for(args.base, degs)
     try:
-        report = boundary_rays(spec)
+        report = boundary_rays(spec, invariants_for(require_rho_two(spec)))
     except RhoNotTwoError as exc:
         raise CliError(EXIT_INADMISSIBLE, str(exc))
-    inv = _invariants(spec.normalized())
-    w = w_cubic(inv)
-    analysis = rationality_analysis(w)
+    w, analysis = report.cubic, report.analysis
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "kaehler",

@@ -3,6 +3,8 @@
 Every invariant is computed twice: once from the closed forms in terms of
 (c1, c2, gamma), and once through the Chow-ring / Chern-class oracle built
 from the Euler sequences (adjunction: c(T_X) = c(T_Z)|X / (1 - K_Z|X)).
+The oracle needs only the Chern data, so bundles known by (c1, c2) alone
+are checked like split ones.
 A disagreement raises OracleMismatchError -- self-validation is the point
 of the library, not an afterthought.
 """
@@ -19,7 +21,6 @@ from .chow import (
     ChowClass,
     anticanonical_class,
     integrate,
-    reduce,
     tangent_total_chern,
 )
 from .cohomology import SplitBundle, cohomology, end_bundle, sym_power
@@ -39,9 +40,8 @@ class CyInvariants:
     """The full invariant record of X = {-K_Z section = 0} in Z = P(E).
 
     Triple products are in the basis (xi|X, pi^*h); mk_* fields refer to
-    -K_Z|X.  ``oracle_checked`` records whether the split-bundle Chern
-    oracle was run against the closed forms (it is skipped when only
-    (c1, c2) are known).
+    -K_Z|X.  Every record was checked against the Chern oracle; the Picard
+    fields need split degrees and are None without them.
     """
 
     base_dim: int
@@ -61,7 +61,6 @@ class CyInvariants:
     picard_hypothesis_note: Optional[str]
     mk_cubed: Optional[int]       # m = 1 only
     mk_sq_h: Optional[int]        # m = 1 only
-    oracle_checked: bool
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -86,21 +85,17 @@ def _oracle_numbers(spec: BundleSpec) -> dict:
     xi = ChowClass.xi(spec)
     H = ChowClass.hyperplane(spec)
     c3X = c3Z - c2Z * L
-
-    def ival(cls: ChowClass) -> Fraction:
-        return integrate(cls)
-
     return {
-        "c3_X": ival(c3X * L),
-        "h_dot_c2": ival(H * c2Z * L),
-        "xi_dot_c2": ival(xi * c2Z * L),
-        "mk_dot_c2": ival(L * c2Z * L),
-        "h3": ival(H * H * H * L),
-        "xi_h2": ival(xi * H * H * L),
-        "xi2_h": ival(xi * xi * H * L),
-        "xi3": ival(xi * xi * xi * L),
-        "mk_cubed": ival(L * L * L * L),
-        "mk_sq_h": ival(L * L * H * L),
+        "c3_X": integrate(c3X * L),
+        "h_dot_c2": integrate(H * c2Z * L),
+        "xi_dot_c2": integrate(xi * c2Z * L),
+        "mk_dot_c2": integrate(L * c2Z * L),
+        "h3": integrate(H * H * H * L),
+        "xi_h2": integrate(xi * H * H * L),
+        "xi2_h": integrate(xi * xi * H * L),
+        "xi3": integrate(xi * xi * xi * L),
+        "mk_cubed": integrate(L * L * L * L),
+        "mk_sq_h": integrate(L * L * H * L),
     }
 
 
@@ -111,6 +106,21 @@ def _compare(closed: dict, oracle: dict) -> None:
             raise OracleMismatchError(
                 f"{key}: closed form {want} != oracle {got}"
             )
+
+
+def _record(spec: BundleSpec, closed: dict, **fields) -> CyInvariants:
+    """Check the closed forms against the oracle and build the record."""
+    _compare(closed, _oracle_numbers(spec))
+    rho, note = picard_number(spec) if spec.is_split else (None, None)
+    return CyInvariants(
+        base_dim=spec.base_dim,
+        c1=spec.c1,
+        c2=spec.c2,
+        picard_number=rho,
+        picard_hypothesis_note=note,
+        **{key: _as_int(key, value) for key, value in closed.items()},
+        **fields,
+    )
 
 
 def invariants_p3(spec: BundleSpec) -> CyInvariants:
@@ -128,33 +138,13 @@ def invariants_p3(spec: BundleSpec) -> CyInvariants:
         "xi2_h": Fraction(g, 2) + Fraction(c1 ** 2, 2) + 4 * c1,
         "xi3": g + Fraction(3 * g * c1, 4) + 3 * c1 ** 2 + Fraction(c1 ** 3, 4),
     }
-    checked = False
-    if spec.is_split:
-        _compare(closed, _oracle_numbers(spec))
-        checked = True
-    fibers = fiber_count(spec) if spec.gamma() <= 16 else None
-    rho, note = (None, None)
-    if spec.is_split:
-        rho, note = picard_number(spec)
-    return CyInvariants(
-        base_dim=3,
-        c1=c1,
-        c2=spec.c2,
+    return _record(
+        spec,
+        closed,
         gamma=g,
-        c3_X=_as_int("c3_X", closed["c3_X"]),
-        h_dot_c2=_as_int("h_dot_c2", closed["h_dot_c2"]),
-        xi_dot_c2=_as_int("xi_dot_c2", closed["xi_dot_c2"]),
-        mk_dot_c2=_as_int("mk_dot_c2", closed["mk_dot_c2"]),
-        h3=_as_int("h3", closed["h3"]),
-        xi_h2=_as_int("xi_h2", closed["xi_h2"]),
-        xi2_h=_as_int("xi2_h", closed["xi2_h"]),
-        xi3=_as_int("xi3", closed["xi3"]),
-        fiber_count=fibers,
-        picard_number=rho,
-        picard_hypothesis_note=note,
+        fiber_count=fiber_count(spec) if g <= 16 else None,
         mk_cubed=None,
         mk_sq_h=None,
-        oracle_checked=checked,
     )
 
 
@@ -175,33 +165,14 @@ def invariants_p1(spec: BundleSpec) -> CyInvariants:
         "xi_h2": Fraction(0),
         "h3": Fraction(0),
     }
-    checked = False
-    if spec.is_split:
-        _compare(closed, _oracle_numbers(spec))
-        checked = True
-    rho, note = (None, None)
-    if spec.is_split:
-        rho, note = picard_number(spec)
-    return CyInvariants(
-        base_dim=1,
-        c1=c1,
-        c2=0,
-        gamma=None,
-        c3_X=_as_int("c3_X", closed["c3_X"]),
-        h_dot_c2=_as_int("h_dot_c2", closed["h_dot_c2"]),
-        xi_dot_c2=_as_int("xi_dot_c2", closed["xi_dot_c2"]),
-        mk_dot_c2=_as_int("mk_dot_c2", closed["mk_dot_c2"]),
-        h3=0,
-        xi_h2=0,
-        xi2_h=4,
-        xi3=_as_int("xi3", closed["xi3"]),
-        fiber_count=None,
-        picard_number=rho,
-        picard_hypothesis_note=note,
-        mk_cubed=512,
-        mk_sq_h=64,
-        oracle_checked=checked,
-    )
+    return _record(spec, closed, gamma=None, fiber_count=None)
+
+
+def invariants_for(spec: BundleSpec) -> CyInvariants:
+    """Invariant record of either geometry, chosen by the base dimension."""
+    if spec.base_dim == 3:
+        return invariants_p3(spec)
+    return invariants_p1(spec)
 
 
 def fiber_count(spec: BundleSpec) -> int:

@@ -9,13 +9,13 @@ they are asserted and their c2-values reported rather than rediscovered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .chow import BundleSpec, ChowClass, anticanonical_class, integrate, reduce
-from .invariants import CyInvariants, invariants_p1, invariants_p3
+from .invariants import CyInvariants
 from .ratpoly import UniPoly, derivative, poly_gcd, rational_roots
 
 
@@ -135,10 +135,15 @@ def rationality_analysis(w: CubicForm) -> RationalityReport:
 @dataclass(frozen=True)
 class KahlerReport:
     rays: Tuple[Tuple[int, int], Tuple[int, int]]   # basis (xi|X, pi^*h)
-    rationality: Rationality
+    cubic: CubicForm
+    analysis: RationalityReport
     c2_values: Tuple[int, int]                      # per ray, same order
     degeneracy_det: Optional[int]                   # m = 3 only
     basis_det: int
+
+    @property
+    def rationality(self) -> Rationality:
+        return self.analysis.verdict
 
     def to_dict(self) -> dict:
         return {
@@ -154,7 +159,8 @@ class RhoNotTwoError(ValueError):
     """The spec does not satisfy the rho = 2 criterion required here."""
 
 
-def _require_rho_two(spec: BundleSpec) -> BundleSpec:
+def require_rho_two(spec: BundleSpec) -> BundleSpec:
+    """The normalized spec, or RhoNotTwoError if rho = 2 fails for it."""
     if not spec.is_split:
         raise RhoNotTwoError("cone analysis needs split, normalized bundles")
     norm = spec.normalized()
@@ -170,26 +176,25 @@ def _require_rho_two(spec: BundleSpec) -> BundleSpec:
     return norm
 
 
-def boundary_rays(spec: BundleSpec) -> KahlerReport:
+def boundary_rays(spec: BundleSpec, inv: CyInvariants) -> KahlerReport:
     """Kaehler-cone boundary rays with their c2-values.
 
-    For normalized split bundles the rays are exactly xi|X = (1, 0) and
+    ``inv`` is the invariant record of ``spec.normalized()``.  For
+    normalized split bundles the rays are exactly xi|X = (1, 0) and
     pi^*h = (0, 1); both c2-values must be strictly positive.
     """
-    norm = _require_rho_two(spec)
-    if norm.base_dim == 3:
-        inv = invariants_p3(norm)
-    else:
-        inv = invariants_p1(norm)
+    norm = require_rho_two(spec)
+    if (inv.base_dim, inv.c1, inv.c2) != (norm.base_dim, norm.c1, norm.c2):
+        raise ValueError("inv is not the record of the normalized spec")
     ray_xi, ray_h = (1, 0), (0, 1)
     c2_xi, c2_h = inv.xi_dot_c2, inv.h_dot_c2
     if c2_xi <= 0 or c2_h <= 0:
         raise ArithmeticError("c2-positivity violated on a boundary ray")
     w = w_cubic(inv)
-    verdict = rationality_analysis(w).verdict
     return KahlerReport(
         rays=(ray_xi, ray_h),
-        rationality=verdict,
+        cubic=w,
+        analysis=rationality_analysis(w),
         c2_values=(c2_xi, c2_h),
         degeneracy_det=degeneracy_determinant(norm) if norm.base_dim == 3 else None,
         basis_det=h4_basis_determinant(norm),

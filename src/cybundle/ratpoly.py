@@ -316,10 +316,6 @@ def _denominator_lcm(p: MultiPoly) -> int:
     return lcm
 
 
-def multipoly_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a * b
-
-
 def multipoly_gradient(p: MultiPoly) -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
     """Formal partial derivatives with respect to z0..z3."""
     parts = []

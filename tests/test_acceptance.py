@@ -31,6 +31,7 @@ from cybundle.invariants import (
     euler_characteristic_rank2_p3,
     fiber_count,
     h0_split,
+    invariants_for,
     invariants_p1,
     invariants_p3,
     picard_number,
@@ -82,8 +83,7 @@ def test_criterion_01_intersection_closed_forms():
 
 def test_criterion_02_invariant_list_p3():
     for spec in ADMISSIBLE_P3:
-        inv = invariants_p3(spec)  # raises on closed-form/oracle mismatch
-        assert inv.oracle_checked
+        invariants_p3(spec)  # raises on closed-form/oracle mismatch
     inv0 = invariants_p3(BundleSpec.from_split(3, (0, 0)))
     assert (inv0.c3_X, inv0.h_dot_c2, inv0.mk_dot_c2) == (-168, 44, 224)
     _passed(2, "P^3 invariant list vs Chern oracle")
@@ -109,8 +109,7 @@ def test_criterion_04_fiber_count_triple_agreement():
 def test_criterion_05_invariant_list_p1():
     t0 = time.monotonic()
     for spec in P1_RHO2:
-        inv = invariants_p1(spec)
-        assert inv.oracle_checked
+        inv = invariants_p1(spec)  # raises on closed-form/oracle mismatch
         assert inv.c3_X == -168
         assert inv.h_dot_c2 == 24
         assert inv.mk_dot_c2 == 224
@@ -207,9 +206,9 @@ def test_criterion_12_c2_positivity():
     for spec in NORMALIZED_P3:
         if spec.split_degrees == (0, 4):
             continue  # rho = 1: not in scope of the positivity claim
-        assert all(v > 0 for v in boundary_rays(spec).c2_values)
+        assert all(v > 0 for v in boundary_rays(spec, invariants_for(spec)).c2_values)
     for spec in P1_RHO2:
-        assert all(v > 0 for v in boundary_rays(spec).c2_values)
+        assert all(v > 0 for v in boundary_rays(spec, invariants_for(spec)).c2_values)
     # symbolic in k: (-K|X + k*pi^*h).c2 - (56 + 44k) has non-negative
     # coefficients for every admissible gamma, and 56 + 44k > 0 for k >= 0
     for spec in ADMISSIBLE_P3:

@@ -29,6 +29,12 @@ P1_SPECS = [
     for a2 in range(a1, 4)
     for a3 in range(a2, 4)
 ]
+# negative, twisted and large degrees on both bases
+SPLIT_SPECS = (
+    [BundleSpec.from_split(3, (a, b)) for a in (-3, 0, 2) for b in range(a, a + 9)]
+    + [BundleSpec.from_split(1, (a, a, a + 1, a + 7)) for a in (-2, 0, 3)]
+    + P1_SPECS
+)
 
 
 class TestReduce:
@@ -137,9 +143,24 @@ class TestTangentChern:
         ct = tangent_total_chern(BundleSpec.from_split(3, (0, 2)))
         assert ct[0] == ChowClass.one(BundleSpec.from_split(3, (0, 2)))
 
-    def test_non_split_refused(self):
-        with pytest.raises(ValueError):
-            tangent_total_chern(BundleSpec.from_chern(2, 1))
+    @pytest.mark.parametrize("spec", SPLIT_SPECS, ids=str)
+    def test_matches_product_over_chern_roots(self, spec):
+        # reference: the split degrees are the Chern roots of E, so
+        # c(T_Z) = prod_i (1 + xi - a_i*H) * (1 + H)^(m+1)
+        acc = ChowClass.one(spec)
+        for a in spec.split_degrees:
+            acc = acc * ChowClass(spec, {(0, 0): 1, (1, 0): 1, (0, 1): -a})
+        for _ in range(spec.base_dim + 1):
+            acc = acc * ChowClass(spec, {(0, 0): 1, (0, 1): 1})
+        assert tangent_total_chern(spec).parts == [acc.graded_part(k) for k in range(5)]
+
+    def test_non_split_degree_one_is_anticanonical(self):
+        for c1 in range(-3, 6):
+            for c2 in range(-2, 5):
+                spec = BundleSpec.from_chern(c1, c2)
+                ct = tangent_total_chern(spec)
+                assert ct[0] == ChowClass.one(spec)
+                assert ct[1] == anticanonical_class(spec)
 
 
 class TestBundleSpec:

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+import cybundle.cli
+import cybundle.invariants
 from cybundle.cli import CSV_COLUMNS, main
 
 
@@ -118,6 +120,78 @@ class TestDiscriminantCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert json.loads(err) == {"error": "bound must be >= 0", "exit_code": 2}
+
+
+class TestOutPath:
+    ARGV = ["invariants", "--base", "p3", "--degrees", "0,2", "--out"]
+
+    def test_missing_directory_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(self.ARGV + [str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        payload = json.loads(err)
+        assert payload["exit_code"] == 2
+        assert str(out) in payload["error"]
+        assert not out.parent.exists()
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, capsys):
+        # a directory in the way makes the final rename fail
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert main(self.ARGV + [str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["exit_code"] == 2
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
+
+    def test_failed_replace_keeps_old_file(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "x.json"
+        out.write_text("old")
+
+        def replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cybundle.cli.os, "replace", replace)
+        assert main(self.ARGV + [str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"cannot write {out}: No space left on device", "exit_code": 2}
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_text() == "old"
+
+    def test_replaces_existing_file(self, tmp_path):
+        out = tmp_path / "x.json"
+        out.write_text("old")
+        assert main(self.ARGV + [str(out)]) == 0
+        assert json.loads(out.read_text())["row"]["c3_X"] == -200
+        assert list(tmp_path.iterdir()) == [out]
+
+
+class TestOracleRuns:
+    """The oracle runs once per spec a command reports on: the spec itself,
+    plus its normalization when the degrees are not normalized."""
+
+    @pytest.mark.parametrize(
+        "argv,runs",
+        [
+            (["kaehler", "--base", "p3", "--degrees", "0,2"], 1),
+            (["kaehler", "--base", "p1", "--degrees", "0,0,1,1"], 1),
+            (["invariants", "--base", "p1", "--degrees", "0,0,1,1"], 1),
+            (["invariants", "--base", "p3", "--degrees", "1,3"], 2),
+            (["enumerate", "--base", "p1", "--max-degree", "3"], 20),  # one per row
+        ],
+    )
+    def test_runs(self, monkeypatch, capsys, argv, runs):
+        real = cybundle.invariants.tangent_total_chern
+        specs = []
+
+        def counted(spec):
+            specs.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(cybundle.invariants, "tangent_total_chern", counted)
+        assert main(argv) == 0
+        assert len(specs) == runs
+        assert len(set(specs)) == runs
 
 
 class TestSubprocessEntry:

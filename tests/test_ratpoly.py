@@ -10,7 +10,6 @@ from cybundle.ratpoly import (
     from_canonical_text,
     monomials_of_degree,
     multipoly_gradient,
-    multipoly_mul,
     poly_gcd,
     rational_roots,
     to_canonical_text,
@@ -82,7 +81,7 @@ class TestUniPoly:
 class TestMultiPoly:
     def test_monomial_products(self):
         z0, z1 = MultiPoly.variable(0), MultiPoly.variable(1)
-        assert multipoly_mul(z0 * z0, z1) == MultiPoly.monomial((2, 1, 0, 0))
+        assert (z0 * z0) * z1 == MultiPoly.monomial((2, 1, 0, 0))
         assert (z0 + z1) * (z0 - z1) == z0 * z0 - z1 * z1
         s01 = MultiPoly.monomial((4, 0, 0, 0))
         assert s01 * s01 == MultiPoly.monomial((8, 0, 0, 0))
