@@ -3,10 +3,13 @@ analysis, contraction classification and discriminant export.
 
 All output is deterministic byte-for-byte for a fixed configuration and
 seed.  JSON reports carry ``"schema": 1``; the CSV column order is fixed
-(see CSV_COLUMNS).  Exit codes: 0 ok, 2 invalid input (malformed or
-wrong-arity degrees, a negative ``--max-degree`` or ``--bound``, an
-``--out`` path that cannot be written), 3 oracle mismatch, 4 inadmissible
-or refused spec.  Codes 2-4 raised by a command come with one JSON object
+(see CSV_COLUMNS).  CSV holds report rows, so ``--format csv`` is accepted
+by ``invariants`` and ``enumerate`` only.  Exit codes: 0 ok, 2 invalid
+input (malformed or wrong-arity degrees, a negative ``--bound``, a
+``--max-degree`` outside 0..MAX_ENUMERATE_DEGREE, ``--format csv`` on
+``kaehler``, ``classify`` or ``discriminant``, an ``--out`` path that
+cannot be written), 3 oracle mismatch, 4 inadmissible or refused spec.
+Codes 2-4 raised by a command come with one JSON object
 ``{"error": ..., "exit_code": ...}`` on stderr; argparse's own usage errors
 keep its usage message.  ``--out`` is written atomically: a failed write
 leaves no partial file.
@@ -45,6 +48,11 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_ORACLE_MISMATCH = 3
 EXIT_INADMISSIBLE = 4
+
+# enumerate --base p1 emits O(N^3) rows: 47905 at N = 64
+MAX_ENUMERATE_DEGREE = 64
+
+CSV_COMMANDS = ("invariants", "enumerate")
 
 CSV_COLUMNS = [
     "base",
@@ -130,7 +138,7 @@ def _emit(payload: dict, fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
-        rows = payload.get("rows") or [payload.get("row", {})]
+        rows = payload["rows"]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -222,6 +230,10 @@ def _enumerate_specs(base: str, max_degree: int) -> List[BundleSpec]:
 def _cmd_enumerate(args) -> int:
     if args.max_degree < 0:
         raise CliError(EXIT_INVALID_INPUT, "--max-degree must be >= 0")
+    if args.max_degree > MAX_ENUMERATE_DEGREE:
+        raise CliError(
+            EXIT_INVALID_INPUT, f"--max-degree must be <= {MAX_ENUMERATE_DEGREE}"
+        )
     specs = _enumerate_specs(args.base, args.max_degree)
     rows = [_report_row(s) for s in specs]
     rows.sort(key=lambda r: (r["base"], r["degrees"]))
@@ -366,6 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.format == "csv" and args.command not in CSV_COMMANDS:
+            raise CliError(
+                EXIT_INVALID_INPUT,
+                f"--format csv has no columns for a {args.command} report; "
+                "use json or text",
+            )
         return args.func(args)
     except CliError as exc:
         print(json.dumps({"error": exc.reason, "exit_code": exc.code}), file=sys.stderr)

@@ -8,13 +8,17 @@ Two representations are used throughout the library:
 * ``MultiPoly`` -- sparse homogeneous polynomials in the four coordinates
   z0..z3, used for the discriminant construction.
 
-All coefficients are ``fractions.Fraction``; no floating point appears
-anywhere in the library, so every equality test is exact.
+``UniPoly`` keeps ``fractions.Fraction`` coefficients; ``MultiPoly`` keeps
+integer numerators over one common denominator in lowest terms.  No
+floating point appears anywhere in the library, so every equality test is
+exact.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 Exponent = Tuple[int, int, int, int]
@@ -171,9 +175,7 @@ def rational_roots(p: UniPoly) -> List[Fraction]:
         p = UniPoly(p.coeffs[k:])
     if p.degree == 0:
         return roots
-    denlcm = 1
-    for c in p.coeffs:
-        denlcm = denlcm * c.denominator // _gcd_int(denlcm, c.denominator)
+    denlcm = lcm(*(c.denominator for c in p.coeffs))
     ints = [int(c * denlcm) for c in p.coeffs]
     lead, const = ints[-1], ints[0]
     cands = set()
@@ -187,12 +189,6 @@ def rational_roots(p: UniPoly) -> List[Fraction]:
             assert rem.is_zero()
             roots.append(r)
     return roots
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(n: int) -> List[int]:
@@ -213,15 +209,19 @@ def _divisors(n: int) -> List[int]:
 # ---------------------------------------------------------------------------
 
 class MultiPoly:
-    """Sparse polynomial in z0..z3; terms map exponent 4-tuples to Fractions.
+    """Sparse polynomial in z0..z3 with rational coefficients.
 
-    Zero-coefficient terms are never stored.  Helper predicates check
-    homogeneity; the arithmetic itself works for any sparse polynomial.
+    Stored as integer numerators over one common denominator, in lowest
+    terms: ``num`` maps exponent 4-tuples to nonzero ``int`` numerators,
+    ``den`` is a positive ``int``, and gcd(content, den) = 1, so equal
+    polynomials have equal storage.  ``terms`` is a read-only view of the
+    coefficients as ``Fraction``.  Helper predicates check homogeneity; the
+    arithmetic itself works for any sparse polynomial.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, terms: Dict[Exponent, Fraction] | None = None) -> None:
+    def __init__(self, terms: Mapping[Exponent, Fraction] | None = None) -> None:
         tm: Dict[Exponent, Fraction] = {}
         if terms:
             for e, c in terms.items():
@@ -230,7 +230,27 @@ class MultiPoly:
                     if len(e) != NVARS or any(x < 0 for x in e):
                         raise ValueError(f"bad exponent tuple {e!r}")
                     tm[tuple(e)] = c
-        self.terms = tm
+        # over the lcm of reduced denominators the numerators are coprime to it
+        den = lcm(*(c.denominator for c in tm.values()))
+        self.num = {e: c.numerator * (den // c.denominator) for e, c in tm.items()}
+        self.den = den
+
+    @classmethod
+    def _trusted(cls, num: Dict[Exponent, int], den: int) -> "MultiPoly":
+        """Wrap integer numerators with valid exponents and no zero entry over
+        ``den`` > 0, dividing out their common factor with ``den``."""
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+        obj = object.__new__(cls)
+        obj.num = num
+        obj.den = den
+        return obj
+
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        return _TermsView(self)
 
     @classmethod
     def zero(cls) -> "MultiPoly":
@@ -247,86 +267,99 @@ class MultiPoly:
         return cls.monomial(e)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def total_degree(self) -> int:
         """Max total degree; -1 for zero."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(map(sum, self.num), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(map(sum, self.num))) <= 1
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MultiPoly) and self.terms == other.terms
+        return isinstance(other, MultiPoly) and (self.den, self.num) == (other.den, other.num)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        tm = dict(self.terms)
-        for e, c in other.terms.items():
-            tm[e] = tm.get(e, Fraction(0)) + c
-        return MultiPoly(tm)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        tm = {e: c * fa for e, c in self.num.items()}
+        for e, c in other.num.items():
+            tm[e] = tm.get(e, 0) + c * fb
+        return MultiPoly._trusted({e: c for e, c in tm.items() if c}, den)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly({e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted({e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            return MultiPoly({e: c * other for e, c in self.terms.items()})
-        # clear denominators once so the inner loop runs on plain integers
-        da = _denominator_lcm(self)
-        db = _denominator_lcm(other)
-        ai = [(e, int(c * da)) for e, c in self.terms.items()]
-        bi = [(e, int(c * db)) for e, c in other.terms.items()]
+            if not other:
+                return MultiPoly()
+            tm = {e: c * other.numerator for e, c in self.num.items()}
+            return MultiPoly._trusted(tm, self.den * other.denominator)
         acc: Dict[Exponent, int] = {}
-        for e1, c1 in ai:
-            for e2, c2 in bi:
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                acc[e] = acc.get(e, 0) + c1 * c2
-        den = da * db
-        return MultiPoly({e: Fraction(v, den) for e, v in acc.items() if v})
+        get = acc.get
+        bs = list(other.num.items())
+        for (a0, a1, a2, a3), ca in self.num.items():
+            for (b0, b1, b2, b3), cb in bs:
+                e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                acc[e] = get(e, 0) + ca * cb
+        tm = {e: c for e, c in acc.items() if c}
+        return MultiPoly._trusted(tm, self.den * other.den)
 
     __rmul__ = __mul__
 
     def evaluate(self, point: Sequence) -> Fraction:
+        # at the point (n0, n1, n2, n3)/q, with D the total degree, c*z^e
+        # contributes c * n^e * q^(D - |e|) over den * q^D
         pt = [_frac(x) for x in point]
-        acc = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(pt, e):
-                for _ in range(k):
-                    v *= x
-            acc += v
-        return acc
+        q = lcm(*(x.denominator for x in pt))
+        top = max(self.total_degree(), 0)
+        bases = [x.numerator * (q // x.denominator) for x in pt] + [q]
+        p0, p1, p2, p3, pq = [[b**k for k in range(top + 1)] for b in bases]
+        acc = sum(
+            c * p0[e0] * p1[e1] * p2[e2] * p3[e3] * pq[top - e0 - e1 - e2 - e3]
+            for (e0, e1, e2, e3), c in self.num.items()
+        )
+        return Fraction(acc, self.den * pq[top])
 
     def __repr__(self) -> str:
         return f"MultiPoly({to_canonical_text(self)})"
 
 
-def _denominator_lcm(p: MultiPoly) -> int:
-    lcm = 1
-    for c in p.terms.values():
-        d = c.denominator
-        lcm = lcm * d // _gcd_int(lcm, d)
-    return lcm
+class _TermsView(Mapping):
+    """Read-only mapping from exponent tuples to a MultiPoly's Fractions."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: MultiPoly) -> None:
+        self._poly = poly
+
+    def __getitem__(self, e: Exponent) -> Fraction:
+        return Fraction(self._poly.num[e], self._poly.den)
+
+    def __iter__(self):
+        return iter(self._poly.num)
+
+    def __len__(self) -> int:
+        return len(self._poly.num)
 
 
 def multipoly_gradient(p: MultiPoly) -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
     """Formal partial derivatives with respect to z0..z3."""
     parts = []
     for i in range(NVARS):
-        tm: Dict[Exponent, Fraction] = {}
-        for e, c in p.terms.items():
-            if e[i] > 0:
-                ne = list(e)
-                ne[i] -= 1
-                tm[tuple(ne)] = c * e[i]
-        parts.append(MultiPoly(tm))
+        tm: Dict[Exponent, int] = {}
+        for e, c in p.num.items():
+            k = e[i]
+            if k:
+                tm[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        parts.append(MultiPoly._trusted(tm, p.den))
     return tuple(parts)  # type: ignore[return-value]
 
 

@@ -84,6 +84,34 @@ class TestEnumerateCommand:
         assert out == ""
         assert json.loads(err) == {"error": "--max-degree must be >= 0", "exit_code": 2}
 
+    def test_max_degree_above_cap_exit_2(self, capsys):
+        cap = cybundle.cli.MAX_ENUMERATE_DEGREE
+        assert main(["enumerate", "--base", "p3", "--max-degree", str(cap)]) == 0
+        capsys.readouterr()
+        assert main(["enumerate", "--base", "p1", "--max-degree", "100000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": f"--max-degree must be <= {cap}", "exit_code": 2
+        }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kaehler", "--base", "p1", "--degrees", "0,0,1,1"],
+        ["classify", "--degrees", "0,0,0,1"],
+        ["discriminant", "--degrees", "0,2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_refused_without_rows(argv, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main([*argv, "--format", "csv", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert json.loads(err)["exit_code"] == 2
+
 
 class TestKaehlerCommand:
     def test_report(self, tmp_path):

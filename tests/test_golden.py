@@ -1,10 +1,14 @@
 """Golden CLI outputs: stdout, stderr and exit code compared byte for byte.
 
 The files under ``tests/golden/`` were written by this module's
-``__main__`` block and lock the CLI's observable behaviour.  Regenerate
-them only for a deliberate output change:
+``__main__`` block and lock the CLI's observable behaviour.  Running it
 
     PYTHONPATH=src python tests/test_golden.py
+
+writes the files of new cases only.  It never overwrites an existing file:
+it exits 1 naming every existing file whose fresh output differs, and every
+case whose exit code is wrong.  To change a case deliberately, delete that
+case's files first.
 """
 
 import contextlib
@@ -23,7 +27,9 @@ FORMATS = ("json", "csv", "text")
 # (name, argv, expected exit code)
 CASES = (
     [
-        (f"{cmd}-{base}-{fmt}", [cmd, "--base", base, "--degrees", degs, "--format", fmt], 0)
+        # csv has no columns for a kaehler report: refused with exit 2
+        (f"{cmd}-{base}-{fmt}", [cmd, "--base", base, "--degrees", degs, "--format", fmt],
+         2 if (cmd, fmt) == ("kaehler", "csv") else 0)
         for cmd in ("invariants", "kaehler")
         for base, degs in (("p3", "0,2"), ("p1", "0,0,1,1"))
         for fmt in FORMATS
@@ -50,6 +56,22 @@ CASES = (
         ("refuse-kaehler-p1-0222-exit4",
          ["kaehler", "--base", "p1", "--degrees", "0,2,2,2"], 4),
         ("refuse-classify-0222-exit4", ["classify", "--degrees", "0,2,2,2"], 4),
+        ("refuse-discriminant-csv-exit2",
+         ["discriminant", "--degrees", "0,1", "--format", "csv"], 2),
+    ]
+    + [
+        (f"discriminant-0{b}-seed{seed}-bound{bound}",
+         ["discriminant", "--degrees", f"0,{b}", "--seed", str(seed), "--bound", str(bound)], 0)
+        for b, seed in ((0, 3), (1, 11), (3, 5), (4, 9))
+        for bound in (2, 1000)
+    ]
+    + [
+        # every coefficient is 0: the zero octic, empty octic_coeffs
+        ("discriminant-02-bound0",
+         ["discriminant", "--degrees", "0,2", "--seed", "5", "--bound", "0"], 0),
+        ("discriminant-25-seed4", ["discriminant", "--degrees", "2,5", "--seed", "4"], 0),
+        ("discriminant-01-text",
+         ["discriminant", "--degrees", "0,1", "--seed", "2", "--format", "text"], 0),
     ]
 )
 
@@ -69,11 +91,42 @@ def test_golden_output(name, argv, exit_code):
     assert stderr == (GOLDEN_DIR / f"{name}.stderr").read_bytes()
 
 
-if __name__ == "__main__":
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv, exit_code in CASES:
+def write_missing(cases=CASES, golden_dir=GOLDEN_DIR):
+    """Write the golden files that do not exist yet; never overwrite one.
+
+    Returns one problem per case whose exit code is wrong and per existing
+    file whose fresh output differs.
+    """
+    golden_dir.mkdir(exist_ok=True)
+    problems = []
+    for name, argv, exit_code in cases:
         code, stdout, stderr = run_in_process(argv)
         if code != exit_code:
-            sys.exit(f"{name}: exit code {code}, expected {exit_code}")
-        (GOLDEN_DIR / f"{name}.stdout").write_bytes(stdout)
-        (GOLDEN_DIR / f"{name}.stderr").write_bytes(stderr)
+            problems.append(f"{name} (exit code {code}, expected {exit_code})")
+            continue
+        for path, data in ((golden_dir / f"{name}.stdout", stdout),
+                           (golden_dir / f"{name}.stderr", stderr)):
+            if not path.exists():
+                path.write_bytes(data)
+            elif path.read_bytes() != data:
+                problems.append(f"{path.name} (fresh output differs)")
+    return problems
+
+
+def test_generator_writes_only_missing_files(tmp_path):
+    cases = [c for c in CASES if c[0] in ("classify-0001", "refuse-arity-exit2")]
+    assert write_missing(cases, tmp_path) == []
+    for name, _, _ in cases:
+        for suffix in (".stdout", ".stderr"):
+            fresh = (tmp_path / f"{name}{suffix}").read_bytes()
+            assert fresh == (GOLDEN_DIR / f"{name}{suffix}").read_bytes()
+    stale = tmp_path / "classify-0001.stdout"
+    stale.write_bytes(b"stale\n")
+    assert write_missing(cases, tmp_path) == ["classify-0001.stdout (fresh output differs)"]
+    assert stale.read_bytes() == b"stale\n"
+
+
+if __name__ == "__main__":
+    problems = write_missing()
+    if problems:
+        sys.exit("golden cases not written: " + ", ".join(problems))

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cybundle.ratpoly import (
     MultiPoly,
@@ -139,3 +142,115 @@ class TestMultiPoly:
         p = MultiPoly({(2, 1, 0, 0): Fraction(3)})
         assert to_canonical_text(p) == "3/1*z0^2*z1"
         assert to_canonical_text(MultiPoly.zero()) == "0"
+
+
+# Reference arithmetic for the properties below: plain dicts from exponent
+# tuples to nonzero Fractions, with none of MultiPoly's integer storage.
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_partial(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+    return out
+
+
+def _ref_evaluate(a, point):
+    total = Fraction(0)
+    for e, c in a.items():
+        for x, k in zip(point, e):
+            c *= Fraction(x) ** k
+        total += c
+    return total
+
+
+def _checked(p):
+    """p's coefficients as a dict, after asserting the storage rule."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c != 0 for c in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+    out = dict(p.terms)
+    assert all(type(c) is Fraction for c in out.values())
+    return out
+
+
+COEFFS = st.integers(-6, 6) | st.fractions(-6, 6, max_denominator=8)
+# mixed degrees: the polynomials need not be homogeneous
+DICTS = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 4), COEFFS, max_size=6).map(
+    lambda d: {e: Fraction(c) for e, c in d.items() if c}
+)
+SCALARS = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=7) | st.just(0)
+POINTS = st.tuples(*[st.fractions(-4, 4, max_denominator=5)] * 4)
+PROPS = settings(max_examples=100, derandomize=True, deadline=None)
+
+
+class TestMultiPolyAgainstReference:
+    @PROPS
+    @given(a=DICTS, b=DICTS)
+    def test_ring_operations(self, a, b):
+        pa, pb = MultiPoly(a), MultiPoly(b)
+        assert _checked(pa) == a
+        assert _checked(pa + pb) == _ref_add(a, b)
+        assert _checked(pa - pb) == _ref_add(a, b, -1)
+        assert _checked(-pa) == _ref_add({}, a, -1)
+        assert _checked(pa * pb) == _ref_mul(a, b)
+
+    @PROPS
+    @given(a=DICTS, k=SCALARS)
+    def test_scalar_multiplication(self, a, k):
+        want = {e: c * k for e, c in a.items() if c * k}
+        assert _checked(MultiPoly(a) * k) == want
+        assert _checked(k * MultiPoly(a)) == want
+
+    @PROPS
+    @given(a=DICTS)
+    def test_gradient(self, a):
+        grad = multipoly_gradient(MultiPoly(a))
+        assert [_checked(g) for g in grad] == [_ref_partial(a, i) for i in range(4)]
+
+    @PROPS
+    @given(a=DICTS, point=POINTS)
+    def test_evaluate(self, a, point):
+        got = MultiPoly(a).evaluate(point)
+        assert type(got) is Fraction and got == _ref_evaluate(a, point)
+        assert MultiPoly.zero().evaluate(point) == 0
+
+    @PROPS
+    @given(a=DICTS, b=DICTS, k=st.integers(1, 9))
+    def test_equal_values_are_equal_and_hash_alike(self, a, b, k):
+        pa, pb = MultiPoly(a), MultiPoly(b)
+        routes = [
+            (pa + pb) - pb,
+            pa * Fraction(k, 7) * Fraction(7, k),
+            MultiPoly(pa.terms),
+            from_canonical_text(to_canonical_text(pa)),
+            pa * MultiPoly.monomial((0, 0, 0, 0), 1),
+        ]
+        for p in routes:
+            _checked(p)
+            assert p == pa and hash(p) == hash(pa)
+
+    @pytest.mark.parametrize(
+        "exponent", [(1, 0, 0), (1, 0, 0, 0, 0), (1, -1, 0, 0), ()], ids=str
+    )
+    def test_constructor_rejects_bad_exponents(self, exponent):
+        with pytest.raises(ValueError):
+            MultiPoly({exponent: Fraction(1, 2)})
+        with pytest.raises(ValueError):
+            MultiPoly({(0, 0, 0, 1): 1, exponent: 3})
