@@ -5,10 +5,11 @@ All output is deterministic byte-for-byte for a fixed configuration and
 seed.  JSON reports carry ``"schema": 1``; the CSV column order is fixed
 (see CSV_COLUMNS).  CSV holds report rows, so ``--format csv`` is accepted
 by ``invariants`` and ``enumerate`` only.  Exit codes: 0 ok, 2 invalid
-input (malformed or wrong-arity degrees, a negative ``--bound``, a
-``--max-degree`` outside 0..MAX_ENUMERATE_DEGREE, ``--format csv`` on
-``kaehler``, ``classify`` or ``discriminant``, an ``--out`` path that
-cannot be written), 3 oracle mismatch, 4 inadmissible or refused spec.
+input (malformed or wrong-arity degrees, a ``--bound`` outside
+0..MAX_SECTION_BOUND, a ``--max-degree`` outside 0..MAX_ENUMERATE_DEGREE,
+``--format csv`` on ``kaehler``, ``classify`` or ``discriminant``, an
+``--out`` path that cannot be written), 3 oracle mismatch, 4 inadmissible
+or refused spec.
 Codes 2-4 raised by a command come with one JSON object
 ``{"error": ..., "exit_code": ...}`` on stderr; argparse's own usage errors
 keep its usage message.  ``--out`` is written atomically: a failed write
@@ -19,11 +20,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
-from typing import List, Optional
+from itertools import chain, islice
+from typing import Iterable, Iterator, List, Optional
 
 from .chow import BundleSpec
 from .discriminant import (
@@ -34,7 +35,12 @@ from .discriminant import (
     singularity_witness,
     witness_section,
 )
-from .invariants import OracleMismatchError, admissibility_p3, invariants_for
+from .invariants import (
+    OracleMemo,
+    OracleMismatchError,
+    admissibility_p3,
+    invariants_for,
+)
 from .kahler import (
     RhoNotTwoError,
     boundary_rays,
@@ -51,6 +57,9 @@ EXIT_INADMISSIBLE = 4
 
 # enumerate --base p1 emits O(N^3) rows: 47905 at N = 64
 MAX_ENUMERATE_DEGREE = 64
+
+# _emit writes the output text in batches of this many pieces
+EMIT_BATCH = 8192
 
 CSV_COMMANDS = ("invariants", "enumerate")
 
@@ -106,8 +115,8 @@ def _spec_for(base: str, degrees: List[int]) -> BundleSpec:
     return BundleSpec.from_split(3 if base == "p3" else 1, degrees)
 
 
-def _report_row(spec: BundleSpec) -> dict:
-    inv = invariants_for(spec)
+def _report_row(spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None) -> dict:
+    inv = invariants_for(spec, oracle_memo)
     row = {
         "base": "p3" if spec.base_dim == 3 else "p1",
         "degrees": list(spec.split_degrees),
@@ -118,7 +127,9 @@ def _report_row(spec: BundleSpec) -> dict:
     del row["base_dim"]
     try:
         norm = require_rho_two(spec)
-        kr = boundary_rays(spec, inv if norm == spec else invariants_for(norm))
+        kr = boundary_rays(
+            spec, inv if norm == spec else invariants_for(norm, oracle_memo)
+        )
         row["rationality"] = kr.rationality.value
         row["ray_c2_xi"], row["ray_c2_h"] = kr.c2_values
     except RhoNotTwoError:
@@ -135,47 +146,73 @@ def _report_row(spec: BundleSpec) -> dict:
 
 
 def _emit(payload: dict, fmt: str, out: Optional[str]) -> None:
-    if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        rows = payload["rows"]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [_csv_cell(row.get(col)) for col in CSV_COLUMNS]
-            )
-        text = buf.getvalue()
-    else:
-        lines = []
-        for key in sorted(payload):
-            if key in ("rows",):
-                for row in payload[key]:
-                    lines.append(
-                        " ".join(f"{k}={_csv_cell(v)}" for k, v in sorted(row.items()))
-                    )
-            else:
-                lines.append(f"{key}: {json.dumps(payload[key], sort_keys=True)}")
-        text = "\n".join(lines) + "\n"
+    """Write the payload to stdout, or atomically to ``out``, as json, csv
+    or text.
+
+    The text is generated piece by piece and written in batches of at most
+    EMIT_BATCH pieces, so a large survey is never held as one string next
+    to its rows.  The bytes are those of the whole text written at once:
+    ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline for
+    json.
+    """
+    batches = _batches(_pieces(payload, fmt))
     if out:
         try:
-            _write_atomic(out, text)
+            _write_atomic(out, batches)
         except OSError as exc:
             reason = exc.strerror or str(exc)
             raise CliError(EXIT_INVALID_INPUT, f"cannot write {out}: {reason}")
     else:
-        sys.stdout.write(text)
+        for batch in batches:
+            sys.stdout.write(batch)
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _batches(pieces: Iterable[str]) -> Iterator[str]:
+    pieces = iter(pieces)
+    while batch := list(islice(pieces, EMIT_BATCH)):
+        yield "".join(batch)
+
+
+def _pieces(payload: dict, fmt: str) -> Iterable[str]:
+    if fmt == "json":
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        return chain(encoder.iterencode(payload), ("\n",))
+    if fmt == "csv":
+        writer = csv.writer(_Echo(), lineterminator="\n")
+        cells = (
+            [_csv_cell(row.get(col)) for col in CSV_COLUMNS] for row in payload["rows"]
+        )
+        return chain((writer.writerow(CSV_COLUMNS),), map(writer.writerow, cells))
+    return _text_lines(payload)
+
+
+def _text_lines(payload: dict) -> Iterator[str]:
+    for key in sorted(payload):
+        if key == "rows":
+            for row in payload[key]:
+                cells = (f"{k}={_csv_cell(v)}" for k, v in sorted(row.items()))
+                yield " ".join(cells) + "\n"
+        else:
+            yield f"{key}: {json.dumps(payload[key], sort_keys=True)}\n"
+
+
+class _Echo:
+    """A file object for csv.writer whose write returns the line, so
+    writerow hands back each formatted row."""
+
+    def write(self, line: str) -> str:
+        return line
+
+
+def _write_atomic(path: str, batches: Iterator[str]) -> None:
     """Write through a temporary file in the target directory and rename it
     over ``path``, so a failed write leaves no partial file behind."""
     tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "w", encoding="utf-8")
     try:
         with fh:
-            fh.write(text)
+            for batch in batches:
+                fh.write(batch)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -235,7 +272,8 @@ def _cmd_enumerate(args) -> int:
             EXIT_INVALID_INPUT, f"--max-degree must be <= {MAX_ENUMERATE_DEGREE}"
         )
     specs = _enumerate_specs(args.base, args.max_degree)
-    rows = [_report_row(s) for s in specs]
+    oracle_memo: OracleMemo = {}
+    rows = [_report_row(s, oracle_memo) for s in specs]
     rows.sort(key=lambda r: (r["base"], r["degrees"]))
     payload = {
         "schema": SCHEMA_VERSION,
@@ -308,7 +346,7 @@ def _cmd_discriminant(args) -> int:
         "scaling_law": scaling_law_check(q, "3/2"),
         "gradient_identity": gradient_identity_holds(q),
     }
-    wq = witness_section(spec, args.seed, args.bound)
+    wq = witness_section(spec, args.seed, args.bound, q)
     witness = singularity_witness(wq, (1, 0, 0, 0))
     payload = {
         "schema": SCHEMA_VERSION,

@@ -191,6 +191,10 @@ _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
 
+# sample_section draws each numerator from the top 32 bits of one LCG step,
+# so the span 2*bound + 1 must stay far below 2^32
+MAX_SECTION_BOUND = 10 ** 6
+
 
 class _Lcg:
     """64-bit linear congruential generator; fixed constants, documented in
@@ -204,18 +208,23 @@ class _Lcg:
         return self.state
 
     def next_int(self, lo: int, hi: int) -> int:
-        # top 32 bits; span is tiny compared to 2^32 so modulo bias is nil
+        # top 32 bits reduced mod the span; for spans up to
+        # 2*MAX_SECTION_BOUND + 1 the modulo bias is below 2^-11
         return lo + (self.next_u64() >> 32) % (hi - lo + 1)
 
 
 def sample_section(spec: BundleSpec, seed: int, bound: int) -> QuadraticSection:
-    """Pseudo-random rational coefficients in [-bound, bound], one per
-    monomial of each prescribed degree.  Same seed, same output."""
+    """Pseudo-random rational coefficients num/den with num in
+    [-bound, bound] and den in [1, 4], one per monomial of each prescribed
+    degree.  Same seed, same output.  ``bound`` runs from 0 to
+    MAX_SECTION_BOUND; a ValueError refuses anything else."""
     d00, d01, d11 = section_degrees(spec)
     if d00 < 0:
         raise ValueError("inadmissible spec: b - a > 4")
     if bound < 0:
         raise ValueError("bound must be >= 0")
+    if bound > MAX_SECTION_BOUND:
+        raise ValueError(f"bound must be <= {MAX_SECTION_BOUND}")
     rng = _Lcg(seed)
 
     def draw(degree: int) -> MultiPoly:
@@ -229,23 +238,25 @@ def sample_section(spec: BundleSpec, seed: int, bound: int) -> QuadraticSection:
     return QuadraticSection(spec, draw(d00), draw(d01), draw(d11))
 
 
-def witness_section(spec: BundleSpec, seed: int, bound: int) -> QuadraticSection:
+def witness_section(
+    spec: BundleSpec,
+    seed: int,
+    bound: int,
+    sampled: Optional[QuadraticSection] = None,
+) -> QuadraticSection:
     """A seeded section whose components all vanish at (1, 0, 0, 0).
 
-    Built by dropping the pure z0 monomial from each component, so the point
-    lies in the base locus and is a guaranteed singular point of the octic.
+    Built by dropping the pure z0 monomial from each component of the
+    section sample_section draws at max(bound, 1), so the point lies in the
+    base locus and is a guaranteed singular point of the octic.  A caller
+    that already holds ``sample_section(spec, seed, bound)`` passes it as
+    ``sampled`` and, for bound >= 1, it is used instead of a second draw.
     """
-    q = sample_section(spec, seed, max(bound, 1))
+    if sampled is None or bound < 1:
+        sampled = sample_section(spec, seed, max(bound, 1))
 
-    def drop_pure_z0(p: MultiPoly, degree: int) -> MultiPoly:
-        terms = dict(p.terms)
-        terms.pop((degree, 0, 0, 0), None)
-        return MultiPoly(terms)
+    def drop_pure_z0(p: MultiPoly) -> MultiPoly:
+        return MultiPoly._trusted({e: c for e, c in p.num.items() if any(e[1:])}, p.den)
 
-    d00, d01, d11 = section_degrees(spec)
-    return QuadraticSection(
-        spec,
-        drop_pure_z0(q.s00, d00),
-        drop_pure_z0(q.s01, d01),
-        drop_pure_z0(q.s11, d11),
-    )
+    s00, s01, s11 = (drop_pure_z0(p) for p in (sampled.s00, sampled.s01, sampled.s11))
+    return QuadraticSection(spec, s00, s01, s11)

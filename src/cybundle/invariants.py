@@ -4,7 +4,9 @@ Every invariant is computed twice: once from the closed forms in terms of
 (c1, c2, gamma), and once through the Chow-ring / Chern-class oracle built
 from the Euler sequences (adjunction: c(T_X) = c(T_Z)|X / (1 - K_Z|X)).
 The oracle needs only the Chern data, so bundles known by (c1, c2) alone
-are checked like split ones.
+are checked like split ones, and a caller reporting on many specs may pass
+an OracleMemo to compute it once per Chern datum; the closed forms of every
+spec are still compared against it.
 A disagreement raises OracleMismatchError -- self-validation is the point
 of the library, not an afterthought.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from .chow import (
     BundleSpec,
@@ -28,6 +30,10 @@ from .cohomology import SplitBundle, cohomology, end_bundle, sym_power
 
 class OracleMismatchError(ArithmeticError):
     """A closed form disagreed with its independent Chow-ring oracle."""
+
+
+# Chern datum (base_dim, rank, c1, c2) -> the oracle integrals of that datum
+OracleMemo = Dict[Tuple[int, int, int, int], dict]
 
 
 def gamma(spec: BundleSpec) -> int:
@@ -108,9 +114,22 @@ def _compare(closed: dict, oracle: dict) -> None:
             )
 
 
-def _record(spec: BundleSpec, closed: dict, **fields) -> CyInvariants:
-    """Check the closed forms against the oracle and build the record."""
-    _compare(closed, _oracle_numbers(spec))
+def _record(
+    spec: BundleSpec, closed: dict, oracle_memo: Optional[OracleMemo], **fields
+) -> CyInvariants:
+    """Check the closed forms against the oracle and build the record.
+
+    The oracle reads only the Chern data, so with a memo it runs once per
+    Chern datum; the comparison runs for every spec regardless.
+    """
+    if oracle_memo is None:
+        oracle = _oracle_numbers(spec)
+    else:
+        key = (spec.base_dim, spec.rank, spec.c1, spec.c2)
+        oracle = oracle_memo.get(key)
+        if oracle is None:
+            oracle = oracle_memo[key] = _oracle_numbers(spec)
+    _compare(closed, oracle)
     rho, note = picard_number(spec) if spec.is_split else (None, None)
     return CyInvariants(
         base_dim=spec.base_dim,
@@ -123,8 +142,10 @@ def _record(spec: BundleSpec, closed: dict, **fields) -> CyInvariants:
     )
 
 
-def invariants_p3(spec: BundleSpec) -> CyInvariants:
-    """Invariant record for rank-2 bundles over P^3."""
+def invariants_p3(
+    spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None
+) -> CyInvariants:
+    """Invariant record for rank-2 bundles over P^3 (see invariants_for)."""
     if (spec.base_dim, spec.rank) != (3, 2):
         raise ValueError("invariants_p3 needs a rank-2 bundle over P^3")
     c1, g = spec.c1, spec.gamma()
@@ -141,6 +162,7 @@ def invariants_p3(spec: BundleSpec) -> CyInvariants:
     return _record(
         spec,
         closed,
+        oracle_memo,
         gamma=g,
         fiber_count=fiber_count(spec) if g <= 16 else None,
         mk_cubed=None,
@@ -148,8 +170,10 @@ def invariants_p3(spec: BundleSpec) -> CyInvariants:
     )
 
 
-def invariants_p1(spec: BundleSpec) -> CyInvariants:
-    """Invariant record for rank-4 bundles over P^1."""
+def invariants_p1(
+    spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None
+) -> CyInvariants:
+    """Invariant record for rank-4 bundles over P^1 (see invariants_for)."""
     if (spec.base_dim, spec.rank) != (1, 4):
         raise ValueError("invariants_p1 needs a rank-4 bundle over P^1")
     c1 = spec.c1
@@ -165,14 +189,24 @@ def invariants_p1(spec: BundleSpec) -> CyInvariants:
         "xi_h2": Fraction(0),
         "h3": Fraction(0),
     }
-    return _record(spec, closed, gamma=None, fiber_count=None)
+    return _record(spec, closed, oracle_memo, gamma=None, fiber_count=None)
 
 
-def invariants_for(spec: BundleSpec) -> CyInvariants:
-    """Invariant record of either geometry, chosen by the base dimension."""
+def invariants_for(
+    spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None
+) -> CyInvariants:
+    """Invariant record of either geometry, chosen by the base dimension.
+
+    Every record's closed forms are compared against the Chern-class
+    oracle; a disagreement raises OracleMismatchError.  ``oracle_memo`` is
+    an optional dict owned by the caller (start it empty): the oracle
+    integrals are stored in it under the spec's Chern datum and reused for
+    later specs with the same datum, so a survey computes them once per
+    datum instead of once per spec.
+    """
     if spec.base_dim == 3:
-        return invariants_p3(spec)
-    return invariants_p1(spec)
+        return invariants_p3(spec, oracle_memo)
+    return invariants_p1(spec, oracle_memo)
 
 
 def fiber_count(spec: BundleSpec) -> int:

@@ -149,6 +149,14 @@ class TestDiscriminantCommand:
         assert out == ""
         assert json.loads(err) == {"error": "bound must be >= 0", "exit_code": 2}
 
+    def test_bound_above_cap_exit_2(self, capsys):
+        argv = ["discriminant", "--degrees", "0,1", "--seed", "7", "--bound"]
+        assert main(argv + [str(10 ** 12)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "bound must be <= 1000000", "exit_code": 2}
+        assert main(argv + ["1000000"]) == 0
+
 
 class TestOutPath:
     ARGV = ["invariants", "--base", "p3", "--degrees", "0,2", "--out"]
@@ -195,8 +203,9 @@ class TestOutPath:
 
 
 class TestOracleRuns:
-    """The oracle runs once per spec a command reports on: the spec itself,
-    plus its normalization when the degrees are not normalized."""
+    """The oracle runs once per Chern datum a command reports on: the spec
+    itself, plus its normalization when the degrees are not normalized; a
+    survey shares one run among the rows of equal Chern data."""
 
     @pytest.mark.parametrize(
         "argv,runs",
@@ -205,7 +214,8 @@ class TestOracleRuns:
             (["kaehler", "--base", "p1", "--degrees", "0,0,1,1"], 1),
             (["invariants", "--base", "p1", "--degrees", "0,0,1,1"], 1),
             (["invariants", "--base", "p3", "--degrees", "1,3"], 2),
-            (["enumerate", "--base", "p1", "--max-degree", "3"], 20),  # one per row
+            # 20 rows, c1 = 0..9
+            (["enumerate", "--base", "p1", "--max-degree", "3"], 10),
         ],
     )
     def test_runs(self, monkeypatch, capsys, argv, runs):
@@ -220,6 +230,23 @@ class TestOracleRuns:
         assert main(argv) == 0
         assert len(specs) == runs
         assert len(set(specs)) == runs
+
+    def test_compare_once_per_row(self, monkeypatch, capsys):
+        counts = {"oracle": 0, "compare": 0}
+
+        def counting(name, real):
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name, attr in (("oracle", "_oracle_numbers"), ("compare", "_compare")):
+            real = getattr(cybundle.invariants, attr)
+            monkeypatch.setattr(cybundle.invariants, attr, counting(name, real))
+        assert main(["enumerate", "--base", "p1", "--max-degree", "3"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 20
+        # every row is compared; the oracle runs once per c1 = 0..9
+        assert counts == {"oracle": 10, "compare": 20}
 
 
 class TestSubprocessEntry:

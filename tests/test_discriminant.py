@@ -5,6 +5,7 @@ import pytest
 
 from cybundle.chow import BundleSpec
 from cybundle.discriminant import (
+    MAX_SECTION_BOUND,
     QuadraticSection,
     build_discriminant,
     base_locus_expected,
@@ -102,6 +103,18 @@ class TestSingularityWitness:
             assert all(g == 0 for g in rec.gradient)
             assert rec.singular_point_verified
 
+    def test_witness_drops_only_pure_z0_terms(self):
+        for spec in ADMISSIBLE:
+            q = sample_section(spec, 4, 3)
+            w = witness_section(spec, 4, 3, q)
+            assert w == witness_section(spec, 4, 3)
+            for full, dropped, degree in zip(
+                (q.s00, q.s01, q.s11), (w.s00, w.s01, w.s11), section_degrees(spec)
+            ):
+                want = dict(full.terms)
+                want.pop((degree, 0, 0, 0), None)
+                assert dropped == MultiPoly(want)
+
     def test_generic_point_no_claim(self):
         q = sample_section(ADMISSIBLE[1], 3, 2)
         rec = singularity_witness(q, (1, 1, 1, 1))
@@ -144,3 +157,25 @@ class TestSampling:
         for p in (q.s00, q.s01, q.s11):
             for c in p.terms.values():
                 assert abs(c) <= 3
+
+    def test_bound_above_cap_refused(self):
+        sample_section(ADMISSIBLE[1], 7, MAX_SECTION_BOUND)
+        with pytest.raises(ValueError, match="bound must be <="):
+            sample_section(ADMISSIBLE[1], 7, MAX_SECTION_BOUND + 1)
+        with pytest.raises(ValueError, match="bound must be <="):
+            witness_section(ADMISSIBLE[1], 7, 10 ** 12)
+
+    def test_both_signs_at_the_cap(self):
+        # numerators spread over [-bound, bound], not one side of zero
+        q = sample_section(ADMISSIBLE[0], 7, MAX_SECTION_BOUND)
+        nums = [c.numerator for p in (q.s00, q.s01, q.s11) for c in p.terms.values()]
+        assert len(nums) == 3 * 35
+        assert all(abs(c) <= MAX_SECTION_BOUND for c in nums)
+        positive = sum(c > 0 for c in nums)
+        assert 30 <= positive <= 75
+
+    def test_witness_at_bound_zero_samples_at_bound_one(self):
+        spec = ADMISSIBLE[2]
+        zero = sample_section(spec, 5, 0)
+        assert witness_section(spec, 5, 0, zero) == witness_section(spec, 5, 1)
+        assert not witness_section(spec, 5, 0, zero).s01.is_zero()

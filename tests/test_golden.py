@@ -12,12 +12,14 @@ case's files first.
 """
 
 import contextlib
+import hashlib
 import io
 import sys
 from pathlib import Path
 
 import pytest
 
+import cybundle.cli
 from cybundle.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -89,6 +91,38 @@ def test_golden_output(name, argv, exit_code):
     assert code == exit_code
     assert stdout == (GOLDEN_DIR / f"{name}.stdout").read_bytes()
     assert stderr == (GOLDEN_DIR / f"{name}.stderr").read_bytes()
+
+
+# Surveys too big to keep as files, locked by the sha256 and byte length of
+# their output.  These cross many of the CLI's emission batches.
+DIGEST_ARGV = ["enumerate", "--base", "p1", "--max-degree", "20", "--format"]
+DIGESTS = {
+    "json": ("64adbbe4725aebf799dd3f4a2c36ac5e3cab1fbde816c62d968882a8185c6b14", 1128014),
+    "csv": ("1eb6ba93993baea441a3641f22aaccfaa7c0caf14f77869f440ba12ef02b0fe1", 116970),
+    "text": ("95ca387f3e70ff5cec485af8dc396755821e31abeea5be015022d84cad5481fb", 545412),
+}
+
+
+def _digest(data):
+    return hashlib.sha256(data).hexdigest(), len(data)
+
+
+@pytest.mark.parametrize("batch", [None, 7], ids=["default-batch", "batch-7"])
+@pytest.mark.parametrize("fmt", sorted(DIGESTS))
+def test_golden_digest(fmt, batch, monkeypatch):
+    if batch is not None:  # csv and text rows then span many batches too
+        monkeypatch.setattr(cybundle.cli, "EMIT_BATCH", batch)
+    code, stdout, stderr = run_in_process(DIGEST_ARGV + [fmt])
+    assert (code, stderr) == (0, b"")
+    assert _digest(stdout) == DIGESTS[fmt]
+
+
+def test_golden_digest_out_file(tmp_path):
+    path = tmp_path / "survey.json"
+    code, stdout, stderr = run_in_process(DIGEST_ARGV + ["json", "--out", str(path)])
+    assert (code, stdout, stderr) == (0, b"", b"")
+    assert _digest(path.read_bytes()) == DIGESTS["json"]
+    assert [p.name for p in tmp_path.iterdir()] == ["survey.json"]
 
 
 def write_missing(cases=CASES, golden_dir=GOLDEN_DIR):

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cybundle.invariants
 from cybundle.chow import BundleSpec, ChernTotal, ChowClass
@@ -12,7 +14,9 @@ from cybundle.invariants import (
     euler_characteristic_rank2_p3,
     fiber_count,
     gamma,
+    _oracle_numbers,
     h0_split,
+    invariants_for,
     invariants_p1,
     invariants_p3,
     picard_number,
@@ -146,12 +150,56 @@ class TestOracleMismatch:
             invariants_p1(BundleSpec(1, 4, 2))
 
     def test_cli_exit_3(self, capsys):
-        assert main(["invariants", "--base", "p3", "--degrees", "0,2"]) == 3
+        self.assert_exit_3(capsys, ["invariants", "--base", "p3", "--degrees", "0,2"])
+
+    @pytest.mark.parametrize("base", ["p1", "p3"])
+    def test_enumerate_exit_3(self, capsys, base):
+        self.assert_exit_3(capsys, ["enumerate", "--base", base, "--max-degree", "3"])
+
+    @staticmethod
+    def assert_exit_3(capsys, argv):
+        assert main(argv) == 3
         out, err = capsys.readouterr()
         assert out == ""
         payload = json.loads(err)
         assert payload["exit_code"] == 3
         assert "oracle" in payload["error"]
+
+    def test_memo_does_not_skip_the_comparison(self):
+        memo = {}
+        spec = BundleSpec.from_split(1, (0, 0, 1, 1))
+        for _ in range(2):
+            with pytest.raises(OracleMismatchError):
+                invariants_for(spec, memo)
+        assert len(memo) == 1
+
+
+class TestOracleMemo:
+    """The oracle reads only the Chern data, which is what lets a caller's
+    memo share one oracle run among specs of equal (base_dim, rank, c1, c2)."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        base=st.sampled_from([1, 3]),
+        degrees=st.lists(st.integers(-6, 9), min_size=4, max_size=4),
+    )
+    def test_oracle_reads_only_chern_data(self, base, degrees):
+        spec = BundleSpec.from_split(base, degrees[: 2 if base == 3 else 4])
+        chern_only = BundleSpec(spec.base_dim, spec.rank, spec.c1, spec.c2)
+        assert _oracle_numbers(spec) == _oracle_numbers(chern_only)
+
+    def test_records_unchanged_by_memo(self):
+        specs = P1_FAMILY + ADMISSIBLE_P3 + [
+            BundleSpec.from_split(3, (t, t + 2)) for t in range(-2, 3)
+        ]
+        memo = {}
+        for spec in specs:
+            assert invariants_for(spec, memo) == invariants_for(spec)
+        p1_c1 = {spec.c1 for spec in P1_FAMILY}
+        p3_data = {(spec.c1, spec.c2) for spec in specs if spec.base_dim == 3}
+        assert set(memo) == {(1, 4, c1, 0) for c1 in p1_c1} | {
+            (3, 2, c1, c2) for c1, c2 in p3_data
+        }
 
 
 class TestFiberCount:
