@@ -23,8 +23,7 @@ import csv
 import json
 import os
 import sys
-from itertools import chain, islice
-from typing import Iterable, Iterator, List, Optional
+from typing import Callable, List, Optional, TextIO
 
 from .chow import BundleSpec
 from .discriminant import (
@@ -57,9 +56,6 @@ EXIT_INADMISSIBLE = 4
 
 # enumerate --base p1 emits O(N^3) rows: 47905 at N = 64
 MAX_ENUMERATE_DEGREE = 64
-
-# _emit writes the output text in batches of this many pieces
-EMIT_BATCH = 8192
 
 CSV_COMMANDS = ("invariants", "enumerate")
 
@@ -149,70 +145,48 @@ def _emit(payload: dict, fmt: str, out: Optional[str]) -> None:
     """Write the payload to stdout, or atomically to ``out``, as json, csv
     or text.
 
-    The text is generated piece by piece and written in batches of at most
-    EMIT_BATCH pieces, so a large survey is never held as one string next
-    to its rows.  The bytes are those of the whole text written at once:
-    ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline for
-    json.
+    The text is written piece by piece as it is generated, so a large
+    survey is never held as one string next to its rows.  The bytes are
+    those of the whole text written at once: ``json.dumps(payload,
+    indent=2, sort_keys=True)`` plus a newline for json.
     """
-    batches = _batches(_pieces(payload, fmt))
     if out:
         try:
-            _write_atomic(out, batches)
+            _write_atomic(out, lambda fh: _write(fh, payload, fmt))
         except OSError as exc:
             reason = exc.strerror or str(exc)
             raise CliError(EXIT_INVALID_INPUT, f"cannot write {out}: {reason}")
     else:
-        for batch in batches:
-            sys.stdout.write(batch)
+        _write(sys.stdout, payload, fmt)
 
 
-def _batches(pieces: Iterable[str]) -> Iterator[str]:
-    pieces = iter(pieces)
-    while batch := list(islice(pieces, EMIT_BATCH)):
-        yield "".join(batch)
-
-
-def _pieces(payload: dict, fmt: str) -> Iterable[str]:
+def _write(fh: TextIO, payload: dict, fmt: str) -> None:
     if fmt == "json":
-        encoder = json.JSONEncoder(indent=2, sort_keys=True)
-        return chain(encoder.iterencode(payload), ("\n",))
-    if fmt == "csv":
-        writer = csv.writer(_Echo(), lineterminator="\n")
-        cells = (
-            [_csv_cell(row.get(col)) for col in CSV_COLUMNS] for row in payload["rows"]
-        )
-        return chain((writer.writerow(CSV_COLUMNS),), map(writer.writerow, cells))
-    return _text_lines(payload)
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    elif fmt == "csv":
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for row in payload["rows"]:
+            writer.writerow([_csv_cell(row.get(col)) for col in CSV_COLUMNS])
+    else:
+        for key in sorted(payload):
+            if key == "rows":
+                for row in payload[key]:
+                    cells = (f"{k}={_csv_cell(v)}" for k, v in sorted(row.items()))
+                    fh.write(" ".join(cells) + "\n")
+            else:
+                fh.write(f"{key}: {json.dumps(payload[key], sort_keys=True)}\n")
 
 
-def _text_lines(payload: dict) -> Iterator[str]:
-    for key in sorted(payload):
-        if key == "rows":
-            for row in payload[key]:
-                cells = (f"{k}={_csv_cell(v)}" for k, v in sorted(row.items()))
-                yield " ".join(cells) + "\n"
-        else:
-            yield f"{key}: {json.dumps(payload[key], sort_keys=True)}\n"
-
-
-class _Echo:
-    """A file object for csv.writer whose write returns the line, so
-    writerow hands back each formatted row."""
-
-    def write(self, line: str) -> str:
-        return line
-
-
-def _write_atomic(path: str, batches: Iterator[str]) -> None:
+def _write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
     """Write through a temporary file in the target directory and rename it
     over ``path``, so a failed write leaves no partial file behind."""
     tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "w", encoding="utf-8")
     try:
         with fh:
-            for batch in batches:
-                fh.write(batch)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -346,7 +320,7 @@ def _cmd_discriminant(args) -> int:
         "scaling_law": scaling_law_check(q, "3/2"),
         "gradient_identity": gradient_identity_holds(q),
     }
-    wq = witness_section(spec, args.seed, args.bound, q)
+    wq = witness_section(q if args.bound >= 1 else sample_section(spec, args.seed, 1))
     witness = singularity_witness(wq, (1, 0, 0, 0))
     payload = {
         "schema": SCHEMA_VERSION,

@@ -238,25 +238,17 @@ def sample_section(spec: BundleSpec, seed: int, bound: int) -> QuadraticSection:
     return QuadraticSection(spec, draw(d00), draw(d01), draw(d11))
 
 
-def witness_section(
-    spec: BundleSpec,
-    seed: int,
-    bound: int,
-    sampled: Optional[QuadraticSection] = None,
-) -> QuadraticSection:
-    """A seeded section whose components all vanish at (1, 0, 0, 0).
+def witness_section(section: QuadraticSection) -> QuadraticSection:
+    """The section with the pure z0 monomial dropped from each component.
 
-    Built by dropping the pure z0 monomial from each component of the
-    section sample_section draws at max(bound, 1), so the point lies in the
-    base locus and is a guaranteed singular point of the octic.  A caller
-    that already holds ``sample_section(spec, seed, bound)`` passes it as
-    ``sampled`` and, for bound >= 1, it is used instead of a second draw.
+    Every component then vanishes at (1, 0, 0, 0), so the point lies in the
+    base locus and is a guaranteed singular point of the octic.  The
+    discriminant command passes the section it sampled, or a draw at bound
+    1 when its own bound is 0 (the zero section would witness nothing).
     """
-    if sampled is None or bound < 1:
-        sampled = sample_section(spec, seed, max(bound, 1))
 
     def drop_pure_z0(p: MultiPoly) -> MultiPoly:
         return MultiPoly._trusted({e: c for e, c in p.num.items() if any(e[1:])}, p.den)
 
-    s00, s01, s11 = (drop_pure_z0(p) for p in (sampled.s00, sampled.s01, sampled.s11))
-    return QuadraticSection(spec, s00, s01, s11)
+    s00, s01, s11 = (drop_pure_z0(p) for p in (section.s00, section.s01, section.s11))
+    return QuadraticSection(section.spec, s00, s01, s11)

@@ -122,13 +122,11 @@ def _record(
     The oracle reads only the Chern data, so with a memo it runs once per
     Chern datum; the comparison runs for every spec regardless.
     """
-    if oracle_memo is None:
-        oracle = _oracle_numbers(spec)
-    else:
-        key = (spec.base_dim, spec.rank, spec.c1, spec.c2)
-        oracle = oracle_memo.get(key)
-        if oracle is None:
-            oracle = oracle_memo[key] = _oracle_numbers(spec)
+    memo = {} if oracle_memo is None else oracle_memo
+    key = (spec.base_dim, spec.rank, spec.c1, spec.c2)
+    oracle = memo.get(key)
+    if oracle is None:
+        oracle = memo[key] = _oracle_numbers(spec)
     _compare(closed, oracle)
     rho, note = picard_number(spec) if spec.is_split else (None, None)
     return CyInvariants(

@@ -193,7 +193,7 @@ def test_criterion_11_discriminant():
             assert octic.poly.is_zero() or octic.poly.total_degree() == 8
             assert scaling_law_check(q, Fraction(3, 2))
             assert gradient_identity_holds(q)
-            wq = witness_section(spec, seed, 2)
+            wq = witness_section(q)
             rec = singularity_witness(wq, (1, 0, 0, 0))
             assert rec.on_base_locus
             assert rec.delta == 0 and all(g == 0 for g in rec.gradient)

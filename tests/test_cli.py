@@ -6,7 +6,9 @@ import pytest
 
 import cybundle.cli
 import cybundle.invariants
+from cybundle.chow import BundleSpec
 from cybundle.cli import CSV_COLUMNS, main
+from cybundle.discriminant import sample_section, witness_section
 
 
 def run_cli(args, tmp_path=None):
@@ -156,6 +158,31 @@ class TestDiscriminantCommand:
         assert out == ""
         assert json.loads(err) == {"error": "bound must be <= 1000000", "exit_code": 2}
         assert main(argv + ["1000000"]) == 0
+
+    @pytest.mark.parametrize("bound,witness_bound", [(0, 1), (1, 1), (3, 3)])
+    def test_witness_of_the_sampled_section(
+        self, monkeypatch, capsys, bound, witness_bound
+    ):
+        # the witness drops the pure z0 terms of the section the command
+        # sampled; at bound 0 (the zero section) it samples at bound 1
+        spec = BundleSpec.from_split(3, (0, 2))
+        draws, seen = [], []
+
+        def sample(*args):
+            draws.append(args)
+            return sample_section(*args)
+
+        def witness(q):
+            seen.append(q)
+            return witness_section(q)
+
+        monkeypatch.setattr(cybundle.cli, "sample_section", sample)
+        monkeypatch.setattr(cybundle.cli, "witness_section", witness)
+        argv = ["discriminant", "--degrees", "0,2", "--seed", "5", "--bound", str(bound)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["witness"]["singular_point_verified"]
+        assert seen == [sample_section(spec, 5, witness_bound)]
+        assert len(draws) == (2 if bound == 0 else 1)
 
 
 class TestOutPath:

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-import cybundle.cli
 from cybundle.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -94,7 +93,7 @@ def test_golden_output(name, argv, exit_code):
 
 
 # Surveys too big to keep as files, locked by the sha256 and byte length of
-# their output.  These cross many of the CLI's emission batches.
+# their output.
 DIGEST_ARGV = ["enumerate", "--base", "p1", "--max-degree", "20", "--format"]
 DIGESTS = {
     "json": ("64adbbe4725aebf799dd3f4a2c36ac5e3cab1fbde816c62d968882a8185c6b14", 1128014),
@@ -107,11 +106,8 @@ def _digest(data):
     return hashlib.sha256(data).hexdigest(), len(data)
 
 
-@pytest.mark.parametrize("batch", [None, 7], ids=["default-batch", "batch-7"])
 @pytest.mark.parametrize("fmt", sorted(DIGESTS))
-def test_golden_digest(fmt, batch, monkeypatch):
-    if batch is not None:  # csv and text rows then span many batches too
-        monkeypatch.setattr(cybundle.cli, "EMIT_BATCH", batch)
+def test_golden_digest(fmt):
     code, stdout, stderr = run_in_process(DIGEST_ARGV + [fmt])
     assert (code, stderr) == (0, b"")
     assert _digest(stdout) == DIGESTS[fmt]
