@@ -81,15 +81,18 @@ class BundleSpec:
     def is_split(self) -> bool:
         return self.split_degrees is not None
 
-    @property
-    def is_normalized(self) -> bool:
-        return self.is_split and min(self.split_degrees) == 0
-
     def normalized(self) -> "BundleSpec":
-        """Twist so the minimal split degree is 0."""
+        """Twist so the minimal split degree is 0.
+
+        A spec that is already normalized is returned itself (the spec is
+        frozen), so callers may normalize freely; any other spec gives a
+        new ``from_split`` spec.
+        """
         if not self.is_split:
             raise ValueError("normalization needs split degrees")
-        lo = min(self.split_degrees)
+        lo = self.split_degrees[0]  # the degrees are sorted ascending
+        if lo == 0:
+            return self
         return BundleSpec.from_split(
             self.base_dim, [d - lo for d in self.split_degrees]
         )

@@ -8,8 +8,9 @@ by ``invariants`` and ``enumerate`` only.  Exit codes: 0 ok, 2 invalid
 input (malformed or wrong-arity degrees, a ``--bound`` outside
 0..MAX_SECTION_BOUND, a ``--max-degree`` outside 0..MAX_ENUMERATE_DEGREE,
 ``--format csv`` on ``kaehler``, ``classify`` or ``discriminant``, an
-``--out`` path that cannot be written), 3 oracle mismatch, 4 inadmissible
-or refused spec.
+empty ``--out`` or an ``--out`` path that cannot be written), 3 oracle
+mismatch, 4 inadmissible or refused spec.  The csv and empty ``--out``
+refusals come before any computation.
 Codes 2-4 raised by a command come with one JSON object
 ``{"error": ..., "exit_code": ...}`` on stderr; argparse's own usage errors
 keep its usage message.  ``--out`` is written atomically: a failed write
@@ -396,6 +397,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"--format csv has no columns for a {args.command} report; "
                 "use json or text",
             )
+        if args.out == "":
+            raise CliError(EXIT_INVALID_INPUT, "--out needs a file path")
         return args.func(args)
     except CliError as exc:
         print(json.dumps({"error": exc.reason, "exit_code": exc.code}), file=sys.stderr)

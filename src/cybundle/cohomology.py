@@ -9,7 +9,7 @@ add over summands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from math import comb
 from typing import Tuple
 
@@ -52,8 +52,10 @@ def line_cohomology(m: int, d: int, i: int) -> int:
 
 
 def cohomology(b: SplitBundle, i: int) -> int:
-    """h^i of a split bundle: sum over the line summands."""
-    return sum(line_cohomology(b.base_dim, d, i) for d in b.degrees)
+    """h^i of a split bundle: the sum of line_cohomology over the line
+    summands, so the Bott rule is stated once; an index outside 0..m
+    raises ValueError."""
+    return sum(map(line_cohomology, repeat(b.base_dim), b.degrees, repeat(i)))
 
 
 def euler_characteristic(b: SplitBundle) -> int:
@@ -85,9 +87,7 @@ def sym_power(b: SplitBundle, k: int) -> SplitBundle:
         raise ValueError("symmetric power index must be >= 0")
     if k == 0:
         return SplitBundle(b.base_dim, (0,))
-    degs = tuple(
-        sum(c) for c in combinations_with_replacement(b.degrees, k)
-    )
+    degs = tuple(map(sum, combinations_with_replacement(b.degrees, k)))
     return SplitBundle(b.base_dim, degs)
 
 

@@ -13,7 +13,7 @@ of the library, not an afterthought.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 from typing import Dict, Optional, Tuple
@@ -21,6 +21,8 @@ from typing import Dict, Optional, Tuple
 from .chow import (
     BundleSpec,
     ChowClass,
+    Coefficient,
+    _exact,
     anticanonical_class,
     integrate,
     tangent_total_chern,
@@ -69,10 +71,16 @@ class CyInvariants:
     mk_sq_h: Optional[int]        # m = 1 only
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, in declaration order.  Every field is an int,
+        a str or None, so this equals ``dataclasses.asdict(self)`` without
+        its deep copies."""
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
 
-def _as_int(name: str, value: Fraction) -> int:
+_FIELD_NAMES = tuple(f.name for f in fields(CyInvariants))
+
+
+def _as_int(name: str, value: Coefficient) -> int:
     if value.denominator != 1:
         raise OracleMismatchError(f"{name} = {value} is not an integer")
     return int(value)
@@ -83,7 +91,9 @@ def _oracle_numbers(spec: BundleSpec) -> dict:
 
     X in |-K_Z| turns a degree-3 class a on X into the degree-4 integral
     of a.(-K_Z) on Z; c2(X) = c2(Z)|X and c3(X) = (c3(Z) - c2(Z).(-K_Z))|X
-    by adjunction with N_{X|Z} = -K_Z|X.
+    by adjunction with N_{X|Z} = -K_Z|X.  Each integral is stored as an
+    int when it is integral and as a Fraction otherwise, the storage rule
+    of ChowClass, so the comparison with the closed forms compares ints.
     """
     L = anticanonical_class(spec)
     ct = tangent_total_chern(spec)
@@ -91,18 +101,19 @@ def _oracle_numbers(spec: BundleSpec) -> dict:
     xi = ChowClass.xi(spec)
     H = ChowClass.hyperplane(spec)
     c3X = c3Z - c2Z * L
-    return {
-        "c3_X": integrate(c3X * L),
-        "h_dot_c2": integrate(H * c2Z * L),
-        "xi_dot_c2": integrate(xi * c2Z * L),
-        "mk_dot_c2": integrate(L * c2Z * L),
-        "h3": integrate(H * H * H * L),
-        "xi_h2": integrate(xi * H * H * L),
-        "xi2_h": integrate(xi * xi * H * L),
-        "xi3": integrate(xi * xi * xi * L),
-        "mk_cubed": integrate(L * L * L * L),
-        "mk_sq_h": integrate(L * L * H * L),
+    integrands = {
+        "c3_X": c3X,
+        "h_dot_c2": H * c2Z,
+        "xi_dot_c2": xi * c2Z,
+        "mk_dot_c2": L * c2Z,
+        "h3": H * H * H,
+        "xi_h2": xi * H * H,
+        "xi2_h": xi * xi * H,
+        "xi3": xi * xi * xi,
+        "mk_cubed": L * L * L,
+        "mk_sq_h": L * L * H,
     }
+    return {key: _exact(integrate(a * L)) for key, a in integrands.items()}
 
 
 def _compare(closed: dict, oracle: dict) -> None:
@@ -148,12 +159,13 @@ def invariants_p3(
         raise ValueError("invariants_p3 needs a rank-2 bundle over P^3")
     c1, g = spec.c1, spec.gamma()
     closed = {
-        "c3_X": Fraction(-8 * g - 168),
-        "h_dot_c2": Fraction(44),
-        "xi_dot_c2": Fraction(4 * g + 22 * c1 + 24),
-        "mk_dot_c2": Fraction(8 * g + 224),
-        "h3": Fraction(2),
-        "xi_h2": Fraction(c1 + 4),
+        "c3_X": -8 * g - 168,
+        "h_dot_c2": 44,
+        "xi_dot_c2": 4 * g + 22 * c1 + 24,
+        "mk_dot_c2": 8 * g + 224,
+        "h3": 2,
+        "xi_h2": c1 + 4,
+        # the two half-integral expressions stay exact rationals
         "xi2_h": Fraction(g, 2) + Fraction(c1 ** 2, 2) + 4 * c1,
         "xi3": g + Fraction(3 * g * c1, 4) + 3 * c1 ** 2 + Fraction(c1 ** 3, 4),
     }
@@ -176,16 +188,16 @@ def invariants_p1(
         raise ValueError("invariants_p1 needs a rank-4 bundle over P^1")
     c1 = spec.c1
     closed = {
-        "c3_X": Fraction(-168),
-        "h_dot_c2": Fraction(24),
-        "xi_dot_c2": Fraction(6 * c1 + 44),
-        "mk_dot_c2": Fraction(224),
-        "mk_cubed": Fraction(512),
-        "mk_sq_h": Fraction(64),
-        "xi3": Fraction(3 * c1 + 2),
-        "xi2_h": Fraction(4),
-        "xi_h2": Fraction(0),
-        "h3": Fraction(0),
+        "c3_X": -168,
+        "h_dot_c2": 24,
+        "xi_dot_c2": 6 * c1 + 44,
+        "mk_dot_c2": 224,
+        "mk_cubed": 512,
+        "mk_sq_h": 64,
+        "xi3": 3 * c1 + 2,
+        "xi2_h": 4,
+        "xi_h2": 0,
+        "h3": 0,
     }
     return _record(spec, closed, oracle_memo, gamma=None, fiber_count=None)
 

@@ -91,6 +91,11 @@ def rationality_analysis(w: CubicForm) -> RationalityReport:
     A double line through [1:0] is invisible in the y-chart, so both charts
     are inspected.  If no double line exists, fall back to full rational-root
     factorization of the cubic.
+
+    The verdict describes the cubic {D^3 = 0}, not the Kaehler cone: the
+    split p3 specs (0,1)..(0,3) read IRRATIONAL_OR_UNRESOLVED although
+    their boundary rays (1, 0) and (0, 1) are rational.  This verdict is
+    what reports print as ``rationality``.
     """
     if w.is_zero():
         raise ValueError("the zero cubic has no rationality analysis")

@@ -178,6 +178,24 @@ class TestBundleSpec:
         assert norm.split_degrees == (0, 2)
         assert spec.gamma() == norm.gamma()
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        base=st.sampled_from([1, 3]),
+        degrees=st.lists(st.integers(-6, 9), min_size=4, max_size=4),
+    )
+    def test_normalized_fast_path(self, base, degrees):
+        spec = BundleSpec.from_split(base, degrees[: 2 if base == 3 else 4])
+        norm = spec.normalized()
+        lo = min(spec.split_degrees)
+        if lo == 0:
+            assert norm is spec
+        else:
+            assert norm is not spec
+            assert norm == BundleSpec.from_split(
+                base, [d - lo for d in spec.split_degrees]
+            )
+        assert norm.normalized() is norm
+
     def test_json_terms(self):
         spec = BundleSpec.from_split(3, (0, 2))
         cls = ChowClass(spec, {(1, 1): Fraction(3, 2)})

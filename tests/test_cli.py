@@ -221,6 +221,27 @@ class TestOutPath:
         assert list(tmp_path.iterdir()) == [out]
         assert out.read_text() == "old"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ARGV,
+            ["enumerate", "--base", "p1", "--max-degree", "2", "--out"],
+            ["kaehler", "--base", "p1", "--degrees", "0,0,1,1", "--out"],
+            ["classify", "--degrees", "0,0,0,1", "--out"],
+            ["discriminant", "--degrees", "0,1", "--out"],
+        ],
+    )
+    def test_empty_path_exit_2_before_any_work(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("a command ran despite an empty --out")
+
+        for name in ("invariants_for", "classify_contraction_p1", "sample_section"):
+            monkeypatch.setattr(cybundle.cli, name, refuse)
+        assert main(argv + [""]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert json.loads(err) == {"error": "--out needs a file path", "exit_code": 2}
+
     def test_replaces_existing_file(self, tmp_path):
         out = tmp_path / "x.json"
         out.write_text("old")

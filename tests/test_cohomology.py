@@ -1,6 +1,9 @@
 from collections import Counter
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cybundle.cohomology import (
     SplitBundle,
@@ -80,3 +83,46 @@ class TestCohomologySums:
             b = SplitBundle(m, degs)
             alt = sum((-1) ** i * cohomology(b, i) for i in range(m + 1))
             assert euler_characteristic(b) == alt
+
+
+PROPS = settings(max_examples=150, derandomize=True, deadline=None)
+SPLIT_BUNDLES = st.builds(
+    SplitBundle,
+    st.sampled_from([1, 3]),
+    st.lists(st.integers(-12, 12), min_size=1, max_size=6).map(tuple),
+)
+
+
+class TestBottKernelProperties:
+    """cohomology and sym_power against references written summand by
+    summand, without the kernel's own iteration."""
+
+    @PROPS
+    @given(b=SPLIT_BUNDLES)
+    def test_cohomology_is_the_sum_over_summands(self, b):
+        m = b.base_dim
+        for i in range(m + 1):
+            want = 0
+            for d in b.degrees:
+                want += line_cohomology(m, d, i)
+            assert cohomology(b, i) == want
+        for i in (-1, m + 1):
+            with pytest.raises(ValueError):
+                cohomology(b, i)
+
+    @PROPS
+    @given(b=SPLIT_BUNDLES, k=st.integers(0, 4))
+    def test_sym_power_is_the_multiset_sums(self, b, k):
+        # one summand per non-decreasing index tuple, i.e. per k-multiset
+        want = sorted(
+            sum(b.degrees[j] for j in idx)
+            for idx in product(range(b.rank), repeat=k)
+            if list(idx) == sorted(idx)
+        )
+        s = sym_power(b, k)
+        assert s.base_dim == b.base_dim
+        assert list(s.degrees) == want
+
+    def test_negative_sym_power_refused(self):
+        with pytest.raises(ValueError):
+            sym_power(SplitBundle(1, (0, 1)), -1)

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +204,39 @@ class TestOracleMemo:
         }
 
 
+class TestFastPaths:
+    """The per-row shortcuts give what the general code gave."""
+
+    # p1, p3 and Chern-data-only records, with every optional field None
+    # somewhere among them
+    RECORD_SPECS = [
+        BundleSpec.from_split(1, (0, 0, 1, 1)),
+        BundleSpec.from_split(1, (0, 2, 5, 9)),  # rho > 2
+        BundleSpec.from_split(1, (-3, 1, 1, 4)),
+        BundleSpec.from_split(3, (0, 2)),
+        BundleSpec.from_split(3, (-1, 5)),  # gamma > 16: no fiber count
+        BundleSpec.from_chern(2, 1),
+        BundleSpec(1, 4, 3),
+    ]
+
+    @pytest.mark.parametrize("spec", RECORD_SPECS, ids=str)
+    def test_to_dict_equals_asdict(self, spec):
+        record = invariants_for(spec)
+        d = record.to_dict()
+        assert d == dataclasses.asdict(record)
+        assert list(d) == [f.name for f in dataclasses.fields(record)]
+
+    def test_oracle_integrals_stored_as_ints(self):
+        specs = list(self.RECORD_SPECS)
+        for c1 in range(-3, 6):
+            specs.append(BundleSpec(1, 4, c1))
+            specs += [BundleSpec.from_chern(c1, c2) for c2 in range(-2, 4)]
+        for spec in specs:
+            for key, value in _oracle_numbers(spec).items():
+                want = int if value.denominator == 1 else Fraction
+                assert type(value) is want, (spec, key)
+
+
 class TestFiberCount:
     @pytest.mark.parametrize(
         "degrees,count", [((0, 0), 64), ((0, 4), 0), ((0, 2), 48)]
@@ -259,6 +294,21 @@ class TestPicardNumber:
     def test_non_split_refused(self):
         with pytest.raises(ValueError):
             picard_number(BundleSpec.from_chern(2, 1))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(degrees=st.lists(st.integers(-6, 25), min_size=4, max_size=4))
+    def test_p1_closed_form(self, degrees):
+        # h^1(P^1, O(d)) = max(0, -d - 1), and Sym^4 E (x) O(2 - c1) has one
+        # summand O(s + 2 - c1) per sum s of a 4-multiset of the normalized
+        # degrees: rho = 2 + sum over s of max(0, c1 - 3 - s)
+        spec = BundleSpec.from_split(1, degrees)
+        norm = [d - min(degrees) for d in sorted(degrees)]
+        c1 = sum(norm)
+        sums = [sum(c) for c in combinations_with_replacement(norm, 4)]
+        assert len(sums) == 35
+        rho = 2 + sum(max(0, c1 - 3 - s) for s in sums)
+        assert picard_number(spec)[0] == rho
+        assert picard_number(BundleSpec.from_split(1, norm))[0] == rho
 
 
 class TestAdmissibility:
