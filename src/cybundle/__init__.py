@@ -8,7 +8,6 @@ cross-checked against an independent Chow-ring oracle.
 from .chow import (
     BundleSpec,
     ChowClass,
-    ChernTotal,
     anticanonical_class,
     closed_form_intersections,
     integrate,

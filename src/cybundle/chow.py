@@ -20,7 +20,7 @@ product of integral classes stays integral, so the oracle path runs on ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import comb
@@ -367,24 +367,9 @@ def intersection_numbers_by_reduction(spec: BundleSpec) -> IntersectionNumbers:
     return IntersectionNumbers(*vals)
 
 
-@dataclass
-class ChernTotal:
-    """Graded components c0..c4 of a total Chern class on Z."""
-
-    parts: List[ChowClass]
-
-    def __getitem__(self, k: int) -> ChowClass:
-        return self.parts[k]
-
-    def total(self) -> ChowClass:
-        acc = ChowClass.zero(self.parts[0].spec)
-        for p in self.parts:
-            acc = acc + p
-        return acc
-
-
-def tangent_total_chern(spec: BundleSpec) -> ChernTotal:
-    """Total Chern class of the tangent bundle of Z = P(E).
+def tangent_total_chern(spec: BundleSpec) -> List[ChowClass]:
+    """Total Chern class of the tangent bundle of Z = P(E), as the list of
+    its graded parts c0..c4 (index k holds c_k(T_Z)).
 
     The relative Euler sequence and the pullback of the Euler sequence on
     the base give (Fulton, Intersection Theory, ch. 3)
@@ -408,4 +393,4 @@ def tangent_total_chern(spec: BundleSpec) -> ChernTotal:
     bracket = ChowClass(spec, below) + xi_r
     base = ChowClass(spec, {(0, j): comb(m + 1, j) for j in range(m + 1)})
     total = bracket * base
-    return ChernTotal([total.graded_part(k) for k in range(5)])
+    return [total.graded_part(k) for k in range(5)]

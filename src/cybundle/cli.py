@@ -4,12 +4,14 @@ analysis, contraction classification and discriminant export.
 All output is deterministic byte-for-byte for a fixed configuration and
 seed.  JSON reports carry ``"schema": 1``; the CSV column order is fixed
 (see CSV_COLUMNS).  CSV holds report rows, so ``--format csv`` is accepted
-by ``invariants`` and ``enumerate`` only.  Exit codes: 0 ok, 2 invalid
-input (malformed or wrong-arity degrees, a ``--bound`` outside
-0..MAX_SECTION_BOUND, a ``--max-degree`` outside 0..MAX_ENUMERATE_DEGREE,
-``--format csv`` on ``kaehler``, ``classify`` or ``discriminant``, an
-empty ``--out`` or an ``--out`` path that cannot be written), 3 oracle
-mismatch, 4 inadmissible or refused spec.  The csv and empty ``--out``
+by ``invariants`` and ``enumerate`` only.  Each ``--degrees`` field is
+ASCII ``-?[0-9]+`` (no spaces, ``+``, ``_`` or non-ASCII digits); a
+negative leading degree needs the form ``--degrees=-5,0,0,0``.
+Exit codes: 0 ok, 2 invalid input (malformed or wrong-arity degrees, a
+``--bound`` outside 0..MAX_SECTION_BOUND, a ``--max-degree`` outside
+0..MAX_ENUMERATE_DEGREE, ``--format csv`` on ``kaehler``, ``classify`` or
+``discriminant``, an empty ``--out`` or an ``--out`` path that cannot be
+written), 3 oracle mismatch, 4 inadmissible or refused spec.  The csv and empty ``--out``
 refusals come before any computation.
 Codes 2-4 raised by a command come with one JSON object
 ``{"error": ..., "exit_code": ...}`` on stderr; argparse's own usage errors
@@ -23,6 +25,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from typing import Callable, List, Optional, TextIO
 
@@ -60,6 +63,9 @@ MAX_ENUMERATE_DEGREE = 64
 
 CSV_COMMANDS = ("invariants", "enumerate")
 
+# one --degrees field; [0-9], unlike \d, matches ASCII digits only
+_DEGREE_FIELD = re.compile(r"-?[0-9]+")
+
 CSV_COLUMNS = [
     "base",
     "degrees",
@@ -95,8 +101,11 @@ class CliError(Exception):
 
 
 def _parse_degrees(text: str, base: str) -> List[int]:
+    fields = text.split(",")
     try:
-        degs = [int(x) for x in text.split(",")]
+        if not all(map(_DEGREE_FIELD.fullmatch, fields)):
+            raise ValueError(text)
+        degs = [int(x) for x in fields]  # int() also refuses too many digits
     except ValueError:
         raise CliError(EXIT_INVALID_INPUT, f"unparsable degrees: {text!r}")
     want = 2 if base == "p3" else 4
@@ -122,23 +131,20 @@ def _report_row(spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None) -> d
     }
     row.update(inv.to_dict())
     del row["base_dim"]
+    row["rationality"] = row["ray_c2_xi"] = row["ray_c2_h"] = None
+    row["contraction_kind"] = row["contraction_count"] = None
+    # one rho = 2 decision fills both the cone and the contraction fields
     try:
         norm = require_rho_two(spec)
-        kr = boundary_rays(
-            spec, inv if norm == spec else invariants_for(norm, oracle_memo)
-        )
-        row["rationality"] = kr.rationality.value
-        row["ray_c2_xi"], row["ray_c2_h"] = kr.c2_values
     except RhoNotTwoError:
-        row["rationality"] = None
-        row["ray_c2_xi"] = row["ray_c2_h"] = None
-    if spec.base_dim == 1 and spec.normalized().c1 <= 3:
-        cr = classify_contraction_p1(spec)
+        return row
+    kr = boundary_rays(norm, inv if norm == spec else invariants_for(norm, oracle_memo))
+    row["rationality"] = kr.rationality.value
+    row["ray_c2_xi"], row["ray_c2_h"] = kr.c2_values
+    if spec.base_dim == 1:
+        cr = classify_contraction_p1(norm)
         row["contraction_kind"] = cr.kind.value
         row["contraction_count"] = cr.count
-    else:
-        row["contraction_kind"] = None
-        row["contraction_count"] = None
     return row
 
 
@@ -207,11 +213,12 @@ def _csv_cell(value):
 def _cmd_invariants(args) -> int:
     degs = _parse_degrees(args.degrees, args.base)
     spec = _spec_for(args.base, degs)
-    if args.base == "p3" and not admissibility_p3(spec).admissible:
-        raise CliError(
-            EXIT_INADMISSIBLE,
-            f"splitting gap {abs(degs[1] - degs[0])} > 4: no smooth Calabi-Yau",
-        )
+    if args.base == "p3":
+        adm = admissibility_p3(spec)
+        if not adm.admissible:
+            raise CliError(
+                EXIT_INADMISSIBLE, f"splitting gap {adm.gap} > 4: no smooth Calabi-Yau"
+            )
     row = _report_row(spec)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -228,9 +235,9 @@ def _enumerate_specs(base: str, max_degree: int) -> List[BundleSpec]:
     specs = []
     if base == "p3":
         for b in range(0, max_degree + 1):
-            if b > 4:
-                continue  # survey skips inadmissible splittings
-            specs.append(BundleSpec.from_split(3, (0, b)))
+            spec = BundleSpec.from_split(3, (0, b))
+            if admissibility_p3(spec).admissible:  # skip inadmissible splittings
+                specs.append(spec)
     else:
         for a1 in range(0, max_degree + 1):
             for a2 in range(a1, max_degree + 1):
@@ -318,8 +325,8 @@ def _cmd_discriminant(args) -> int:
     checks = {
         "homogeneous_degree_8": octic.poly.is_zero()
         or octic.poly.total_degree() == 8,
-        "scaling_law": scaling_law_check(q, "3/2"),
-        "gradient_identity": gradient_identity_holds(q),
+        "scaling_law": scaling_law_check(q, octic, "3/2"),
+        "gradient_identity": gradient_identity_holds(q, octic),
     }
     wq = witness_section(q if args.bound >= 1 else sample_section(spec, args.seed, 1))
     witness = singularity_witness(wq, (1, 0, 0, 0))

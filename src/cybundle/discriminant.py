@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .chow import BundleSpec
-from .invariants import OracleMismatchError, fiber_count
+from .invariants import OracleMismatchError, admissibility_p3, fiber_count
 from .ratpoly import (
     MultiPoly,
     monomials_of_degree,
@@ -40,8 +40,6 @@ class QuadraticSection:
         if (self.spec.base_dim, self.spec.rank) != (3, 2) or not self.spec.is_split:
             raise ValueError("quadratic sections need a split rank-2 spec on P^3")
         d00, d01, d11 = section_degrees(self.spec)
-        if d00 < 0:
-            raise ValueError("inadmissible spec: the s00 degree is negative")
         for name, poly, want in (
             ("s00", self.s00, d00),
             ("s01", self.s01, d01),
@@ -57,7 +55,13 @@ class QuadraticSection:
 
 
 def section_degrees(spec: BundleSpec) -> Tuple[int, int, int]:
-    """(d00, d01, d11) = (a-b+4, 4, b-a+4) for the splitting type (a, b)."""
+    """(d00, d01, d11) = (a-b+4, 4, b-a+4) for the splitting type (a, b).
+
+    The one gap refusal of this module: a ValueError when admissibility_p3
+    calls the spec inadmissible (b - a > 4, so d00 < 0).
+    """
+    if not admissibility_p3(spec).admissible:
+        raise ValueError("inadmissible spec: b - a > 4")
     a, b = spec.split_degrees
     return (a - b + 4, 4, b - a + 4)
 
@@ -88,11 +92,12 @@ def build_discriminant(q: QuadraticSection) -> Octic:
     return Octic(q.s01 * q.s01 - 4 * (q.s00 * q.s11))
 
 
-def scaling_law_check(q: QuadraticSection, r) -> bool:
-    """Delta(r*q) == r^2 * Delta(q), exactly."""
+def scaling_law_check(q: QuadraticSection, octic: Octic, r) -> bool:
+    """Delta(r*q) == r^2 * octic, exactly, where ``octic`` is the Delta(q)
+    of build_discriminant(q): the check verifies that octic."""
     r = Fraction(r)
     lhs = build_discriminant(q.scale(r)).poly
-    rhs = build_discriminant(q).poly * (r * r)
+    rhs = octic.poly * (r * r)
     return lhs == rhs
 
 
@@ -103,8 +108,6 @@ def base_locus_expected(spec: BundleSpec) -> int:
     fiber count.
     """
     d00, d01, d11 = section_degrees(spec)
-    if d00 < 0:
-        raise ValueError("inadmissible spec: b - a > 4")
     bezout = d00 * d01 * d11
     fibers = fiber_count(spec)
     if bezout != fibers:
@@ -168,11 +171,11 @@ def singularity_witness(q: QuadraticSection, point: Sequence) -> WitnessRecord:
     )
 
 
-def gradient_identity_holds(q: QuadraticSection) -> bool:
-    """grad Delta = 2*s01*grad s01 - 4*s11*grad s00 - 4*s00*grad s11,
-    as an identity of polynomials."""
-    delta = build_discriminant(q).poly
-    g_delta = multipoly_gradient(delta)
+def gradient_identity_holds(q: QuadraticSection, octic: Octic) -> bool:
+    """grad octic = 2*s01*grad s01 - 4*s11*grad s00 - 4*s00*grad s11,
+    as an identity of polynomials, where ``octic`` is the Delta(q) of
+    build_discriminant(q); Delta is not built again."""
+    g_delta = multipoly_gradient(octic.poly)
     g00 = multipoly_gradient(q.s00)
     g01 = multipoly_gradient(q.s01)
     g11 = multipoly_gradient(q.s11)
@@ -219,8 +222,6 @@ def sample_section(spec: BundleSpec, seed: int, bound: int) -> QuadraticSection:
     degree.  Same seed, same output.  ``bound`` runs from 0 to
     MAX_SECTION_BOUND; a ValueError refuses anything else."""
     d00, d01, d11 = section_degrees(spec)
-    if d00 < 0:
-        raise ValueError("inadmissible spec: b - a > 4")
     if bound < 0:
         raise ValueError("bound must be >= 0")
     if bound > MAX_SECTION_BOUND:

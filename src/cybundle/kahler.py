@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .chow import BundleSpec, ChowClass, anticanonical_class, integrate, reduce
-from .invariants import CyInvariants
+from .invariants import CyInvariants, admissibility_p3
 from .ratpoly import UniPoly, derivative, poly_gcd, rational_roots
 
 
@@ -82,7 +82,6 @@ class RationalityReport:
     verdict: Rationality
     chart: Optional[str]                 # which chart exhibited the gcd factor
     double_roots: Tuple[Fraction, ...]   # roots of gcd(w, Dw) in that chart
-    all_roots: Tuple[Fraction, ...]      # rational roots in the y = 1 chart
 
 
 def rationality_analysis(w: CubicForm) -> RationalityReport:
@@ -113,9 +112,6 @@ def rationality_analysis(w: CubicForm) -> RationalityReport:
                     verdict=Rationality.RATIONAL_DOUBLE_LINE,
                     chart=chart,
                     double_roots=roots,
-                    all_roots=tuple(rational_roots(w.chart_poly("y")))
-                    if w.chart_poly("y").degree >= 1
-                    else (),
                 )
     p = w.chart_poly("y")
     # degree drop in the y-chart means y divides w; a cubic with a simple
@@ -127,13 +123,11 @@ def rationality_analysis(w: CubicForm) -> RationalityReport:
             verdict=Rationality.RATIONAL_FACTORS,
             chart=None,
             double_roots=(),
-            all_roots=roots,
         )
     return RationalityReport(
         verdict=Rationality.IRRATIONAL_OR_UNRESOLVED,
         chart=None,
         double_roots=(),
-        all_roots=roots,
     )
 
 
@@ -173,10 +167,10 @@ def require_rho_two(spec: BundleSpec) -> BundleSpec:
         if norm.c1 > 3:
             raise RhoNotTwoError(f"c1 = {norm.c1} > 3 forces rho > 2")
     else:
-        a, b = norm.split_degrees
-        if b - a > 4:
-            raise RhoNotTwoError(f"splitting gap {b - a} > 4: no smooth X")
-        if (a, b) == (0, 4):
+        adm = admissibility_p3(norm)
+        if not adm.admissible:
+            raise RhoNotTwoError(f"splitting gap {adm.gap} > 4: no smooth X")
+        if norm.split_degrees == (0, 4):
             raise RhoNotTwoError("O + O(4) has rho = 1")
     return norm
 
@@ -267,14 +261,13 @@ def classify_contraction_p1(spec: BundleSpec) -> ContractionReport:
     """Classification of the second contraction for rank-4 bundles on P^1.
 
     Total in (c1, rk F), where F is the maximal trivial subbundle of the
-    normalized splitting.  c1 > 3 means rho > 2 and is refused.
+    normalized splitting.  c1 > 3 means rho > 2 and is refused by
+    require_rho_two.
     """
     if (spec.base_dim, spec.rank) != (1, 4) or not spec.is_split:
         raise ValueError("classification needs a split rank-4 bundle over P^1")
-    norm = spec.normalized()
+    norm = require_rho_two(spec)
     c1 = norm.c1
-    if c1 > 3:
-        raise RhoNotTwoError(f"c1 = {c1} > 3 forces rho > 2")
     rk_f = sum(1 for d in norm.split_degrees if d == 0)
     if c1 == 3:
         if rk_f >= 3:

@@ -214,8 +214,8 @@ class MultiPoly:
     Stored as integer numerators over one common denominator, in lowest
     terms: ``num`` maps exponent 4-tuples to nonzero ``int`` numerators,
     ``den`` is a positive ``int``, and gcd(content, den) = 1, so equal
-    polynomials have equal storage.  ``terms`` is a read-only view of the
-    coefficients as ``Fraction``.  Helper predicates check homogeneity; the
+    polynomials have equal storage.  ``terms`` copies the coefficients out
+    as ``Fraction``.  Helper predicates check homogeneity; the
     arithmetic itself works for any sparse polynomial.
     """
 
@@ -249,8 +249,10 @@ class MultiPoly:
         return obj
 
     @property
-    def terms(self) -> Mapping[Exponent, Fraction]:
-        return _TermsView(self)
+    def terms(self) -> Dict[Exponent, Fraction]:
+        """A new dict of the coefficients as ``Fraction``, built on each
+        access; changing it does not change the polynomial."""
+        return {e: Fraction(c, self.den) for e, c in self.num.items()}
 
     @classmethod
     def zero(cls) -> "MultiPoly":
@@ -332,24 +334,6 @@ class MultiPoly:
         return f"MultiPoly({to_canonical_text(self)})"
 
 
-class _TermsView(Mapping):
-    """Read-only mapping from exponent tuples to a MultiPoly's Fractions."""
-
-    __slots__ = ("_poly",)
-
-    def __init__(self, poly: MultiPoly) -> None:
-        self._poly = poly
-
-    def __getitem__(self, e: Exponent) -> Fraction:
-        return Fraction(self._poly.num[e], self._poly.den)
-
-    def __iter__(self):
-        return iter(self._poly.num)
-
-    def __len__(self) -> int:
-        return len(self._poly.num)
-
-
 def multipoly_gradient(p: MultiPoly) -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
     """Formal partial derivatives with respect to z0..z3."""
     parts = []
@@ -386,8 +370,9 @@ def to_canonical_text(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for e in sorted(p.terms, key=_grlex_key):
-        c = p.terms[e]
+    terms = p.terms
+    for e in sorted(terms, key=_grlex_key):
+        c = terms[e]
         factors = [f"{c.numerator}/{c.denominator}"]
         for i, k in enumerate(e):
             if k == 1:

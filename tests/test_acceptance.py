@@ -191,8 +191,8 @@ def test_criterion_11_discriminant():
             q = sample_section(spec, seed, 2)
             octic = build_discriminant(q)
             assert octic.poly.is_zero() or octic.poly.total_degree() == 8
-            assert scaling_law_check(q, Fraction(3, 2))
-            assert gradient_identity_holds(q)
+            assert scaling_law_check(q, octic, Fraction(3, 2))
+            assert gradient_identity_holds(q, octic)
             wq = witness_section(q)
             rec = singularity_witness(wq, (1, 0, 0, 0))
             assert rec.on_base_locus

@@ -1,14 +1,18 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 import cybundle.cli
+import cybundle.discriminant
 import cybundle.invariants
 from cybundle.chow import BundleSpec
-from cybundle.cli import CSV_COLUMNS, main
+from cybundle.cli import CSV_COLUMNS, _report_row, main
 from cybundle.discriminant import sample_section, witness_section
+from cybundle.kahler import RhoNotTwoError, require_rho_two
 
 
 def run_cli(args, tmp_path=None):
@@ -39,6 +43,26 @@ class TestInvariantsCommand:
 
     def test_inadmissible_exit_4(self):
         assert main(["invariants", "--base", "p3", "--degrees", "0,5"]) == 4
+
+    @pytest.mark.parametrize(
+        "degrees",
+        # underscore, padding, explicit plus, Arabic-Indic zero, empty field,
+        # trailing space, hex prefix, superscript digit
+        ["0,1_000", " 0 , 2", "+0,2", "\u0660,2", "0,,2", "0,2 ", "0x0,2", "0,\u00b2"],
+    )
+    def test_loose_degrees_exit_2(self, capsys, degrees):
+        assert main(["invariants", "--base", "p3", f"--degrees={degrees}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": f"unparsable degrees: {degrees!r}", "exit_code": 2}
+
+    def test_negative_leading_degree_needs_equals_form(self, capsys):
+        assert main(["invariants", "--base", "p1", "--degrees=-5,0,0,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["row"]["degrees"] == [-5, 0, 0, 0]
+        with pytest.raises(SystemExit) as exc:  # argparse: --degrees has no value
+            main(["invariants", "--base", "p1", "--degrees", "-5,0,0,0"])
+        assert exc.value.code == 2
 
 
 class TestClassifyCommand:
@@ -183,6 +207,60 @@ class TestDiscriminantCommand:
         assert json.loads(capsys.readouterr().out)["witness"]["singular_point_verified"]
         assert seen == [sample_section(spec, 5, witness_bound)]
         assert len(draws) == (2 if bound == 0 else 1)
+
+    @pytest.mark.parametrize("bound", [0, 1, 1000])
+    def test_three_builds_per_command(self, monkeypatch, capsys, bound):
+        # Delta(q) once for the printed octic and both checks, Delta(r*q) in
+        # the scaling check, Delta of the witness section
+        real = cybundle.discriminant.build_discriminant
+        built = []
+
+        def counted(q):
+            built.append(q)
+            return real(q)
+
+        monkeypatch.setattr(cybundle.cli, "build_discriminant", counted)
+        monkeypatch.setattr(cybundle.discriminant, "build_discriminant", counted)
+        argv = ["discriminant", "--degrees", "0,2", "--seed", "5", "--bound", str(bound)]
+        assert main(argv) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert sorted(checks) == ["gradient_identity", "homogeneous_degree_8", "scaling_law"]
+        assert all(checks.values())
+        spec = BundleSpec.from_split(3, (0, 2))
+        q = sample_section(spec, 5, bound)
+        wq = witness_section(q if bound else sample_section(spec, 5, 1))
+        assert built == [q, q.scale(Fraction(3, 2)), wq]
+
+
+class TestReportRowGate:
+    """_report_row takes one rho = 2 decision: the cone fields are null
+    exactly when require_rho_two refuses, and on p1 so are the contraction
+    fields; p3 rows have no contraction."""
+
+    def test_exhaustive_grid(self):
+        # p1 degrees in -3..6 up to order; p3 (a, b) with a in -3..6, b - a in 0..9
+        specs = [BundleSpec.from_split(1, d)
+                 for d in combinations_with_replacement(range(-3, 7), 4)]
+        specs += [BundleSpec.from_split(3, (a, a + gap))
+                  for a in range(-3, 7) for gap in range(10)]
+        memo = {}
+        refused = 0
+        for spec in specs:
+            try:
+                require_rho_two(spec)
+                gate = False
+            except RhoNotTwoError:
+                gate = True
+            refused += gate
+            row = _report_row(spec, memo)
+            cone = [row["rationality"], row["ray_c2_xi"], row["ray_c2_h"]]
+            assert all(v is None for v in cone) == gate, spec
+            assert any(v is None for v in cone) == gate, spec
+            if spec.base_dim == 1:
+                assert (row["contraction_kind"] is None) == gate, spec
+            else:
+                assert row["contraction_kind"] is row["contraction_count"] is None
+        assert 0 < refused < len(specs)
 
 
 class TestOutPath:

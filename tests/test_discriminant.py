@@ -6,6 +6,7 @@ import pytest
 from cybundle.chow import BundleSpec
 from cybundle.discriminant import (
     MAX_SECTION_BOUND,
+    Octic,
     QuadraticSection,
     build_discriminant,
     base_locus_expected,
@@ -16,9 +17,12 @@ from cybundle.discriminant import (
     singularity_witness,
     witness_section,
 )
+from cybundle.invariants import admissibility_p3
 from cybundle.ratpoly import MultiPoly, monomials_of_degree
 
 ADMISSIBLE = [BundleSpec.from_split(3, (0, b)) for b in range(5)]
+# every splitting (a, b) with a in -3..6 and gap b - a in 0..9
+P3_GRID = [BundleSpec.from_split(3, (a, a + gap)) for a in range(-3, 7) for gap in range(10)]
 
 
 def _mono(e, c=1):
@@ -64,22 +68,71 @@ class TestBuildDiscriminant:
 class TestScalingLaw:
     def test_unit_and_zero(self):
         q = sample_section(ADMISSIBLE[2], 1, 2)
-        assert scaling_law_check(q, 1)
-        assert scaling_law_check(q, 0)
+        octic = build_discriminant(q)
+        assert scaling_law_check(q, octic, 1)
+        assert scaling_law_check(q, octic, 0)
         assert build_discriminant(q.scale(0)).poly.is_zero()
 
     def test_random_scalars(self):
         for seed in range(10):
             q = sample_section(ADMISSIBLE[seed % 5], seed, 2)
-            assert scaling_law_check(q, Fraction(3, 2))
-            assert scaling_law_check(q, Fraction(-7, 5))
+            octic = build_discriminant(q)
+            assert scaling_law_check(q, octic, Fraction(3, 2))
+            assert scaling_law_check(q, octic, Fraction(-7, 5))
 
 
 class TestGradientIdentity:
     @pytest.mark.parametrize("spec", ADMISSIBLE, ids=str)
     def test_randomized(self, spec):
         for seed in range(5):
-            assert gradient_identity_holds(sample_section(spec, seed, 2))
+            q = sample_section(spec, seed, 2)
+            assert gradient_identity_holds(q, build_discriminant(q))
+
+
+class TestChecksVerifyTheGivenOctic:
+    """Both checks verify the octic handed to them, the one the command
+    prints: Delta(q) + z0^8 fails both, which a check that rebuilt Delta(q)
+    itself would not notice."""
+
+    @pytest.mark.parametrize("spec", ADMISSIBLE, ids=str)
+    def test_wrong_octic_fails_both_checks(self, spec):
+        # bound 0 gives the zero section, whose octic is zero
+        for seed, bound in ((0, 2), (6, 1000), (1, 0)):
+            q = sample_section(spec, seed, bound)
+            octic = build_discriminant(q)
+            wrong = Octic(octic.poly + _mono((8, 0, 0, 0)))
+            assert scaling_law_check(q, octic, Fraction(3, 2))
+            assert gradient_identity_holds(q, octic)
+            assert not scaling_law_check(q, wrong, Fraction(3, 2))
+            assert not gradient_identity_holds(q, wrong)
+
+
+class TestGapRule:
+    """section_degrees holds the one gap refusal of this module: it, the
+    sampler, the section and the Bezout count refuse exactly the splittings
+    that admissibility_p3 calls inadmissible."""
+
+    def test_refuses_exactly_the_inadmissible(self):
+        zero = MultiPoly.zero()
+        calls = {
+            "section_degrees": section_degrees,
+            "sample_section": lambda spec: sample_section(spec, 0, 1),
+            "QuadraticSection": lambda spec: QuadraticSection(spec, zero, zero, zero),
+            "base_locus_expected": base_locus_expected,
+        }
+        refused = 0
+        for spec in P3_GRID:
+            admissible = admissibility_p3(spec).admissible
+            refused += not admissible
+            for name, call in calls.items():
+                try:
+                    call(spec)
+                except ValueError as exc:
+                    assert not admissible, (name, spec)
+                    assert str(exc) == "inadmissible spec: b - a > 4"
+                else:
+                    assert admissible, (name, spec)
+        assert refused == 50
 
 
 class TestBaseLocus:

@@ -59,6 +59,9 @@ CASES = (
         ("refuse-classify-0222-exit4", ["classify", "--degrees", "0,2,2,2"], 4),
         ("refuse-discriminant-csv-exit2",
          ["discriminant", "--degrees", "0,1", "--format", "csv"], 2),
+        # splitting gap 5 > 4: the gap refusal of the cone and of the octic
+        ("refuse-kaehler-p3-05-exit4", ["kaehler", "--base", "p3", "--degrees", "0,5"], 4),
+        ("refuse-discriminant-05-exit4", ["discriminant", "--degrees", "0,5"], 4),
     ]
     + [
         (f"discriminant-0{b}-seed{seed}-bound{bound}",

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cybundle.invariants
-from cybundle.chow import BundleSpec, ChernTotal, ChowClass
+from cybundle.chow import BundleSpec, ChowClass
 from cybundle.cli import main
 from cybundle.invariants import (
     OracleMismatchError,
@@ -132,8 +132,8 @@ class TestOracleMismatch:
         def tangent_total_chern(spec):
             # xi*H survives H^2 = 0 on P^1, so xi.c2(X) moves in both geometries
             bump = ChowClass.xi(spec) * ChowClass.hyperplane(spec)
-            parts = real(spec).parts
-            return ChernTotal(parts[:2] + [parts[2] + bump] + parts[3:])
+            parts = real(spec)
+            return parts[:2] + [parts[2] + bump] + parts[3:]
 
         monkeypatch.setattr(cybundle.invariants, "tangent_total_chern", tangent_total_chern)
 

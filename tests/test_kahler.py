@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from cybundle.chow import BundleSpec
-from cybundle.invariants import invariants_for, invariants_p1, invariants_p3
+from cybundle.invariants import admissibility_p3, invariants_for, invariants_p1, invariants_p3
 from cybundle.kahler import (
     ContractionKind,
     CubicForm,
@@ -15,6 +16,7 @@ from cybundle.kahler import (
     degeneracy_determinant,
     h4_basis_determinant,
     rationality_analysis,
+    require_rho_two,
     verify_KY_squared,
     w_cubic,
 )
@@ -26,6 +28,18 @@ P1_RHO2 = [
     for a3 in range(a2, 4)
     if a1 + a2 + a3 <= 3
 ]
+# exhaustive grids: p1 degrees in -3..6 (up to order, which from_split
+# sorts away), and p3 (a, b) with a in -3..6 and gap b - a in 0..9
+P1_GRID = [BundleSpec.from_split(1, d) for d in combinations_with_replacement(range(-3, 7), 4)]
+P3_GRID = [BundleSpec.from_split(3, (a, a + gap)) for a in range(-3, 7) for gap in range(10)]
+
+
+def _refuses(call, spec) -> bool:
+    try:
+        call(spec)
+    except RhoNotTwoError:
+        return True
+    return False
 
 
 class TestWCubic:
@@ -142,6 +156,20 @@ class TestBoundaryRays:
             boundary_rays(spec, invariants_p3(BundleSpec.from_split(3, (0, 1))))
 
 
+class TestRhoTwoGate:
+    def test_p3_gap_refusal_is_admissibility(self):
+        # the gap refusal reads admissibility_p3; O + O(4) is the one
+        # admissible splitting with rho = 1
+        for spec in P3_GRID:
+            adm = admissibility_p3(spec)
+            if adm.admissible:
+                assert _refuses(require_rho_two, spec) == (adm.gap == 4), spec
+            else:
+                msg = f"^splitting gap {adm.gap} > 4: no smooth X$"
+                with pytest.raises(RhoNotTwoError, match=msg):
+                    require_rho_two(spec)
+
+
 class TestDeterminants:
     @pytest.mark.parametrize(
         "c1,c2,want", [(4, 0, 0), (0, 0, 16), (2, 1, 16)]
@@ -193,6 +221,14 @@ class TestContractionClassification:
     def test_c1_over_3_refused(self):
         with pytest.raises(RhoNotTwoError):
             classify_contraction_p1(BundleSpec.from_split(1, (0, 0, 2, 2)))
+
+    def test_refuses_exactly_when_the_gate_does(self):
+        refused = 0
+        for spec in P1_GRID:
+            gate = _refuses(require_rho_two, spec)
+            assert _refuses(classify_contraction_p1, spec) == gate, spec
+            refused += gate
+        assert 0 < refused < len(P1_GRID)
 
     def test_count_64_matches_p3_fiber_count(self):
         # P^1 x P^3 seen from both projections
