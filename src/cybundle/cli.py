@@ -66,6 +66,20 @@ CSV_COMMANDS = ("invariants", "enumerate")
 # one --degrees field; [0-9], unlike \d, matches ASCII digits only
 _DEGREE_FIELD = re.compile(r"-?[0-9]+")
 
+# the str rendering of json.dumps; it raises TypeError on any other type
+_encode_str = json.encoder.encode_basestring_ascii
+
+# what json.dumps writes for a leaf of each exact type
+_JSON_LEAVES = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+# csv and text cells of these exact types need no _csv_cell conversion
+_PLAIN = (int, str)
+
 CSV_COLUMNS = [
     "base",
     "degrees",
@@ -153,9 +167,11 @@ def _emit(payload: dict, fmt: str, out: Optional[str]) -> None:
     or text.
 
     The text is written piece by piece as it is generated, so a large
-    survey is never held as one string next to its rows.  The bytes are
-    those of the whole text written at once: ``json.dumps(payload,
-    indent=2, sort_keys=True)`` plus a newline for json.
+    survey is never held as one string next to its rows: json goes out one
+    top-level key per write, and a top-level list such as ``rows`` one
+    element per write.  The bytes are those of the whole text written at
+    once: ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline
+    for json (see _json_text).
     """
     if out:
         try:
@@ -169,21 +185,77 @@ def _emit(payload: dict, fmt: str, out: Optional[str]) -> None:
 
 def _write(fh: TextIO, payload: dict, fmt: str) -> None:
     if fmt == "json":
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _write_json(fh, payload)
     elif fmt == "csv":
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in payload["rows"]:
-            writer.writerow([_csv_cell(row.get(col)) for col in CSV_COLUMNS])
+            cells = map(row.get, CSV_COLUMNS)
+            writer.writerow([v if type(v) in _PLAIN else _csv_cell(v) for v in cells])
     else:
         for key in sorted(payload):
             if key == "rows":
                 for row in payload[key]:
-                    cells = (f"{k}={_csv_cell(v)}" for k, v in sorted(row.items()))
+                    cells = (
+                        f"{k}={v if type(v) in _PLAIN else _csv_cell(v)}"
+                        for k, v in sorted(row.items())
+                    )
                     fh.write(" ".join(cells) + "\n")
             else:
                 fh.write(f"{key}: {json.dumps(payload[key], sort_keys=True)}\n")
+
+
+def _write_json(fh: TextIO, payload: dict) -> None:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, one
+    top-level key per write and a top-level list one element per write."""
+    sep = "{\n  "
+    for key, value in sorted(payload.items()):
+        head = f"{sep}{_encode_str(key)}: "
+        if isinstance(value, (list, tuple)) and value:
+            head += "[\n    "
+            for item in value:
+                fh.write(f"{head}{_json_text(item, '    ')}")
+                head = ",\n    "
+            fh.write("\n  ]")
+        else:
+            fh.write(f"{head}{_json_text(value, '  ')}")
+        sep = ",\n  "
+    fh.write("\n}\n" if payload else "{}\n")
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a value that sits
+    ``indent`` deep.  Leaves are str, int, bool and None; containers are
+    dicts with str keys, lists and tuples.  Any other type raises
+    TypeError, as does a key that is not a str."""
+    leaf = _JSON_LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    if isinstance(value, str):  # subclasses render as json.dumps renders them
+        return _encode_str(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # _encode_str refuses a key that is not a str
+        items = [
+            f"{_encode_str(k)}: {_json_text(v, inner)}"
+            for k, v in sorted(value.items())
+        ]
+        head, tail = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        head, tail = "[", "]"
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )
+    sep = ",\n" + inner
+    return f"{head}\n{inner}{sep.join(items)}\n{indent}{tail}"
 
 
 def _write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
@@ -201,6 +273,8 @@ def _write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
 
 
 def _csv_cell(value):
+    """The csv and text cell of a None, bool or list value; int and str
+    cells (the types in _PLAIN) are written as they are."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -242,7 +316,8 @@ def _enumerate_specs(base: str, max_degree: int) -> List[BundleSpec]:
         for a1 in range(0, max_degree + 1):
             for a2 in range(a1, max_degree + 1):
                 for a3 in range(a2, max_degree + 1):
-                    specs.append(BundleSpec.from_split(1, (0, a1, a2, a3)))
+                    # sorted and normalized; __post_init__ still validates
+                    specs.append(BundleSpec(1, 4, a1 + a2 + a3, 0, (0, a1, a2, a3)))
     return specs
 
 

@@ -28,15 +28,28 @@ class SplitBundle:
             raise ValueError("rank must be at least 1")
         object.__setattr__(self, "degrees", tuple(sorted(self.degrees)))
 
+    @classmethod
+    def _trusted(cls, base_dim: int, degrees: Tuple[int, ...]) -> "SplitBundle":
+        """Wrap degrees already sorted over a valid base, skipping the
+        checks and the sort of __post_init__."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "base_dim", base_dim)
+        object.__setattr__(obj, "degrees", degrees)
+        return obj
+
     @property
     def rank(self) -> int:
         return len(self.degrees)
 
     def twist(self, t: int) -> "SplitBundle":
-        return SplitBundle(self.base_dim, tuple(d + t for d in self.degrees))
+        # adding t keeps the degrees sorted
+        return SplitBundle._trusted(self.base_dim, tuple(d + t for d in self.degrees))
 
     def dual(self) -> "SplitBundle":
-        return SplitBundle(self.base_dim, tuple(-d for d in self.degrees))
+        # negating the reversed degrees keeps them sorted
+        return SplitBundle._trusted(
+            self.base_dim, tuple(-d for d in reversed(self.degrees))
+        )
 
 
 def line_cohomology(m: int, d: int, i: int) -> int:

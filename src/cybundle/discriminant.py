@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .chow import BundleSpec
-from .invariants import OracleMismatchError, admissibility_p3, fiber_count
+from .invariants import OracleMismatchError, section_degrees
 from .ratpoly import (
     MultiPoly,
     monomials_of_degree,
@@ -52,18 +52,6 @@ class QuadraticSection:
 
     def scale(self, r) -> "QuadraticSection":
         return QuadraticSection(self.spec, self.s00 * r, self.s01 * r, self.s11 * r)
-
-
-def section_degrees(spec: BundleSpec) -> Tuple[int, int, int]:
-    """(d00, d01, d11) = (a-b+4, 4, b-a+4) for the splitting type (a, b).
-
-    The one gap refusal of this module: a ValueError when admissibility_p3
-    calls the spec inadmissible (b - a > 4, so d00 < 0).
-    """
-    if not admissibility_p3(spec).admissible:
-        raise ValueError("inadmissible spec: b - a > 4")
-    a, b = spec.split_degrees
-    return (a - b + 4, 4, b - a + 4)
 
 
 @dataclass(frozen=True)
@@ -104,15 +92,11 @@ def scaling_law_check(q: QuadraticSection, octic: Octic, r) -> bool:
 def base_locus_expected(spec: BundleSpec) -> int:
     """Bezout count of common zeros of (s00, s01, s11): d00*d01*d11.
 
-    Equals 4*(16 - (b-a)^2) = 64 - 4*gamma, and is asserted against the
-    fiber count.
+    Equals 4*(16 - (b-a)^2) = 64 - 4*gamma; fiber_count asserts the two
+    agree, from the same section_degrees.
     """
     d00, d01, d11 = section_degrees(spec)
-    bezout = d00 * d01 * d11
-    fibers = fiber_count(spec)
-    if bezout != fibers:
-        raise OracleMismatchError(f"Bezout {bezout} != fiber count {fibers}")
-    return bezout
+    return d00 * d01 * d11
 
 
 @dataclass(frozen=True)

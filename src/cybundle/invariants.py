@@ -242,8 +242,8 @@ def fiber_count(spec: BundleSpec) -> int:
             f"fiber count {count} != c3 of pushforward {c3_pushforward}"
         )
     if spec.is_split:
-        a, b = spec.split_degrees
-        bezout = (a - b + 4) * 4 * (b - a + 4)
+        d00, d01, d11 = section_degrees(spec)
+        bezout = d00 * d01 * d11
         if bezout != count:
             raise OracleMismatchError(
                 f"fiber count {count} != Bezout product {bezout}"
@@ -323,3 +323,17 @@ def admissibility_p3(spec: BundleSpec) -> AdmissibilityReport:
         gamma=spec.gamma(),
         gamma_max=(a - b) ** 2,
     )
+
+
+def section_degrees(spec: BundleSpec) -> Tuple[int, int, int]:
+    """(d00, d01, d11) = (a-b+4, 4, b-a+4): the degrees on P^3 of the
+    coefficients of a fiberwise quadric in |-K_Z| over the splitting type
+    (a, b).
+
+    The one gap refusal of the discriminant: a ValueError when
+    admissibility_p3 calls the spec inadmissible (b - a > 4, so d00 < 0).
+    """
+    if not admissibility_p3(spec).admissible:
+        raise ValueError("inadmissible spec: b - a > 4")
+    a, b = spec.split_degrees
+    return (a - b + 4, 4, b - a + 4)

@@ -1,16 +1,23 @@
+import contextlib
+import enum
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cybundle.cli
+import json_writer_check
 import cybundle.discriminant
 import cybundle.invariants
 from cybundle.chow import BundleSpec
-from cybundle.cli import CSV_COLUMNS, _report_row, main
+from cybundle.cli import CSV_COLUMNS, _json_text, _report_row, _write_json, main
 from cybundle.discriminant import sample_section, witness_section
 from cybundle.kahler import RhoNotTwoError, require_rho_two
 
@@ -388,3 +395,155 @@ class TestSubprocessEntry:
         err = json.loads(result.stderr)
         assert "reason" not in err or err["reason"]
         assert err["exit_code"] == 4
+
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10 ** 60), 10 ** 60),
+    st.text(max_size=6),
+    st.sampled_from(json_writer_check.AWKWARD),
+)
+JSON_KEYS = st.text(max_size=4) | st.sampled_from(json_writer_check.AWKWARD)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_KEYS, inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+JSON_ROWS = st.lists(JSON_VALUES, max_size=3)
+
+
+class TestJsonWriter:
+    """The json writer gives the bytes of json.dumps(payload, indent=2,
+    sort_keys=True) plus a newline, and refuses what it cannot render."""
+
+    def test_golden_and_seeded_payloads(self):
+        # the stdlib-only check, which also runs as a script under other Pythons
+        assert json_writer_check.check(seed=1, count=300) > 300
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        value=JSON_VALUES,
+        rows=JSON_ROWS | JSON_ROWS.map(tuple),
+    )
+    def test_matches_json_dumps(self, value, rows):
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+        payload = {"rows": rows, "value": value}
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert json_writer_check.written(payload) == want
+
+    def test_subclasses_render_as_their_base(self):
+        class Kind(enum.IntEnum):
+            ONE = 1
+
+        class Name(str):
+            pass
+
+        value = {Name("k"): [Kind.ONE, Name("v\n")], "e": {}, "l": []}
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert json_writer_check.written({}) == "{}\n"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [1.5, Fraction(1, 2), b"x", {1, 2}, object(), {1: "a"}, {None: 0},
+         [0, [1.0]], {"a": {"b": 2.5}}, (None, {"c": Fraction(3)})],
+        ids=repr,
+    )
+    def test_unsupported_types_raise_type_error(self, bad):
+        with pytest.raises(TypeError):
+            _json_text(bad)
+        for payload in ({"rows": [0, bad]}, {"k": bad}):
+            with pytest.raises(TypeError):
+                _write_json(io.StringIO(), payload)
+        with pytest.raises(TypeError):
+            _write_json(io.StringIO(), {1: 2})
+
+
+COMMAND_FLAGS = {
+    "invariants": ("--degrees", "--base", "--format", "--out"),
+    "enumerate": ("--max-degree", "--base", "--format", "--out"),
+    "kaehler": ("--degrees", "--base", "--format", "--out"),
+    "classify": ("--degrees", "--format", "--out"),
+    "discriminant": ("--degrees", "--seed", "--bound", "--format", "--out"),
+}
+HUGE = 10 ** 30
+DEGREE_INTS = st.sampled_from(list(range(-6, 10)) + [HUGE, -HUGE])
+DEGREE_TEXTS = st.integers(0, 3).flatmap(
+    lambda k: st.sampled_from(
+        ["1_000,2", " 0 , 2", "+0,2", "\u0660,2", "0,\u00b2", "0,,2", "", "x",
+         "0," + "9" * 5000, f"{HUGE},{HUGE + 2}", "-5,0,0,0", "0,0,1_0,1"]
+    )
+    if k == 0
+    # every arity from 0 to 5, mostly the right ones
+    else st.sampled_from([0, 1, 2, 2, 2, 3, 4, 4, 4, 5])
+    .flatmap(lambda n: st.lists(DEGREE_INTS, min_size=n, max_size=n))
+    .map(lambda ds: ",".join(map(str, ds)))
+)
+# --max-degree <= 8 or past the cap, --bound <= 10 or past the cap: every
+# accepted value stays cheap
+FLAG_VALUES = {
+    "--degrees": DEGREE_TEXTS,
+    "--base": st.sampled_from(["p1", "p3", "p1", "p3", "p2", ""]),
+    "--format": st.sampled_from(["json", "csv", "text", "json", "text", "xml"]),
+    "--out": st.sampled_from(["{tmp}/out.json", "{tmp}/missing/out.json", ""]),
+    "--max-degree": st.integers(max_value=8).map(str)
+    | st.integers(min_value=65).map(str)
+    | st.sampled_from(["1_000", " 3", "+3", "\u0663", "x", ""]),
+    "--bound": st.integers(max_value=10).map(str)
+    | st.integers(min_value=10 ** 6 + 1).map(str)
+    | st.sampled_from(["1_000_000_000", "+2", "x"]),
+    "--seed": st.integers().map(str) | st.sampled_from(["+1", "x", ""]),
+    "--bogus": st.just("1"),
+}
+
+
+@st.composite
+def argv_fragments(draw):
+    """Mostly a command with its own flags as ``--flag value`` pairs; else
+    flags of any command as pairs, ``--flag=value``, bare flags and bare
+    values.  The values are well formed, loose, huge or out of range."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS) + ["", "bogus"]))
+    own = COMMAND_FLAGS.get(command, ("--degrees", "--format"))
+    argv = [command] if command else []
+    if draw(st.integers(0, 3)):
+        for flag in [own[0]] + draw(st.lists(st.sampled_from(own[1:]), max_size=3)):
+            argv += [flag, draw(FLAG_VALUES[flag])]
+        return argv
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=5)):
+        value = draw(FLAG_VALUES[flag])
+        form = draw(st.sampled_from(["pair", "equals", "flag", "value"]))
+        argv += {
+            "pair": [flag, value],
+            "equals": [f"{flag}={value}"],
+            "flag": [flag],
+            "value": [value],
+        }[form]
+    return argv
+
+
+class TestArgvFragments:
+    """Whatever argv it gets, main returns 0, 2, 3 or 4 with the error
+    contract on stderr, or argparse exits 2; nothing else escapes."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(argv=argv_fragments())
+    def test_main_exit_codes(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [a.replace("{tmp}", tmp) for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    assert exc.code == 2, argv
+                    return
+        assert code in (0, 2, 3, 4), argv
+        if code:
+            assert json.loads(err.getvalue())["exit_code"] == code, argv
+        else:
+            assert err.getvalue() == "", argv

@@ -123,6 +123,21 @@ class TestBottKernelProperties:
         assert s.base_dim == b.base_dim
         assert list(s.degrees) == want
 
+    @PROPS
+    @given(b=SPLIT_BUNDLES, t=st.integers(-20, 20))
+    def test_twist_and_dual_equal_sorted_construction(self, b, t):
+        # twist and dual skip the constructor's sort; the result is the
+        # bundle the constructor builds from the same degrees
+        for got, degrees in (
+            (b.twist(t), [d + t for d in b.degrees]),
+            (b.dual(), [-d for d in b.degrees]),
+        ):
+            want = SplitBundle(b.base_dim, tuple(sorted(degrees)))
+            assert got == want
+            assert hash(got) == hash(want)
+            assert got.degrees == want.degrees
+            assert type(got.degrees) is tuple
+
     def test_negative_sym_power_refused(self):
         with pytest.raises(ValueError):
             sym_power(SplitBundle(1, (0, 1)), -1)

@@ -204,6 +204,37 @@ class TestOracleMemo:
         }
 
 
+class TestTwistInvariance:
+    """Twisting E by O(t) changes xi but not X: the fields that do not
+    involve xi are the same for E and E(t)."""
+
+    FIELDS = (
+        "c3_X",
+        "h_dot_c2",
+        "mk_dot_c2",
+        "h3",
+        "mk_cubed",
+        "mk_sq_h",
+        "gamma",
+        "fiber_count",
+        "picard_number",
+    )
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        base=st.sampled_from([1, 3]),
+        degrees=st.lists(st.integers(-6, 9), min_size=4, max_size=4),
+        t=st.integers(-5, 5),
+    )
+    def test_twist_keeps_the_xi_free_fields(self, base, degrees, t):
+        degrees = degrees[: 2 if base == 3 else 4]
+        spec = BundleSpec.from_split(base, degrees)
+        twisted = BundleSpec.from_split(base, [d + t for d in degrees])
+        before = invariants_for(spec).to_dict()
+        after = invariants_for(twisted).to_dict()
+        assert {k: before[k] for k in self.FIELDS} == {k: after[k] for k in self.FIELDS}
+
+
 class TestFastPaths:
     """The per-row shortcuts give what the general code gave."""
 
