@@ -23,6 +23,7 @@ from .ratpoly import (
     MultiPoly,
     monomials_of_degree,
     multipoly_gradient,
+    ratio_text,
     to_canonical_text,
 )
 
@@ -69,15 +70,16 @@ class Octic:
         return to_canonical_text(self.poly)
 
     def to_json_coeffs(self) -> dict:
+        den = self.poly.den
         return {
-            ",".join(map(str, e)): f"{c.numerator}/{c.denominator}"
-            for e, c in sorted(self.poly.terms.items())
+            ",".join(map(str, e)): ratio_text(c, den)
+            for e, c in sorted(self.poly.num.items())
         }
 
 
 def build_discriminant(q: QuadraticSection) -> Octic:
     """Delta = s01^2 - 4*s00*s11, homogeneous of degree 8."""
-    return Octic(q.s01 * q.s01 - 4 * (q.s00 * q.s11))
+    return Octic(MultiPoly.sum_of_products(((1, q.s01, q.s01), (-4, q.s00, q.s11))))
 
 
 def scaling_law_check(q: QuadraticSection, octic: Octic, r) -> bool:
@@ -164,7 +166,9 @@ def gradient_identity_holds(q: QuadraticSection, octic: Octic) -> bool:
     g01 = multipoly_gradient(q.s01)
     g11 = multipoly_gradient(q.s11)
     for i in range(4):
-        rhs = 2 * (q.s01 * g01[i]) - 4 * (q.s11 * g00[i]) - 4 * (q.s00 * g11[i])
+        rhs = MultiPoly.sum_of_products(
+            ((2, q.s01, g01[i]), (-4, q.s11, g00[i]), (-4, q.s00, g11[i]))
+        )
         if g_delta[i] != rhs:
             return False
     return True
@@ -212,13 +216,15 @@ def sample_section(spec: BundleSpec, seed: int, bound: int) -> QuadraticSection:
         raise ValueError(f"bound must be <= {MAX_SECTION_BOUND}")
     rng = _Lcg(seed)
 
+    # every drawn denominator divides 12 = lcm(1, 2, 3, 4)
     def draw(degree: int) -> MultiPoly:
-        terms = {}
+        num = {}
         for e in monomials_of_degree(degree):
-            num = rng.next_int(-bound, bound)
-            den = rng.next_int(1, 4)
-            terms[e] = Fraction(num, den)
-        return MultiPoly(terms)
+            n = rng.next_int(-bound, bound)
+            d = rng.next_int(1, 4)
+            if n:
+                num[e] = n * (12 // d)
+        return MultiPoly._trusted(num, 12)
 
     return QuadraticSection(spec, draw(d00), draw(d01), draw(d11))
 

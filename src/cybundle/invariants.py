@@ -275,6 +275,13 @@ def h0_split(a: int, b: int) -> int:
     return comb(a + 3, 3) + comb(b + 3, 3)
 
 
+# the normalized splitting of E = O + O(4) up to twist: the one admissible
+# split bundle on P^3 whose X has rho = 1.  picard_number reports it and
+# kahler.require_rho_two refuses it from this constant alone, without
+# computing any cohomology.
+RHO_ONE_SPLITTING_P3 = (0, 4)
+
+
 def picard_number(spec: BundleSpec) -> tuple[int, str]:
     """Picard number of X with the relevant hypothesis note.
 
@@ -290,7 +297,7 @@ def picard_number(spec: BundleSpec) -> tuple[int, str]:
         raise ValueError("picard number needs split degrees")
     norm = spec.normalized()
     if spec.base_dim == 3:
-        if norm.split_degrees == (0, 4):
+        if norm.split_degrees == RHO_ONE_SPLITTING_P3:
             return 1, "computed directly for O + O(4); -K_Z big and nef"
         h2 = cohomology(end_bundle(SplitBundle(3, norm.split_degrees)), 2)
         return 2 + h2, "hypotheses-not-verified: split bundles are not stable"

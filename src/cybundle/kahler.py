@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .chow import BundleSpec, ChowClass, anticanonical_class, integrate, reduce
-from .invariants import CyInvariants, admissibility_p3
+from .invariants import RHO_ONE_SPLITTING_P3, CyInvariants, admissibility_p3
 from .ratpoly import UniPoly, derivative, poly_gcd, rational_roots
 
 
@@ -170,7 +170,7 @@ def require_rho_two(spec: BundleSpec) -> BundleSpec:
         adm = admissibility_p3(norm)
         if not adm.admissible:
             raise RhoNotTwoError(f"splitting gap {adm.gap} > 4: no smooth X")
-        if norm.split_degrees == (0, 4):
+        if norm.split_degrees == RHO_ONE_SPLITTING_P3:
             raise RhoNotTwoError("O + O(4) has rho = 1")
     return norm
 

@@ -12,6 +12,11 @@ Two representations are used throughout the library:
 integer numerators over one common denominator in lowest terms.  No
 floating point appears anywhere in the library, so every equality test is
 exact.
+
+Every product of two ``MultiPoly`` goes through one integer kernel,
+``MultiPoly.sum_of_products``, which computes a sum of w*a*b with int
+weights w in one pass over packed-int exponent keys.  The packed keys never
+leave the kernel: ``num`` stays keyed by exponent 4-tuples.
 """
 
 from __future__ import annotations
@@ -304,17 +309,61 @@ class MultiPoly:
                 return MultiPoly()
             tm = {e: c * other.numerator for e, c in self.num.items()}
             return MultiPoly._trusted(tm, self.den * other.denominator)
-        acc: Dict[Exponent, int] = {}
-        get = acc.get
-        bs = list(other.num.items())
-        for (a0, a1, a2, a3), ca in self.num.items():
-            for (b0, b1, b2, b3), cb in bs:
-                e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-                acc[e] = get(e, 0) + ca * cb
-        tm = {e: c for e, c in acc.items() if c}
-        return MultiPoly._trusted(tm, self.den * other.den)
+        return MultiPoly.sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def sum_of_products(
+        cls, terms: Iterable[Tuple[int, "MultiPoly", "MultiPoly"]]
+    ) -> "MultiPoly":
+        """The exact sum of w*a*b over ``terms`` of (int w, a, b), in one pass.
+
+        The products accumulate as integers over the common denominator
+        lcm(a.den * b.den) in one dict keyed by packed exponents: four
+        ``width``-bit fields with 2^width above twice the largest exponent
+        of any operand, so the sum of two keys is the key of the summed
+        exponents and no carry crosses a field.  A term whose a is b
+        visits each unordered pair of monomials once.
+        """
+        terms = [(w, a, b) for w, a, b in terms if w and a.num and b.num]
+        if not terms:
+            return cls()
+        den = lcm(*(a.den * b.den for _, a, b in terms))
+        top = max(max(map(max, p.num)) for _, a, b in terms for p in (a, b))
+        width = (2 * top).bit_length()
+
+        def packed(p: "MultiPoly", scale: int = 1) -> List[Tuple[int, int]]:
+            return [
+                ((((e0 << width) | e1) << width | e2) << width | e3, c * scale)
+                for (e0, e1, e2, e3), c in p.num.items()
+            ]
+
+        acc: Dict[int, int] = {}
+        get = acc.get
+        for w, a, b in terms:
+            f = w * (den // (a.den * b.den))
+            bs = packed(b)
+            if a is b:
+                for i, (ka, ca) in enumerate(bs):
+                    k = ka + ka
+                    acc[k] = get(k, 0) + f * ca * ca
+                    ca *= 2 * f
+                    for kb, cb in bs[i + 1:]:
+                        k = ka + kb
+                        acc[k] = get(k, 0) + ca * cb
+            else:
+                for ka, ca in packed(a, f):
+                    for kb, cb in bs:
+                        k = ka + kb
+                        acc[k] = get(k, 0) + ca * cb
+        mask = (1 << width) - 1
+        num = {
+            (k >> 3 * width, k >> 2 * width & mask, k >> width & mask, k & mask): c
+            for k, c in acc.items()
+            if c
+        }
+        return cls._trusted(num, den)
 
     def evaluate(self, point: Sequence) -> Fraction:
         # at the point (n0, n1, n2, n3)/q, with D the total degree, c*z^e
@@ -359,7 +408,15 @@ def monomials_of_degree(d: int) -> List[Exponent]:
 
 def _grlex_key(e: Exponent):
     # higher total degree first, then lexicographically larger exponent first
-    return (-sum(e), tuple(-x for x in e))
+    e0, e1, e2, e3 = e
+    return (-e0 - e1 - e2 - e3, -e0, -e1, -e2, -e3)
+
+
+def ratio_text(n: int, d: int) -> str:
+    """n/d in lowest terms as ``p/q`` with q > 0, as Fraction(n, d) would
+    print it with its denominator always shown; ``d`` is positive."""
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}"
 
 
 def to_canonical_text(p: MultiPoly) -> str:
@@ -370,10 +427,9 @@ def to_canonical_text(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    terms = p.terms
-    for e in sorted(terms, key=_grlex_key):
-        c = terms[e]
-        factors = [f"{c.numerator}/{c.denominator}"]
+    num, den = p.num, p.den
+    for e in sorted(num, key=_grlex_key):
+        factors = [ratio_text(num[e], den)]
         for i, k in enumerate(e):
             if k == 1:
                 factors.append(f"z{i}")

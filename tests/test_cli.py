@@ -18,8 +18,9 @@ import cybundle.discriminant
 import cybundle.invariants
 from cybundle.chow import BundleSpec
 from cybundle.cli import CSV_COLUMNS, _json_text, _report_row, _write_json, main
-from cybundle.discriminant import sample_section, witness_section
+from cybundle.discriminant import Octic, sample_section, witness_section
 from cybundle.kahler import RhoNotTwoError, require_rho_two
+from cybundle.ratpoly import MultiPoly
 
 
 def run_cli(args, tmp_path=None):
@@ -214,6 +215,24 @@ class TestDiscriminantCommand:
         assert json.loads(capsys.readouterr().out)["witness"]["singular_point_verified"]
         assert seen == [sample_section(spec, 5, witness_bound)]
         assert len(draws) == (2 if bound == 0 else 1)
+
+    def test_failed_self_check_exit_3(self, monkeypatch, capsys):
+        # Delta(q) + z0^8 is still an octic, but neither the scaling law nor
+        # the gradient identity holds for it; the payload is written first
+        real = cybundle.discriminant.build_discriminant
+
+        def perturbed(q):
+            return Octic(real(q).poly + MultiPoly.monomial((8, 0, 0, 0)))
+
+        monkeypatch.setattr(cybundle.cli, "build_discriminant", perturbed)
+        assert main(["discriminant", "--degrees", "0,2", "--seed", "5"]) == 3
+        out, err = capsys.readouterr()
+        assert json.loads(out)["checks"] == {
+            "gradient_identity": False,
+            "homogeneous_degree_8": True,
+            "scaling_law": False,
+        }
+        assert err == '{"error": "a discriminant self-check failed", "exit_code": 3}\n'
 
     @pytest.mark.parametrize("bound", [0, 1, 1000])
     def test_three_builds_per_command(self, monkeypatch, capsys, bound):

@@ -5,7 +5,13 @@ from itertools import combinations_with_replacement
 import pytest
 
 from cybundle.chow import BundleSpec
-from cybundle.invariants import admissibility_p3, invariants_for, invariants_p1, invariants_p3
+from cybundle.invariants import (
+    admissibility_p3,
+    invariants_for,
+    invariants_p1,
+    invariants_p3,
+    picard_number,
+)
 from cybundle.kahler import (
     ContractionKind,
     CubicForm,
@@ -168,6 +174,14 @@ class TestRhoTwoGate:
                 msg = f"^splitting gap {adm.gap} > 4: no smooth X$"
                 with pytest.raises(RhoNotTwoError, match=msg):
                     require_rho_two(spec)
+
+    def test_refuses_exactly_when_rho_is_not_two(self):
+        # the gate decides without cohomology; picard_number computes rho
+        admissible = [s for s in P3_GRID if admissibility_p3(s).admissible]
+        specs = admissible + P1_GRID
+        assert len(specs) == 765
+        for spec in specs:
+            assert _refuses(require_rho_two, spec) == (picard_number(spec)[0] != 2), spec
 
 
 class TestDeterminants:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multipoly_kernel_check
 from cybundle.ratpoly import (
     MultiPoly,
     UniPoly,
@@ -163,6 +164,13 @@ def _ref_mul(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+def _ref_sum_of_products(terms):
+    out = {}
+    for w, a, b in terms:
+        out = _ref_add(out, {e: w * c for e, c in _ref_mul(a, b).items()})
+    return out
+
+
 def _ref_partial(a, i):
     out = {}
     for e, c in a.items():
@@ -194,6 +202,17 @@ COEFFS = st.integers(-6, 6) | st.fractions(-6, 6, max_denominator=8)
 # mixed degrees: the polynomials need not be homogeneous
 DICTS = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 4), COEFFS, max_size=6).map(
     lambda d: {e: Fraction(c) for e, c in d.items() if c}
+)
+# exponents at and past the 8- and 16-bit widths of the kernel's packed fields
+WIDE_DICTS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2) | st.sampled_from((255, 256, 2 ** 16 - 1, 2 ** 16))] * 4),
+    COEFFS,
+    max_size=4,
+).map(lambda d: {e: Fraction(c) for e, c in d.items() if c})
+# (w, a, b, square): a square passes one MultiPoly as both factors
+TERMS = st.lists(
+    st.tuples(st.integers(-4, 4), DICTS | WIDE_DICTS, DICTS | WIDE_DICTS, st.booleans()),
+    max_size=4,
 )
 SCALARS = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=7) | st.just(0)
 POINTS = st.tuples(*[st.fractions(-4, 4, max_denominator=5)] * 4)
@@ -254,3 +273,40 @@ class TestMultiPolyAgainstReference:
             MultiPoly({exponent: Fraction(1, 2)})
         with pytest.raises(ValueError):
             MultiPoly({(0, 0, 0, 1): 1, exponent: 3})
+
+
+class TestSumOfProducts:
+    """MultiPoly.sum_of_products against Fraction products and sums."""
+
+    @PROPS
+    @given(terms=TERMS)
+    def test_matches_reference(self, terms):
+        polys = []
+        for w, a, b, square in terms:
+            pa = MultiPoly(a)
+            polys.append((w, pa, pa) if square else (w, pa, MultiPoly(b)))
+        want = _ref_sum_of_products([(w, a, a if sq else b) for w, a, b, sq in terms])
+        assert _checked(MultiPoly.sum_of_products(polys)) == want
+
+    @PROPS
+    @given(a=DICTS | WIDE_DICTS, b=DICTS | WIDE_DICTS, w=st.integers(-4, 4))
+    def test_full_cancellation(self, a, b, w):
+        pa, pb = MultiPoly(a), MultiPoly(b)
+        # a square against the same product taken as a plain one
+        terms = [(w, pa, pb), (-w, pb, pa), (w, pa, pa), (-w, pa, MultiPoly(a))]
+        got = MultiPoly.sum_of_products(terms)
+        assert _checked(got) == {}
+        assert got == MultiPoly.zero() and got.den == 1
+
+    def test_zero_weights_and_zero_polynomials(self):
+        a = MultiPoly({(1, 0, 0, 0): Fraction(1, 3), (0, 2, 0, 1): -2})
+        zero = MultiPoly.zero()
+        for terms in ([], [(0, a, a)], [(3, a, zero)], [(2, zero, zero), (0, a, a)]):
+            got = MultiPoly.sum_of_products(terms)
+            assert _checked(got) == {} and got == zero
+        got = MultiPoly.sum_of_products([(0, a, a), (5, a, a), (1, zero, a)])
+        assert _checked(got) == _ref_sum_of_products([(5, a.terms, a.terms)])
+
+    def test_stdlib_script(self):
+        # the golden octics and seeded sums, also run as a script under other Pythons
+        assert multipoly_kernel_check.check(seed=1, count=300) > 300
