@@ -27,6 +27,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import fields
 from typing import Callable, List, Optional, TextIO
 
 from .chow import BundleSpec
@@ -39,6 +40,7 @@ from .discriminant import (
     witness_section,
 )
 from .invariants import (
+    CyInvariants,
     OracleMemo,
     OracleMismatchError,
     admissibility_p3,
@@ -79,6 +81,12 @@ _JSON_LEAVES = {
 
 # csv and text cells of these exact types need no _csv_cell conversion
 _PLAIN = (int, str)
+
+# a report row holds every invariant field but base_dim, and the cone and
+# contraction fields, null unless rho = 2
+_ROW_FIELDS = tuple(f.name for f in fields(CyInvariants) if f.name != "base_dim")
+_CONE_FIELDS = dict.fromkeys(("rationality", "ray_c2_xi", "ray_c2_h",
+                              "contraction_kind", "contraction_count"))
 
 CSV_COLUMNS = [
     "base",
@@ -143,10 +151,9 @@ def _report_row(spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None) -> d
         # every record is oracle-checked; a mismatch raises before this
         "oracle_ok": True,
     }
-    row.update(inv.to_dict())
-    del row["base_dim"]
-    row["rationality"] = row["ray_c2_xi"] = row["ray_c2_h"] = None
-    row["contraction_kind"] = row["contraction_count"] = None
+    for name in _ROW_FIELDS:
+        row[name] = getattr(inv, name)
+    row.update(_CONE_FIELDS)
     # one rho = 2 decision fills both the cone and the contraction fields
     try:
         norm = require_rho_two(spec)
@@ -239,11 +246,11 @@ def _json_text(value, indent: str = "") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        # _encode_str refuses a key that is not a str
-        items = [
-            f"{_encode_str(k)}: {_json_text(v, inner)}"
-            for k, v in sorted(value.items())
-        ]
+        # _encode_str refuses a key that is not a str; leaves render inline
+        items = []
+        for k, v in sorted(value.items()):
+            leaf = _JSON_LEAVES.get(type(v))
+            items.append(f"{_encode_str(k)}: {leaf(v) if leaf else _json_text(v, inner)}")
         head, tail = "{", "}"
     elif isinstance(value, (list, tuple)):
         if not value:

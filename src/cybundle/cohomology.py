@@ -4,13 +4,17 @@ Only the split case is needed: every concrete cohomology group entering the
 Picard-number formulas and the admissibility bound lives on a direct sum of
 line bundles, where the dimensions follow the classical Bott/Serre rules and
 add over summands.
+
+SplitBundle.degrees is sorted ascending: the constructor sorts them, every
+caller of SplitBundle._trusted must pass them sorted, and cohomology() bisects.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, repeat
-from math import comb
+from math import comb, factorial, prod
 from typing import Tuple
 
 
@@ -43,7 +47,7 @@ class SplitBundle:
 
     def twist(self, t: int) -> "SplitBundle":
         # adding t keeps the degrees sorted
-        return SplitBundle._trusted(self.base_dim, tuple(d + t for d in self.degrees))
+        return SplitBundle._trusted(self.base_dim, tuple(map(t.__add__, self.degrees)))
 
     def dual(self) -> "SplitBundle":
         # negating the reversed degrees keeps them sorted
@@ -66,9 +70,18 @@ def line_cohomology(m: int, d: int, i: int) -> int:
 
 def cohomology(b: SplitBundle, i: int) -> int:
     """h^i of a split bundle: the sum of line_cohomology over the line
-    summands, so the Bott rule is stated once; an index outside 0..m
-    raises ValueError."""
-    return sum(map(line_cohomology, repeat(b.base_dim), b.degrees, repeat(i)))
+    summands; an index outside 0..m raises ValueError.  Only d >= 0 (i = 0)
+    and d <= -m-1 (i = m) contribute, and b.degrees is sorted ascending, so
+    bisection finds them and their binomials are summed in one map."""
+    m, degs = b.base_dim, b.degrees
+    if not 0 <= i <= m:
+        raise ValueError(f"cohomology index {i} out of range for P^{m}")
+    if i == 0:  # C(d + m, m)
+        return sum(map(comb, map(m.__add__, degs[bisect_left(degs, 0):]), repeat(m)))
+    if i == m:  # C(-d - 1, m)
+        head = degs[:bisect_right(degs, -m - 1)]
+        return sum(map(comb, map((-1).__sub__, head), repeat(m)))
+    return 0
 
 
 def euler_characteristic(b: SplitBundle) -> int:
@@ -76,32 +89,19 @@ def euler_characteristic(b: SplitBundle) -> int:
 
     For m = 3 this is (d+1)(d+2)(d+3)/6, valid for negative d as well, so it
     matches the alternating sum of the Bott dimensions without case splits.
+    Each product of m consecutive integers is divisible by m!, so the sum is.
     """
     m = b.base_dim
-    total = 0
-    for d in b.degrees:
-        num = 1
-        for k in range(1, m + 1):
-            num *= d + k
-        total += num // _factorial(m)
-    return total
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+    return sum(prod(range(d + 1, d + m + 1)) for d in b.degrees) // factorial(m)
 
 
 def sym_power(b: SplitBundle, k: int) -> SplitBundle:
-    """Sym^k of a split bundle: all k-fold degree sums with repetition."""
+    """Sym^k of a split bundle: all k-fold degree sums with repetition
+    (Sym^0 is O, the one empty sum)."""
     if k < 0:
         raise ValueError("symmetric power index must be >= 0")
-    if k == 0:
-        return SplitBundle(b.base_dim, (0,))
-    degs = tuple(map(sum, combinations_with_replacement(b.degrees, k)))
-    return SplitBundle(b.base_dim, degs)
+    sums = map(sum, combinations_with_replacement(b.degrees, k))
+    return SplitBundle._trusted(b.base_dim, tuple(sorted(sums)))
 
 
 def end_bundle(b: SplitBundle) -> SplitBundle:

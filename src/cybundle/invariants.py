@@ -146,7 +146,7 @@ def _record(
         c2=spec.c2,
         picard_number=rho,
         picard_hypothesis_note=note,
-        **{key: _as_int(key, value) for key, value in closed.items()},
+        **{k: v if type(v) is int else _as_int(k, v) for k, v in closed.items()},
         **fields,
     )
 
@@ -301,7 +301,7 @@ def picard_number(spec: BundleSpec) -> tuple[int, str]:
             return 1, "computed directly for O + O(4); -K_Z big and nef"
         h2 = cohomology(end_bundle(SplitBundle(3, norm.split_degrees)), 2)
         return 2 + h2, "hypotheses-not-verified: split bundles are not stable"
-    bundle = SplitBundle(1, norm.split_degrees)
+    bundle = SplitBundle._trusted(1, norm.split_degrees)  # BundleSpec sorts them
     twisted = sym_power(bundle, 4).twist(2 - norm.c1)
     h1 = cohomology(twisted, 1)
     return 2 + h1, "normalized convention"

@@ -384,16 +384,18 @@ class MultiPoly:
 
 
 def multipoly_gradient(p: MultiPoly) -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
-    """Formal partial derivatives with respect to z0..z3."""
-    parts = []
-    for i in range(NVARS):
-        tm: Dict[Exponent, int] = {}
-        for e, c in p.num.items():
-            k = e[i]
-            if k:
-                tm[e[:i] + (k - 1,) + e[i + 1:]] = c * k
-        parts.append(MultiPoly._trusted(tm, p.den))
-    return tuple(parts)  # type: ignore[return-value]
+    """Formal partial derivatives with respect to z0..z3, in one pass."""
+    d0, d1, d2, d3 = parts = ({}, {}, {}, {})
+    for (e0, e1, e2, e3), c in p.num.items():
+        if e0:
+            d0[(e0 - 1, e1, e2, e3)] = c * e0
+        if e1:
+            d1[(e0, e1 - 1, e2, e3)] = c * e1
+        if e2:
+            d2[(e0, e1, e2 - 1, e3)] = c * e2
+        if e3:
+            d3[(e0, e1, e2, e3 - 1)] = c * e3
+    return tuple(MultiPoly._trusted(tm, p.den) for tm in parts)  # type: ignore[return-value]
 
 
 def monomials_of_degree(d: int) -> List[Exponent]:

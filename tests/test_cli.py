@@ -86,6 +86,16 @@ class TestClassifyCommand:
         assert main(["classify", "--degrees", "0,2,2,2"]) == 4
 
 
+# the keys of every enumerate row: each invariant field but base_dim, plus
+# the base, the degrees, the oracle flag and the cone/contraction fields
+SURVEY_ROW_KEYS = {
+    "base", "degrees", "oracle_ok", "c1", "c2", "gamma", "c3_X", "h_dot_c2",
+    "xi_dot_c2", "mk_dot_c2", "h3", "xi_h2", "xi2_h", "xi3", "fiber_count",
+    "picard_number", "picard_hypothesis_note", "mk_cubed", "mk_sq_h",
+    "rationality", "ray_c2_xi", "ray_c2_h", "contraction_kind", "contraction_count",
+}
+
+
 class TestEnumerateCommand:
     def test_csv_rows_and_header(self, tmp_path):
         out = tmp_path / "fam.csv"
@@ -99,6 +109,20 @@ class TestEnumerateCommand:
         # one row per tuple 0 <= a1 <= a2 <= a3 <= 3
         assert len(lines) - 1 == 20
         assert all("true" in line for line in lines[1:])
+
+    def test_p1_picard_numbers_and_row_keys(self, capsys):
+        # rho = 2 + h^1(P^1, Sym^4 E (x) O(2 - c1)): a summand of degree
+        # s + 2 - c1 contributes max(0, c1 - 3 - s), s a 4-fold degree sum
+        argv = ["enumerate", "--base", "p1", "--max-degree", "10", "--format", "json"]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == 286
+        for row in rows:
+            sums = map(sum, combinations_with_replacement(row["degrees"], 4))
+            want = 2 + sum(max(0, row["c1"] - 3 - s) for s in sums)
+            assert row["picard_number"] == want, row["degrees"]
+            assert row.keys() == SURVEY_ROW_KEYS
+        assert {row["picard_number"] for row in rows} > {2}
 
     def test_p3_skips_inadmissible(self, tmp_path):
         out = tmp_path / "fam.json"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bott_kernel_check
 from cybundle.cohomology import (
     SplitBundle,
     cohomology,
@@ -141,3 +142,8 @@ class TestBottKernelProperties:
     def test_negative_sym_power_refused(self):
         with pytest.raises(ValueError):
             sym_power(SplitBundle(1, (0, 1)), -1)
+
+    def test_stdlib_script(self):
+        # the N <= 20 survey and seeded boundary bundles, also run as a
+        # script under other Pythons
+        assert bott_kernel_check.check(seed=1, count=500) == 1771 + 500
