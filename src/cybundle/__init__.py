@@ -39,7 +39,6 @@ from .invariants import (
     admissibility_p3,
     euler_characteristic_rank2_p3,
     fiber_count,
-    gamma,
     h0_split,
     invariants_for,
     invariants_p1,

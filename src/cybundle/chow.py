@@ -253,16 +253,6 @@ class ChowClass:
         if self.spec != other.spec:
             raise ValueError("classes live on different bundles")
 
-    def to_json_terms(self) -> List[dict]:
-        """Serialize the grid as a list of {xi_pow, h_pow, coeff} entries."""
-        out = []
-        for (i, j) in sorted(self.coeffs):
-            c = self.coeffs[(i, j)]
-            out.append(
-                {"xi_pow": i, "h_pow": j, "coeff": f"{c.numerator}/{c.denominator}"}
-            )
-        return out
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "ChowClass(0)"
@@ -338,9 +328,6 @@ class IntersectionNumbers:
     xi2_h2: int
     xi3_h1: int
     xi4: int
-
-    def as_tuple(self) -> Tuple[int, int, int, int]:
-        return (self.xi1_h3, self.xi2_h2, self.xi3_h1, self.xi4)
 
 
 def closed_form_intersections(spec: BundleSpec) -> IntersectionNumbers:

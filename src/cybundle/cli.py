@@ -2,9 +2,11 @@
 analysis, contraction classification and discriminant export.
 
 All output is deterministic byte-for-byte for a fixed configuration and
-seed.  JSON reports carry ``"schema": 1``; the CSV column order is fixed
-(see CSV_COLUMNS).  CSV holds report rows, so ``--format csv`` is accepted
-by ``invariants`` and ``enumerate`` only.  Each ``--degrees`` field is
+seed.  JSON reports carry ``"schema": 1``.  A report row holds the keys of
+ROW_KEYS; the CSV columns (CSV_COLUMNS) are those keys in that order
+without the free-text ``picard_hypothesis_note``, which only json and text
+rows carry.  CSV holds report rows, so ``--format csv`` is accepted by
+``invariants`` and ``enumerate`` only.  Each ``--degrees`` field is
 ASCII ``-?[0-9]+`` (no spaces, ``+``, ``_`` or non-ASCII digits); a
 negative leading degree needs the form ``--degrees=-5,0,0,0``.
 Exit codes: 0 ok, 2 invalid input (malformed or wrong-arity degrees, a
@@ -82,37 +84,25 @@ _JSON_LEAVES = {
 # csv and text cells of these exact types need no _csv_cell conversion
 _PLAIN = (int, str)
 
-# a report row holds every invariant field but base_dim, and the cone and
-# contraction fields, null unless rho = 2
-_ROW_FIELDS = tuple(f.name for f in fields(CyInvariants) if f.name != "base_dim")
-_CONE_FIELDS = dict.fromkeys(("rationality", "ray_c2_xi", "ray_c2_h",
-                              "contraction_kind", "contraction_count"))
-
-CSV_COLUMNS = [
+# the keys of a report row, in csv column order: base and degrees, every
+# invariant field but base_dim, oracle_ok, then the cone and contraction
+# keys, null unless rho = 2
+ROW_KEYS = (
     "base",
     "degrees",
-    "c1",
-    "c2",
-    "gamma",
-    "c3_X",
-    "h_dot_c2",
-    "xi_dot_c2",
-    "mk_dot_c2",
-    "h3",
-    "xi_h2",
-    "xi2_h",
-    "xi3",
-    "fiber_count",
-    "picard_number",
-    "mk_cubed",
-    "mk_sq_h",
+    *(f.name for f in fields(CyInvariants) if f.name != "base_dim"),
     "oracle_ok",
     "rationality",
     "ray_c2_xi",
     "ray_c2_h",
     "contraction_kind",
     "contraction_count",
-]
+)
+
+CSV_COLUMNS = tuple(k for k in ROW_KEYS if k != "picard_hypothesis_note")
+
+_NULL_ROW = dict.fromkeys(ROW_KEYS)
+_RECORD_KEYS = tuple(k for k in ROW_KEYS if k in {f.name for f in fields(CyInvariants)})
 
 
 class CliError(Exception):
@@ -145,15 +135,13 @@ def _spec_for(base: str, degrees: List[int]) -> BundleSpec:
 
 def _report_row(spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None) -> dict:
     inv = invariants_for(spec, oracle_memo)
-    row = {
-        "base": "p3" if spec.base_dim == 3 else "p1",
-        "degrees": list(spec.split_degrees),
-        # every record is oracle-checked; a mismatch raises before this
-        "oracle_ok": True,
-    }
-    for name in _ROW_FIELDS:
-        row[name] = getattr(inv, name)
-    row.update(_CONE_FIELDS)
+    row = _NULL_ROW.copy()
+    row["base"] = "p3" if spec.base_dim == 3 else "p1"
+    row["degrees"] = list(spec.split_degrees)
+    # every record is oracle-checked; a mismatch raises before this
+    row["oracle_ok"] = True
+    for key in _RECORD_KEYS:
+        row[key] = getattr(inv, key)
     # one rho = 2 decision fills both the cone and the contraction fields
     try:
         norm = require_rho_two(spec)

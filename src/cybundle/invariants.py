@@ -13,7 +13,7 @@ of the library, not an afterthought.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Dict, Optional, Tuple
@@ -36,11 +36,6 @@ class OracleMismatchError(ArithmeticError):
 
 # Chern datum (base_dim, rank, c1, c2) -> the oracle integrals of that datum
 OracleMemo = Dict[Tuple[int, int, int, int], dict]
-
-
-def gamma(spec: BundleSpec) -> int:
-    """c1^2 - 4*c2 for rank-2 bundles over P^3 (twist invariant)."""
-    return spec.gamma()
 
 
 @dataclass
@@ -69,15 +64,6 @@ class CyInvariants:
     picard_hypothesis_note: Optional[str]
     mk_cubed: Optional[int]       # m = 1 only
     mk_sq_h: Optional[int]        # m = 1 only
-
-    def to_dict(self) -> dict:
-        """The fields by name, in declaration order.  Every field is an int,
-        a str or None, so this equals ``dataclasses.asdict(self)`` without
-        its deep copies."""
-        return {name: getattr(self, name) for name in _FIELD_NAMES}
-
-
-_FIELD_NAMES = tuple(f.name for f in fields(CyInvariants))
 
 
 def _as_int(name: str, value: Coefficient) -> int:

@@ -439,24 +439,3 @@ def to_canonical_text(p: MultiPoly) -> str:
                 factors.append(f"z{i}^{k}")
         parts.append("*".join(factors))
     return " + ".join(parts)
-
-
-def from_canonical_text(text: str) -> MultiPoly:
-    """Inverse of to_canonical_text."""
-    text = text.strip()
-    if text == "0":
-        return MultiPoly.zero()
-    tm: Dict[Exponent, Fraction] = {}
-    for term in text.split("+"):
-        factors = term.strip().split("*")
-        coeff = Fraction(factors[0])
-        e = [0, 0, 0, 0]
-        for f in factors[1:]:
-            if "^" in f:
-                var, pw = f.split("^")
-                e[int(var[1:])] += int(pw)
-            else:
-                e[int(f[1:])] += 1
-        key = tuple(e)
-        tm[key] = tm.get(key, Fraction(0)) + coeff
-    return MultiPoly(tm)

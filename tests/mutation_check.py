@@ -1,0 +1,234 @@
+"""Mutation checks: each mutation breaks one line of a copy of ``src/`` and
+names the tests that must then fail.
+
+Run from anywhere, with pytest and hypothesis installed (the script itself
+is stdlib only):
+
+    python tests/mutation_check.py
+
+For each mutation the script copies ``src/`` to a temporary directory and
+replaces one exact ``old`` text with ``new`` in one file there; it refuses
+a mutation whose ``old`` does not occur exactly once, so a mutation cannot
+go stale silently.  It then runs the mutation's pytest subset with
+``PYTHONPATH`` set to the copy and requires pytest's exit code 1 (tests
+failed).  Before any mutation it runs every subset once on an unmutated
+copy and requires them to pass, so a mutation is never "caught" by a test
+that fails anyway.  The exit code is 0 when every mutation applied and was
+caught, 1 otherwise.
+
+The name does not match ``test_*.py``, so tier-1 collection skips it.  A
+change that moves a mutated line updates the substitution here; it does not
+delete the mutation.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import List, NamedTuple, Sequence
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+PKG = Path("cybundle")
+
+# pytest's exit code when the run completed and some test failed; 2 to 5
+# (interrupted, internal error, usage error, nothing collected) would also
+# be nonzero, but they say nothing about the mutation
+PYTEST_TESTS_FAILED = 1
+
+
+class Mutation(NamedTuple):
+    name: str
+    path: Path  # relative to src/
+    old: str
+    new: str
+    tests: Sequence[str]  # pytest node ids, relative to the repo root
+
+
+MUTATIONS = (
+    Mutation(
+        "h^m bound by bisect_left",
+        PKG / "cohomology.py",
+        "head = degs[:bisect_right(degs, -m - 1)]",
+        "head = degs[:bisect_left(degs, -m - 1)]",
+        ["tests/test_cohomology.py"],
+    ),
+    Mutation(
+        "unsorted sym_power",
+        PKG / "cohomology.py",
+        "return SplitBundle._trusted(b.base_dim, tuple(sorted(sums)))",
+        "return SplitBundle._trusted(b.base_dim, tuple(sums))",
+        ["tests/test_cohomology.py"],
+    ),
+    Mutation(
+        "unreversed dual",
+        PKG / "cohomology.py",
+        "tuple(-d for d in reversed(self.degrees))",
+        "tuple(-d for d in self.degrees)",
+        ["tests/test_cohomology.py"],
+    ),
+    Mutation(
+        "top.bit_length() as the packing width",
+        PKG / "ratpoly.py",
+        "width = (2 * top).bit_length()",
+        "width = top.bit_length()",
+        ["tests/test_ratpoly.py"],
+    ),
+    Mutation(
+        "squaring cross terms added once",
+        PKG / "ratpoly.py",
+        "ca *= 2 * f",
+        "ca *= f",
+        ["tests/test_ratpoly.py"],
+    ),
+    Mutation(
+        "wrong exponent in multipoly_gradient",
+        PKG / "ratpoly.py",
+        "d1[(e0, e1 - 1, e2, e3)] = c * e1",
+        "d1[(e0, e1, e2, e3)] = c * e1",
+        ["tests/test_ratpoly.py"],
+    ),
+    Mutation(
+        "picard_hypothesis_note dropped from the row keys",
+        PKG / "cli.py",
+        'if f.name != "base_dim"),',
+        'if f.name not in ("base_dim", "picard_hypothesis_note")),',
+        ["tests/test_cli.py::TestEnumerateCommand"],
+    ),
+    Mutation(
+        "oracle_ok dropped from the row keys",
+        PKG / "cli.py",
+        '    "oracle_ok",\n',
+        "",
+        ["tests/test_golden.py"],
+    ),
+    Mutation(
+        "wrong bool rendering in _json_text",
+        PKG / "cli.py",
+        'bool: {True: "true", False: "false"}.__getitem__,',
+        'bool: {True: "false", False: "true"}.__getitem__,',
+        ["tests/test_cli.py::TestJsonWriter"],
+    ),
+    Mutation(
+        "_parse_degrees lets ValueError escape",
+        PKG / "cli.py",
+        '''    except ValueError:
+        raise CliError(EXIT_INVALID_INPUT, f"unparsable degrees: {text!r}")''',
+        '''    except TypeError:
+        raise CliError(EXIT_INVALID_INPUT, f"unparsable degrees: {text!r}")''',
+        ["tests/test_cli.py::TestInvariantsCommand"],
+    ),
+    Mutation(
+        "rho twisted by the un-normalized c1",
+        PKG / "invariants.py",
+        "twisted = sym_power(bundle, 4).twist(2 - norm.c1)",
+        "twisted = sym_power(bundle, 4).twist(2 - spec.c1)",
+        ["tests/test_invariants.py::TestPicardNumber"],
+    ),
+    # one closed form per geometry, each caught by its oracle comparison
+    Mutation(
+        "p1 closed form xi.c2 flipped",
+        PKG / "invariants.py",
+        '"xi_dot_c2": 6 * c1 + 44,',
+        '"xi_dot_c2": 6 * c1 + 45,',
+        ["tests/test_invariants.py::TestInvariantsP1"],
+    ),
+    Mutation(
+        "p3 closed form c3(X) flipped",
+        PKG / "invariants.py",
+        '"c3_X": -8 * g - 168,',
+        '"c3_X": -8 * g - 166,',
+        ["tests/test_invariants.py::TestInvariantsP3"],
+    ),
+)
+
+
+def _copy_src(dest: Path) -> Path:
+    root = dest / "src"
+    shutil.copytree(SRC, root, ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+def _apply(root: Path, m: Mutation) -> None:
+    target = root / m.path
+    text = target.read_text(encoding="utf-8")
+    count = text.count(m.old)
+    if count != 1:
+        raise LookupError(f"{m.path}: the old text occurs {count} times, not once")
+    target.write_text(text.replace(m.old, m.new), encoding="utf-8")
+
+
+def _env(root: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
+
+
+def _pytest(root: Path, tests: Sequence[str], *extra: str) -> int:
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *extra]
+    return subprocess.run(
+        argv + list(tests),
+        cwd=ROOT,
+        env=_env(root),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def _imported_from(root: Path) -> Path:
+    out = subprocess.run(
+        [sys.executable, "-c", "import cybundle; print(cybundle.__file__)"],
+        env=_env(root),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return Path(out.stdout.strip()).resolve()
+
+
+def main() -> int:
+    failures: List[str] = []
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="cybundle-mutation-") as tmp:
+        clean = _copy_src(Path(tmp) / "clean")
+        where = _imported_from(clean)
+        if clean.resolve() not in where.parents:
+            print(f"error: cybundle imports from {where}, not the copy", file=sys.stderr)
+            return 1
+        subsets = sorted({t for m in MUTATIONS for t in m.tests})
+        code = _pytest(clean, subsets)
+        if code != 0:
+            print(f"error: the subsets fail on unmutated src (pytest exit {code})",
+                  file=sys.stderr)
+            return 1
+        for i, m in enumerate(MUTATIONS):
+            root = _copy_src(Path(tmp) / f"m{i}")
+            try:
+                _apply(root, m)
+            except LookupError as exc:
+                verdict = f"STALE ({exc})"
+            else:
+                code = _pytest(root, m.tests, "-x")
+                verdict = (
+                    "caught" if code == PYTEST_TESTS_FAILED else f"MISSED (pytest exit {code})"
+                )
+            if verdict != "caught":
+                failures.append(m.name)
+            print(f"{verdict:>8}  {m.name}  [{' '.join(m.tests)}]", flush=True)
+            shutil.rmtree(root)
+    elapsed = time.perf_counter() - start
+    print(f"{len(MUTATIONS) - len(failures)}/{len(MUTATIONS)} mutations caught "
+          f"in {elapsed:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,13 +11,34 @@ from cybundle.ratpoly import (
     MultiPoly,
     UniPoly,
     derivative,
-    from_canonical_text,
     monomials_of_degree,
     multipoly_gradient,
     poly_gcd,
     rational_roots,
     to_canonical_text,
 )
+
+
+def from_canonical_text(text: str) -> MultiPoly:
+    """Parse the text of to_canonical_text back into a MultiPoly: the
+    reference for the round trip."""
+    text = text.strip()
+    if text == "0":
+        return MultiPoly.zero()
+    tm = {}
+    for term in text.split("+"):
+        factors = term.strip().split("*")
+        coeff = Fraction(factors[0])
+        e = [0, 0, 0, 0]
+        for f in factors[1:]:
+            if "^" in f:
+                var, pw = f.split("^")
+                e[int(var[1:])] += int(pw)
+            else:
+                e[int(f[1:])] += 1
+        key = tuple(e)
+        tm[key] = tm.get(key, Fraction(0)) + coeff
+    return MultiPoly(tm)
 
 
 def _rand_unipoly(rng, max_deg=4, bound=5):
