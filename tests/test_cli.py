@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import enum
 import io
 import json
@@ -18,8 +19,16 @@ import json_writer_check
 import cybundle.discriminant
 import cybundle.invariants
 from cybundle.chow import BundleSpec
-from cybundle.cli import _json_text, _report_row, _write_json, main
+from cybundle.cli import (
+    CSV_COLUMNS,
+    ROW_KEYS,
+    _json_text,
+    _report_row,
+    _write_json,
+    main,
+)
 from cybundle.discriminant import Octic, sample_section, witness_section
+from cybundle.invariants import invariants_for
 from cybundle.kahler import RhoNotTwoError, require_rho_two
 from cybundle.ratpoly import MultiPoly
 
@@ -316,6 +325,42 @@ class TestReportRowGate:
             else:
                 assert row["contraction_kind"] is row["contraction_count"] is None
         assert 0 < refused < len(specs)
+
+
+class TestReportRowSchema:
+    """A report row holds the keys of ROW_KEYS in that order, and its record
+    keys hold the record's values; the csv columns are those keys without
+    the free-text picard_hypothesis_note."""
+
+    # p1 and p3 rows, rho = 2 and rho > 2, with every optional record field
+    # None somewhere among them
+    SPECS = [
+        BundleSpec.from_split(1, (0, 0, 0, 0)),
+        BundleSpec.from_split(1, (0, 0, 1, 1)),
+        BundleSpec.from_split(1, (0, 2, 5, 9)),  # rho > 2
+        BundleSpec.from_split(1, (-3, 1, 1, 4)),
+        BundleSpec.from_split(3, (0, 0)),
+        BundleSpec.from_split(3, (0, 2)),
+        BundleSpec.from_split(3, (-1, 5)),  # gamma > 16: no fiber count
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_row_carries_the_record(self, spec):
+        record = dataclasses.asdict(invariants_for(spec))
+        del record["base_dim"]
+        row = _report_row(spec)
+        assert tuple(row) == ROW_KEYS
+        assert row["base"] == ("p3" if spec.base_dim == 3 else "p1")
+        assert row["degrees"] == list(spec.split_degrees)
+        assert row["oracle_ok"] is True
+        assert {key: row[key] for key in record} == record
+
+    def test_csv_columns(self):
+        assert len(set(ROW_KEYS)) == len(ROW_KEYS) == 24
+        assert set(ROW_KEYS) == SURVEY_ROW_KEYS
+        golden = GOLDEN_DIR / "enumerate-p1-csv.stdout"
+        assert ",".join(CSV_COLUMNS) == golden.read_text().splitlines()[0]
+        assert [k for k in ROW_KEYS if k != "picard_hypothesis_note"] == list(CSV_COLUMNS)
 
 
 class TestOutPath:
