@@ -5,8 +5,11 @@ All output is deterministic byte-for-byte for a fixed configuration and
 seed.  JSON reports carry ``"schema": 1``.  A report row holds the keys of
 ROW_KEYS; the CSV columns (CSV_COLUMNS) are those keys in that order
 without the free-text ``picard_hypothesis_note``, which only json and text
-rows carry.  CSV holds report rows, so ``--format csv`` is accepted by
-``invariants`` and ``enumerate`` only.  Each ``--degrees`` field is
+rows carry.  Report rows are rendered from ROW_KEYS sorted once (a json row
+template, text cells); every other json value goes through _json_text, and
+the json bytes are those of ``json.dumps(indent=2, sort_keys=True)``.  CSV
+holds report rows, so ``--format csv`` is accepted by ``invariants`` and
+``enumerate`` only.  Each ``--degrees`` field is
 ASCII ``-?[0-9]+`` (no spaces, ``+``, ``_`` or non-ASCII digits); a
 negative leading degree needs the form ``--degrees=-5,0,0,0``.
 Exit codes: 0 ok, 2 invalid input (malformed or wrong-arity degrees, a
@@ -53,6 +56,7 @@ from .kahler import (
     boundary_rays,
     classify_contraction_p1,
     require_rho_two,
+    rho_two_gate,
 )
 
 SCHEMA_VERSION = 1
@@ -102,6 +106,11 @@ ROW_KEYS = (
 CSV_COLUMNS = tuple(k for k in ROW_KEYS if k != "picard_hypothesis_note")
 
 _NULL_ROW = dict.fromkeys(ROW_KEYS)
+# report row keys in sort_keys order: the text cells, and the json template
+# of a row in a top-level list, whose keys sit 6 spaces deep
+_ROW_ORDER = tuple(sorted(ROW_KEYS))
+_JSON_ROW_TEMPLATE = tuple(
+    (k, ("," if i else "{") + f"\n      {_encode_str(k)}: ") for i, k in enumerate(_ROW_ORDER))
 _RECORD_KEYS = tuple(k for k in ROW_KEYS if k in {f.name for f in fields(CyInvariants)})
 
 
@@ -143,9 +152,8 @@ def _report_row(spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None) -> d
     for key in _RECORD_KEYS:
         row[key] = getattr(inv, key)
     # one rho = 2 decision fills both the cone and the contraction fields
-    try:
-        norm = require_rho_two(spec)
-    except RhoNotTwoError:
+    norm, _ = rho_two_gate(spec)
+    if norm is None:
         return row
     kr = boundary_rays(norm, inv if norm == spec else invariants_for(norm, oracle_memo))
     row["rationality"] = kr.rationality.value
@@ -166,7 +174,9 @@ def _emit(payload: dict, fmt: str, out: Optional[str]) -> None:
     top-level key per write, and a top-level list such as ``rows`` one
     element per write.  The bytes are those of the whole text written at
     once: ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline
-    for json (see _json_text).
+    for json.  A report row (a dict with exactly the keys of ROW_KEYS) is
+    rendered in the key order sorted once from ROW_KEYS, in json from a row
+    template; every other json value goes through _json_text.
     """
     if out:
         try:
@@ -191,11 +201,8 @@ def _write(fh: TextIO, payload: dict, fmt: str) -> None:
         for key in sorted(payload):
             if key == "rows":
                 for row in payload[key]:
-                    cells = (
-                        f"{k}={v if type(v) in _PLAIN else _csv_cell(v)}"
-                        for k, v in sorted(row.items())
-                    )
-                    fh.write(" ".join(cells) + "\n")
+                    fh.write(" ".join([f"{k}={v if type(v) in _PLAIN else _csv_cell(v)}"
+                                       for k in _ROW_ORDER for v in (row[k],)]) + "\n")
             else:
                 fh.write(f"{key}: {json.dumps(payload[key], sort_keys=True)}\n")
 
@@ -209,13 +216,24 @@ def _write_json(fh: TextIO, payload: dict) -> None:
         if isinstance(value, (list, tuple)) and value:
             head += "[\n    "
             for item in value:
-                fh.write(f"{head}{_json_text(item, '    ')}")
+                row = isinstance(item, dict) and item.keys() == _NULL_ROW.keys()
+                fh.write(f"{head}{_json_row(item) if row else _json_text(item, '    ')}")
                 head = ",\n    "
             fh.write("\n  ]")
         else:
             fh.write(f"{head}{_json_text(value, '  ')}")
         sep = ",\n  "
     fh.write("\n}\n" if payload else "{}\n")
+
+
+def _json_row(row: dict) -> str:
+    """``_json_text(row, "    ")`` for a report row, from the row template."""
+    parts = []
+    for key, head in _JSON_ROW_TEMPLATE:
+        v = row[key]
+        leaf = _JSON_LEAVES.get(type(v))
+        parts.append(head + (leaf(v) if leaf else _json_text(v, "      ")))
+    return "".join(parts) + "\n    }"
 
 
 def _json_text(value, indent: str = "") -> str:

@@ -158,20 +158,29 @@ class RhoNotTwoError(ValueError):
     """The spec does not satisfy the rho = 2 criterion required here."""
 
 
-def require_rho_two(spec: BundleSpec) -> BundleSpec:
-    """The normalized spec, or RhoNotTwoError if rho = 2 fails for it."""
+def rho_two_gate(spec: BundleSpec) -> Tuple[Optional[BundleSpec], Optional[str]]:
+    """(the normalized spec, None) if rho = 2 holds for it, else (None, the
+    reason it fails); require_rho_two raises that reason."""
     if not spec.is_split:
-        raise RhoNotTwoError("cone analysis needs split, normalized bundles")
+        return None, "cone analysis needs split, normalized bundles"
     norm = spec.normalized()
     if norm.base_dim == 1:
         if norm.c1 > 3:
-            raise RhoNotTwoError(f"c1 = {norm.c1} > 3 forces rho > 2")
+            return None, f"c1 = {norm.c1} > 3 forces rho > 2"
     else:
         adm = admissibility_p3(norm)
         if not adm.admissible:
-            raise RhoNotTwoError(f"splitting gap {adm.gap} > 4: no smooth X")
+            return None, f"splitting gap {adm.gap} > 4: no smooth X"
         if norm.split_degrees == RHO_ONE_SPLITTING_P3:
-            raise RhoNotTwoError("O + O(4) has rho = 1")
+            return None, "O + O(4) has rho = 1"
+    return norm, None
+
+
+def require_rho_two(spec: BundleSpec) -> BundleSpec:
+    """The normalized spec, or RhoNotTwoError if rho = 2 fails for it."""
+    norm, reason = rho_two_gate(spec)
+    if reason is not None:
+        raise RhoNotTwoError(reason)
     return norm
 
 

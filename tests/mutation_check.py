@@ -115,6 +115,27 @@ MUTATIONS = (
         ["tests/test_cli.py::TestJsonWriter"],
     ),
     Mutation(
+        "unsorted json row-template keys",
+        PKG / "cli.py",
+        "for i, k in enumerate(_ROW_ORDER))",
+        "for i, k in enumerate(ROW_KEYS))",
+        ["tests/test_cli.py::TestJsonWriter"],
+    ),
+    Mutation(
+        "json row-template key-set guard dropped",
+        PKG / "cli.py",
+        "row = isinstance(item, dict) and item.keys() == _NULL_ROW.keys()",
+        "row = isinstance(item, dict)",
+        ["tests/test_cli.py::TestJsonWriter"],
+    ),
+    Mutation(
+        "text cells over the unsorted ROW_KEYS",
+        PKG / "cli.py",
+        "for k in _ROW_ORDER for v in (row[k],)",
+        "for k in ROW_KEYS for v in (row[k],)",
+        ["tests/test_cli.py::TestTextWriter"],
+    ),
+    Mutation(
         "_parse_degrees lets ValueError escape",
         PKG / "cli.py",
         '''    except ValueError:
@@ -122,6 +143,13 @@ MUTATIONS = (
         '''    except TypeError:
         raise CliError(EXIT_INVALID_INPUT, f"unparsable degrees: {text!r}")''',
         ["tests/test_cli.py::TestInvariantsCommand"],
+    ),
+    Mutation(
+        "p1 rho = 2 gate at c1 <= 4",
+        PKG / "kahler.py",
+        "if norm.c1 > 3:",
+        "if norm.c1 > 4:",
+        ["tests/test_kahler.py::TestRhoTwoGate"],
     ),
     Mutation(
         "rho twisted by the un-normalized c1",

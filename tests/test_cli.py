@@ -22,8 +22,10 @@ from cybundle.chow import BundleSpec
 from cybundle.cli import (
     CSV_COLUMNS,
     ROW_KEYS,
+    _csv_cell,
     _json_text,
     _report_row,
+    _write,
     _write_json,
     main,
 )
@@ -550,11 +552,38 @@ class TestJsonWriter:
     def test_unsupported_types_raise_type_error(self, bad):
         with pytest.raises(TypeError):
             _json_text(bad)
-        for payload in ({"rows": [0, bad]}, {"k": bad}):
+        # the last payload's row goes through the report row template
+        row = {**dict.fromkeys(ROW_KEYS), "xi3": bad}
+        for payload in ({"rows": [0, bad]}, {"k": bad}, {"rows": [row]}):
             with pytest.raises(TypeError):
                 _write_json(io.StringIO(), payload)
         with pytest.raises(TypeError):
             _write_json(io.StringIO(), {1: 2})
+
+
+def text_reference(payload) -> str:
+    """The text writer with each row's cells in sorted(row.items()) order,
+    as it was before rows were rendered in a key order sorted once."""
+    lines = []
+    for key in sorted(payload):
+        if key == "rows":
+            for row in payload[key]:
+                lines.append(" ".join(
+                    f"{k}={v if type(v) in (int, str) else _csv_cell(v)}"
+                    for k, v in sorted(row.items())
+                ))
+        else:
+            lines.append(f"{key}: {json.dumps(payload[key], sort_keys=True)}")
+    return "".join(line + "\n" for line in lines)
+
+
+class TestTextWriter:
+    def test_enumerate_payloads_match_the_reference(self):
+        # p1 at --max-degree 0..4 and p3 at 0..6, rho = 2 rows among them
+        for name, payload in json_writer_check.enumerate_payloads():
+            fh = io.StringIO()
+            _write(fh, payload, "text")
+            assert fh.getvalue() == text_reference(payload), name
 
 
 COMMAND_FLAGS = {

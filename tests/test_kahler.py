@@ -23,6 +23,7 @@ from cybundle.kahler import (
     h4_basis_determinant,
     rationality_analysis,
     require_rho_two,
+    rho_two_gate,
     verify_KY_squared,
     w_cubic,
 )
@@ -182,6 +183,23 @@ class TestRhoTwoGate:
         assert len(specs) == 765
         for spec in specs:
             assert _refuses(require_rho_two, spec) == (picard_number(spec)[0] != 2), spec
+
+    def test_gate_and_require_rho_two_agree(self):
+        # rho_two_gate returns what require_rho_two returns or raises
+        specs = [BundleSpec.from_split(1, (0, a1, a2, a3))
+                 for a1 in range(4) for a2 in range(a1, 4) for a3 in range(a2, 4)]
+        specs += [BundleSpec.from_split(3, (a, a + gap))
+                  for a in range(-2, 8) for gap in range(7)]
+        specs += [BundleSpec.from_chern(c1, c2) for c1, c2 in [(0, 0), (2, 1), (4, 4)]]
+        reasons = set()
+        for spec in specs:
+            try:
+                want = (require_rho_two(spec), None)
+            except RhoNotTwoError as exc:
+                want = (None, str(exc))
+                reasons.add(str(exc).split()[0])
+            assert rho_two_gate(spec) == want, spec
+        assert reasons == {"c1", "splitting", "O", "cone"}
 
 
 class TestDeterminants:
