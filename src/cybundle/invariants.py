@@ -77,7 +77,11 @@ def _oracle_numbers(spec: BundleSpec) -> dict:
 
     X in |-K_Z| turns a degree-3 class a on X into the degree-4 integral
     of a.(-K_Z) on Z; c2(X) = c2(Z)|X and c3(X) = (c3(Z) - c2(Z).(-K_Z))|X
-    by adjunction with N_{X|Z} = -K_Z|X.  Each integral is stored as an
+    by adjunction with N_{X|Z} = -K_Z|X.  The integral of a.(-K_Z) is
+    linear in a, so -K_Z is paired once with each degree-3 normal-form
+    monomial xi^i.H^j (two per geometry) and each integral is the sum of
+    a_ij * pairing[i, j]; the products c2(Z).(-K_Z), H^2, xi^2 and
+    (-K_Z)^2 are computed once and shared.  Each integral is stored as an
     int when it is integral and as a Fraction otherwise, the storage rule
     of ChowClass, so the comparison with the closed forms compares ints.
     """
@@ -86,20 +90,29 @@ def _oracle_numbers(spec: BundleSpec) -> dict:
     c2Z, c3Z = ct[2], ct[3]
     xi = ChowClass.xi(spec)
     H = ChowClass.hyperplane(spec)
-    c3X = c3Z - c2Z * L
+    c2Z_L, HH, XX, LL = c2Z * L, H * H, xi * xi, L * L
     integrands = {
-        "c3_X": c3X,
+        "c3_X": c3Z - c2Z_L,
         "h_dot_c2": H * c2Z,
         "xi_dot_c2": xi * c2Z,
-        "mk_dot_c2": L * c2Z,
-        "h3": H * H * H,
-        "xi_h2": xi * H * H,
-        "xi2_h": xi * xi * H,
-        "xi3": xi * xi * xi,
-        "mk_cubed": L * L * L,
-        "mk_sq_h": L * L * H,
+        "mk_dot_c2": c2Z_L,
+        "h3": HH * H,
+        "xi_h2": xi * HH,
+        "xi2_h": XX * H,
+        "xi3": XX * xi,
+        "mk_cubed": LL * L,
+        "mk_sq_h": LL * H,
     }
-    return {key: _exact(integrate(a * L)) for key, a in integrands.items()}
+    # integrate(a * L) for the degree-3 normal-form monomials xi^i * H^(3-i)
+    m, r = spec.base_dim, spec.rank
+    pairing = {
+        (i, 3 - i): _exact(integrate(ChowClass(spec, {(i, 3 - i): 1}) * L))
+        for i in range(max(0, 3 - m), min(r - 1, 3) + 1)
+    }
+    return {
+        key: _exact(sum(c * pairing[ij] for ij, c in a.coeffs.items()))
+        for key, a in integrands.items()
+    }
 
 
 def _compare(closed: dict, oracle: dict) -> None:

@@ -13,6 +13,12 @@ integer numerators over one common denominator in lowest terms.  No
 floating point appears anywhere in the library, so every equality test is
 exact.
 
+``poly_gcd`` and ``rational_roots`` run on the primitive integer multiples
+of their ``UniPoly`` inputs (content divided out, leading coefficient
+positive): Euclid on primitive pseudo-remainders, and each root candidate
+s/t tested by the integer t^n * a(s/t).  Only their results are built as
+``Fraction``.
+
 Every product of two ``MultiPoly`` goes through one integer kernel,
 ``MultiPoly.sum_of_products``, which computes a sum of w*a*b with int
 weights w in one pass over packed-int exponent keys.  The packed keys never
@@ -150,24 +156,49 @@ def derivative(p: UniPoly) -> UniPoly:
     return UniPoly([p.coeffs[d] * d for d in range(1, len(p.coeffs))])
 
 
+def _primitive(ints: List[int]) -> List[int]:
+    """ints divided by their content, the leading coefficient made positive."""
+    g = gcd(*ints)
+    return [c // g for c in ints] if ints[-1] > 0 else [-c // g for c in ints]
+
+
+def _integer_coeffs(coeffs: Sequence[Fraction]) -> List[int]:
+    """The primitive integer multiple of a nonzero coefficient list."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+
+
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd over the rationals by the Euclidean algorithm.
 
-    Raises ValueError if both inputs are zero.
+    Runs on primitive integer multiples of a and b: each pseudo-remainder
+    is scaled to its primitive part.  Raises ValueError if both inputs are
+    zero.
     """
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic()
+    f = _integer_coeffs(a.coeffs) if a.coeffs else []
+    g = _integer_coeffs(b.coeffs) if b.coeffs else []
+    while g:
+        # lead^k * f modulo g; each step cancels the top coefficient of r
+        r, d, lead = f, len(g) - 1, g[-1]
+        while len(r) > d:
+            c, k = r[-1], len(r) - 1 - d
+            r = [x * lead for x in r[:k]] + [x * lead - c * y for x, y in zip(r[k:], g)]
+            while r and r[-1] == 0:
+                r.pop()
+        f, g = g, _primitive(r) if r else []
+    return UniPoly([Fraction(c, f[-1]) for c in f])
 
 
 def rational_roots(p: UniPoly) -> List[Fraction]:
     """All rational roots of p, with multiplicity, via the rational root test.
 
-    Input is cleared to integer coefficients first; candidates are p/q with
-    p | constant term and q | leading coefficient.
+    The order is fixed: the roots at 0 first, then the others ascending.
+    The coefficients are cleared to primitive integers a_0..a_n once (after
+    dividing out the power of x); a candidate s/t in lowest terms, with
+    s | a_0 and t | a_n, is a root when the integer t^n * a(s/t) vanishes,
+    and t*x - s then divides a exactly in integers (Gauss's lemma).
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has every root")
@@ -176,24 +207,38 @@ def rational_roots(p: UniPoly) -> List[Fraction]:
     while p.coeffs[k] == 0:
         k += 1
     roots = [Fraction(0)] * k
-    if k:
-        p = UniPoly(p.coeffs[k:])
-    if p.degree == 0:
+    if k == p.degree:
         return roots
-    denlcm = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * denlcm) for c in p.coeffs]
-    lead, const = ints[-1], ints[0]
-    cands = set()
-    for pn in _divisors(abs(const)):
-        for qn in _divisors(abs(lead)):
-            cands.add(Fraction(pn, qn))
-            cands.add(Fraction(-pn, qn))
-    for r in sorted(cands):
-        while p.degree >= 1 and p.evaluate(r) == 0:
-            p, rem = p.divmod(UniPoly([-r, 1]))
-            assert rem.is_zero()
-            roots.append(r)
-    return roots
+    a = _integer_coeffs(p.coeffs[k:])
+    heads, found = _divisors(abs(a[0])), []
+    for t in _divisors(a[-1]):
+        for s0 in heads:
+            if gcd(s0, t) != 1:
+                continue
+            for s in (s0, -s0):
+                while len(a) > 1 and _scaled_value(a, s, t) == 0:
+                    a = _divide_linear(a, s, t)
+                    found.append(Fraction(s, t))
+    return roots + sorted(found)
+
+
+def _scaled_value(a: List[int], s: int, t: int) -> int:
+    """t^n * a(s/t) for the integer coefficients a_0..a_n, by Horner."""
+    acc, tp = a[-1], 1
+    for c in a[-2::-1]:
+        tp *= t
+        acc = acc * s + c * tp
+    return acc
+
+
+def _divide_linear(a: List[int], s: int, t: int) -> List[int]:
+    """The quotient of a by t*x - s, a factor of a in integers: q_(i-1) =
+    (a_i + s*q_i) / t from the top down."""
+    q, acc = [], 0
+    for c in a[:0:-1]:
+        acc = (c + s * acc) // t
+        q.append(acc)
+    return q[::-1]
 
 
 def _divisors(n: int) -> List[int]:

@@ -94,6 +94,22 @@ MUTATIONS = (
         ["tests/test_ratpoly.py"],
     ),
     Mutation(
+        "negative candidates skipped in rational_roots",
+        PKG / "ratpoly.py",
+        "for s in (s0, -s0):",
+        "for s in (s0,):",
+        ["tests/test_ratpoly.py::TestUniPoly",
+         "tests/test_ratpoly.py::TestUniPolyAgainstReference"],
+    ),
+    Mutation(
+        "roots at 0 appended after the others",
+        PKG / "ratpoly.py",
+        "return roots + sorted(found)",
+        "return sorted(found) + roots",
+        ["tests/test_ratpoly.py::TestUniPoly",
+         "tests/test_ratpoly.py::TestUniPolyAgainstReference"],
+    ),
+    Mutation(
         "picard_hypothesis_note dropped from the row keys",
         PKG / "cli.py",
         'if f.name != "base_dim"),',
@@ -157,6 +173,14 @@ MUTATIONS = (
         "twisted = sym_power(bundle, 4).twist(2 - norm.c1)",
         "twisted = sym_power(bundle, 4).twist(2 - spec.c1)",
         ["tests/test_invariants.py::TestPicardNumber"],
+    ),
+    Mutation(
+        "oracle pairing built with H in place of -K_Z",
+        PKG / "invariants.py",
+        "ChowClass(spec, {(i, 3 - i): 1}) * L)",
+        "ChowClass(spec, {(i, 3 - i): 1}) * H)",
+        ["tests/test_invariants.py::TestInvariantsP1",
+         "tests/test_invariants.py::TestInvariantsP3"],
     ),
     # one closed form per geometry, each caught by its oracle comparison
     Mutation(

@@ -77,6 +77,15 @@ CASES = (
         ("discriminant-01-text",
          ["discriminant", "--degrees", "0,1", "--seed", "2", "--format", "text"], 0),
     ]
+    + [
+        # every distinct rho = 2 cubic besides the p3 0,2 and p1 0,0,1,1 cases
+        # above; p3 0,0 is the double line of the x chart, and a p1 cubic
+        # depends on c1 alone
+        (f"kaehler-{base}-{degs.replace(',', '')}",
+         ["kaehler", "--base", base, "--degrees", degs, "--format", "json"], 0)
+        for base, degs in (("p3", "0,0"), ("p3", "0,1"), ("p3", "0,3"),
+                           ("p1", "0,0,0,0"), ("p1", "0,0,0,1"), ("p1", "0,1,1,1"))
+    ]
 )
 
 

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cybundle.invariants
-from cybundle.chow import BundleSpec, ChowClass
+from cybundle.chow import (
+    BundleSpec,
+    ChowClass,
+    _exact,
+    anticanonical_class,
+    integrate,
+    tangent_total_chern,
+)
 from cybundle.cli import main
 from cybundle.invariants import (
     OracleMismatchError,
@@ -201,6 +208,59 @@ class TestOracleMemo:
         assert set(memo) == {(1, 4, c1, 0) for c1 in p1_c1} | {
             (3, 2, c1, c2) for c1, c2 in p3_data
         }
+
+
+def _oracle_by_products(spec):
+    """Every oracle integral as its own integrate(a * L): the reference for
+    the pairing in _oracle_numbers."""
+    L = anticanonical_class(spec)
+    ct = tangent_total_chern(spec)
+    c2Z, c3Z = ct[2], ct[3]
+    xi = ChowClass.xi(spec)
+    H = ChowClass.hyperplane(spec)
+    c3X = c3Z - c2Z * L
+    integrands = {
+        "c3_X": c3X,
+        "h_dot_c2": H * c2Z,
+        "xi_dot_c2": xi * c2Z,
+        "mk_dot_c2": L * c2Z,
+        "h3": H * H * H,
+        "xi_h2": xi * H * H,
+        "xi2_h": xi * xi * H,
+        "xi3": xi * xi * xi,
+        "mk_cubed": L * L * L,
+        "mk_sq_h": L * L * H,
+    }
+    return {key: _exact(integrate(a * L)) for key, a in integrands.items()}
+
+
+class TestOraclePairing:
+    """_oracle_numbers pairs -K_Z once with each degree-3 monomial."""
+
+    CHERN_DATA = [BundleSpec.from_chern(c1, c2) for c1 in range(-4, 9)
+                  for c2 in range(-5, 12)] + [BundleSpec(1, 4, c1) for c1 in range(-8, 70)]
+
+    def test_equals_one_product_per_integral(self):
+        assert len(self.CHERN_DATA) == 299
+        for spec in self.CHERN_DATA:
+            got, want = _oracle_numbers(spec), _oracle_by_products(spec)
+            assert got == want, spec
+            assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+    @pytest.mark.parametrize("spec", [BundleSpec.from_chern(1, -2), BundleSpec(1, 4, 3)],
+                             ids=["p3", "p1"])
+    def test_at_most_16_products(self, spec, monkeypatch):
+        # two in tangent_total_chern, twelve for the integrands, two pairings
+        calls = []
+        mul = ChowClass.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(ChowClass, "__mul__", counted)
+        _oracle_numbers(spec)
+        assert 0 < len(calls) <= 16
 
 
 class TestTwistInvariance:

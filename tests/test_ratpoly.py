@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multipoly_kernel_check
+import unipoly_kernel_check
 from cybundle.ratpoly import (
     MultiPoly,
     UniPoly,
@@ -100,7 +101,49 @@ class TestUniPoly:
     def test_rational_roots(self):
         # 6x^3 - 5x^2 - 2x + 1 = (x-1)(3x-1)(2x+1)
         p = UniPoly([1, -2, -5, 6])
-        assert sorted(rational_roots(p)) == [Fraction(-1, 2), Fraction(1, 3), Fraction(1)]
+        assert rational_roots(p) == [Fraction(-1, 2), Fraction(1, 3), Fraction(1)]
+
+    def test_rational_roots_order(self):
+        # the roots at 0 first, then the others ascending with multiplicity:
+        # -3 x^2 (x - 2)(x + 1/2)^2 (x^2 + 1)
+        plus_half = UniPoly([Fraction(1, 2), 1])
+        p = UniPoly([0, 0, -3]) * UniPoly([-2, 1]) * plus_half * plus_half
+        p = p * UniPoly([1, 0, 1])
+        half = Fraction(-1, 2)
+        assert rational_roots(p) == [0, 0, half, half, 2]
+
+
+LINEAR_ROOTS = st.lists(st.integers(-6, 6) | st.fractions(-6, 6, max_denominator=4),
+                        max_size=5)
+NONZERO = (st.integers(-7, 7) | st.fractions(-7, 7, max_denominator=5)).filter(bool)
+TAILS = st.lists(st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=5), max_size=4)
+
+
+def _with_roots(lead, roots, tail=()):
+    """lead * prod (x - r) * tail, the tail left out when it is zero."""
+    p, tail = UniPoly([lead]), UniPoly(tail)
+    for r in roots:
+        p = p * UniPoly([-r, 1])
+    return p if tail.is_zero() else p * tail
+
+
+class TestUniPolyAgainstReference:
+    """The integer kernels against the Fraction versions they replaced."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(lead=NONZERO, roots=LINEAR_ROOTS, tail=TAILS, shared=st.integers(0, 5),
+           other=LINEAR_ROOTS)
+    def test_matches_reference(self, lead, roots, tail, shared, other):
+        p = _with_roots(lead, roots, tail)
+        assert rational_roots(p) == unipoly_kernel_check.ref_rational_roots(p)
+        q = _with_roots(-lead, roots[:shared] + other)
+        for a, b in ((p, derivative(p)), (p, q), (q, p), (UniPoly.zero(), q)):
+            assert poly_gcd(a, b) == unipoly_kernel_check.ref_poly_gcd(a, b)
+
+    def test_stdlib_script(self):
+        # seeded factored and dense polynomials, also run as a script under
+        # other Pythons
+        assert unipoly_kernel_check.check(seed=1, count=300) == 300
 
 
 class TestMultiPoly:
