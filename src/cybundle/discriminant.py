@@ -25,6 +25,7 @@ from .ratpoly import (
     multipoly_gradient,
     ratio_text,
     to_canonical_text,
+    value_and_gradient,
 )
 
 
@@ -121,15 +122,18 @@ def singularity_witness(q: QuadraticSection, point: Sequence) -> WitnessRecord:
 
     If all three section components vanish there, the point is a full fiber
     and must be a singular point of the octic: both the value and the
-    gradient of Delta are asserted to vanish.
+    gradient of Delta are asserted to vanish.  Delta and its gradient are
+    evaluated in one pass over Delta's terms.  A ValueError refuses a point
+    without exactly 4 coordinates, or with all of them zero.
     """
     pt = tuple(Fraction(x) for x in point)
+    if len(pt) != 4:
+        raise ValueError("a point of P^3 has 4 coordinates")
     if all(x == 0 for x in pt):
         raise ValueError("(0,0,0,0) is not a point of P^3")
     delta = build_discriminant(q).poly
     v00, v01, v11 = (p.evaluate(pt) for p in (q.s00, q.s01, q.s11))
-    dval = delta.evaluate(pt)
-    grad = tuple(g.evaluate(pt) for g in multipoly_gradient(delta))
+    dval, grad = value_and_gradient(delta, pt)
     on_locus = v00 == v01 == v11 == 0
     if on_locus:
         if dval != 0 or any(g != 0 for g in grad):

@@ -21,12 +21,19 @@ s/t tested by the integer t^n * a(s/t).  Only their results are built as
 
 Every product of two ``MultiPoly`` goes through one integer kernel,
 ``MultiPoly.sum_of_products``, which computes a sum of w*a*b with int
-weights w in one pass over packed-int exponent keys.  The packed keys never
-leave the kernel: ``num`` stays keyed by exponent 4-tuples.
+weights w in one pass over integer exponent keys.  The accumulator it fills
+is read from the operands alone: when every operand is homogeneous, every
+product has one degree D and the products have at least (D+1)^3 monomial
+pairs in all -- as every product the discriminant makes does -- a flat list
+of (D+1)^3 ints; otherwise (mixed degrees, sparse or huge-degree operands)
+a dict keyed by packed exponents.  The keys never leave the kernel: ``num``
+stays keyed by exponent 4-tuples.  ``value_and_gradient`` evaluates a
+``MultiPoly`` and its four partials at a point in one pass over its terms.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
@@ -254,6 +261,19 @@ def _divisors(n: int) -> List[int]:
     return sorted(set(out))
 
 
+def _power_tables(point: Sequence, top: int) -> List[List[int]]:
+    """[n_i^k for k = 0..top] for i = 0..3, then [q^k for k = 0..top + 1],
+    where the point is (n0, n1, n2, n3)/q with q the lcm of the
+    coordinates' denominators."""
+    pt = [_frac(x) for x in point]
+    if len(pt) != NVARS:
+        raise ValueError("a point of P^3 has 4 coordinates")
+    q = lcm(*(x.denominator for x in pt))
+    bases = [x.numerator * (q // x.denominator) for x in pt]
+    tables = [[b**k for k in range(top + 1)] for b in bases]
+    return tables + [[q**k for k in range(top + 2)]]
+
+
 # ---------------------------------------------------------------------------
 # Sparse multivariate polynomials in z0..z3
 # ---------------------------------------------------------------------------
@@ -365,59 +385,80 @@ class MultiPoly:
         """The exact sum of w*a*b over ``terms`` of (int w, a, b), in one pass.
 
         The products accumulate as integers over the common denominator
-        lcm(a.den * b.den) in one dict keyed by packed exponents: four
-        ``width``-bit fields with 2^width above twice the largest exponent
-        of any operand, so the sum of two keys is the key of the summed
-        exponents and no carry crosses a field.  A term whose a is b
-        visits each unordered pair of monomials once.
+        lcm(a.den * b.den), each monomial pair added at the sum of its two
+        keys; a term whose a is b visits each unordered pair once.  Which
+        accumulator serves a call is read from its nonzero operands alone:
+
+        * dense: every a and b is homogeneous, every a*b has one degree D,
+          and (D+1)^3 <= sum |a|*|b|, so the array is no larger than the
+          pair loop that fills it.  A flat list of (D+1)^3 ints, indexed
+          by e1 + B*e2 + B^2*e3 with B = D + 1; e0 is read back as
+          D - e1 - e2 - e3.
+        * packed: anything else.  A dict keyed by four ``width``-bit fields,
+          with 2^width above twice the largest exponent of any operand.
+
+        Both keys are additive in the exponents with no carry across a
+        field, so the key of a product monomial is the sum of the keys of
+        its factors.
         """
         terms = [(w, a, b) for w, a, b in terms if w and a.num and b.num]
         if not terms:
             return cls()
         den = lcm(*(a.den * b.den for _, a, b in terms))
-        top = max(max(map(max, p.num)) for _, a, b in terms for p in (a, b))
-        width = (2 * top).bit_length()
+        degree = _dense_degree(terms)
+        if degree is None:
+            top = max(max(map(max, p.num)) for _, a, b in terms for p in (a, b))
+            width = (2 * top).bit_length()
 
-        def packed(p: "MultiPoly", scale: int = 1) -> List[Tuple[int, int]]:
-            return [
-                ((((e0 << width) | e1) << width | e2) << width | e3, c * scale)
-                for (e0, e1, e2, e3), c in p.num.items()
-            ]
+            def keys(p: "MultiPoly") -> List[int]:
+                return [((e0 << width | e1) << width | e2) << width | e3
+                        for e0, e1, e2, e3 in p.num]
 
-        acc: Dict[int, int] = {}
-        get = acc.get
+            acc = defaultdict(int)
+        else:
+            b1 = degree + 1
+            b2 = b1 * b1
+
+            def keys(p: "MultiPoly") -> List[int]:
+                return [e1 + b1 * e2 + b2 * e3 for _, e1, e2, e3 in p.num]
+
+            acc = [0] * (b2 * b1)
         for w, a, b in terms:
             f = w * (den // (a.den * b.den))
-            bs = packed(b)
+            bs = list(zip(keys(b), b.num.values()))
             if a is b:
                 for i, (ka, ca) in enumerate(bs):
-                    k = ka + ka
-                    acc[k] = get(k, 0) + f * ca * ca
+                    acc[ka + ka] += f * ca * ca
                     ca *= 2 * f
                     for kb, cb in bs[i + 1:]:
-                        k = ka + kb
-                        acc[k] = get(k, 0) + ca * cb
+                        acc[ka + kb] += ca * cb
             else:
-                for ka, ca in packed(a, f):
+                for ka, ca in zip(keys(a), a.num.values()):
+                    ca *= f
                     for kb, cb in bs:
-                        k = ka + kb
-                        acc[k] = get(k, 0) + ca * cb
-        mask = (1 << width) - 1
-        num = {
-            (k >> 3 * width, k >> 2 * width & mask, k >> width & mask, k & mask): c
-            for k, c in acc.items()
-            if c
-        }
+                        acc[ka + kb] += ca * cb
+        if degree is None:
+            mask = (1 << width) - 1
+            num = {
+                (k >> 3 * width, k >> 2 * width & mask, k >> width & mask, k & mask): c
+                for k, c in acc.items()
+                if c
+            }
+        else:
+            num = {}
+            for e3 in range(b1):
+                for e2 in range(b1 - e3):
+                    k = b1 * e2 + b2 * e3
+                    for e1, c in enumerate(acc[k:k + b1 - e2 - e3]):
+                        if c:
+                            num[(degree - e1 - e2 - e3, e1, e2, e3)] = c
         return cls._trusted(num, den)
 
     def evaluate(self, point: Sequence) -> Fraction:
         # at the point (n0, n1, n2, n3)/q, with D the total degree, c*z^e
         # contributes c * n^e * q^(D - |e|) over den * q^D
-        pt = [_frac(x) for x in point]
-        q = lcm(*(x.denominator for x in pt))
         top = max(self.total_degree(), 0)
-        bases = [x.numerator * (q // x.denominator) for x in pt] + [q]
-        p0, p1, p2, p3, pq = [[b**k for k in range(top + 1)] for b in bases]
+        p0, p1, p2, p3, pq = _power_tables(point, top)
         acc = sum(
             c * p0[e0] * p1[e1] * p2[e2] * p3[e3] * pq[top - e0 - e1 - e2 - e3]
             for (e0, e1, e2, e3), c in self.num.items()
@@ -426,6 +467,27 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({to_canonical_text(self)})"
+
+
+def _homogeneous_degree(p: MultiPoly) -> int | None:
+    """The degree of a nonzero homogeneous p; None if p mixes degrees."""
+    degrees = set(map(sum, p.num))
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+def _dense_degree(terms) -> int | None:
+    """The output degree D when the nonzero ``terms`` of sum_of_products
+    take its dense accumulator: every operand homogeneous, every product
+    of degree D, and (D+1)^3 at most the number of monomial pairs."""
+    out, pairs = None, 0
+    for _, a, b in terms:
+        da = _homogeneous_degree(a)
+        db = da if b is a else _homogeneous_degree(b)
+        if da is None or db is None or out not in (None, da + db):
+            return None
+        out = da + db
+        pairs += len(a.num) * len(b.num)
+    return out if (out + 1) ** 3 <= pairs else None
 
 
 def multipoly_gradient(p: MultiPoly) -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
@@ -441,6 +503,38 @@ def multipoly_gradient(p: MultiPoly) -> Tuple[MultiPoly, MultiPoly, MultiPoly, M
         if e3:
             d3[(e0, e1, e2, e3 - 1)] = c * e3
     return tuple(MultiPoly._trusted(tm, p.den) for tm in parts)  # type: ignore[return-value]
+
+
+def value_and_gradient(
+    p: MultiPoly, point: Sequence
+) -> Tuple[Fraction, Tuple[Fraction, Fraction, Fraction, Fraction]]:
+    """p and its four partials at a point, in one pass over p's terms.
+
+    Equal to ``p.evaluate(point)`` and ``g.evaluate(point)`` for g in
+    ``multipoly_gradient(p)``, without building the partials.  At the point
+    (n0, n1, n2, n3)/q, with D the total degree, all five sums are taken
+    over den * q^D: c*z^e adds c * n^e * q^(D - |e|) to the value and
+    c * e_i * n^(e - 1_i) * q^(D + 1 - |e|) to the i-th partial.
+    """
+    top = max(p.total_degree(), 0)
+    p0, p1, p2, p3, pq = _power_tables(point, top)
+    v = g0 = g1 = g2 = g3 = 0
+    for (e0, e1, e2, e3), c in p.num.items():
+        c *= pq[top - e0 - e1 - e2 - e3]
+        x0, x1, x2, x3 = p0[e0], p1[e1], p2[e2], p3[e3]
+        x01, x23 = x0 * x1, x2 * x3
+        v += c * x01 * x23
+        c *= pq[1]
+        if e0:
+            g0 += c * e0 * p0[e0 - 1] * x1 * x23
+        if e1:
+            g1 += c * e1 * p1[e1 - 1] * x0 * x23
+        if e2:
+            g2 += c * e2 * p2[e2 - 1] * x3 * x01
+        if e3:
+            g3 += c * e3 * p3[e3 - 1] * x2 * x01
+    den = p.den * pq[top]
+    return Fraction(v, den), tuple(Fraction(g, den) for g in (g0, g1, g2, g3))
 
 
 def monomials_of_degree(d: int) -> List[Exponent]:

@@ -3,12 +3,22 @@
     PYTHONPATH=src python tests/multipoly_kernel_check.py
 
 compares the integer kernel with a reference that multiplies and adds plain
-dicts of ``Fraction`` coefficients.  It runs on seeded random sums (squares,
-zero weights, zero and non-homogeneous operands, exponents past 2^8 and
-2^16) and on the octic Delta = s01^2 - 4*s00*s11 of every golden
-discriminant case, whose section it samples again from the golden seed and
-bound.  It exits 1 on the first difference and needs nothing outside the
-standard library, so it runs under any Python the package supports;
+dicts of ``Fraction`` coefficients.  It runs on
+
+* the octic Delta = s01^2 - 4*s00*s11 of every golden discriminant case,
+  whose section it samples again from the golden seed and bound;
+* seeded random sums: squares, zero weights, zero and non-homogeneous
+  operands, exponents past 2^8 and 2^16;
+* discriminant-shaped sums: sections of degrees 0-8 at bounds 0, 1, 2 and
+  1000, their squares, Delta and the twelve products of the gradient
+  identity;
+* homogeneous sums with (D+1)^3 = sum |a|*|b| - 1, + 0 and + 1 monomial
+  pairs, on either side of the dense accumulator's size rule, and
+  homogeneous operands of degree 2^16, which must stay on the packed one.
+
+Each sum also checks which accumulator the size rule picks.  The script
+exits 1 on the first difference and needs nothing outside the standard
+library, so it runs under any Python the package supports;
 ``tests/test_ratpoly.py`` runs it too.
 """
 
@@ -18,10 +28,11 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 from random import Random
+from typing import Sequence, Tuple
 
 from cybundle.chow import BundleSpec
 from cybundle.discriminant import build_discriminant, sample_section
-from cybundle.ratpoly import MultiPoly
+from cybundle.ratpoly import MultiPoly, _dense_degree, monomials_of_degree, multipoly_gradient
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -33,10 +44,12 @@ def reference(terms) -> dict:
     """Sum of w*a*b as a dict of nonzero Fractions, for (w, a, b) of MultiPoly."""
     out = {}
     for w, a, b in terms:
+        b_terms = b.terms.items()
         for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + w * c1 * c2
+            c1 *= w
+            for e2, c2 in b_terms:
+                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
     return {e: c for e, c in out.items() if c}
 
 
@@ -93,29 +106,105 @@ def golden_sections():
         yield path.name, q, coeffs
 
 
-def check(seed: int = 0, count: int = 2000) -> int:
-    """Compare the kernel with the reference; returns the number of sums."""
-    checked = 0
-    for name, q, coeffs in golden_sections():
-        terms = ((1, q.s01, q.s01), (-4, q.s00, q.s11))
+def section_poly(rng: Random, degree: int, bound: int) -> MultiPoly:
+    """num/den on every monomial of the degree, num in [-bound, bound] and
+    den in 1..4, as sample_section draws them."""
+    return MultiPoly({e: Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
+                      for e in monomials_of_degree(degree)})
+
+
+def discriminant_sums(rng: Random, bounds: Sequence[int]):
+    """The sums the discriminant makes, on sections of degrees (d, 4, 8 - d)
+    for d in 0..4: Delta, the squares of the sections and the four sums of
+    the gradient identity."""
+    for bound in bounds:
+        for d in range(5):
+            s00, s01, s11 = (section_poly(rng, k, bound) for k in (d, 4, 8 - d))
+            g00, g01, g11 = map(multipoly_gradient, (s00, s01, s11))
+            yield ((1, s01, s01), (-4, s00, s11))
+            yield ((1, s00, s00), (1, s11, s11))
+            for i in range(4):
+                yield ((2, s01, g01[i]), (-4, s11, g00[i]), (-4, s00, g11[i]))
+
+
+def sparse_homogeneous(rng: Random, degree: int, size: int) -> MultiPoly:
+    """``size`` distinct monomials of the degree with nonzero coefficients."""
+    exps = rng.sample(monomials_of_degree(degree), size)
+    return MultiPoly({e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 5))
+                      for e in exps})
+
+
+def boundary_sums(rng: Random):
+    """(terms, dense): homogeneous products of degree D whose pair count
+    sum |a|*|b| is (D+1)^3 + delta for delta in -1, 0, 1."""
+    for degree in range(1, 7):
+        for delta in (-1, 0, 1):
+            left, terms = (degree + 1) ** 3 + delta, []
+            while left:
+                da = rng.randint(0, degree)
+                na, nb = len(monomials_of_degree(da)), len(monomials_of_degree(degree - da))
+                ka = rng.randint(1, min(na, left))
+                if 2 * da == degree and ka * ka <= left and rng.random() < 0.3:
+                    a = sparse_homogeneous(rng, da, ka)
+                    terms.append((rng.randint(1, 3), a, a))
+                    left -= ka * ka
+                    continue
+                kb = min(nb, left // ka)
+                terms.append((rng.choice((-2, -1, 1, 2)), sparse_homogeneous(rng, da, ka),
+                              sparse_homogeneous(rng, degree - da, kb)))
+                left -= ka * kb
+            yield terms, delta >= 0
+
+
+def wide_homogeneous_sums(rng: Random):
+    """Homogeneous operands of degree 2^16: the array would need 2^51 slots."""
+    top = 2 ** 16
+    for _ in range(5):
+        a, b = (MultiPoly({(top - k, k, 0, 0): rng.randint(1, 5), (0, 0, top - k, k): -1,
+                           (1, 1, 1, top - 3): Fraction(1, rng.randint(1, 5))})
+                for k in (rng.randint(0, 3), rng.randint(0, 3)))
+        yield ((1, a, b), (2, b, b), (-1, a, a))
+
+
+def check(
+    seed: int = 0, count: int = 2000, bounds: Sequence[int] = (0, 1, 2, 1000)
+) -> Tuple[int, int]:
+    """Compare the kernel with the reference on the golden octics, ``count``
+    random sums and the discriminant-shaped sums at each of ``bounds``;
+    returns the number of sums and how many took the dense accumulator."""
+    checked = dense = 0
+
+    def compare(terms, what: str, want_dense=None) -> None:
+        nonlocal checked, dense
         if coefficients(MultiPoly.sum_of_products(terms)) != reference(terms):
-            raise AssertionError(f"golden octic {name}: kernel and reference differ")
+            raise AssertionError(f"{what}: kernel and reference differ: {terms!r}")
+        kept = [(w, a, b) for w, a, b in terms if w and a.num and b.num]
+        is_dense = bool(kept) and _dense_degree(kept) is not None
+        if kept and want_dense is not None and is_dense != want_dense:
+            raise AssertionError(f"{what}: dense accumulator {'not ' * want_dense}taken")
+        checked += 1
+        dense += is_dense
+
+    for name, q, coeffs in golden_sections():
+        compare(((1, q.s01, q.s01), (-4, q.s00, q.s11)), f"golden octic {name}", True)
         if coefficients(build_discriminant(q).poly) != coeffs:
             raise AssertionError(f"golden octic {name}: differs from the golden file")
-        checked += 1
     rng = Random(seed)
     for _ in range(count):
-        terms = random_terms(rng)
-        if coefficients(MultiPoly.sum_of_products(terms)) != reference(terms):
-            raise AssertionError(f"sum differs: {terms!r}")
-        checked += 1
-    return checked
+        compare(random_terms(rng), "random sum")
+    for terms in discriminant_sums(rng, bounds):
+        compare(terms, "discriminant-shaped sum")
+    for terms, want in boundary_sums(rng):
+        compare(terms, "sum at the size rule", want)
+    for terms in wide_homogeneous_sums(rng):
+        compare(terms, "degree 2^16 sum", False)
+    return checked, dense
 
 
 if __name__ == "__main__":
     try:
-        n = check()
+        n, n_dense = check()
     except AssertionError as exc:
         sys.exit(f"FAIL ({sys.version.split()[0]}): {exc}")
     print(f"ok: {n} sums of products match Fraction arithmetic "
-          f"under Python {sys.version.split()[0]}")
+          f"({n_dense} on the dense accumulator) under Python {sys.version.split()[0]}")

@@ -86,6 +86,44 @@ MUTATIONS = (
         "ca *= f",
         ["tests/test_ratpoly.py"],
     ),
+    # the dense accumulator shares the pair loop above; this subset reaches
+    # the square only through the dense accumulator
+    Mutation(
+        "cross terms added once in the dense square loop",
+        PKG / "ratpoly.py",
+        "ca *= 2 * f",
+        "ca *= f",
+        ["tests/test_ratpoly.py::TestSumOfProducts::"
+         "test_discriminant_squares_take_the_dense_accumulator"],
+    ),
+    Mutation(
+        "dense index base B = D",
+        PKG / "ratpoly.py",
+        "b1 = degree + 1",
+        "b1 = degree",
+        ["tests/test_ratpoly.py::TestSumOfProducts"],
+    ),
+    Mutation(
+        "dense e0 read back without e3",
+        PKG / "ratpoly.py",
+        "num[(degree - e1 - e2 - e3, e1, e2, e3)] = c",
+        "num[(degree - e1 - e2, e1, e2, e3)] = c",
+        ["tests/test_ratpoly.py::TestSumOfProducts"],
+    ),
+    Mutation(
+        "one-pass witness without its q-power factor",
+        PKG / "ratpoly.py",
+        "        c *= pq[top - e0 - e1 - e2 - e3]\n",
+        "",
+        ["tests/test_ratpoly.py::TestValueAndGradient"],
+    ),
+    Mutation(
+        "one-pass witness gradient without its extra q",
+        PKG / "ratpoly.py",
+        "        c *= pq[1]\n",
+        "",
+        ["tests/test_discriminant.py::TestSingularityWitness"],
+    ),
     Mutation(
         "wrong exponent in multipoly_gradient",
         PKG / "ratpoly.py",

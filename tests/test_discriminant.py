@@ -18,7 +18,7 @@ from cybundle.discriminant import (
     witness_section,
 )
 from cybundle.invariants import admissibility_p3
-from cybundle.ratpoly import MultiPoly, monomials_of_degree
+from cybundle.ratpoly import MultiPoly, monomials_of_degree, multipoly_gradient
 
 ADMISSIBLE = [BundleSpec.from_split(3, (0, b)) for b in range(5)]
 # every splitting (a, b) with a in -3..6 and gap b - a in 0..9
@@ -187,6 +187,25 @@ class TestSingularityWitness:
         q = sample_section(ADMISSIBLE[0], 0, 1)
         with pytest.raises(ValueError):
             singularity_witness(q, (0, 0, 0, 0))
+
+    @pytest.mark.parametrize("point", [(1, 0, 0), (1, 0, 0, 0, 0)], ids=str)
+    def test_malformed_point_refused(self, point):
+        q = witness_section(sample_section(ADMISSIBLE[0], 0, 1))
+        with pytest.raises(ValueError, match=r"a point of P\^3 has 4 coordinates"):
+            singularity_witness(q, point)
+
+    def test_values_match_evaluated_partials(self):
+        points = [(1, 0, 0, 0), (1, 1, 1, 1), (Fraction(1, 2), -1, Fraction(2, 3), 3)]
+        for spec in ADMISSIBLE:
+            q = sample_section(spec, 5, 1000)
+            delta = build_discriminant(q).poly
+            for point in points:
+                rec = singularity_witness(q, point)
+                assert rec.delta == delta.evaluate(point)
+                assert rec.gradient == tuple(g.evaluate(point) for g in multipoly_gradient(delta))
+                assert (rec.s00, rec.s01, rec.s11) == tuple(
+                    p.evaluate(point) for p in (q.s00, q.s01, q.s11)
+                )
 
 
 class TestSampling:

@@ -8,15 +8,19 @@ from hypothesis import strategies as st
 
 import multipoly_kernel_check
 import unipoly_kernel_check
+from cybundle.chow import BundleSpec
+from cybundle.discriminant import sample_section
 from cybundle.ratpoly import (
     MultiPoly,
     UniPoly,
+    _dense_degree,
     derivative,
     monomials_of_degree,
     multipoly_gradient,
     poly_gcd,
     rational_roots,
     to_canonical_text,
+    value_and_gradient,
 )
 
 
@@ -283,6 +287,28 @@ POINTS = st.tuples(*[st.fractions(-4, 4, max_denominator=5)] * 4)
 PROPS = settings(max_examples=100, derandomize=True, deadline=None)
 
 
+def _homogeneous(degree):
+    """A coefficient on each monomial of the degree: mostly full polynomials."""
+    mons = monomials_of_degree(degree)
+    return st.lists(COEFFS, min_size=len(mons), max_size=len(mons)).map(
+        lambda cs: {e: Fraction(c) for e, c in zip(mons, cs) if c}
+    )
+
+
+@st.composite
+def _homogeneous_terms(draw):
+    """(w, a, b) with every a*b of one degree D <= 6; b is None for a square.
+    Full operands put many of these sums on the dense accumulator."""
+    degree = draw(st.integers(0, 6))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        da = draw(st.integers(0, degree))
+        w, a = draw(st.integers(-4, 4)), draw(_homogeneous(da))
+        square = 2 * da == degree and draw(st.booleans())
+        terms.append((w, a, None if square else draw(_homogeneous(degree - da))))
+    return terms
+
+
 class TestMultiPolyAgainstReference:
     @PROPS
     @given(a=DICTS, b=DICTS)
@@ -371,6 +397,100 @@ class TestSumOfProducts:
         got = MultiPoly.sum_of_products([(0, a, a), (5, a, a), (1, zero, a)])
         assert _checked(got) == _ref_sum_of_products([(5, a.terms, a.terms)])
 
+    @PROPS
+    @given(terms=_homogeneous_terms())
+    def test_homogeneous_matches_reference(self, terms):
+        polys = []
+        for w, a, b in terms:
+            pa = MultiPoly(a)
+            polys.append((w, pa, pa if b is None else MultiPoly(b)))
+        want = _ref_sum_of_products([(w, a, a if b is None else b) for w, a, b in terms])
+        assert _checked(MultiPoly.sum_of_products(polys)) == want
+
+    def test_discriminant_squares_take_the_dense_accumulator(self):
+        # s01^2 alone and Delta = s01^2 - 4*s00*s11, each of degree 8
+        for b in range(5):
+            q = sample_section(BundleSpec.from_split(3, (0, b)), b, 1000)
+            for terms in ([(1, q.s01, q.s01)], [(1, q.s01, q.s01), (-4, q.s00, q.s11)]):
+                assert _dense_degree(terms) == 8
+                want = _ref_sum_of_products([(w, x.terms, y.terms) for w, x, y in terms])
+                assert _checked(MultiPoly.sum_of_products(terms)) == want
+
+    def test_size_rule(self):
+        def quartic(k):  # the first k monomials of degree 4, of 35
+            return MultiPoly({e: 1 for e in monomials_of_degree(4)[:k]})
+
+        one = MultiPoly.monomial((0, 0, 0, 0))
+        # D = 4: (D+1)^3 = 125 slots against 3*35 + k monomial pairs
+        for k, dense in ((19, False), (20, True), (21, True)):
+            terms = [(1, one, quartic(35))] * 3 + [(-2, quartic(k), one)]
+            assert (_dense_degree(terms) == 4) is dense
+        cubic = MultiPoly({e: 1 for e in monomials_of_degree(3)})
+        # a full cubic squared: 400 pairs against 7^3 = 343 slots
+        assert _dense_degree([(1, cubic, cubic)]) == 6
+        # mixed output degrees, and an operand that mixes degrees
+        assert _dense_degree([(1, cubic, cubic), (1, quartic(35), quartic(35))]) is None
+        assert _dense_degree([(1, cubic + MultiPoly.variable(0), cubic)]) is None
+
+    def test_wide_homogeneous_operands_stay_packed(self):
+        # degree 2^16 operands: the dense array would need 2^51 slots
+        top = 2 ** 16
+        a = MultiPoly({(top, 0, 0, 0): 3, (0, 1, top - 2, 1): Fraction(-1, 2)})
+        b = MultiPoly({(0, top, 0, 0): 1, (1, 0, 0, top - 1): 5})
+        terms = [(1, a, b), (2, a, a), (-1, b, b)]
+        assert _dense_degree(terms) is None
+        want = _ref_sum_of_products([(w, x.terms, y.terms) for w, x, y in terms])
+        assert _checked(MultiPoly.sum_of_products(terms)) == want
+
     def test_stdlib_script(self):
-        # the golden octics and seeded sums, also run as a script under other Pythons
-        assert multipoly_kernel_check.check(seed=1, count=300) > 300
+        # golden octics, seeded and discriminant-shaped sums, also run as a
+        # script under other Pythons
+        sums, dense = multipoly_kernel_check.check(seed=1, count=300)
+        assert sums > 300 and dense > 50
+
+
+def _sparse_homogeneous(rng, degree):
+    mons = monomials_of_degree(degree)
+    return MultiPoly({e: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                      for e in rng.sample(mons, rng.randint(0, len(mons)))})
+
+
+class TestValueAndGradient:
+    """value_and_gradient against evaluate of the multipoly_gradient partials."""
+
+    @staticmethod
+    def _reference(p, point):
+        return p.evaluate(point), tuple(g.evaluate(point) for g in multipoly_gradient(p))
+
+    def _points(self, rng, n):
+        fixed = [(1, 1, 1, 1), (1, 0, 0, 0), (0, 0, 0, 1), (Fraction(1, 2), 3, -1, Fraction(2, 3))]
+        return fixed + [
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4))
+            for _ in range(n)
+        ]
+
+    def test_homogeneous_degrees_0_to_8(self):
+        rng = random.Random(2026)
+        for i, point in enumerate(self._points(rng, 250)):
+            p = _sparse_homogeneous(rng, i % 9)
+            got = value_and_gradient(p, point)
+            assert got == self._reference(p, point)
+            assert type(got[0]) is Fraction and all(type(g) is Fraction for g in got[1])
+
+    def test_mixed_degrees(self):
+        rng = random.Random(7)
+        for point in self._points(rng, 200):
+            p = sum((_sparse_homogeneous(rng, d) for d in rng.sample(range(7), 3)),
+                    MultiPoly.zero())
+            assert value_and_gradient(p, point) == self._reference(p, point)
+
+    def test_zero_polynomial(self):
+        assert value_and_gradient(MultiPoly.zero(), (1, 2, 3, 4)) == (0, (0, 0, 0, 0))
+
+    @pytest.mark.parametrize("point", [(1, 0, 0), (1, 0, 0, 0, 0)], ids=str)
+    def test_malformed_points_refused(self, point):
+        p = MultiPoly({(1, 0, 0, 0): 1, (0, 1, 0, 0): 2})
+        for call in (p.evaluate, MultiPoly.zero().evaluate,
+                     lambda pt: value_and_gradient(p, pt)):
+            with pytest.raises(ValueError, match=r"a point of P\^3 has 4 coordinates"):
+                call(point)
