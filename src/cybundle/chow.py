@@ -7,15 +7,16 @@ Z = P(E) for E a bundle over P^m.  The ring is Q[xi, H] modulo
       xi^r = c1*H*xi^(r-1) - c2*H^2*xi^(r-2) + ...  (signs alternating),
 
 so every class has a unique normal form with xi-power < r and H-power <= m.
-The two supported geometries are (m, r) = (3, 2) and (1, 4); one reduction
-engine serves both.
+The two supported geometries are (m, r) = (3, 2) and (1, 4).  ``reduce``
+and ``ChowClass.__mul__`` give the normal form of any class; the Chern-class
+oracle needs neither (see ``tangent_total_chern`` and ``top_intersections``).
 
 Top-degree integration reads off the coefficient of xi^(r-1) * H^m, which is
 the class of a point.
 
 Coefficients are exact rationals: a grid stores ``int`` where a coefficient
 is integral and ``Fraction`` otherwise.  With integer Chern data every
-product of integral classes stays integral, so the oracle path runs on ints.
+product of integral classes stays integral, and the oracle runs on ints alone.
 """
 
 from __future__ import annotations
@@ -354,6 +355,24 @@ def intersection_numbers_by_reduction(spec: BundleSpec) -> IntersectionNumbers:
     return IntersectionNumbers(*vals)
 
 
+def top_intersections(spec: BundleSpec) -> List[int]:
+    """T[j] = integral of xi^(4-j) * H^j for j = 0..4 (dim Z = 4), as ints.
+
+    xi^(r-1) * H^m is the class of a point, so T[m] = 1, and H^(m+1) = 0
+    gives T[j] = 0 for j > m.  With s_k = T[m-k], multiplying the relation
+    xi^r = c1*H*xi^(r-1) - c2*H^2*xi^(r-2) by xi^(k-1) * H^(m-k) gives
+
+      s_k = c1*s_(k-1) - c2*s_(k-2),   s_(-1) = 0, s_0 = 1;
+
+    the c_k with k >= 3 vanish on both bases.  No class is reduced.
+    """
+    c1, c2 = spec.c1, spec.c2
+    s = [0, 1]  # s_(-1), s_0
+    for _ in range(spec.base_dim):
+        s.append(c1 * s[-1] - c2 * s[-2])
+    return s[:0:-1] + [0] * (4 - spec.base_dim)
+
+
 def tangent_total_chern(spec: BundleSpec) -> List[ChowClass]:
     """Total Chern class of the tangent bundle of Z = P(E), as the list of
     its graded parts c0..c4 (index k holds c_k(T_Z)).
@@ -366,18 +385,22 @@ def tangent_total_chern(spec: BundleSpec) -> List[ChowClass]:
     the bracket being c(p^*E^dual (x) O(1)).  Only the Chern data enter, so
     split and non-split bundles take the same path; for split E with
     degrees a_i the bracket is prod_i (1 + xi - a_i*H).
+
+    The degree-r part of the bracket, sum_k (-1)^k c_k H^k xi^(r-k), is the
+    defining relation of the ring, so it is zero and is dropped.  Every
+    other term c_k H^k xi^i has i + k < r, and (1 + H)^(m+1) only raises
+    H-powers (those above m vanish), so every term is in normal form as
+    written: the class is summed on an integer grid, with no reduction.
     """
     m, r = spec.base_dim, spec.rank
-    # every bracket term but xi^r is in normal form as written; xi^r is
-    # reduced as the product xi * xi^(r-1)
-    below = {
-        (i, k): (-1) ** k * spec.chern_coefficient(k) * comb(r - k, i)
-        for k in range(min(r, m) + 1)
-        for i in range(r - k + 1)
-        if i < r
-    }
-    xi_r = ChowClass.xi(spec) * ChowClass(spec, {(r - 1, 0): 1})
-    bracket = ChowClass(spec, below) + xi_r
-    base = ChowClass(spec, {(0, j): comb(m + 1, j) for j in range(m + 1)})
-    total = bracket * base
-    return [total.graded_part(k) for k in range(5)]
+    parts: List[FormalPoly] = [{} for _ in range(5)]
+    for k in range(min(r, m) + 1):
+        ck = (-1) ** k * spec.chern_coefficient(k)
+        if not ck:
+            continue
+        for i in range(r - k):
+            b = ck * comb(r - k, i)
+            for j in range(m + 1 - k):
+                grid, key = parts[i + k + j], (i, k + j)
+                grid[key] = grid.get(key, 0) + b * comb(m + 1, j)
+    return [ChowClass._trusted(spec, _stored(p)) for p in parts]

@@ -319,6 +319,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _enumerate_specs(base: str, max_degree: int) -> List[BundleSpec]:
+    """The normalized specs of one base, in ascending order of degrees."""
     specs = []
     if base == "p3":
         for b in range(0, max_degree + 1):
@@ -343,8 +344,8 @@ def _cmd_enumerate(args) -> int:
         )
     specs = _enumerate_specs(args.base, args.max_degree)
     oracle_memo: OracleMemo = {}
+    # _enumerate_specs yields the specs in (base, degrees) order
     rows = [_report_row(s, oracle_memo) for s in specs]
-    rows.sort(key=lambda r: (r["base"], r["degrees"]))
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "enumerate",

@@ -1,12 +1,13 @@
 """Numerical invariants of the Calabi-Yau anticanonical hypersurface X in Z.
 
 Every invariant is computed twice: once from the closed forms in terms of
-(c1, c2, gamma), and once through the Chow-ring / Chern-class oracle built
-from the Euler sequences (adjunction: c(T_X) = c(T_Z)|X / (1 - K_Z|X)).
-The oracle needs only the Chern data, so bundles known by (c1, c2) alone
-are checked like split ones, and a caller reporting on many specs may pass
-an OracleMemo to compute it once per Chern datum; the closed forms of every
-spec are still compared against it.
+(c1, c2, gamma), and once through the Chern-class oracle built from the
+Euler sequences (adjunction: c(T_X) = c(T_Z)|X / (1 - K_Z|X)), which runs
+on plain ints (see _oracle_numbers).  The oracle needs only the Chern
+data, so bundles known by (c1, c2) alone are checked like split ones, and
+a caller reporting on many specs may pass an OracleMemo to compute it once
+per Chern datum; the closed forms of every spec are still compared
+against it.
 A disagreement raises OracleMismatchError -- self-validation is the point
 of the library, not an afterthought.
 """
@@ -16,17 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Dict, Optional, Tuple
 
-from .chow import (
-    BundleSpec,
-    ChowClass,
-    Coefficient,
-    _exact,
-    anticanonical_class,
-    integrate,
-    tangent_total_chern,
-)
+from .chow import BundleSpec, Coefficient, tangent_total_chern, top_intersections
 from .cohomology import SplitBundle, cohomology, end_bundle, sym_power
 
 
@@ -73,46 +67,44 @@ def _as_int(name: str, value: Coefficient) -> int:
 
 
 def _oracle_numbers(spec: BundleSpec) -> dict:
-    """All oracle integrals on Z needed by the invariant records.
+    """All oracle integrals on Z needed by the invariant records, as ints.
 
     X in |-K_Z| turns a degree-3 class a on X into the degree-4 integral
     of a.(-K_Z) on Z; c2(X) = c2(Z)|X and c3(X) = (c3(Z) - c2(Z).(-K_Z))|X
-    by adjunction with N_{X|Z} = -K_Z|X.  The integral of a.(-K_Z) is
-    linear in a, so -K_Z is paired once with each degree-3 normal-form
-    monomial xi^i.H^j (two per geometry) and each integral is the sum of
-    a_ij * pairing[i, j]; the products c2(Z).(-K_Z), H^2, xi^2 and
-    (-K_Z)^2 are computed once and shared.  Each integral is stored as an
-    int when it is integral and as a Fraction otherwise, the storage rule
-    of ChowClass, so the comparison with the closed forms compares ints.
+    by adjunction with N_{X|Z} = -K_Z|X.  With -K_Z = r*xi + s*H,
+    s = m + 1 - c1, and T the top intersections, the pairing of -K_Z with
+    xi^(3-j).H^j is P_j = r*T_j + s*T_(j+1).  Each integrand is a formal
+    integer product of c2(Z), c3(Z), xi, H and -K_Z, kept as its
+    coefficients a_j of xi^(3-j).H^j; T, and so P, holds for every
+    monomial, in normal form or not, so the integral is the dot product of
+    a with P.  Nothing is reduced and no ChowClass product runs.
     """
-    L = anticanonical_class(spec)
-    ct = tangent_total_chern(spec)
-    c2Z, c3Z = ct[2], ct[3]
-    xi = ChowClass.xi(spec)
-    H = ChowClass.hyperplane(spec)
-    c2Z_L, HH, XX, LL = c2Z * L, H * H, xi * xi, L * L
-    integrands = {
-        "c3_X": c3Z - c2Z_L,
-        "h_dot_c2": H * c2Z,
-        "xi_dot_c2": xi * c2Z,
-        "mk_dot_c2": c2Z_L,
-        "h3": HH * H,
-        "xi_h2": xi * HH,
-        "xi2_h": XX * H,
-        "xi3": XX * xi,
-        "mk_cubed": LL * L,
-        "mk_sq_h": LL * H,
-    }
-    # integrate(a * L) for the degree-3 normal-form monomials xi^i * H^(3-i)
     m, r = spec.base_dim, spec.rank
-    pairing = {
-        (i, 3 - i): _exact(integrate(ChowClass(spec, {(i, 3 - i): 1}) * L))
-        for i in range(max(0, 3 - m), min(r - 1, 3) + 1)
+    s = m + 1 - spec.c1
+    ct = tangent_total_chern(spec)
+    T = top_intersections(spec)
+    P = [r * T[j] + s * T[j + 1] for j in range(4)]
+    # graded parts of c(T_Z) as coefficient lists indexed by the H-power
+    c2Z = [ct[2].coeffs.get((2 - j, j), 0) for j in range(3)]
+    c3Z = [ct[3].coeffs.get((3 - j, j), 0) for j in range(4)]
+
+    def times_L(a: list) -> list:  # a.(r*xi + s*H), one degree up
+        return [r * x + s * y for x, y in zip(a + [0], [0] + a)]
+
+    c2Z_L, LL = times_L(c2Z), times_L([r, s])
+    integrands = {
+        "c3_X": [x - y for x, y in zip(c3Z, c2Z_L)],
+        "h_dot_c2": [0] + c2Z,
+        "xi_dot_c2": c2Z + [0],
+        "mk_dot_c2": c2Z_L,
+        "h3": [0, 0, 0, 1],
+        "xi_h2": [0, 0, 1, 0],
+        "xi2_h": [0, 1, 0, 0],
+        "xi3": [1, 0, 0, 0],
+        "mk_cubed": times_L(LL),
+        "mk_sq_h": [0] + LL,
     }
-    return {
-        key: _exact(sum(c * pairing[ij] for ij, c in a.coeffs.items()))
-        for key, a in integrands.items()
-    }
+    return {key: sum(map(mul, a, P)) for key, a in integrands.items()}
 
 
 def _compare(closed: dict, oracle: dict) -> None:

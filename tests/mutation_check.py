@@ -215,10 +215,32 @@ MUTATIONS = (
     Mutation(
         "oracle pairing built with H in place of -K_Z",
         PKG / "invariants.py",
-        "ChowClass(spec, {(i, 3 - i): 1}) * L)",
-        "ChowClass(spec, {(i, 3 - i): 1}) * H)",
+        "P = [r * T[j] + s * T[j + 1] for j in range(4)]",
+        "P = [T[j + 1] for j in range(4)]",
         ["tests/test_invariants.py::TestInvariantsP1",
          "tests/test_invariants.py::TestInvariantsP3"],
+    ),
+    # the same line: this one leaves the xi part of -K_Z alone
+    Mutation(
+        "s*T_(j+1) dropped from the oracle pairing",
+        PKG / "invariants.py",
+        "P = [r * T[j] + s * T[j + 1] for j in range(4)]",
+        "P = [r * T[j] for j in range(4)]",
+        ["tests/test_invariants.py::TestOraclePairing"],
+    ),
+    Mutation(
+        "top-intersection recurrence with its c2 sign flipped",
+        PKG / "chow.py",
+        "s.append(c1 * s[-1] - c2 * s[-2])",
+        "s.append(c1 * s[-1] + c2 * s[-2])",
+        ["tests/test_chow.py::TestTopIntersections"],
+    ),
+    Mutation(
+        "degree-r bracket terms of c(T_Z) kept",
+        PKG / "chow.py",
+        "for i in range(r - k):",
+        "for i in range(r - k + 1):",
+        ["tests/test_chow.py::TestTangentChern"],
     ),
     # one closed form per geometry, each caught by its oracle comparison
     Mutation(

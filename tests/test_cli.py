@@ -146,6 +146,17 @@ class TestEnumerateCommand:
         rows = json.loads(out.read_text())["rows"]
         assert [r["degrees"] for r in rows] == [[0, b] for b in range(5)]
 
+    @pytest.mark.parametrize(
+        "base,max_degree", [("p1", n) for n in range(11)] + [("p3", n) for n in (0, 3, 8, 64)]
+    )
+    def test_rows_in_base_degrees_order(self, capsys, base, max_degree):
+        # the rows are emitted as _enumerate_specs yields them, unsorted
+        assert main(["enumerate", "--base", base, "--max-degree", str(max_degree)]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        keys = [(r["base"], r["degrees"]) for r in rows]
+        assert keys == sorted(keys)
+        assert len({tuple(d) for _, d in keys}) == len(keys)
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["enumerate", "--base", "p1", "--max-degree", "2", "--out", str(a)])

@@ -7,15 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chow_kernel_check
 import cybundle.invariants
-from cybundle.chow import (
-    BundleSpec,
-    ChowClass,
-    _exact,
-    anticanonical_class,
-    integrate,
-    tangent_total_chern,
-)
+from chow_kernel_check import oracle_by_products
+from cybundle.chow import BundleSpec, ChowClass
 from cybundle.cli import main
 from cybundle.invariants import (
     OracleMismatchError,
@@ -210,32 +205,8 @@ class TestOracleMemo:
         }
 
 
-def _oracle_by_products(spec):
-    """Every oracle integral as its own integrate(a * L): the reference for
-    the pairing in _oracle_numbers."""
-    L = anticanonical_class(spec)
-    ct = tangent_total_chern(spec)
-    c2Z, c3Z = ct[2], ct[3]
-    xi = ChowClass.xi(spec)
-    H = ChowClass.hyperplane(spec)
-    c3X = c3Z - c2Z * L
-    integrands = {
-        "c3_X": c3X,
-        "h_dot_c2": H * c2Z,
-        "xi_dot_c2": xi * c2Z,
-        "mk_dot_c2": L * c2Z,
-        "h3": H * H * H,
-        "xi_h2": xi * H * H,
-        "xi2_h": xi * xi * H,
-        "xi3": xi * xi * xi,
-        "mk_cubed": L * L * L,
-        "mk_sq_h": L * L * H,
-    }
-    return {key: _exact(integrate(a * L)) for key, a in integrands.items()}
-
-
 class TestOraclePairing:
-    """_oracle_numbers pairs -K_Z once with each degree-3 monomial."""
+    """_oracle_numbers pairs -K_Z once with each degree-3 monomial, on ints."""
 
     CHERN_DATA = [BundleSpec.from_chern(c1, c2) for c1 in range(-4, 9)
                   for c2 in range(-5, 12)] + [BundleSpec(1, 4, c1) for c1 in range(-8, 70)]
@@ -243,24 +214,46 @@ class TestOraclePairing:
     def test_equals_one_product_per_integral(self):
         assert len(self.CHERN_DATA) == 299
         for spec in self.CHERN_DATA:
-            got, want = _oracle_numbers(spec), _oracle_by_products(spec)
+            got, want = _oracle_numbers(spec), oracle_by_products(spec)
             assert got == want, spec
             assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        base=st.sampled_from([1, 3]),
+        c1=st.integers(-10 ** 9, 10 ** 9) | st.integers(-12, 12),
+        c2=st.integers(-10 ** 9, 10 ** 9) | st.integers(-12, 12),
+    )
+    def test_random_chern_data(self, base, c1, c2):
+        spec = BundleSpec.from_chern(c1, c2) if base == 3 else BundleSpec(1, 4, c1)
+        # raises AssertionError on any difference in value or type
+        chow_kernel_check.check_spec(spec)
+
     @pytest.mark.parametrize("spec", [BundleSpec.from_chern(1, -2), BundleSpec(1, 4, 3)],
                              ids=["p3", "p1"])
-    def test_at_most_16_products(self, spec, monkeypatch):
-        # two in tangent_total_chern, twelve for the integrands, two pairings
-        calls = []
+    def test_no_products_one_chern_class(self, spec, monkeypatch):
+        calls = {"mul": 0, "tangent": 0}
         mul = ChowClass.__mul__
+        tangent = cybundle.invariants.tangent_total_chern
 
-        def counted(self, other):
-            calls.append(1)
+        def counted_mul(self, other):
+            calls["mul"] += 1
             return mul(self, other)
 
-        monkeypatch.setattr(ChowClass, "__mul__", counted)
-        _oracle_numbers(spec)
-        assert 0 < len(calls) <= 16
+        def counted_tangent(spec):
+            calls["tangent"] += 1
+            return tangent(spec)
+
+        monkeypatch.setattr(ChowClass, "__mul__", counted_mul)
+        monkeypatch.setattr(cybundle.invariants, "tangent_total_chern", counted_tangent)
+        got = _oracle_numbers(spec)
+        assert calls == {"mul": 0, "tangent": 1}
+        assert got == oracle_by_products(spec)
+
+    def test_stdlib_script(self):
+        # 1221 fixed Chern data and 300 seeded ones, also run as a script
+        # under other Pythons
+        assert chow_kernel_check.check(seed=1, count=300) == 1221 + 300
 
 
 class TestTwistInvariance:
