@@ -9,7 +9,8 @@ Z = P(E) for E a bundle over P^m.  The ring is Q[xi, H] modulo
 so every class has a unique normal form with xi-power < r and H-power <= m.
 The two supported geometries are (m, r) = (3, 2) and (1, 4).  ``reduce``
 and ``ChowClass.__mul__`` give the normal form of any class; the Chern-class
-oracle needs neither (see ``tangent_total_chern`` and ``top_intersections``).
+oracle needs neither: ``tangent_total_chern`` writes c(T_Z) in normal form
+directly, and the top intersections are the closed forms.
 
 Top-degree integration reads off the coefficient of xi^(r-1) * H^m, which is
 the class of a point.
@@ -250,6 +251,11 @@ class ChowClass:
             {k: c for k, c in self.coeffs.items() if k[0] + k[1] == degree},
         )
 
+    def graded_coefficients(self, degree: int) -> List[Coefficient]:
+        """The degree-``degree`` part as a list indexed by the H-power:
+        entry j is the coefficient of xi^(degree-j) * H^j."""
+        return [self.coeffs.get((degree - j, j), 0) for j in range(degree + 1)]
+
     def _check(self, other: "ChowClass") -> None:
         if self.spec != other.spec:
             raise ValueError("classes live on different bundles")
@@ -353,24 +359,6 @@ def intersection_numbers_by_reduction(spec: BundleSpec) -> IntersectionNumbers:
             raise ArithmeticError("intersection number is not an integer")
         vals.append(int(v))
     return IntersectionNumbers(*vals)
-
-
-def top_intersections(spec: BundleSpec) -> List[int]:
-    """T[j] = integral of xi^(4-j) * H^j for j = 0..4 (dim Z = 4), as ints.
-
-    xi^(r-1) * H^m is the class of a point, so T[m] = 1, and H^(m+1) = 0
-    gives T[j] = 0 for j > m.  With s_k = T[m-k], multiplying the relation
-    xi^r = c1*H*xi^(r-1) - c2*H^2*xi^(r-2) by xi^(k-1) * H^(m-k) gives
-
-      s_k = c1*s_(k-1) - c2*s_(k-2),   s_(-1) = 0, s_0 = 1;
-
-    the c_k with k >= 3 vanish on both bases.  No class is reduced.
-    """
-    c1, c2 = spec.c1, spec.c2
-    s = [0, 1]  # s_(-1), s_0
-    for _ in range(spec.base_dim):
-        s.append(c1 * s[-1] - c2 * s[-2])
-    return s[:0:-1] + [0] * (4 - spec.base_dim)
 
 
 def tangent_total_chern(spec: BundleSpec) -> List[ChowClass]:

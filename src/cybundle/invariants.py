@@ -20,7 +20,12 @@ from math import comb
 from operator import mul
 from typing import Dict, Optional, Tuple
 
-from .chow import BundleSpec, Coefficient, tangent_total_chern, top_intersections
+from .chow import (
+    BundleSpec,
+    Coefficient,
+    closed_form_intersections,
+    tangent_total_chern,
+)
 from .cohomology import SplitBundle, cohomology, end_bundle, sym_power
 
 
@@ -72,7 +77,8 @@ def _oracle_numbers(spec: BundleSpec) -> dict:
     X in |-K_Z| turns a degree-3 class a on X into the degree-4 integral
     of a.(-K_Z) on Z; c2(X) = c2(Z)|X and c3(X) = (c3(Z) - c2(Z).(-K_Z))|X
     by adjunction with N_{X|Z} = -K_Z|X.  With -K_Z = r*xi + s*H,
-    s = m + 1 - c1, and T the top intersections, the pairing of -K_Z with
+    s = m + 1 - c1, and T_j the integral of xi^(4-j).H^j (from
+    closed_form_intersections, T_4 = 0), the pairing of -K_Z with
     xi^(3-j).H^j is P_j = r*T_j + s*T_(j+1).  Each integrand is a formal
     integer product of c2(Z), c3(Z), xi, H and -K_Z, kept as its
     coefficients a_j of xi^(3-j).H^j; T, and so P, holds for every
@@ -82,11 +88,10 @@ def _oracle_numbers(spec: BundleSpec) -> dict:
     m, r = spec.base_dim, spec.rank
     s = m + 1 - spec.c1
     ct = tangent_total_chern(spec)
-    T = top_intersections(spec)
+    n = closed_form_intersections(spec)
+    T = [n.xi4, n.xi3_h1, n.xi2_h2, n.xi1_h3, 0]
     P = [r * T[j] + s * T[j + 1] for j in range(4)]
-    # graded parts of c(T_Z) as coefficient lists indexed by the H-power
-    c2Z = [ct[2].coeffs.get((2 - j, j), 0) for j in range(3)]
-    c3Z = [ct[3].coeffs.get((3 - j, j), 0) for j in range(4)]
+    c2Z, c3Z = ct[2].graded_coefficients(2), ct[3].graded_coefficients(3)
 
     def times_L(a: list) -> list:  # a.(r*xi + s*H), one degree up
         return [r * x + s * y for x, y in zip(a + [0], [0] + a)]

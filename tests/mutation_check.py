@@ -229,11 +229,11 @@ MUTATIONS = (
         ["tests/test_invariants.py::TestOraclePairing"],
     ),
     Mutation(
-        "top-intersection recurrence with its c2 sign flipped",
+        "p3 top intersections with the relation's c2 sign flipped",
         PKG / "chow.py",
-        "s.append(c1 * s[-1] - c2 * s[-2])",
-        "s.append(c1 * s[-1] + c2 * s[-2])",
-        ["tests/test_chow.py::TestTopIntersections"],
+        "IntersectionNumbers(1, c1, c1 ** 2 - c2, c1 ** 3 - 2 * c1 * c2)",
+        "IntersectionNumbers(1, c1, c1 ** 2 + c2, c1 ** 3 + 2 * c1 * c2)",
+        ["tests/test_chow.py::TestClosedForms"],
     ),
     Mutation(
         "degree-r bracket terms of c(T_Z) kept",

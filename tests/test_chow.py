@@ -14,7 +14,6 @@ from cybundle.chow import (
     intersection_numbers_by_reduction,
     reduce,
     tangent_total_chern,
-    top_intersections,
 )
 
 P3_SPECS = [BundleSpec.from_split(3, (0, b)) for b in range(0, 9)]
@@ -115,26 +114,20 @@ class TestClosedForms:
     def test_matches_reduction(self, spec):
         assert closed_form_intersections(spec) == intersection_numbers_by_reduction(spec)
 
-
-class TestTopIntersections:
-    """T[j] = integral of xi^(4-j) H^j from the relation's recurrence, pinned
-    against reduce + integrate."""
-
-    @staticmethod
-    def by_reduction(spec):
-        n = intersection_numbers_by_reduction(spec)
-        return [n.xi4, n.xi3_h1, n.xi2_h2, n.xi1_h3, 0]
-
-    def test_p3_grid(self):
+    # the oracle pairs -K_Z with these numbers, so they are pinned against
+    # reduce + integrate on every Chern datum its own tests use
+    def test_p3_grid_matches_reduction(self):
         for c1 in range(-8, 21):
             for c2 in range(-10, 21):
                 spec = BundleSpec.from_chern(c1, c2)
-                assert top_intersections(spec) == self.by_reduction(spec), spec
+                assert closed_form_intersections(spec) == \
+                    intersection_numbers_by_reduction(spec), spec
 
-    def test_p1_range(self):
+    def test_p1_range_matches_reduction(self):
         for c1 in range(-8, 71):
             spec = BundleSpec(1, 4, c1)
-            assert top_intersections(spec) == self.by_reduction(spec), spec
+            assert closed_form_intersections(spec) == \
+                intersection_numbers_by_reduction(spec), spec
 
 
 class TestTangentChern:
