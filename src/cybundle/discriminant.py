@@ -14,17 +14,20 @@ X -- are singular points of Delta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Tuple
 
 from .chow import BundleSpec
 from .invariants import OracleMismatchError, section_degrees
 from .ratpoly import (
     MultiPoly,
+    coefficient_texts,
     monomials_of_degree,
     multipoly_gradient,
-    ratio_text,
     to_canonical_text,
+    to_json_coeffs,
     value_and_gradient,
 )
 
@@ -67,15 +70,15 @@ class Octic:
             if not self.poly.is_homogeneous() or self.poly.total_degree() != 8:
                 raise ValueError("the discriminant must be homogeneous of degree 8")
 
+    @cached_property
+    def _coeffs(self) -> dict:
+        return coefficient_texts(self.poly)
+
     def to_text(self) -> str:
-        return to_canonical_text(self.poly)
+        return to_canonical_text(self.poly, self._coeffs)
 
     def to_json_coeffs(self) -> dict:
-        den = self.poly.den
-        return {
-            ",".join(map(str, e)): ratio_text(c, den)
-            for e, c in sorted(self.poly.num.items())
-        }
+        return to_json_coeffs(self._coeffs)
 
 
 def build_discriminant(q: QuadraticSection) -> Octic:
@@ -164,18 +167,44 @@ def singularity_witness(q: QuadraticSection, point: Sequence) -> WitnessRecord:
 def gradient_identity_holds(q: QuadraticSection, octic: Octic) -> bool:
     """grad octic = 2*s01*grad s01 - 4*s11*grad s00 - 4*s00*grad s11,
     as an identity of polynomials, where ``octic`` is the Delta(q) of
-    build_discriminant(q); Delta is not built again."""
-    g_delta = multipoly_gradient(octic.poly)
-    g00 = multipoly_gradient(q.s00)
-    g01 = multipoly_gradient(q.s01)
-    g11 = multipoly_gradient(q.s11)
-    for i in range(4):
-        rhs = MultiPoly.sum_of_products(
-            ((2, q.s01, g01[i]), (-4, q.s11, g00[i]), (-4, q.s00, g11[i]))
-        )
-        if g_delta[i] != rhs:
-            return False
-    return True
+    build_discriminant(q); Delta is not built again.
+
+    Checked times z_i, which loses nothing (z_i is not a zero divisor):
+    z_i*d/dz_i(z^e) = e_i*z^e, so both sides live on the degree-8 slots
+    e1 + 9*e2 + 81*e3, each slot holding the four identities as the fields
+    of one int sum_i v_i*2^(i*F).  The right side is one multiply-add per
+    ordered monomial pair of each w*a*b, b's coefficients packed with the
+    weights e_i; the left side places each partial of
+    multipoly_gradient(octic) at its z_i-shifted slot.  Over D_L (Delta's
+    denominator) and D_R = lcm(a.den*b.den), each side times the other's
+    denominator, a right field is at most R = 8*D_L*sum |w|*D_R/(a.den*b.den)
+    *|a|_1*|b|_1 (|.|_1 sums |numerators|), a left one L = 8*D_R*max|Delta_k|.
+    With F = bit_length(max(R, L)) + 2, fields differ by less than 2^F, and
+    base-2^F digits below 2^F in absolute value are unique.
+    """
+    products = [(w, a, b) for w, a, b in ((2, q.s01, q.s01), (-4, q.s11, q.s00),
+                                          (-4, q.s00, q.s11)) if a.num and b.num]
+    den_r, den_l = lcm(*(a.den * b.den for _, a, b in products)), octic.poly.den
+    bound = max(8 * den_l * sum(abs(w) * den_r // (a.den * b.den)
+                                * sum(map(abs, a.num.values())) * sum(map(abs, b.num.values()))
+                                for w, a, b in products),
+                8 * den_r * max(map(abs, octic.poly.num.values()), default=0))
+    F = bound.bit_length() + 2
+    p1, p2, p3 = 1 << F, 1 << 2 * F, 1 << 3 * F
+    rhs, lhs = [0] * 729, [0] * 729
+    for w, a, b in products:
+        f = w * (den_r // (a.den * b.den))
+        bs = [(e1 + 9 * e2 + 81 * e3, c * (e0 + e1 * p1 + e2 * p2 + e3 * p3))
+              for (e0, e1, e2, e3), c in b.num.items()]
+        for (_, e1, e2, e3), ca in a.num.items():
+            ka, ca = e1 + 9 * e2 + 81 * e3, ca * f
+            for kb, cb in bs:
+                rhs[ka + kb] += ca * cb
+    for shift, field, g in zip((0, 1, 9, 81), (1, p1, p2, p3), multipoly_gradient(octic.poly)):
+        field *= den_l // g.den
+        for (_, e1, e2, e3), c in g.num.items():
+            lhs[e1 + 9 * e2 + 81 * e3 + shift] += c * field
+    return [v * den_r for v in lhs] == [v * den_l for v in rhs]
 
 
 # ---------------------------------------------------------------------------

@@ -547,12 +547,6 @@ def monomials_of_degree(d: int) -> List[Exponent]:
     return out
 
 
-def _grlex_key(e: Exponent):
-    # higher total degree first, then lexicographically larger exponent first
-    e0, e1, e2, e3 = e
-    return (-e0 - e1 - e2 - e3, -e0, -e1, -e2, -e3)
-
-
 def ratio_text(n: int, d: int) -> str:
     """n/d in lowest terms as ``p/q`` with q > 0, as Fraction(n, d) would
     print it with its denominator always shown; ``d`` is positive."""
@@ -560,21 +554,38 @@ def ratio_text(n: int, d: int) -> str:
     return f"{n // g}/{d // g}"
 
 
-def to_canonical_text(p: MultiPoly) -> str:
+def coefficient_texts(p: MultiPoly) -> Dict[Exponent, str]:
+    """Each coefficient of p as ratio_text, reduced once for every rendering."""
+    return {e: ratio_text(c, p.den) for e, c in p.num.items()}
+
+
+# "*z<i>^<k>" by variable and power up to 8; to_canonical_text formats higher ones
+_POWER_TEXT = tuple(("", f"*z{i}", *(f"*z{i}^{k}" for k in range(2, 9))) for i in range(NVARS))
+
+
+def to_canonical_text(p: MultiPoly, coeffs: Dict[Exponent, str] | None = None) -> str:
     """Canonical text form: graded-lex term order, coefficients as num/den.
 
     Example: ``3/1*z0^2*z1``.  The zero polynomial prints as ``0``.
+    ``coeffs``, if given, is coefficient_texts(p).
     """
     if p.is_zero():
         return "0"
+    coeffs = coefficient_texts(p) if coeffs is None else coeffs
+    z0, z1, z2, z3 = _POWER_TEXT
     parts = []
-    num, den = p.num, p.den
-    for e in sorted(num, key=_grlex_key):
-        factors = [ratio_text(num[e], den)]
-        for i, k in enumerate(e):
-            if k == 1:
-                factors.append(f"z{i}")
-            elif k > 1:
-                factors.append(f"z{i}^{k}")
-        parts.append("*".join(factors))
+    # higher total degree first, then the lexicographically larger exponent
+    # (both sorts are stable)
+    for e in sorted(sorted(coeffs, reverse=True), key=sum, reverse=True):
+        e0, e1, e2, e3 = e
+        try:
+            parts.append(coeffs[e] + z0[e0] + z1[e1] + z2[e2] + z3[e3])
+        except IndexError:
+            parts.append(coeffs[e] + "".join(t[k] if k < len(t) else f"*z{i}^{k}"
+                                             for i, (t, k) in enumerate(zip(_POWER_TEXT, e))))
     return " + ".join(parts)
+
+
+def to_json_coeffs(coeffs: Dict[Exponent, str]) -> Dict[str, str]:
+    """A coefficient_texts table keyed by "e0,e1,e2,e3", in no particular order."""
+    return {f"{e0},{e1},{e2},{e3}": t for (e0, e1, e2, e3), t in coeffs.items()}

@@ -17,7 +17,12 @@ dicts of ``Fraction`` coefficients.  It runs on
   homogeneous operands of degree 2^16, which must stay on the packed one.
 
 Each sum also checks which accumulator the size rule picks.  The script
-exits 1 on the first difference and needs nothing outside the standard
+then compares ``gradient_identity_holds``, which checks the four partials
+packed into one pass, with ``ref_gradient_identity``, the four separate
+``sum_of_products`` identities it replaced: on sections of p3 (0,0)..(0,4),
+(1,3) and (-2,2) at bounds 0, 1, 2, 1000 and 10^6, each with its own octic
+and with octics perturbed at 1 to 3 monomials by +-1 and by +-den in the
+numerator.  It exits 1 on the first difference and needs nothing outside the standard
 library, so it runs under any Python the package supports;
 ``tests/test_ratpoly.py`` runs it too.
 """
@@ -31,7 +36,12 @@ from random import Random
 from typing import Sequence, Tuple
 
 from cybundle.chow import BundleSpec
-from cybundle.discriminant import build_discriminant, sample_section
+from cybundle.discriminant import (
+    Octic,
+    build_discriminant,
+    gradient_identity_holds,
+    sample_section,
+)
 from cybundle.ratpoly import MultiPoly, _dense_degree, monomials_of_degree, multipoly_gradient
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -166,6 +176,58 @@ def wide_homogeneous_sums(rng: Random):
         yield ((1, a, b), (2, b, b), (-1, a, a))
 
 
+GRADIENT_SPECS = ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (-2, 2))
+GRADIENT_BOUNDS = (0, 1, 2, 1000, 10 ** 6)
+
+
+def ref_gradient_identity(q, octic: Octic) -> bool:
+    """The gradient identity as four sum_of_products identities, one per
+    partial derivative."""
+    g_delta = multipoly_gradient(octic.poly)
+    g00, g01, g11 = map(multipoly_gradient, (q.s00, q.s01, q.s11))
+    return all(
+        g_delta[i] == MultiPoly.sum_of_products(
+            ((2, q.s01, g01[i]), (-4, q.s11, g00[i]), (-4, q.s00, g11[i])))
+        for i in range(4)
+    )
+
+
+def perturbed_octics(rng: Random, octic: Octic):
+    """The octic with 1 to 3 numerators moved by +-1 and by +-den, each
+    on monomials drawn from all 165 of degree 8."""
+    mons = monomials_of_degree(8)
+    den = octic.poly.den
+    for step in (1, -1, den, -den):
+        for count in (1, 2, 3):
+            num = dict(octic.poly.num)
+            for e in rng.sample(mons, count):
+                num[e] = num.get(e, 0) + step
+            yield Octic(MultiPoly._trusted({e: c for e, c in num.items() if c}, den))
+
+
+def check_gradient_identity(seed: int = 0, seeds_per_case: int = 2) -> Tuple[int, int]:
+    """Packed against reference gradient identity on every spec and bound of
+    GRADIENT_SPECS x GRADIENT_BOUNDS; returns (identities compared, of them
+    true).  The true ones are exactly the unperturbed octics."""
+    rng = Random(seed)
+    compared = held = 0
+    for degrees in GRADIENT_SPECS:
+        spec = BundleSpec.from_split(3, degrees)
+        for bound in GRADIENT_BOUNDS:
+            for _ in range(seeds_per_case):
+                q = sample_section(spec, rng.randrange(2 ** 31), bound)
+                octic = build_discriminant(q)
+                for i, o in enumerate((octic, *perturbed_octics(rng, octic))):
+                    got, want = gradient_identity_holds(q, o), ref_gradient_identity(q, o)
+                    if got != want or want != (i == 0):
+                        raise AssertionError(
+                            f"gradient identity on {degrees} bound {bound}, octic {i} "
+                            f"(0 = unperturbed): packed {got}, reference {want}")
+                    compared += 1
+                    held += want
+    return compared, held
+
+
 def check(
     seed: int = 0, count: int = 2000, bounds: Sequence[int] = (0, 1, 2, 1000)
 ) -> Tuple[int, int]:
@@ -204,7 +266,9 @@ def check(
 if __name__ == "__main__":
     try:
         n, n_dense = check()
+        n_grad, n_held = check_gradient_identity(seeds_per_case=6)
     except AssertionError as exc:
         sys.exit(f"FAIL ({sys.version.split()[0]}): {exc}")
     print(f"ok: {n} sums of products match Fraction arithmetic "
-          f"({n_dense} on the dense accumulator) under Python {sys.version.split()[0]}")
+          f"({n_dense} on the dense accumulator), {n_grad} gradient identities "
+          f"({n_held} true) match the four-product form under Python {sys.version.split()[0]}")

@@ -132,6 +132,45 @@ MUTATIONS = (
         ["tests/test_ratpoly.py"],
     ),
     Mutation(
+        "json key fields e2 and e3 swapped",
+        PKG / "ratpoly.py",
+        'return {f"{e0},{e1},{e2},{e3}": t',
+        'return {f"{e0},{e1},{e3},{e2}": t',
+        ["tests/test_golden.py"],
+    ),
+    Mutation(
+        "power-text table starting at k = 1",
+        PKG / "ratpoly.py",
+        'for k in range(2, 9))) for i in range(NVARS))',
+        'for k in range(1, 9))) for i in range(NVARS))',
+        ["tests/test_golden.py"],
+    ),
+    # F = 0 adds the four fields into the Euler sum sum_i z_i*d/dz_i, which
+    # is 8*Delta on both sides; only partials that keep that sum while
+    # trading terms between fields tell the fields apart
+    Mutation(
+        "packed gradient identity with F = 0",
+        PKG / "discriminant.py",
+        "F = bound.bit_length() + 2",
+        "F = 0",
+        ["tests/test_discriminant.py::TestGradientIdentity::"
+         "test_fields_traded_with_euler_sum_kept_fail"],
+    ),
+    Mutation(
+        "field 2 of the packed gradient identity weighted by e1",
+        PKG / "discriminant.py",
+        "c * (e0 + e1 * p1 + e2 * p2 + e3 * p3)",
+        "c * (e0 + e1 * p1 + e1 * p2 + e3 * p3)",
+        ["tests/test_discriminant.py::TestGradientIdentity"],
+    ),
+    Mutation(
+        "partials of the octic placed without their z_i shift",
+        PKG / "discriminant.py",
+        "lhs[e1 + 9 * e2 + 81 * e3 + shift] += c * field",
+        "lhs[e1 + 9 * e2 + 81 * e3] += c * field",
+        ["tests/test_discriminant.py::TestGradientIdentity"],
+    ),
+    Mutation(
         "negative candidates skipped in rational_roots",
         PKG / "ratpoly.py",
         "for s in (s0, -s0):",

@@ -3,6 +3,8 @@ from math import comb
 
 import pytest
 
+import cybundle.discriminant
+import multipoly_kernel_check
 from cybundle.chow import BundleSpec
 from cybundle.discriminant import (
     MAX_SECTION_BOUND,
@@ -82,11 +84,55 @@ class TestScalingLaw:
 
 
 class TestGradientIdentity:
+    @pytest.mark.parametrize("bound", [0, 1, 2, 1000, MAX_SECTION_BOUND])
     @pytest.mark.parametrize("spec", ADMISSIBLE, ids=str)
-    def test_randomized(self, spec):
+    def test_randomized(self, spec, bound):
         for seed in range(5):
-            q = sample_section(spec, seed, 2)
+            q = sample_section(spec, seed, bound)
             assert gradient_identity_holds(q, build_discriminant(q))
+
+    @pytest.mark.parametrize("spec", ADMISSIBLE, ids=str)
+    def test_swapped_partials_fail(self, spec, monkeypatch):
+        # d/dz1 and d/dz2 of the octic swapped: z1*d2 and z2*d1 land in
+        # fields 1 and 2
+        def swapped(p):
+            g0, g1, g2, g3 = multipoly_gradient(p)
+            return g0, g2, g1, g3
+
+        monkeypatch.setattr(cybundle.discriminant, "multipoly_gradient", swapped)
+        for q in self._sections(spec)[1:]:  # not the zero section's zero octic
+            assert not gradient_identity_holds(q, build_discriminant(q))
+
+    @pytest.mark.parametrize("spec", ADMISSIBLE, ids=str)
+    def test_fields_traded_with_euler_sum_kept_fail(self, spec, monkeypatch):
+        # d1 + z2*h and d2 - z1*h keep sum_i z_i*d_i = 8*Delta, the Euler
+        # identity that the four packed fields add up to; only the fields
+        # themselves tell the partials apart
+        h = MultiPoly.monomial((6, 0, 0, 0))
+
+        def traded(p):
+            g0, g1, g2, g3 = multipoly_gradient(p)
+            return g0, g1 + h * MultiPoly.variable(2), g2 - h * MultiPoly.variable(1), g3
+
+        sections = self._sections(spec)
+        for q in sections:
+            g = traded(build_discriminant(q).poly)
+            euler = sum((MultiPoly.variable(i) * g[i] for i in range(4)), MultiPoly.zero())
+            assert euler == build_discriminant(q).poly * 8
+        monkeypatch.setattr(cybundle.discriminant, "multipoly_gradient", traded)
+        for q in sections:
+            assert not gradient_identity_holds(q, build_discriminant(q))
+
+    @staticmethod
+    def _sections(spec):
+        return [sample_section(spec, seed, bound) for seed, bound in
+                ((0, 0), (0, 1), (3, 2), (5, 1000), (7, MAX_SECTION_BOUND))]
+
+    def test_matches_four_product_form(self):
+        # p3 (0,0)..(0,4), (1,3), (-2,2) at bounds 0, 1, 2, 1000, 10^6, each
+        # octic and 12 perturbations of it; the script runs more seeds
+        compared, held = multipoly_kernel_check.check_gradient_identity(seed=1)
+        assert (compared, held) == (7 * 5 * 2 * 13, 7 * 5 * 2)
 
 
 class TestChecksVerifyTheGivenOctic:

@@ -14,12 +14,14 @@ from cybundle.ratpoly import (
     MultiPoly,
     UniPoly,
     _dense_degree,
+    coefficient_texts,
     derivative,
     monomials_of_degree,
     multipoly_gradient,
     poly_gcd,
     rational_roots,
     to_canonical_text,
+    to_json_coeffs,
     value_and_gradient,
 )
 
@@ -211,6 +213,35 @@ class TestMultiPoly:
         p = MultiPoly({(2, 1, 0, 0): Fraction(3)})
         assert to_canonical_text(p) == "3/1*z0^2*z1"
         assert to_canonical_text(MultiPoly.zero()) == "0"
+
+    def test_canonical_text_powers_past_the_table(self):
+        # powers up to 8 come from a table of "*z<i>^<k>" strings, higher
+        # ones are formatted; both kinds in one term and in one text
+        p = MultiPoly({(17, 0, 0, 0): Fraction(-2, 3), (0, 0, 0, 300): 5,
+                       (9, 1, 8, 2): 1, (17, 2, 0, 300): Fraction(1, 4), (8, 0, 0, 0): 7})
+        text = to_canonical_text(p)
+        assert text == ("1/4*z0^17*z1^2*z3^300 + 5/1*z3^300 + 1/1*z0^9*z1*z2^8*z3^2"
+                        " + -2/3*z0^17 + 7/1*z0^8")
+        assert from_canonical_text(text) == p
+
+    def test_canonical_text_graded_lex_order(self):
+        # mixed degrees: higher total degree first, then the larger exponent
+        rng = random.Random(29)
+        for _ in range(30):
+            p = MultiPoly({tuple(rng.randrange(12) for _ in range(4)): rng.randint(1, 9)
+                           for _ in range(rng.randint(1, 12))})
+            order = sorted(p.num, key=lambda e: (-sum(e), [-k for k in e]))
+            assert to_canonical_text(p) == " + ".join(
+                "*".join([f"{p.num[e]}/{p.den}"] + [f"z{i}" + (f"^{k}" if k > 1 else "")
+                                                    for i, k in enumerate(e) if k])
+                for e in order)
+
+    def test_json_coeffs_two_digit_exponents(self):
+        p = MultiPoly({(10, 0, 0, 12): Fraction(3, 4), (0, 11, 2, 0): -1,
+                       (1, 0, 23, 100): Fraction(6, 8), (0, 0, 0, 0): 2})
+        assert to_json_coeffs(coefficient_texts(p)) == {
+            "10,0,0,12": "3/4", "0,11,2,0": "-1/1", "1,0,23,100": "3/4", "0,0,0,0": "2/1"}
+        assert to_json_coeffs(coefficient_texts(MultiPoly.zero())) == {}
 
 
 # Reference arithmetic for the properties below: plain dicts from exponent
