@@ -17,17 +17,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .chow import BundleSpec
 from .invariants import OracleMismatchError, section_degrees
 from .ratpoly import (
     MultiPoly,
+    _accumulate,
     coefficient_texts,
     monomials_of_degree,
     multipoly_gradient,
     to_canonical_text,
-    to_json_coeffs,
     value_and_gradient,
 )
 
@@ -78,7 +78,8 @@ class Octic:
         return to_canonical_text(self.poly, self._coeffs)
 
     def to_json_coeffs(self) -> dict:
-        return to_json_coeffs(self._coeffs)
+        """The coefficients keyed by "e0,e1,e2,e3", in no particular order."""
+        return {f"{e0},{e1},{e2},{e3}": t for (e0, e1, e2, e3), t in self._coeffs.items()}
 
 
 def build_discriminant(q: QuadraticSection) -> Octic:
@@ -171,16 +172,15 @@ def gradient_identity_holds(q: QuadraticSection, octic: Octic) -> bool:
 
     Checked times z_i, which loses nothing (z_i is not a zero divisor):
     z_i*d/dz_i(z^e) = e_i*z^e, so both sides live on the degree-8 slots
-    e1 + 9*e2 + 81*e3, each slot holding the four identities as the fields
-    of one int sum_i v_i*2^(i*F).  The right side is one multiply-add per
-    ordered monomial pair of each w*a*b, b's coefficients packed with the
-    weights e_i; the left side places each partial of
-    multipoly_gradient(octic) at its z_i-shifted slot.  Over D_L (Delta's
-    denominator) and D_R = lcm(a.den*b.den), each side times the other's
-    denominator, a right field is at most R = 8*D_L*sum |w|*D_R/(a.den*b.den)
-    *|a|_1*|b|_1 (|.|_1 sums |numerators|), a left one L = 8*D_R*max|Delta_k|.
-    With F = bit_length(max(R, L)) + 2, fields differ by less than 2^F, and
-    base-2^F digits below 2^F in absolute value are unique.
+    e1 + 9*e2 + 81*e3, each holding the four identities as the fields of one
+    int sum_i v_i*2^(i*F).  The right side runs sum_of_products' pair loop on
+    w*a*b, b's coefficients packed with the weights e_i, and on the left side
+    on 2^(i*F)*z_i times the partials of multipoly_gradient(octic).  With
+    D_L Delta's denominator, D_R = lcm(a.den*b.den) and |.|_1 the sum of
+    |numerators|, each side times the other's denominator has right fields at
+    most R = 8*D_L*sum |w|*D_R/(a.den*b.den)*|a|_1*|b|_1 and left ones at most
+    L = 8*D_R*max|Delta_k|.  With F = bit_length(max(R, L)) + 2, fields differ
+    by less than 2^F, and base-2^F digits below 2^F in absolute value are unique.
     """
     products = [(w, a, b) for w, a, b in ((2, q.s01, q.s01), (-4, q.s11, q.s00),
                                           (-4, q.s00, q.s11)) if a.num and b.num]
@@ -191,19 +191,20 @@ def gradient_identity_holds(q: QuadraticSection, octic: Octic) -> bool:
                 8 * den_r * max(map(abs, octic.poly.num.values()), default=0))
     F = bound.bit_length() + 2
     p1, p2, p3 = 1 << F, 1 << 2 * F, 1 << 3 * F
+
+    def packed(b: MultiPoly) -> MultiPoly:
+        # sum_i z_i*d/dz_i b, field i holding the i-th term; a constant term drops out
+        num = {(e0, e1, e2, e3): c * (e0 + e1 * p1 + e2 * p2 + e3 * p3)
+               for (e0, e1, e2, e3), c in b.num.items() if e0 + e1 + e2 + e3}
+        return MultiPoly._trusted(num, b.den)
+
+    def keys(p: MultiPoly) -> List[int]:
+        return [e1 + 9 * e2 + 81 * e3 for _, e1, e2, e3 in p.num]
+
     rhs, lhs = [0] * 729, [0] * 729
-    for w, a, b in products:
-        f = w * (den_r // (a.den * b.den))
-        bs = [(e1 + 9 * e2 + 81 * e3, c * (e0 + e1 * p1 + e2 * p2 + e3 * p3))
-              for (e0, e1, e2, e3), c in b.num.items()]
-        for (_, e1, e2, e3), ca in a.num.items():
-            ka, ca = e1 + 9 * e2 + 81 * e3, ca * f
-            for kb, cb in bs:
-                rhs[ka + kb] += ca * cb
-    for shift, field, g in zip((0, 1, 9, 81), (1, p1, p2, p3), multipoly_gradient(octic.poly)):
-        field *= den_l // g.den
-        for (_, e1, e2, e3), c in g.num.items():
-            lhs[e1 + 9 * e2 + 81 * e3 + shift] += c * field
+    _accumulate(rhs, [(w, a, packed(b)) for w, a, b in products], keys, den_r)
+    _accumulate(lhs, [(field, MultiPoly.variable(i), g) for i, (field, g) in
+                      enumerate(zip((1, p1, p2, p3), multipoly_gradient(octic.poly)))], keys, den_l)
     return [v * den_r for v in lhs] == [v * den_l for v in rhs]
 
 

@@ -423,20 +423,7 @@ class MultiPoly:
                 return [e1 + b1 * e2 + b2 * e3 for _, e1, e2, e3 in p.num]
 
             acc = [0] * (b2 * b1)
-        for w, a, b in terms:
-            f = w * (den // (a.den * b.den))
-            bs = list(zip(keys(b), b.num.values()))
-            if a is b:
-                for i, (ka, ca) in enumerate(bs):
-                    acc[ka + ka] += f * ca * ca
-                    ca *= 2 * f
-                    for kb, cb in bs[i + 1:]:
-                        acc[ka + kb] += ca * cb
-            else:
-                for ka, ca in zip(keys(a), a.num.values()):
-                    ca *= f
-                    for kb, cb in bs:
-                        acc[ka + kb] += ca * cb
+        _accumulate(acc, terms, keys, den)
         if degree is None:
             mask = (1 << width) - 1
             num = {
@@ -473,6 +460,25 @@ def _homogeneous_degree(p: MultiPoly) -> int | None:
     """The degree of a nonzero homogeneous p; None if p mixes degrees."""
     degrees = set(map(sum, p.num))
     return degrees.pop() if len(degrees) == 1 else None
+
+
+def _accumulate(acc, terms, keys, den: int) -> None:
+    """Add den*w*a*b to ``acc`` for each (w, a, b) of ``terms`` (a.den*b.den
+    divides den), a monomial pair at the sum of its ``keys``; see sum_of_products."""
+    for w, a, b in terms:
+        f = w * (den // (a.den * b.den))
+        bs = list(zip(keys(b), b.num.values()))
+        if a is b:
+            for i, (ka, ca) in enumerate(bs):
+                acc[ka + ka] += f * ca * ca
+                ca *= 2 * f
+                for kb, cb in bs[i + 1:]:
+                    acc[ka + kb] += ca * cb
+        else:
+            for ka, ca in zip(keys(a), a.num.values()):
+                ca *= f
+                for kb, cb in bs:
+                    acc[ka + kb] += ca * cb
 
 
 def _dense_degree(terms) -> int | None:
@@ -563,29 +569,22 @@ def coefficient_texts(p: MultiPoly) -> Dict[Exponent, str]:
 _POWER_TEXT = tuple(("", f"*z{i}", *(f"*z{i}^{k}" for k in range(2, 9))) for i in range(NVARS))
 
 
-def to_canonical_text(p: MultiPoly, coeffs: Dict[Exponent, str] | None = None) -> str:
+def to_canonical_text(p: MultiPoly, _coeffs: Dict[Exponent, str] | None = None) -> str:
     """Canonical text form: graded-lex term order, coefficients as num/den.
 
     Example: ``3/1*z0^2*z1``.  The zero polynomial prints as ``0``.
-    ``coeffs``, if given, is coefficient_texts(p).
+    ``_coeffs``, if given, must be coefficient_texts(p); nothing checks it.
     """
     if p.is_zero():
         return "0"
-    coeffs = coefficient_texts(p) if coeffs is None else coeffs
+    coeffs = coefficient_texts(p) if _coeffs is None else _coeffs
     z0, z1, z2, z3 = _POWER_TEXT
     parts = []
-    # higher total degree first, then the lexicographically larger exponent
-    # (both sorts are stable)
+    # higher total degree first, then the lexicographically larger exponent (stable sorts)
     for e in sorted(sorted(coeffs, reverse=True), key=sum, reverse=True):
-        e0, e1, e2, e3 = e
         try:
-            parts.append(coeffs[e] + z0[e0] + z1[e1] + z2[e2] + z3[e3])
+            parts.append(coeffs[e] + z0[e[0]] + z1[e[1]] + z2[e[2]] + z3[e[3]])
         except IndexError:
             parts.append(coeffs[e] + "".join(t[k] if k < len(t) else f"*z{i}^{k}"
                                              for i, (t, k) in enumerate(zip(_POWER_TEXT, e))))
     return " + ".join(parts)
-
-
-def to_json_coeffs(coeffs: Dict[Exponent, str]) -> Dict[str, str]:
-    """A coefficient_texts table keyed by "e0,e1,e2,e3", in no particular order."""
-    return {f"{e0},{e1},{e2},{e3}": t for (e0, e1, e2, e3), t in coeffs.items()}

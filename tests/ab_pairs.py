@@ -14,11 +14,12 @@ the script with exit 1.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints the parent and
 working-tree medians, their ratio, the pairs the working tree won (by the
-metric's ``better`` direction) and the parent's quartiles, and it writes
-every run's metrics as json lines to ``--log`` when given.  It reads
-``BENCHMARK.json`` and runs ``bench/run.py`` as a program; it imports
-nothing from ``bench/`` and changes nothing there.  Stdlib only; the name
-does not match ``test_*.py``, so tier-1 collection skips it.
+metric's ``better`` direction) and the parent's quartiles.  Every run
+uses ``--trace 0``, the setting the end-to-end metrics are measured
+under.  It reads ``BENCHMARK.json`` and runs ``bench/run.py`` as a
+program; it imports nothing from ``bench/`` and changes nothing there.
+Stdlib only; the name does not match ``test_*.py``, so tier-1 collection
+skips it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def copy_tree(dest: Path) -> None:
 
 def run_bench(tree: Path, args, seed: int) -> dict:
     argv = [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(seed),
-            "--seconds", str(args.seconds), "--trace", str(args.trace)]
+            "--seconds", str(args.seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines:
@@ -75,8 +76,6 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seeds", default="0", help="comma-separated bench seeds")
     ap.add_argument("--seconds", type=float, default=10.0)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--log", help="append every run's metrics here as json lines")
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
     if args.pairs < 2:
@@ -94,15 +93,11 @@ def main(argv=None) -> int:
             for side in order:
                 metrics = run_bench(parent if side == "parent" else tree, args, seed)
                 runs[side].append(metrics)
-                if args.log:
-                    with open(args.log, "a", encoding="utf-8") as fh:
-                        fh.write(json.dumps({"pair": i, "seed": seed, "side": side,
-                                             "metrics": metrics}) + "\n")
             print(f"pair {i + 1}/{args.pairs} seed {seed}: " + "  ".join(
                 f"{k} {runs['parent'][-1][k]:.4g} -> {runs['tree'][-1][k]:.4g}"
                 for k in better if k in metrics), flush=True)
     print(f"== {args.workload}: {args.parent} (parent) against the working tree, "
-          f"{args.pairs} pairs, seeds {args.seeds}, {args.seconds:g} s, trace {args.trace}")
+          f"{args.pairs} pairs, seeds {args.seeds}, {args.seconds:g} s")
     for name, direction in better.items():
         a = [r[name] for r in runs["parent"] if r.get(name) is not None]
         b = [r[name] for r in runs["tree"] if r.get(name) is not None]

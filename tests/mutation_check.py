@@ -133,7 +133,7 @@ MUTATIONS = (
     ),
     Mutation(
         "json key fields e2 and e3 swapped",
-        PKG / "ratpoly.py",
+        PKG / "discriminant.py",
         'return {f"{e0},{e1},{e2},{e3}": t',
         'return {f"{e0},{e1},{e3},{e2}": t',
         ["tests/test_golden.py"],
@@ -166,8 +166,8 @@ MUTATIONS = (
     Mutation(
         "partials of the octic placed without their z_i shift",
         PKG / "discriminant.py",
-        "lhs[e1 + 9 * e2 + 81 * e3 + shift] += c * field",
-        "lhs[e1 + 9 * e2 + 81 * e3] += c * field",
+        "(field, MultiPoly.variable(i), g)",
+        "(field, MultiPoly.monomial((0, 0, 0, 0)), g)",
         ["tests/test_discriminant.py::TestGradientIdentity"],
     ),
     Mutation(

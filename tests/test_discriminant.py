@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +21,12 @@ from cybundle.discriminant import (
     witness_section,
 )
 from cybundle.invariants import admissibility_p3
-from cybundle.ratpoly import MultiPoly, monomials_of_degree, multipoly_gradient
+from cybundle.ratpoly import (
+    MultiPoly,
+    coefficient_texts,
+    monomials_of_degree,
+    multipoly_gradient,
+)
 
 ADMISSIBLE = [BundleSpec.from_split(3, (0, b)) for b in range(5)]
 # every splitting (a, b) with a in -3..6 and gap b - a in 0..9
@@ -55,6 +61,22 @@ class TestBuildDiscriminant:
         assert octic.poly.total_degree() == 8
         # |O(8)| on P^3 has C(11,3) = 165 monomials, i.e. P^164
         assert len(monomials_of_degree(8)) == comb(11, 3) == 165
+
+    def test_json_coeffs_keys(self):
+        octic = build_discriminant(sample_section(BundleSpec.from_split(3, (0, 3)), 4, 1000))
+        got = octic.to_json_coeffs()
+        assert len(got) == len(octic.poly.num) > 100
+        for key, text in got.items():
+            c = Fraction(octic.poly.num[tuple(map(int, key.split(",")))], octic.poly.den)
+            assert text == f"{c.numerator}/{c.denominator}"
+        assert Octic(MultiPoly.zero()).to_json_coeffs() == {}
+
+    def test_json_coeffs_two_digit_exponents(self):
+        # no octic has them; the key format is read off a stand-in table
+        p = MultiPoly({(10, 0, 0, 12): Fraction(3, 4), (0, 11, 2, 0): -1,
+                       (1, 0, 23, 100): Fraction(6, 8), (0, 0, 0, 0): 2})
+        assert Octic.to_json_coeffs(SimpleNamespace(_coeffs=coefficient_texts(p))) == {
+            "10,0,0,12": "3/4", "0,11,2,0": "-1/1", "1,0,23,100": "3/4", "0,0,0,0": "2/1"}
 
     def test_degree_mismatch_refused(self):
         spec = BundleSpec.from_split(3, (0, 2))

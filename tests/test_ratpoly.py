@@ -21,7 +21,6 @@ from cybundle.ratpoly import (
     poly_gcd,
     rational_roots,
     to_canonical_text,
-    to_json_coeffs,
     value_and_gradient,
 )
 
@@ -235,13 +234,6 @@ class TestMultiPoly:
                 "*".join([f"{p.num[e]}/{p.den}"] + [f"z{i}" + (f"^{k}" if k > 1 else "")
                                                     for i, k in enumerate(e) if k])
                 for e in order)
-
-    def test_json_coeffs_two_digit_exponents(self):
-        p = MultiPoly({(10, 0, 0, 12): Fraction(3, 4), (0, 11, 2, 0): -1,
-                       (1, 0, 23, 100): Fraction(6, 8), (0, 0, 0, 0): 2})
-        assert to_json_coeffs(coefficient_texts(p)) == {
-            "10,0,0,12": "3/4", "0,11,2,0": "-1/1", "1,0,23,100": "3/4", "0,0,0,0": "2/1"}
-        assert to_json_coeffs(coefficient_texts(MultiPoly.zero())) == {}
 
 
 # Reference arithmetic for the properties below: plain dicts from exponent
