@@ -17,13 +17,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .chow import BundleSpec
 from .invariants import OracleMismatchError, section_degrees
 from .ratpoly import (
     MultiPoly,
     _accumulate,
+    _graded_lex,
+    _homogeneous_degree,
     coefficient_texts,
     monomials_of_degree,
     multipoly_gradient,
@@ -50,9 +52,7 @@ class QuadraticSection:
             ("s01", self.s01, d01),
             ("s11", self.s11, d11),
         ):
-            if poly.is_zero():
-                continue
-            if not poly.is_homogeneous() or poly.total_degree() != want:
+            if poly.num and _homogeneous_degree(poly) != want:
                 raise ValueError(f"{name} must be homogeneous of degree {want}")
 
     def scale(self, r) -> "QuadraticSection":
@@ -66,9 +66,8 @@ class Octic:
     poly: MultiPoly
 
     def __post_init__(self):
-        if not self.poly.is_zero():
-            if not self.poly.is_homogeneous() or self.poly.total_degree() != 8:
-                raise ValueError("the discriminant must be homogeneous of degree 8")
+        if self.poly.num and _homogeneous_degree(self.poly) != 8:
+            raise ValueError("the discriminant must be homogeneous of degree 8")
 
     @cached_property
     def _coeffs(self) -> dict:
@@ -79,7 +78,7 @@ class Octic:
 
     def to_json_coeffs(self) -> dict:
         """The coefficients keyed by "e0,e1,e2,e3", in no particular order."""
-        return {f"{e0},{e1},{e2},{e3}": t for (e0, e1, e2, e3), t in self._coeffs.items()}
+        return {key: t for t, _, key in _graded_lex(self._coeffs)}
 
 
 def build_discriminant(q: QuadraticSection) -> Octic:
@@ -174,13 +173,15 @@ def gradient_identity_holds(q: QuadraticSection, octic: Octic) -> bool:
     z_i*d/dz_i(z^e) = e_i*z^e, so both sides live on the degree-8 slots
     e1 + 9*e2 + 81*e3, each holding the four identities as the fields of one
     int sum_i v_i*2^(i*F).  The right side runs sum_of_products' pair loop on
-    w*a*b, b's coefficients packed with the weights e_i, and on the left side
-    on 2^(i*F)*z_i times the partials of multipoly_gradient(octic).  With
-    D_L Delta's denominator, D_R = lcm(a.den*b.den) and |.|_1 the sum of
-    |numerators|, each side times the other's denominator has right fields at
-    most R = 8*D_L*sum |w|*D_R/(a.den*b.den)*|a|_1*|b|_1 and left ones at most
-    L = 8*D_R*max|Delta_k|.  With F = bit_length(max(R, L)) + 2, fields differ
-    by less than 2^F, and base-2^F digits below 2^F in absolute value are unique.
+    w*a*b, b's coefficients packed with the weights e_i.  The left side reads
+    the partials of multipoly_gradient(octic) straight into the slots: the
+    i-th partial's term at e - 1_i lands in field i of slot e, at offset 0, 1,
+    9 or 81 from its own.  With D_L Delta's denominator, D_R = lcm(a.den*b.den)
+    and |.|_1 the sum of |numerators|, each side times the other's denominator
+    has right fields at most R = 8*D_L*sum |w|*D_R/(a.den*b.den)*|a|_1*|b|_1
+    and left ones at most L = 8*D_R*max|Delta_k|.  With F = bit_length(max(R,
+    L)) + 2, fields differ by less than 2^F, and base-2^F digits below 2^F in
+    absolute value are unique.  Slots neither side filled are not compared.
     """
     products = [(w, a, b) for w, a, b in ((2, q.s01, q.s01), (-4, q.s11, q.s00),
                                           (-4, q.s00, q.s11)) if a.num and b.num]
@@ -191,21 +192,20 @@ def gradient_identity_holds(q: QuadraticSection, octic: Octic) -> bool:
                 8 * den_r * max(map(abs, octic.poly.num.values()), default=0))
     F = bound.bit_length() + 2
     p1, p2, p3 = 1 << F, 1 << 2 * F, 1 << 3 * F
-
-    def packed(b: MultiPoly) -> MultiPoly:
-        # sum_i z_i*d/dz_i b, field i holding the i-th term; a constant term drops out
-        num = {(e0, e1, e2, e3): c * (e0 + e1 * p1 + e2 * p2 + e3 * p3)
-               for (e0, e1, e2, e3), c in b.num.items() if e0 + e1 + e2 + e3}
-        return MultiPoly._trusted(num, b.den)
-
-    def keys(p: MultiPoly) -> List[int]:
-        return [e1 + 9 * e2 + 81 * e3 for _, e1, e2, e3 in p.num]
-
-    rhs, lhs = [0] * 729, [0] * 729
-    _accumulate(rhs, [(w, a, packed(b)) for w, a, b in products], keys, den_r)
-    _accumulate(lhs, [(field, MultiPoly.variable(i), g) for i, (field, g) in
-                      enumerate(zip((1, p1, p2, p3), multipoly_gradient(octic.poly)))], keys, den_l)
-    return [v * den_r for v in lhs] == [v * den_l for v in rhs]
+    # a by slot, and b as sum_i z_i*d/dz_i b, field i holding the i-th term
+    rhs = [0] * 729
+    _accumulate(rhs, [
+        (w * (den_r // (a.den * b.den)),
+         [(e1 + 9 * e2 + 81 * e3, c) for (_, e1, e2, e3), c in a.num.items()],
+         [(e1 + 9 * e2 + 81 * e3, c * (e0 + e1 * p1 + e2 * p2 + e3 * p3))
+          for (e0, e1, e2, e3), c in b.num.items()])
+        for w, a, b in products])
+    lhs = [0] * 729
+    for field, offset, g in zip((1, p1, p2, p3), (0, 1, 9, 81), multipoly_gradient(octic.poly)):
+        f = field * (den_l // g.den)
+        for (_, e1, e2, e3), c in g.num.items():
+            lhs[e1 + 9 * e2 + 81 * e3 + offset] += f * c
+    return all(v * den_r == w * den_l for v, w in zip(lhs, rhs) if v or w)
 
 
 # ---------------------------------------------------------------------------
@@ -221,46 +221,36 @@ _LCG_MASK = (1 << 64) - 1
 MAX_SECTION_BOUND = 10 ** 6
 
 
-class _Lcg:
-    """64-bit linear congruential generator; fixed constants, documented in
-    the CLI schema so golden files are reproducible across platforms."""
-
-    def __init__(self, seed: int) -> None:
-        self.state = seed & _LCG_MASK
-
-    def next_u64(self) -> int:
-        self.state = (self.state * _LCG_MULT + _LCG_INC) & _LCG_MASK
-        return self.state
-
-    def next_int(self, lo: int, hi: int) -> int:
-        # top 32 bits reduced mod the span; for spans up to
-        # 2*MAX_SECTION_BOUND + 1 the modulo bias is below 2^-11
-        return lo + (self.next_u64() >> 32) % (hi - lo + 1)
-
-
 def sample_section(spec: BundleSpec, seed: int, bound: int) -> QuadraticSection:
     """Pseudo-random rational coefficients num/den with num in
     [-bound, bound] and den in [1, 4], one per monomial of each prescribed
     degree.  Same seed, same output.  ``bound`` runs from 0 to
-    MAX_SECTION_BOUND; a ValueError refuses anything else."""
-    d00, d01, d11 = section_degrees(spec)
+    MAX_SECTION_BOUND; a ValueError refuses anything else.
+
+    A 64-bit LCG, state = (state*_LCG_MULT + _LCG_INC) mod 2^64 from
+    seed mod 2^64, with fixed constants so golden files are reproducible
+    across platforms, takes two steps per monomial in graded-lex order of
+    s00, s01 and s11: num = -bound + (top 32 bits) mod (2*bound + 1), then
+    den = 1 + (top 32 bits) mod 4.  For spans up to 2*MAX_SECTION_BOUND + 1
+    the modulo bias is below 2^-11.
+    """
+    degrees = section_degrees(spec)
     if bound < 0:
         raise ValueError("bound must be >= 0")
     if bound > MAX_SECTION_BOUND:
         raise ValueError(f"bound must be <= {MAX_SECTION_BOUND}")
-    rng = _Lcg(seed)
-
-    # every drawn denominator divides 12 = lcm(1, 2, 3, 4)
-    def draw(degree: int) -> MultiPoly:
+    state, span, parts = seed & _LCG_MASK, 2 * bound + 1, []
+    # num/den is stored as num * (12 // den) over 12 = lcm(1, 2, 3, 4)
+    for degree in degrees:
         num = {}
         for e in monomials_of_degree(degree):
-            n = rng.next_int(-bound, bound)
-            d = rng.next_int(1, 4)
+            state = (state * _LCG_MULT + _LCG_INC) & _LCG_MASK
+            n = (state >> 32) % span - bound
+            state = (state * _LCG_MULT + _LCG_INC) & _LCG_MASK
             if n:
-                num[e] = n * (12 // d)
-        return MultiPoly._trusted(num, 12)
-
-    return QuadraticSection(spec, draw(d00), draw(d01), draw(d11))
+                num[e] = n * (12, 6, 4, 3)[(state >> 32) % 4]
+        parts.append(MultiPoly._trusted(num, 12))
+    return QuadraticSection(spec, *parts)
 
 
 def witness_section(section: QuadraticSection) -> QuadraticSection:

@@ -410,20 +410,21 @@ class MultiPoly:
             top = max(max(map(max, p.num)) for _, a, b in terms for p in (a, b))
             width = (2 * top).bit_length()
 
-            def keys(p: "MultiPoly") -> List[int]:
-                return [((e0 << width | e1) << width | e2) << width | e3
-                        for e0, e1, e2, e3 in p.num]
+            def keyed(p: "MultiPoly") -> List[Tuple[int, int]]:
+                return [(((e0 << width | e1) << width | e2) << width | e3, c)
+                        for (e0, e1, e2, e3), c in p.num.items()]
 
             acc = defaultdict(int)
         else:
             b1 = degree + 1
             b2 = b1 * b1
 
-            def keys(p: "MultiPoly") -> List[int]:
-                return [e1 + b1 * e2 + b2 * e3 for _, e1, e2, e3 in p.num]
+            def keyed(p: "MultiPoly") -> List[Tuple[int, int]]:
+                return [(e1 + b1 * e2 + b2 * e3, c) for (_, e1, e2, e3), c in p.num.items()]
 
             acc = [0] * (b2 * b1)
-        _accumulate(acc, terms, keys, den)
+        _accumulate(acc, [(w * (den // (a.den * b.den)), ka := keyed(a),
+                           ka if b is a else keyed(b)) for w, a, b in terms])
         if degree is None:
             mask = (1 << width) - 1
             num = {
@@ -462,22 +463,21 @@ def _homogeneous_degree(p: MultiPoly) -> int | None:
     return degrees.pop() if len(degrees) == 1 else None
 
 
-def _accumulate(acc, terms, keys, den: int) -> None:
-    """Add den*w*a*b to ``acc`` for each (w, a, b) of ``terms`` (a.den*b.den
-    divides den), a monomial pair at the sum of its ``keys``; see sum_of_products."""
-    for w, a, b in terms:
-        f = w * (den // (a.den * b.den))
-        bs = list(zip(keys(b), b.num.values()))
+def _accumulate(acc, terms) -> None:
+    """Add f*a*b to ``acc`` for each (int f, a, b) of ``terms``, a and b lists
+    of (key, int coefficient), a monomial pair at the sum of its keys; a term
+    whose a is b visits each unordered pair once.  See sum_of_products."""
+    for f, a, b in terms:
         if a is b:
-            for i, (ka, ca) in enumerate(bs):
+            for i, (ka, ca) in enumerate(a):
                 acc[ka + ka] += f * ca * ca
                 ca *= 2 * f
-                for kb, cb in bs[i + 1:]:
+                for kb, cb in a[i + 1:]:
                     acc[ka + kb] += ca * cb
         else:
-            for ka, ca in zip(keys(a), a.num.values()):
+            for ka, ca in a:
                 ca *= f
-                for kb, cb in bs:
+                for kb, cb in b:
                     acc[ka + kb] += ca * cb
 
 
@@ -565,8 +565,40 @@ def coefficient_texts(p: MultiPoly) -> Dict[Exponent, str]:
     return {e: ratio_text(c, p.den) for e, c in p.num.items()}
 
 
-# "*z<i>^<k>" by variable and power up to 8; to_canonical_text formats higher ones
+# "*z<i>^<k>" by variable and power up to 8; _monomial_text formats higher ones
 _POWER_TEXT = tuple(("", f"*z{i}", *(f"*z{i}^{k}" for k in range(2, 9))) for i in range(NVARS))
+
+
+def _monomial_text(e: Exponent) -> Tuple[Exponent, str, str]:
+    """e with its ``*zi^k`` text suffix and its "e0,e1,e2,e3" key."""
+    z0, z1, z2, z3 = _POWER_TEXT
+    try:
+        suffix = z0[e[0]] + z1[e[1]] + z2[e[2]] + z3[e[3]]
+    except IndexError:
+        suffix = "".join(t[k] if k < len(t) else f"*z{i}^{k}"
+                         for i, (t, k) in enumerate(zip(_POWER_TEXT, e)))
+    return e, suffix, "%d,%d,%d,%d" % e
+
+
+# _monomial_text of every monomial of degree 0..8 (every section and octic), graded-lex
+_MONOMIAL_TEXT = tuple(tuple(map(_monomial_text, monomials_of_degree(d))) for d in range(9))
+
+
+def _graded_lex(coeffs: Dict[Exponent, str]) -> List[Tuple[str, str, str]]:
+    """(coeffs[e], suffix, key) for each exponent e of coeffs, with the
+    suffix and key of _monomial_text(e): higher total degree first, then the
+    lexicographically larger exponent.  Degrees up to 8 are read off
+    _MONOMIAL_TEXT; higher ones are sorted and formatted here."""
+    top = len(_MONOMIAL_TEXT)
+    degrees = sorted(set(map(sum, coeffs)), reverse=True)
+    out = []
+    if degrees and degrees[0] >= top:
+        high = sorted((e for e in coeffs if sum(e) >= top), key=lambda e: (sum(e), e), reverse=True)
+        out = [(coeffs[e], s, k) for e, s, k in map(_monomial_text, high)]
+    for d in degrees:
+        if d < top:
+            out += [(t, s, k) for e, s, k in _MONOMIAL_TEXT[d] if (t := coeffs.get(e)) is not None]
+    return out
 
 
 def to_canonical_text(p: MultiPoly, _coeffs: Dict[Exponent, str] | None = None) -> str:
@@ -578,13 +610,4 @@ def to_canonical_text(p: MultiPoly, _coeffs: Dict[Exponent, str] | None = None) 
     if p.is_zero():
         return "0"
     coeffs = coefficient_texts(p) if _coeffs is None else _coeffs
-    z0, z1, z2, z3 = _POWER_TEXT
-    parts = []
-    # higher total degree first, then the lexicographically larger exponent (stable sorts)
-    for e in sorted(sorted(coeffs, reverse=True), key=sum, reverse=True):
-        try:
-            parts.append(coeffs[e] + z0[e[0]] + z1[e[1]] + z2[e[2]] + z3[e[3]])
-        except IndexError:
-            parts.append(coeffs[e] + "".join(t[k] if k < len(t) else f"*z{i}^{k}"
-                                             for i, (t, k) in enumerate(zip(_POWER_TEXT, e))))
-    return " + ".join(parts)
+    return " + ".join([t + suffix for t, suffix, _ in _graded_lex(coeffs)])

@@ -22,9 +22,15 @@ packed into one pass, with ``ref_gradient_identity``, the four separate
 ``sum_of_products`` identities it replaced: on sections of p3 (0,0)..(0,4),
 (1,3) and (-2,2) at bounds 0, 1, 2, 1000 and 10^6, each with its own octic
 and with octics perturbed at 1 to 3 monomials by +-1 and by +-den in the
-numerator.  It exits 1 on the first difference and needs nothing outside the standard
-library, so it runs under any Python the package supports;
-``tests/test_ratpoly.py`` runs it too.
+numerator.  It also checks ``sample_section`` against ``ref_sample_section``,
+which draws from ``_Lcg``, a generator object with the sampler's constants:
+p3 (0,0)..(0,4) at seeds 0, -3, 2^64 + 5 and 10^23 and bounds 0, 1, 2, 1000
+and ``MAX_SECTION_BOUND``.  And it checks ``to_canonical_text``, which walks
+a table of each degree's monomials, and ``Octic.to_json_coeffs`` against
+``ref_canonical_text`` and ``ref_json_coeffs``, which sort and format every
+exponent: on homogeneous polynomials of degrees 0-12, mixed-degree ones and
+zero.  It exits 1 on the first difference and needs nothing outside the standard library, so it runs
+under any Python the package supports; ``tests/test_ratpoly.py`` runs it too.
 """
 
 import json
@@ -37,12 +43,24 @@ from typing import Sequence, Tuple
 
 from cybundle.chow import BundleSpec
 from cybundle.discriminant import (
+    _LCG_INC,
+    _LCG_MASK,
+    _LCG_MULT,
+    MAX_SECTION_BOUND,
     Octic,
     build_discriminant,
     gradient_identity_holds,
     sample_section,
 )
-from cybundle.ratpoly import MultiPoly, _dense_degree, monomials_of_degree, multipoly_gradient
+from cybundle.invariants import section_degrees
+from cybundle.ratpoly import (
+    MultiPoly,
+    _dense_degree,
+    coefficient_texts,
+    monomials_of_degree,
+    multipoly_gradient,
+    to_canonical_text,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -228,6 +246,100 @@ def check_gradient_identity(seed: int = 0, seeds_per_case: int = 2) -> Tuple[int
     return compared, held
 
 
+class _Lcg:
+    """64-bit linear congruential generator with sample_section's constants."""
+
+    def __init__(self, seed: int) -> None:
+        self.state = seed & _LCG_MASK
+
+    def next_u64(self) -> int:
+        self.state = (self.state * _LCG_MULT + _LCG_INC) & _LCG_MASK
+        return self.state
+
+    def next_int(self, lo: int, hi: int) -> int:
+        return lo + (self.next_u64() >> 32) % (hi - lo + 1)
+
+
+def ref_sample_section(spec: BundleSpec, seed: int, bound: int):
+    """(s00, s01, s11) as dicts of nonzero Fractions: per monomial of each
+    degree in graded-lex order, a numerator in [-bound, bound], then a
+    denominator in 1..4, each from one _Lcg step."""
+    rng = _Lcg(seed)
+    out = []
+    for degree in section_degrees(spec):
+        draws = {e: (rng.next_int(-bound, bound), rng.next_int(1, 4))
+                 for e in monomials_of_degree(degree)}
+        out.append({e: Fraction(n, d) for e, (n, d) in draws.items() if n})
+    return tuple(out)
+
+
+SAMPLER_SEEDS = (0, -3, 2 ** 64 + 5, 10 ** 23)
+SAMPLER_BOUNDS = (0, 1, 2, 1000, MAX_SECTION_BOUND)
+
+
+def check_sampler() -> int:
+    """sample_section against ref_sample_section on p3 (0,0)..(0,4) at every
+    seed of SAMPLER_SEEDS and bound of SAMPLER_BOUNDS; returns the number of
+    sections compared."""
+    compared = 0
+    for b in range(5):
+        spec = BundleSpec.from_split(3, (0, b))
+        for seed in SAMPLER_SEEDS:
+            for bound in SAMPLER_BOUNDS:
+                q = sample_section(spec, seed, bound)
+                got = tuple(coefficients(p) for p in (q.s00, q.s01, q.s11))
+                if got != ref_sample_section(spec, seed, bound):
+                    raise AssertionError(f"sample_section on (0,{b}) seed {seed} bound "
+                                         f"{bound} differs from the _Lcg reference")
+                compared += 1
+    return compared
+
+
+def ref_canonical_text(p: MultiPoly) -> str:
+    """to_canonical_text by two stable sorts of p's exponents, every power
+    formatted on its own."""
+    if p.is_zero():
+        return "0"
+    coeffs = coefficient_texts(p)
+    parts = []
+    for e in sorted(sorted(coeffs, reverse=True), key=sum, reverse=True):
+        parts.append(coeffs[e] + "".join(f"*z{i}" if k == 1 else f"*z{i}^{k}"
+                                         for i, k in enumerate(e) if k))
+    return " + ".join(parts)
+
+
+def ref_json_coeffs(p: MultiPoly) -> dict:
+    return {f"{e0},{e1},{e2},{e3}": t for (e0, e1, e2, e3), t in coefficient_texts(p).items()}
+
+
+def check_renderer(seed: int = 0, count: int = 20) -> int:
+    """to_canonical_text against ref_canonical_text, and Octic.to_json_coeffs
+    against ref_json_coeffs for the octics among them, on ``count`` seeded
+    homogeneous polynomials of each degree 0..12 (every monomial, or a
+    random subset), as many of mixed degrees, and zero; returns the number
+    of polynomials compared."""
+    rng = Random(seed)
+
+    def poly(exps) -> MultiPoly:
+        return MultiPoly({e: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for e in exps})
+
+    polys = [MultiPoly.zero()]
+    for degree in range(13):
+        mons = monomials_of_degree(degree)
+        polys.append(poly(mons))
+        polys += [poly(rng.sample(mons, rng.randint(1, len(mons)))) for _ in range(count - 1)]
+    for _ in range(count):
+        polys.append(poly(rng.choice(monomials_of_degree(rng.randint(0, 12)))
+                          for _ in range(rng.randint(2, 30))))
+    for p in polys:
+        if to_canonical_text(p) != ref_canonical_text(p):
+            raise AssertionError(f"to_canonical_text differs from the reference on {p.num!r}")
+        if p.is_zero() or p.total_degree() == 8 and p.is_homogeneous():
+            if Octic(p).to_json_coeffs() != ref_json_coeffs(p):
+                raise AssertionError(f"to_json_coeffs differs from the reference on {p.num!r}")
+    return len(polys)
+
+
 def check(
     seed: int = 0, count: int = 2000, bounds: Sequence[int] = (0, 1, 2, 1000)
 ) -> Tuple[int, int]:
@@ -267,8 +379,11 @@ if __name__ == "__main__":
     try:
         n, n_dense = check()
         n_grad, n_held = check_gradient_identity(seeds_per_case=6)
+        n_sampled, n_rendered = check_sampler(), check_renderer()
     except AssertionError as exc:
         sys.exit(f"FAIL ({sys.version.split()[0]}): {exc}")
     print(f"ok: {n} sums of products match Fraction arithmetic "
           f"({n_dense} on the dense accumulator), {n_grad} gradient identities "
-          f"({n_held} true) match the four-product form under Python {sys.version.split()[0]}")
+          f"({n_held} true) match the four-product form, {n_sampled} sections match "
+          f"the _Lcg sampler and {n_rendered} renderings the sorting renderer under "
+          f"Python {sys.version.split()[0]}")

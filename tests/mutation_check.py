@@ -133,9 +133,16 @@ MUTATIONS = (
     ),
     Mutation(
         "json key fields e2 and e3 swapped",
-        PKG / "discriminant.py",
-        'return {f"{e0},{e1},{e2},{e3}": t',
-        'return {f"{e0},{e1},{e3},{e2}": t',
+        PKG / "ratpoly.py",
+        'return e, suffix, "%d,%d,%d,%d" % e',
+        'return e, suffix, "%d,%d,%d,%d" % (e[0], e[1], e[3], e[2])',
+        ["tests/test_golden.py"],
+    ),
+    Mutation(
+        "monomial table in reversed order",
+        PKG / "ratpoly.py",
+        "tuple(map(_monomial_text, monomials_of_degree(d)))",
+        "tuple(map(_monomial_text, monomials_of_degree(d)[::-1]))",
         ["tests/test_golden.py"],
     ),
     Mutation(
@@ -166,9 +173,37 @@ MUTATIONS = (
     Mutation(
         "partials of the octic placed without their z_i shift",
         PKG / "discriminant.py",
-        "(field, MultiPoly.variable(i), g)",
-        "(field, MultiPoly.monomial((0, 0, 0, 0)), g)",
+        "zip((1, p1, p2, p3), (0, 1, 9, 81), ",
+        "zip((1, p1, p2, p3), (0, 0, 0, 0), ",
         ["tests/test_discriminant.py::TestGradientIdentity"],
+    ),
+    Mutation(
+        "inline LCG drawing d before n",
+        PKG / "discriminant.py",
+        """            n = (state >> 32) % span - bound
+            state = (state * _LCG_MULT + _LCG_INC) & _LCG_MASK
+            if n:
+                num[e] = n * (12, 6, 4, 3)[(state >> 32) % 4]""",
+        """            k = (state >> 32) % 4
+            state = (state * _LCG_MULT + _LCG_INC) & _LCG_MASK
+            n = (state >> 32) % span - bound
+            if n:
+                num[e] = n * (12, 6, 4, 3)[k]""",
+        ["tests/test_golden.py"],
+    ),
+    Mutation(
+        "one-pass section degree check with > for !=",
+        PKG / "discriminant.py",
+        "if poly.num and _homogeneous_degree(poly) != want:",
+        "if poly.num and _homogeneous_degree(poly) > want:",
+        ["tests/test_discriminant.py::TestBuildDiscriminant"],
+    ),
+    Mutation(
+        "one-pass octic degree check with > for !=",
+        PKG / "discriminant.py",
+        "if self.poly.num and _homogeneous_degree(self.poly) != 8:",
+        "if self.poly.num and _homogeneous_degree(self.poly) > 8:",
+        ["tests/test_discriminant.py::TestBuildDiscriminant"],
     ),
     Mutation(
         "negative candidates skipped in rational_roots",

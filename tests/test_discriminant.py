@@ -82,6 +82,16 @@ class TestBuildDiscriminant:
         spec = BundleSpec.from_split(3, (0, 2))
         with pytest.raises(ValueError):
             QuadraticSection(spec, _mono((3, 0, 0, 0)), _mono((4, 0, 0, 0)), _mono((6, 0, 0, 0)))
+        # a lower degree and mixed degrees, in a section and in the octic
+        s00, s01, s11 = _mono((2, 0, 0, 0)), _mono((4, 0, 0, 0)), _mono((6, 0, 0, 0))
+        for bad in (_mono((3, 0, 0, 0)), _mono((4, 0, 0, 0)) + _mono((3, 0, 0, 0))):
+            with pytest.raises(ValueError, match="s01 must be homogeneous of degree 4"):
+                QuadraticSection(spec, s00, bad, s11)
+        for bad in (_mono((7, 0, 0, 0)), _mono((8, 0, 0, 0)) + _mono((0, 7, 0, 0))):
+            with pytest.raises(ValueError, match="homogeneous of degree 8"):
+                Octic(bad)
+        QuadraticSection(spec, MultiPoly.zero(), s01, s11)
+        Octic(MultiPoly.zero())
 
     def test_inadmissible_refused(self):
         spec = BundleSpec.from_split(3, (0, 5))
@@ -301,6 +311,10 @@ class TestSampling:
         sample_section(ADMISSIBLE[1], 7, MAX_SECTION_BOUND)
         with pytest.raises(ValueError, match="bound must be <="):
             sample_section(ADMISSIBLE[1], 7, MAX_SECTION_BOUND + 1)
+
+    def test_matches_lcg_reference(self):
+        # p3 (0,0)..(0,4), 4 seeds, 5 bounds against the generator-object LCG
+        assert multipoly_kernel_check.check_sampler() == 5 * 4 * 5
 
     def test_both_signs_at_the_cap(self):
         # numerators spread over [-bound, bound], not one side of zero

@@ -235,6 +235,11 @@ class TestMultiPoly:
                                                     for i, k in enumerate(e) if k])
                 for e in order)
 
+    def test_canonical_text_matches_sorting_reference(self):
+        # homogeneous of degrees 0-12 (the monomial table stops at 8), mixed
+        # degrees and zero, also run as a script under other Pythons
+        assert multipoly_kernel_check.check_renderer(seed=1, count=8) == 1 + 13 * 8 + 8
+
 
 # Reference arithmetic for the properties below: plain dicts from exponent
 # tuples to nonzero Fractions, with none of MultiPoly's integer storage.
