@@ -16,12 +16,14 @@ Exit codes: 0 ok, 2 invalid input (malformed or wrong-arity degrees, a
 ``--bound`` outside 0..MAX_SECTION_BOUND, a ``--max-degree`` outside
 0..MAX_ENUMERATE_DEGREE, ``--format csv`` on ``kaehler``, ``classify`` or
 ``discriminant``, an empty ``--out`` or an ``--out`` path that cannot be
-written), 3 oracle mismatch, 4 inadmissible or refused spec.  The csv and empty ``--out``
-refusals come before any computation.
-Codes 2-4 raised by a command come with one JSON object
-``{"error": ..., "exit_code": ...}`` on stderr; argparse's own usage errors
-keep its usage message.  ``--out`` is written atomically: a failed write
-leaves no partial file.
+written), 3 oracle mismatch or a false value under ``checks`` (the payload
+is written first), 4 inadmissible or refused spec (``RhoNotTwoError``
+too).  The csv and empty ``--out`` refusals come before any computation.
+Command handlers return only their payload fields; ``main`` alone adds the
+header (``schema``, ``command``), writes the payload and maps errors to exit
+codes, each with one JSON object ``{"error": ..., "exit_code": ...}`` on
+stderr; argparse's own usage errors keep its usage message.  ``--out`` is
+written atomically: a failed write leaves no partial file.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import os
 import re
 import sys
 from dataclasses import fields
-from typing import Callable, List, Optional, TextIO
+from typing import Callable, List, Optional, TextIO, Tuple
 
 from .chow import BundleSpec
 from .discriminant import (
@@ -65,6 +67,11 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_ORACLE_MISMATCH = 3
 EXIT_INADMISSIBLE = 4
+# exit codes of the library errors that reach main; a CliError carries its own
+_ERROR_EXIT_CODES = {
+    OracleMismatchError: EXIT_ORACLE_MISMATCH,
+    RhoNotTwoError: EXIT_INADMISSIBLE,
+}
 
 # enumerate --base p1 emits O(N^3) rows: 47905 at N = 64
 MAX_ENUMERATE_DEGREE = 64
@@ -118,10 +125,10 @@ class CliError(Exception):
     def __init__(self, code: int, reason: str) -> None:
         super().__init__(reason)
         self.code = code
-        self.reason = reason
 
 
-def _parse_degrees(text: str, base: str) -> List[int]:
+def _parse_spec(text: str, base: str) -> Tuple[List[int], BundleSpec]:
+    """The ``--degrees`` list and the split spec it names over ``base``."""
     fields = text.split(",")
     try:
         if not all(map(_DEGREE_FIELD.fullmatch, fields)):
@@ -135,11 +142,7 @@ def _parse_degrees(text: str, base: str) -> List[int]:
             EXIT_INVALID_INPUT,
             f"base {base} needs {want} degrees, got {len(degs)}",
         )
-    return degs
-
-
-def _spec_for(base: str, degrees: List[int]) -> BundleSpec:
-    return BundleSpec.from_split(3 if base == "p3" else 1, degrees)
+    return degs, BundleSpec.from_split(3 if base == "p3" else 1, degs)
 
 
 def _report_row(spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None) -> dict:
@@ -297,9 +300,8 @@ def _csv_cell(value):
     return value
 
 
-def _cmd_invariants(args) -> int:
-    degs = _parse_degrees(args.degrees, args.base)
-    spec = _spec_for(args.base, degs)
+def _cmd_invariants(args) -> dict:
+    _, spec = _parse_spec(args.degrees, args.base)
     if args.base == "p3":
         adm = admissibility_p3(spec)
         if not adm.admissible:
@@ -307,15 +309,11 @@ def _cmd_invariants(args) -> int:
                 EXIT_INADMISSIBLE, f"splitting gap {adm.gap} > 4: no smooth Calabi-Yau"
             )
     row = _report_row(spec)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "invariants",
+    return {
         "base": args.base,
         "row": row,
         "rows": [row],
     }
-    _emit(payload, args.format, args.out)
-    return EXIT_OK
 
 
 def _enumerate_specs(base: str, max_degree: int) -> List[BundleSpec]:
@@ -335,7 +333,7 @@ def _enumerate_specs(base: str, max_degree: int) -> List[BundleSpec]:
     return specs
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> dict:
     if args.max_degree < 0:
         raise CliError(EXIT_INVALID_INPUT, "--max-degree must be >= 0")
     if args.max_degree > MAX_ENUMERATE_DEGREE:
@@ -346,28 +344,18 @@ def _cmd_enumerate(args) -> int:
     oracle_memo: OracleMemo = {}
     # _enumerate_specs yields the specs in (base, degrees) order
     rows = [_report_row(s, oracle_memo) for s in specs]
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "enumerate",
+    return {
         "base": args.base,
         "max_degree": args.max_degree,
         "rows": rows,
     }
-    _emit(payload, args.format, args.out)
-    return EXIT_OK
 
 
-def _cmd_kaehler(args) -> int:
-    degs = _parse_degrees(args.degrees, args.base)
-    spec = _spec_for(args.base, degs)
-    try:
-        report = boundary_rays(spec, invariants_for(require_rho_two(spec)))
-    except RhoNotTwoError as exc:
-        raise CliError(EXIT_INADMISSIBLE, str(exc))
+def _cmd_kaehler(args) -> dict:
+    degs, spec = _parse_spec(args.degrees, args.base)
+    report = boundary_rays(spec, invariants_for(require_rho_two(spec)))
     w, analysis = report.cubic, report.analysis
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "kaehler",
+    return {
         "base": args.base,
         "degrees": degs,
         "cubic": {
@@ -380,30 +368,18 @@ def _cmd_kaehler(args) -> int:
         "double_roots": [str(r) for r in analysis.double_roots],
         "report": report.to_dict(),
     }
-    _emit(payload, args.format, args.out)
-    return EXIT_OK
 
 
-def _cmd_classify(args) -> int:
-    degs = _parse_degrees(args.degrees, "p1")
-    spec = _spec_for("p1", degs)
-    try:
-        report = classify_contraction_p1(spec)
-    except RhoNotTwoError as exc:
-        raise CliError(EXIT_INADMISSIBLE, str(exc))
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "classify",
+def _cmd_classify(args) -> dict:
+    degs, spec = _parse_spec(args.degrees, "p1")
+    return {
         "degrees": degs,
-        "report": report.to_dict(),
+        "report": classify_contraction_p1(spec).to_dict(),
     }
-    _emit(payload, args.format, args.out)
-    return EXIT_OK
 
 
-def _cmd_discriminant(args) -> int:
-    degs = _parse_degrees(args.degrees, "p3")
-    spec = _spec_for("p3", degs)
+def _cmd_discriminant(args) -> dict:
+    degs, spec = _parse_spec(args.degrees, "p3")
     if not admissibility_p3(spec).admissible:
         raise CliError(EXIT_INADMISSIBLE, "splitting gap > 4")
     try:
@@ -419,9 +395,7 @@ def _cmd_discriminant(args) -> int:
     }
     wq = witness_section(q if args.bound >= 1 else sample_section(spec, args.seed, 1))
     witness = singularity_witness(wq, (1, 0, 0, 0))
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "discriminant",
+    return {
         "degrees": degs,
         "seed": args.seed,
         "bound": args.bound,
@@ -435,10 +409,21 @@ def _cmd_discriminant(args) -> int:
             "note": witness.note,
         },
     }
-    _emit(payload, args.format, args.out)
-    if not all(checks.values()):
-        raise CliError(EXIT_ORACLE_MISMATCH, "a discriminant self-check failed")
-    return EXIT_OK
+
+
+_DEGREES = ("--degrees", {"required": True})
+# name, help, handler, own options in the order they are added, and whether
+# --base follows them; --format and --out come last on every subcommand
+_COMMANDS = (
+    ("invariants", "invariant report for one spec", _cmd_invariants, (_DEGREES,), True),
+    ("enumerate", "survey all normalized split specs", _cmd_enumerate,
+     (("--max-degree", {"type": int, "required": True}),), True),
+    ("kaehler", "cubic form, rationality, boundary rays", _cmd_kaehler, (_DEGREES,), True),
+    ("classify", "second-contraction classification (p1)", _cmd_classify, (_DEGREES,), False),
+    ("discriminant", "discriminant octic for a seeded section", _cmd_discriminant,
+     (_DEGREES, ("--seed", {"type": int, "default": 0}),
+      ("--bound", {"type": int, "default": 3})), False),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,40 +432,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of Calabi-Yau threefolds in projective bundles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, base=True):
-        if base:
+    for name, help_text, handler, options, takes_base in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        if takes_base:
             p.add_argument("--base", choices=("p3", "p1"), default="p3")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", default=None)
-
-    p = sub.add_parser("invariants", help="invariant report for one spec")
-    p.add_argument("--degrees", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("enumerate", help="survey all normalized split specs")
-    p.add_argument("--max-degree", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("kaehler", help="cubic form, rationality, boundary rays")
-    p.add_argument("--degrees", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_kaehler)
-
-    p = sub.add_parser("classify", help="second-contraction classification (p1)")
-    p.add_argument("--degrees", required=True)
-    common(p, base=False)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("discriminant", help="discriminant octic for a seeded section")
-    p.add_argument("--degrees", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=3)
-    common(p, base=False)
-    p.set_defaults(func=_cmd_discriminant)
-
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -495,16 +455,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         if args.out == "":
             raise CliError(EXIT_INVALID_INPUT, "--out needs a file path")
-        return args.func(args)
-    except CliError as exc:
-        print(json.dumps({"error": exc.reason, "exit_code": exc.code}), file=sys.stderr)
-        return exc.code
-    except OracleMismatchError as exc:
-        print(
-            json.dumps({"error": str(exc), "exit_code": EXIT_ORACLE_MISMATCH}),
-            file=sys.stderr,
-        )
-        return EXIT_ORACLE_MISMATCH
+        payload = {"schema": SCHEMA_VERSION, "command": args.command, **args.func(args)}
+        _emit(payload, args.format, args.out)
+        if not all(payload.get("checks", {}).values()):
+            raise CliError(EXIT_ORACLE_MISMATCH, f"a {args.command} self-check failed")
+        return EXIT_OK
+    except (CliError, *_ERROR_EXIT_CODES) as exc:
+        code = exc.code if isinstance(exc, CliError) else _ERROR_EXIT_CODES[type(exc)]
+        print(json.dumps({"error": str(exc), "exit_code": code}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from typing import Dict, Optional, Tuple
 
 from .chow import (
     BundleSpec,
-    Coefficient,
     closed_form_intersections,
     tangent_total_chern,
 )
@@ -63,12 +62,6 @@ class CyInvariants:
     picard_hypothesis_note: Optional[str]
     mk_cubed: Optional[int]       # m = 1 only
     mk_sq_h: Optional[int]        # m = 1 only
-
-
-def _as_int(name: str, value: Coefficient) -> int:
-    if value.denominator != 1:
-        raise OracleMismatchError(f"{name} = {value} is not an integer")
-    return int(value)
 
 
 def _oracle_numbers(spec: BundleSpec) -> dict:
@@ -142,7 +135,9 @@ def _record(
         c2=spec.c2,
         picard_number=rho,
         picard_hypothesis_note=note,
-        **{k: v if type(v) is int else _as_int(k, v) for k, v in closed.items()},
+        # equal to the closed forms, and plain ints where a closed form is
+        # an integral Fraction
+        **{k: oracle[k] for k in closed},
         **fields,
     )
 

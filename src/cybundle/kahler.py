@@ -309,9 +309,8 @@ def verify_KY_squared(spec: BundleSpec) -> int:
     P^4; the integral is the self-intersection of the canonical divisor of
     the contracted surface.
     """
-    if spec.base_dim != 1 or spec.normalized().split_degrees != (0, 0, 0, 1):
+    if spec.base_dim != 1 or (norm := spec.normalized()).split_degrees != (0, 0, 0, 1):
         raise ValueError("K_Y^2 verification is for degrees (0, 0, 0, 1)")
-    norm = spec.normalized()
     e = ChowClass.xi(norm) - ChowClass.hyperplane(norm)
     val = integrate(anticanonical_class(norm) * e * e * e)
     if val.denominator != 1:

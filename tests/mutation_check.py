@@ -264,13 +264,45 @@ MUTATIONS = (
         ["tests/test_cli.py::TestTextWriter"],
     ),
     Mutation(
-        "_parse_degrees lets ValueError escape",
+        "_parse_spec lets ValueError escape",
         PKG / "cli.py",
         '''    except ValueError:
         raise CliError(EXIT_INVALID_INPUT, f"unparsable degrees: {text!r}")''',
         '''    except TypeError:
         raise CliError(EXIT_INVALID_INPUT, f"unparsable degrees: {text!r}")''',
         ["tests/test_cli.py::TestInvariantsCommand"],
+    ),
+    Mutation(
+        "RhoNotTwoError mapped to exit 3",
+        PKG / "cli.py",
+        "    RhoNotTwoError: EXIT_INADMISSIBLE,",
+        "    RhoNotTwoError: EXIT_ORACLE_MISMATCH,",
+        [f"tests/test_golden.py::test_golden_output[{name}]"
+         for name in ("refuse-kaehler-p3-04-exit4", "refuse-kaehler-p1-0222-exit4",
+                      "refuse-classify-0222-exit4", "refuse-kaehler-p3-05-exit4")],
+    ),
+    Mutation(
+        "exit after a failed self-check dropped",
+        PKG / "cli.py",
+        """        if not all(payload.get("checks", {}).values()):
+            raise CliError(EXIT_ORACLE_MISMATCH, f"a {args.command} self-check failed")
+""",
+        "",
+        ["tests/test_cli.py::TestDiscriminantCommand::test_failed_self_check_exit_3"],
+    ),
+    Mutation(
+        "--bound default 2 in the parser table",
+        PKG / "cli.py",
+        '("--bound", {"type": int, "default": 3})',
+        '("--bound", {"type": int, "default": 2})',
+        ["tests/test_golden.py::test_golden_output[discriminant-02-seed0]"],
+    ),
+    Mutation(
+        "schema dropped from the payload header",
+        PKG / "cli.py",
+        'payload = {"schema": SCHEMA_VERSION, "command": args.command, **args.func(args)}',
+        'payload = {"command": args.command, **args.func(args)}',
+        ["tests/test_golden.py"],
     ),
     Mutation(
         "p1 rho = 2 gate at c1 <= 4",

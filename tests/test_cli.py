@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import enum
@@ -27,6 +28,7 @@ from cybundle.cli import (
     _report_row,
     _write,
     _write_json,
+    build_parser,
     main,
 )
 from cybundle.discriminant import Octic, sample_section, witness_section
@@ -595,6 +597,79 @@ class TestTextWriter:
             fh = io.StringIO()
             _write(fh, payload, "text")
             assert fh.getvalue() == text_reference(payload), name
+
+
+# (option strings, dest, type, default, required, choices) of each action
+HELP_ACTION = (("-h", "--help"), "help", None, argparse.SUPPRESS, False, None)
+FORMAT_ACTION = (("--format",), "format", None, "json", False, ("json", "csv", "text"))
+OUT_ACTION = (("--out",), "out", None, None, False, None)
+
+
+class TestParser:
+    """The argparse actions of the parser and of every subcommand, pinned as
+    a literal.  No golden file covers argparse, and its --help text differs
+    between Python versions; these fields do not."""
+
+    SUBCOMMANDS = {
+        "invariants": ("invariant report for one spec", "_cmd_invariants", (
+            HELP_ACTION,
+            (("--degrees",), "degrees", None, None, True, None),
+            (("--base",), "base", None, "p3", False, ("p3", "p1")),
+            FORMAT_ACTION,
+            OUT_ACTION,
+        )),
+        "enumerate": ("survey all normalized split specs", "_cmd_enumerate", (
+            HELP_ACTION,
+            (("--max-degree",), "max_degree", int, None, True, None),
+            (("--base",), "base", None, "p3", False, ("p3", "p1")),
+            FORMAT_ACTION,
+            OUT_ACTION,
+        )),
+        "kaehler": ("cubic form, rationality, boundary rays", "_cmd_kaehler", (
+            HELP_ACTION,
+            (("--degrees",), "degrees", None, None, True, None),
+            (("--base",), "base", None, "p3", False, ("p3", "p1")),
+            FORMAT_ACTION,
+            OUT_ACTION,
+        )),
+        "classify": ("second-contraction classification (p1)", "_cmd_classify", (
+            HELP_ACTION,
+            (("--degrees",), "degrees", None, None, True, None),
+            FORMAT_ACTION,
+            OUT_ACTION,
+        )),
+        "discriminant": ("discriminant octic for a seeded section", "_cmd_discriminant", (
+            HELP_ACTION,
+            (("--degrees",), "degrees", None, None, True, None),
+            (("--seed",), "seed", int, 0, False, None),
+            (("--bound",), "bound", int, 3, False, None),
+            FORMAT_ACTION,
+            OUT_ACTION,
+        )),
+    }
+
+    @staticmethod
+    def actions(parser):
+        return tuple((tuple(a.option_strings), a.dest, a.type, a.default, a.required,
+                      a.choices) for a in parser._actions)
+
+    def test_top_level(self):
+        parser = build_parser()
+        assert (parser.prog, parser.description) == (
+            "cybundle", "Exact invariants of Calabi-Yau threefolds in projective bundles")
+        help_action, sub = parser._actions
+        assert (tuple(help_action.option_strings), help_action.dest) == HELP_ACTION[:2]
+        assert (sub.dest, sub.required, list(sub.choices)) == (
+            "command", True, list(self.SUBCOMMANDS))
+
+    def test_subcommands(self):
+        sub = build_parser()._actions[1]
+        helps = {a.dest: a.help for a in sub._choices_actions}
+        got = {
+            name: (helps[name], p.get_default("func").__name__, self.actions(p))
+            for name, p in sub.choices.items()
+        }
+        assert got == self.SUBCOMMANDS
 
 
 COMMAND_FLAGS = {
