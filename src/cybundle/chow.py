@@ -22,17 +22,17 @@ product of integral classes stays integral, and the oracle runs on ints alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ._value import Frozen
+
 SUPPORTED_CASES = {(3, 2), (1, 4)}
 
 
-@dataclass(frozen=True)
-class BundleSpec:
+class BundleSpec(Frozen):
     """The input datum: a rank-r bundle over P^m described by Chern data.
 
     ``split_degrees`` is present iff the bundle is a direct sum of line
@@ -41,13 +41,17 @@ class BundleSpec:
     base, so only c1 is stored.
     """
 
-    base_dim: int
-    rank: int
-    c1: int
-    c2: int = 0
-    split_degrees: Optional[Tuple[int, ...]] = None
+    __slots__ = ("base_dim", "rank", "c1", "c2", "split_degrees")
 
-    def __post_init__(self):
+    def __init__(self, base_dim: int, rank: int, c1: int, c2: int = 0,
+                 split_degrees: Optional[Tuple[int, ...]] = None) -> None:
+        # field by field, not through _fill's loop: a survey builds one spec
+        # per row
+        object.__setattr__(self, "base_dim", base_dim)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "split_degrees", split_degrees)
         if (self.base_dim, self.rank) not in SUPPORTED_CASES:
             raise ValueError(
                 f"unsupported (base_dim, rank) = ({self.base_dim}, {self.rank})"
@@ -327,14 +331,13 @@ def anticanonical_class(spec: BundleSpec) -> ChowClass:
     )
 
 
-@dataclass(frozen=True)
-class IntersectionNumbers:
+class IntersectionNumbers(Frozen):
     """Top intersection numbers of xi and H powers on Z (dim Z = 4)."""
 
-    xi1_h3: int
-    xi2_h2: int
-    xi3_h1: int
-    xi4: int
+    __slots__ = ("xi1_h3", "xi2_h2", "xi3_h1", "xi4")
+
+    def __init__(self, xi1_h3: int, xi2_h2: int, xi3_h1: int, xi4: int) -> None:
+        self._fill(xi1_h3, xi2_h2, xi3_h1, xi4)
 
 
 def closed_form_intersections(spec: BundleSpec) -> IntersectionNumbers:

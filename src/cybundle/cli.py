@@ -15,15 +15,18 @@ negative leading degree needs the form ``--degrees=-5,0,0,0``.
 Exit codes: 0 ok, 2 invalid input (malformed or wrong-arity degrees, a
 ``--bound`` outside 0..MAX_SECTION_BOUND, a ``--max-degree`` outside
 0..MAX_ENUMERATE_DEGREE, ``--format csv`` on ``kaehler``, ``classify`` or
-``discriminant``, an empty ``--out`` or an ``--out`` path that cannot be
-written), 3 oracle mismatch or a false value under ``checks`` (the payload
+``discriminant``, an empty ``--out``, an ``--out`` path that cannot be
+written, or a stdout that cannot be written, such as a full device or a
+closed pipe), 3 oracle mismatch or a false value under ``checks`` (the payload
 is written first), 4 inadmissible or refused spec (``RhoNotTwoError``
 too).  The csv and empty ``--out`` refusals come before any computation.
 Command handlers return only their payload fields; ``main`` alone adds the
 header (``schema``, ``command``), writes the payload and maps errors to exit
 codes, each with one JSON object ``{"error": ..., "exit_code": ...}`` on
 stderr; argparse's own usage errors keep its usage message.  ``--out`` is
-written atomically: a failed write leaves no partial file.
+written atomically: a failed write leaves no partial file.  After a failed
+write to stdout the descriptor under it is pointed at the null device, so
+the exit prints no second error.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import fields
 from typing import Callable, List, Optional, TextIO, Tuple
 
 from .chow import BundleSpec
@@ -101,7 +103,7 @@ _PLAIN = (int, str)
 ROW_KEYS = (
     "base",
     "degrees",
-    *(f.name for f in fields(CyInvariants) if f.name != "base_dim"),
+    *(name for name in CyInvariants._fields if name != "base_dim"),
     "oracle_ok",
     "rationality",
     "ray_c2_xi",
@@ -118,7 +120,7 @@ _NULL_ROW = dict.fromkeys(ROW_KEYS)
 _ROW_ORDER = tuple(sorted(ROW_KEYS))
 _JSON_ROW_TEMPLATE = tuple(
     (k, ("," if i else "{") + f"\n      {_encode_str(k)}: ") for i, k in enumerate(_ROW_ORDER))
-_RECORD_KEYS = tuple(k for k in ROW_KEYS if k in {f.name for f in fields(CyInvariants)})
+_RECORD_KEYS = tuple(k for k in ROW_KEYS if k in CyInvariants._fields)
 
 
 class CliError(Exception):
@@ -181,14 +183,31 @@ def _emit(payload: dict, fmt: str, out: Optional[str]) -> None:
     rendered in the key order sorted once from ROW_KEYS, in json from a row
     template; every other json value goes through _json_text.
     """
-    if out:
-        try:
+    try:
+        if out:
             _write_atomic(out, lambda fh: _write(fh, payload, fmt))
-        except OSError as exc:
-            reason = exc.strerror or str(exc)
-            raise CliError(EXIT_INVALID_INPUT, f"cannot write {out}: {reason}")
-    else:
-        _write(sys.stdout, payload, fmt)
+        else:
+            _write(sys.stdout, payload, fmt)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out:
+            _discard_stdout()
+        reason = exc.strerror or str(exc)
+        raise CliError(EXIT_INVALID_INPUT, f"cannot write {out or 'stdout'}: {reason}")
+
+
+def _discard_stdout() -> None:
+    """Point the descriptor under a failed stdout at the null device, so
+    that the interpreter's flush of stdout at exit cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # an in-memory stream has no descriptor
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+    finally:
+        os.close(null)
 
 
 def _write(fh: TextIO, payload: dict, fmt: str) -> None:

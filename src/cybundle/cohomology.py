@@ -12,20 +12,20 @@ caller of SplitBundle._trusted must pass them sorted, and cohomology() bisects.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, repeat
 from math import comb, factorial, prod
 from typing import Tuple
 
+from ._value import Frozen
 
-@dataclass(frozen=True)
-class SplitBundle:
+
+class SplitBundle(Frozen):
     """A direct sum of line bundles O(d) on P^m, as a multiset of degrees."""
 
-    base_dim: int
-    degrees: Tuple[int, ...]
+    __slots__ = ("base_dim", "degrees")
 
-    def __post_init__(self):
+    def __init__(self, base_dim: int, degrees: Tuple[int, ...]) -> None:
+        self._fill(base_dim, degrees)
         if self.base_dim not in (1, 3):
             raise ValueError("base must be P^1 or P^3")
         if not self.degrees:
@@ -35,7 +35,7 @@ class SplitBundle:
     @classmethod
     def _trusted(cls, base_dim: int, degrees: Tuple[int, ...]) -> "SplitBundle":
         """Wrap degrees already sorted over a valid base, skipping the
-        checks and the sort of __post_init__."""
+        checks and the sort of __init__."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "base_dim", base_dim)
         object.__setattr__(obj, "degrees", degrees)

@@ -13,12 +13,11 @@ X -- are singular points of Delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Sequence, Tuple
 
+from ._value import Frozen
 from .chow import BundleSpec
 from .invariants import OracleMismatchError, section_degrees
 from .ratpoly import (
@@ -34,16 +33,14 @@ from .ratpoly import (
 )
 
 
-@dataclass(frozen=True)
-class QuadraticSection:
+class QuadraticSection(Frozen):
     """The fiberwise quadric datum (s00, s01, s11) over a split spec."""
 
-    spec: BundleSpec
-    s00: MultiPoly
-    s01: MultiPoly
-    s11: MultiPoly
+    __slots__ = ("spec", "s00", "s01", "s11")
 
-    def __post_init__(self):
+    def __init__(self, spec: BundleSpec, s00: MultiPoly, s01: MultiPoly,
+                 s11: MultiPoly) -> None:
+        self._fill(spec, s00, s01, s11)
         if (self.spec.base_dim, self.spec.rank) != (3, 2) or not self.spec.is_split:
             raise ValueError("quadratic sections need a split rank-2 spec on P^3")
         d00, d01, d11 = section_degrees(self.spec)
@@ -59,19 +56,25 @@ class QuadraticSection:
         return QuadraticSection(self.spec, self.s00 * r, self.s01 * r, self.s11 * r)
 
 
-@dataclass(frozen=True)
-class Octic:
+class Octic(Frozen):
     """A (possibly zero) octic surface in P^3."""
 
-    poly: MultiPoly
+    # _texts holds the coefficient texts once _coeffs has built them
+    __slots__ = ("poly", "_texts")
+    _fields = ("poly",)
 
-    def __post_init__(self):
+    def __init__(self, poly: MultiPoly) -> None:
+        self._fill(poly)
         if self.poly.num and _homogeneous_degree(self.poly) != 8:
             raise ValueError("the discriminant must be homogeneous of degree 8")
 
-    @cached_property
+    @property
     def _coeffs(self) -> dict:
-        return coefficient_texts(self.poly)
+        try:
+            return self._texts
+        except AttributeError:
+            object.__setattr__(self, "_texts", coefficient_texts(self.poly))
+            return self._texts
 
     def to_text(self) -> str:
         return to_canonical_text(self.poly, self._coeffs)
@@ -105,19 +108,18 @@ def base_locus_expected(spec: BundleSpec) -> int:
     return d00 * d01 * d11
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
+class WitnessRecord(Frozen):
     """Evaluation of the section data and the discriminant at one point."""
 
-    point: Tuple[Fraction, Fraction, Fraction, Fraction]
-    s00: Fraction
-    s01: Fraction
-    s11: Fraction
-    delta: Fraction
-    gradient: Tuple[Fraction, Fraction, Fraction, Fraction]
-    on_base_locus: bool
-    singular_point_verified: bool
-    note: str
+    __slots__ = ("point", "s00", "s01", "s11", "delta", "gradient", "on_base_locus",
+                 "singular_point_verified", "note")
+
+    def __init__(self, point: Tuple[Fraction, Fraction, Fraction, Fraction],
+                 s00: Fraction, s01: Fraction, s11: Fraction, delta: Fraction,
+                 gradient: Tuple[Fraction, Fraction, Fraction, Fraction],
+                 on_base_locus: bool, singular_point_verified: bool, note: str) -> None:
+        self._fill(point, s00, s01, s11, delta, gradient, on_base_locus,
+                   singular_point_verified, note)
 
 
 def singularity_witness(q: QuadraticSection, point: Sequence) -> WitnessRecord:

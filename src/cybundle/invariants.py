@@ -14,12 +14,12 @@ of the library, not an afterthought.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import mul
 from typing import Dict, Optional, Tuple
 
+from ._value import Frozen, Record
 from .chow import (
     BundleSpec,
     closed_form_intersections,
@@ -36,32 +36,40 @@ class OracleMismatchError(ArithmeticError):
 OracleMemo = Dict[Tuple[int, int, int, int], dict]
 
 
-@dataclass
-class CyInvariants:
+class CyInvariants(Record):
     """The full invariant record of X = {-K_Z section = 0} in Z = P(E).
 
     Triple products are in the basis (xi|X, pi^*h); mk_* fields refer to
     -K_Z|X.  Every record was checked against the Chern oracle; the Picard
-    fields need split degrees and are None without them.
+    fields need split degrees and are None without them.  The record is
+    mutable, so it has no hash; ``_fields`` names its fields in order.
     """
 
-    base_dim: int
-    c1: int
-    c2: int
-    gamma: Optional[int]          # m = 3 only
-    c3_X: int
-    h_dot_c2: int
-    xi_dot_c2: int
-    mk_dot_c2: int
-    h3: int                       # (pi^*h)^3 on X
-    xi_h2: int                    # xi . (pi^*h)^2 on X
-    xi2_h: int                    # xi^2 . pi^*h on X
-    xi3: int                      # xi^3 on X
-    fiber_count: Optional[int]    # m = 3 only
-    picard_number: Optional[int]
-    picard_hypothesis_note: Optional[str]
-    mk_cubed: Optional[int]       # m = 1 only
-    mk_sq_h: Optional[int]        # m = 1 only
+    __slots__ = (
+        "base_dim", "c1", "c2",
+        "gamma",                      # m = 3 only
+        "c3_X", "h_dot_c2", "xi_dot_c2", "mk_dot_c2",
+        "h3",                         # (pi^*h)^3 on X
+        "xi_h2",                      # xi . (pi^*h)^2 on X
+        "xi2_h",                      # xi^2 . pi^*h on X
+        "xi3",                        # xi^3 on X
+        "fiber_count",                # m = 3 only
+        "picard_number", "picard_hypothesis_note",
+        "mk_cubed", "mk_sq_h",        # m = 1 only
+    )
+
+    def __init__(self, base_dim: int, c1: int, c2: int, gamma: Optional[int], c3_X: int,
+                 h_dot_c2: int, xi_dot_c2: int, mk_dot_c2: int, h3: int, xi_h2: int,
+                 xi2_h: int, xi3: int, fiber_count: Optional[int],
+                 picard_number: Optional[int], picard_hypothesis_note: Optional[str],
+                 mk_cubed: Optional[int], mk_sq_h: Optional[int]) -> None:
+        # one assignment per field, as fast as a dataclass's own __init__
+        self.base_dim, self.c1, self.c2, self.gamma = base_dim, c1, c2, gamma
+        self.c3_X, self.h_dot_c2, self.xi_dot_c2 = c3_X, h_dot_c2, xi_dot_c2
+        self.mk_dot_c2, self.h3, self.xi_h2, self.xi2_h = mk_dot_c2, h3, xi_h2, xi2_h
+        self.xi3, self.fiber_count, self.picard_number = xi3, fiber_count, picard_number
+        self.picard_hypothesis_note = picard_hypothesis_note
+        self.mk_cubed, self.mk_sq_h = mk_cubed, mk_sq_h
 
 
 def _oracle_numbers(spec: BundleSpec) -> dict:
@@ -298,12 +306,12 @@ def picard_number(spec: BundleSpec) -> tuple[int, str]:
     return 2 + h1, "normalized convention"
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    admissible: bool
-    gap: int            # b - a for the splitting type
-    gamma: int
-    gamma_max: int      # the split maximum (a - b)^2
+class AdmissibilityReport(Frozen):
+    # gap is b - a for the splitting type, gamma_max the split maximum (a - b)^2
+    __slots__ = ("admissible", "gap", "gamma", "gamma_max")
+
+    def __init__(self, admissible: bool, gap: int, gamma: int, gamma_max: int) -> None:
+        self._fill(admissible, gap, gamma, gamma_max)
 
 
 def admissibility_p3(spec: BundleSpec) -> AdmissibilityReport:

@@ -9,11 +9,11 @@ they are asserted and their c2-values reported rather than rediscovered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from ._value import Frozen
 from .chow import BundleSpec, ChowClass, anticanonical_class, integrate, reduce
 from .invariants import RHO_ONE_SPLITTING_P3, CyInvariants, admissibility_p3
 from .ratpoly import UniPoly, derivative, poly_gcd, rational_roots
@@ -34,17 +34,16 @@ class ContractionKind(str, Enum):
     EXCLUDED = "ExcludedByTheorem"
 
 
-@dataclass(frozen=True)
-class CubicForm:
+class CubicForm(Frozen):
     """w(x, y) = sum_{i+j=3} w_ij x^i y^j in the basis (xi|X, pi^*h).
 
     w_ij = C(3, i) * (L1^i . L2^j) with L1 = xi|X, L2 = pi^*h.
     """
 
-    w30: Fraction
-    w21: Fraction
-    w12: Fraction
-    w03: Fraction
+    __slots__ = ("w30", "w21", "w12", "w03")
+
+    def __init__(self, w30: Fraction, w21: Fraction, w12: Fraction, w03: Fraction) -> None:
+        self._fill(w30, w21, w12, w03)
 
     def is_zero(self) -> bool:
         return self.w30 == self.w21 == self.w12 == self.w03 == 0
@@ -77,11 +76,14 @@ def w_cubic(inv: CyInvariants) -> CubicForm:
     )
 
 
-@dataclass(frozen=True)
-class RationalityReport:
-    verdict: Rationality
-    chart: Optional[str]                 # which chart exhibited the gcd factor
-    double_roots: Tuple[Fraction, ...]   # roots of gcd(w, Dw) in that chart
+class RationalityReport(Frozen):
+    # chart: the chart that exhibited the gcd factor; double_roots: the roots
+    # of gcd(w, Dw) in that chart
+    __slots__ = ("verdict", "chart", "double_roots")
+
+    def __init__(self, verdict: Rationality, chart: Optional[str],
+                 double_roots: Tuple[Fraction, ...]) -> None:
+        self._fill(verdict, chart, double_roots)
 
 
 def rationality_analysis(w: CubicForm) -> RationalityReport:
@@ -131,14 +133,15 @@ def rationality_analysis(w: CubicForm) -> RationalityReport:
     )
 
 
-@dataclass(frozen=True)
-class KahlerReport:
-    rays: Tuple[Tuple[int, int], Tuple[int, int]]   # basis (xi|X, pi^*h)
-    cubic: CubicForm
-    analysis: RationalityReport
-    c2_values: Tuple[int, int]                      # per ray, same order
-    degeneracy_det: Optional[int]                   # m = 3 only
-    basis_det: int
+class KahlerReport(Frozen):
+    # rays in the basis (xi|X, pi^*h), c2_values per ray in the same order;
+    # degeneracy_det for m = 3 only
+    __slots__ = ("rays", "cubic", "analysis", "c2_values", "degeneracy_det", "basis_det")
+
+    def __init__(self, rays: Tuple[Tuple[int, int], Tuple[int, int]], cubic: CubicForm,
+                 analysis: RationalityReport, c2_values: Tuple[int, int],
+                 degeneracy_det: Optional[int], basis_det: int) -> None:
+        self._fill(rays, cubic, analysis, c2_values, degeneracy_det, basis_det)
 
     @property
     def rationality(self) -> Rationality:
@@ -244,15 +247,14 @@ def h4_basis_determinant(spec: BundleSpec) -> int:
     return int(det)
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    c1: int
-    rk_trivial: int
-    kind: ContractionKind
-    count: Optional[int] = None
-    k_y_squared: Optional[int] = None
-    quartic_degree: Optional[int] = None
-    image: Optional[str] = None
+class ContractionReport(Frozen):
+    __slots__ = ("c1", "rk_trivial", "kind", "count", "k_y_squared", "quartic_degree",
+                 "image")
+
+    def __init__(self, c1: int, rk_trivial: int, kind: ContractionKind,
+                 count: Optional[int] = None, k_y_squared: Optional[int] = None,
+                 quartic_degree: Optional[int] = None, image: Optional[str] = None) -> None:
+        self._fill(c1, rk_trivial, kind, count, k_y_squared, quartic_degree, image)
 
     def to_dict(self) -> dict:
         return {

@@ -191,6 +191,7 @@ MUTATIONS = (
                 num[e] = n * (12, 6, 4, 3)[k]""",
         ["tests/test_golden.py"],
     ),
+    # the two one-pass degree checks sit in the record constructors
     Mutation(
         "one-pass section degree check with > for !=",
         PKG / "discriminant.py",
@@ -204,6 +205,22 @@ MUTATIONS = (
         "if self.poly.num and _homogeneous_degree(self.poly) != 8:",
         "if self.poly.num and _homogeneous_degree(self.poly) > 8:",
         ["tests/test_discriminant.py::TestBuildDiscriminant"],
+    ),
+    Mutation(
+        "record equality without the type check",
+        PKG / "_value.py",
+        """        if type(other) is not type(self):
+            return NotImplemented
+""",
+        "",
+        ["tests/test_records.py::test_another_type_is_unequal"],
+    ),
+    Mutation(
+        "record hash skipping the last field",
+        PKG / "_value.py",
+        "return hash(self._key())",
+        "return hash(self._key()[:-1])",
+        ["tests/test_records.py::test_each_changed_field_unequal"],
     ),
     Mutation(
         "negative candidates skipped in rational_roots",
@@ -224,8 +241,8 @@ MUTATIONS = (
     Mutation(
         "picard_hypothesis_note dropped from the row keys",
         PKG / "cli.py",
-        'if f.name != "base_dim"),',
-        'if f.name not in ("base_dim", "picard_hypothesis_note")),',
+        'if name != "base_dim"),',
+        'if name not in ("base_dim", "picard_hypothesis_note")),',
         ["tests/test_cli.py::TestEnumerateCommand"],
     ),
     Mutation(

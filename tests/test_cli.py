@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import enum
 import io
 import json
@@ -361,7 +360,8 @@ class TestReportRowSchema:
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_row_carries_the_record(self, spec):
-        record = dataclasses.asdict(invariants_for(spec))
+        inv = invariants_for(spec)
+        record = {name: getattr(inv, name) for name in inv._fields}
         del record["base_dim"]
         row = _report_row(spec)
         assert tuple(row) == ROW_KEYS
@@ -503,6 +503,69 @@ class TestSubprocessEntry:
         err = json.loads(result.stderr)
         assert "reason" not in err or err["reason"]
         assert err["exit_code"] == 4
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose every write raises ``exc``."""
+
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+class TestStdoutFailure:
+    """A failed write to stdout exits 2 with one JSON error on stderr, as a
+    failed --out write does: no traceback, and nothing more at exit."""
+
+    ARGV = ["enumerate", "--base", "p1", "--max-degree", "20", "--format", "text"]
+
+    @pytest.mark.parametrize("exc", [
+        OSError(28, "No space left on device"),
+        BrokenPipeError(32, "Broken pipe"),
+    ], ids=["full-device", "broken-pipe"])
+    def test_in_process(self, monkeypatch, capsys, exc):
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(exc))
+        assert main(["enumerate", "--base", "p1", "--max-degree", "2", "--format", "text"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"cannot write stdout: {exc.strerror}", "exit_code": 2}
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            result = subprocess.run([sys.executable, "-m", "cybundle.cli", *self.ARGV],
+                                    stdout=full, stderr=subprocess.PIPE, text=True)
+        assert result.returncode == 2
+        # the whole of stderr is the one JSON object
+        assert json.loads(result.stderr) == {
+            "error": "cannot write stdout: No space left on device", "exit_code": 2}
+
+    def test_closed_pipe(self):
+        # the survey's text is far larger than a pipe buffer, so the writer
+        # meets the closed read end
+        proc = subprocess.Popen([sys.executable, "-m", "cybundle.cli", *self.ARGV],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.read(20).startswith('base: "p1"\n')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2
+        assert json.loads(err) == {"error": "cannot write stdout: Broken pipe", "exit_code": 2}
+
+
+class TestStartup:
+    def test_cli_import_loads_no_code_introspection(self):
+        # -S as well as -I: a .pth file of site-packages may import anything,
+        # and what it imports belongs to the environment, not to cybundle
+        src = Path(cybundle.cli.__file__).resolve().parents[1]
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); import cybundle.cli; "
+                 "print(*sorted(set(sys.argv[2:]) & set(sys.modules)))")
+        heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+        result = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(src), *heavy],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.split() == []
 
 
 JSON_LEAVES = st.one_of(

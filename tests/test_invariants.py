@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -281,8 +280,8 @@ class TestTwistInvariance:
         degrees = degrees[: 2 if base == 3 else 4]
         spec = BundleSpec.from_split(base, degrees)
         twisted = BundleSpec.from_split(base, [d + t for d in degrees])
-        before = dataclasses.asdict(invariants_for(spec))
-        after = dataclasses.asdict(invariants_for(twisted))
+        before, after = ({k: getattr(inv, k) for k in inv._fields}
+                         for inv in (invariants_for(spec), invariants_for(twisted)))
         assert {k: before[k] for k in self.FIELDS} == {k: after[k] for k in self.FIELDS}
 
 
