@@ -23,10 +23,12 @@ too).  The csv and empty ``--out`` refusals come before any computation.
 Command handlers return only their payload fields; ``main`` alone adds the
 header (``schema``, ``command``), writes the payload and maps errors to exit
 codes, each with one JSON object ``{"error": ..., "exit_code": ...}`` on
-stderr; argparse's own usage errors keep its usage message.  ``--out`` is
-written atomically: a failed write leaves no partial file.  After a failed
-write to stdout the descriptor under it is pointed at the null device, so
-the exit prints no second error.
+stderr; argparse's own usage errors keep its usage message.  A request
+builds every subparser but gives options only to the one that ``argv[0]``
+names exactly; any other argv gets the full parser (see build_parser).
+``--out`` is written atomically: a failed write leaves no partial file.
+After a failed write to stdout the descriptor under it is pointed at the
+null device, so the exit prints no second error.
 """
 
 from __future__ import annotations
@@ -407,8 +409,7 @@ def _cmd_discriminant(args) -> dict:
         raise CliError(EXIT_INVALID_INPUT, str(exc))
     octic = build_discriminant(q)
     checks = {
-        "homogeneous_degree_8": octic.poly.is_zero()
-        or octic.poly.total_degree() == 8,
+        "homogeneous_degree_8": octic.is_homogeneous_octic(),
         "scaling_law": scaling_law_check(q, octic, "3/2"),
         "gradient_identity": gradient_identity_holds(q, octic),
     }
@@ -445,7 +446,15 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMAND_NAMES = frozenset(row[0] for row in _COMMANDS)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand.  Given a ``command``, only that
+    subparser gets its options; the others hold only their help action.
+    Such a parser reads exactly the argv whose first token is ``command``:
+    the top-level parser has no option but ``-h``, so that token always
+    selects the subcommand, and only its subparser reads the rest."""
     parser = argparse.ArgumentParser(
         prog="cybundle",
         description="Exact invariants of Calabi-Yau threefolds in projective bundles",
@@ -453,6 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, handler, options, takes_base in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
+        if command is not None and name != command:
+            continue
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
         if takes_base:
@@ -464,7 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # an exact subcommand name first needs only that subparser's options;
+    # any other argv (empty, -h, --, an unknown name) gets the full parser
+    named = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
+    args = build_parser(named).parse_args(argv)
     try:
         if args.format == "csv" and args.command not in CSV_COMMANDS:
             raise CliError(

@@ -65,8 +65,20 @@ class Octic(Frozen):
 
     def __init__(self, poly: MultiPoly) -> None:
         self._fill(poly)
-        if self.poly.num and _homogeneous_degree(self.poly) != 8:
+        if not self.is_homogeneous_octic():
             raise ValueError("the discriminant must be homogeneous of degree 8")
+
+    @classmethod
+    def _trusted(cls, poly: MultiPoly) -> "Octic":
+        """Wrap Delta of a validated section, skipping the degree pass of
+        __init__; the CLI's homogeneous_degree_8 check makes that pass."""
+        obj = object.__new__(cls)
+        obj._fill(poly)
+        return obj
+
+    def is_homogeneous_octic(self) -> bool:
+        """Zero or homogeneous of degree 8, in one pass over the exponents."""
+        return not self.poly.num or _homogeneous_degree(self.poly) == 8
 
     @property
     def _coeffs(self) -> dict:
@@ -85,8 +97,10 @@ class Octic(Frozen):
 
 
 def build_discriminant(q: QuadraticSection) -> Octic:
-    """Delta = s01^2 - 4*s00*s11, homogeneous of degree 8."""
-    return Octic(MultiPoly.sum_of_products(((1, q.s01, q.s01), (-4, q.s00, q.s11))))
+    """Delta = s01^2 - 4*s00*s11, homogeneous of degree 8.  The sections are
+    validated, so the octic skips the constructor's degree pass; the CLI's
+    check runs Octic.is_homogeneous_octic on it instead."""
+    return Octic._trusted(MultiPoly.sum_of_products(((1, q.s01, q.s01), (-4, q.s00, q.s11))))
 
 
 def scaling_law_check(q: QuadraticSection, octic: Octic, r) -> bool:

@@ -14,7 +14,11 @@ the script with exit 1.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints the parent and
 working-tree medians, their ratio, the pairs the working tree won (by the
-metric's ``better`` direction) and the parent's quartiles.  Every run
+metric's ``better`` direction) and the parent's quartiles.  It also prints
+each side's median count of completed requests, the ``requests`` field of
+the run's ``.bench_out/report-*-trace0.json`` in its temporary tree: the
+bench keeps a record per completed request, so ``peak_rss_mb`` is read
+against that count.  Every run
 uses ``--trace 0``, the setting the end-to-end metrics are measured
 under.  It reads ``BENCHMARK.json`` and runs ``bench/run.py`` as a
 program; it imports nothing from ``bench/`` and changes nothing there.
@@ -51,7 +55,8 @@ def copy_tree(dest: Path) -> None:
                         ignore=shutil.ignore_patterns("__pycache__", ".bench_out"))
 
 
-def run_bench(tree: Path, args, seed: int) -> dict:
+def run_bench(tree: Path, args, seed: int) -> tuple:
+    """The run's end-to-end metric values and its completed request count."""
     argv = [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(seed),
             "--seconds", str(args.seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
@@ -61,7 +66,9 @@ def run_bench(tree: Path, args, seed: int) -> dict:
     result = json.loads(lines[-1])
     if result["correct"] is not True:
         sys.exit(f"{tree}: seed {seed}: correct is {result['correct']!r}\n{done.stdout}")
-    return {k: m["value"] for k, m in result["metrics"].items()}
+    reports = (tree / ".bench_out").glob(f"report-*-seed{seed}-trace0.json")
+    requests = sum(json.loads(r.read_text())["requests"] for r in reports)
+    return {k: m["value"] for k, m in result["metrics"].items()}, requests
 
 
 def quartiles(xs):
@@ -83,6 +90,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     runs = {"parent": [], "tree": []}
+    requests = {"parent": [], "tree": []}
     with tempfile.TemporaryDirectory(prefix="ab-pairs-") as tmp:
         parent, tree = Path(tmp) / "parent", Path(tmp) / "tree"
         extract(args.parent, parent)
@@ -91,11 +99,13 @@ def main(argv=None) -> int:
             seed = seeds[i % len(seeds)]
             order = ("parent", "tree") if i % 2 == 0 else ("tree", "parent")
             for side in order:
-                metrics = run_bench(parent if side == "parent" else tree, args, seed)
+                metrics, count = run_bench(parent if side == "parent" else tree, args, seed)
                 runs[side].append(metrics)
+                requests[side].append(count)
             print(f"pair {i + 1}/{args.pairs} seed {seed}: " + "  ".join(
                 f"{k} {runs['parent'][-1][k]:.4g} -> {runs['tree'][-1][k]:.4g}"
-                for k in better if k in metrics), flush=True)
+                for k in better if k in metrics)
+                + f"  requests {requests['parent'][-1]} -> {requests['tree'][-1]}", flush=True)
     print(f"== {args.workload}: {args.parent} (parent) against the working tree, "
           f"{args.pairs} pairs, seeds {args.seeds}, {args.seconds:g} s")
     for name, direction in better.items():
@@ -110,6 +120,8 @@ def main(argv=None) -> int:
         print(f"  {name:<16} median {ma:.6g} -> {mb:.6g} ({mb / ma:.4f}x), "
               f"wins {wins}/{args.pairs}, parent quartiles {q1:.6g}-{q3:.6g} "
               f"(IQR {q3 - q1:.4g}, |gap| {abs(mb - ma):.4g}), better {direction}")
+    ra, rb = statistics.median(requests["parent"]), statistics.median(requests["tree"])
+    print(f"  {'requests':<16} median {ra:g} -> {rb:g} completed ({rb / ra:.4f}x)")
     return 0
 
 

@@ -200,10 +200,10 @@ MUTATIONS = (
         ["tests/test_discriminant.py::TestBuildDiscriminant"],
     ),
     Mutation(
-        "one-pass octic degree check with > for !=",
+        "one-pass octic degree check accepting degree 7",
         PKG / "discriminant.py",
-        "if self.poly.num and _homogeneous_degree(self.poly) != 8:",
-        "if self.poly.num and _homogeneous_degree(self.poly) > 8:",
+        "return not self.poly.num or _homogeneous_degree(self.poly) == 8",
+        "return not self.poly.num or _homogeneous_degree(self.poly) in (7, 8)",
         ["tests/test_discriminant.py::TestBuildDiscriminant"],
     ),
     Mutation(
@@ -306,6 +306,30 @@ MUTATIONS = (
 """,
         "",
         ["tests/test_cli.py::TestDiscriminantCommand::test_failed_self_check_exit_3"],
+    ),
+    # build_discriminant skips the octic's degree pass; this check makes it
+    Mutation(
+        "homogeneous_degree_8 check read as true",
+        PKG / "cli.py",
+        '"homogeneous_degree_8": octic.is_homogeneous_octic(),',
+        '"homogeneous_degree_8": True,',
+        ["tests/test_cli.py::TestDiscriminantCommand::test_defective_octic_kernel_exit_3"],
+    ),
+    Mutation(
+        "subcommand option filter inverted",
+        PKG / "cli.py",
+        "if command is not None and name != command:",
+        "if command is not None and name == command:",
+        ["tests/test_cli.py::TestNamedSubcommandParser::"
+         "test_only_the_named_subparser_has_options"],
+    ),
+    Mutation(
+        "subcommand taken from the last argv token that names one",
+        PKG / "cli.py",
+        "named = argv[0] if argv and argv[0] in _COMMAND_NAMES else None",
+        "named = next((a for a in reversed(argv) if a in _COMMAND_NAMES), None)",
+        ["tests/test_cli.py::TestNamedSubcommandParser::"
+         "test_later_token_naming_a_command"],
     ),
     Mutation(
         "--bound default 2 in the parser table",

@@ -3,12 +3,14 @@ import contextlib
 import enum
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -284,6 +286,22 @@ class TestDiscriminantCommand:
             "homogeneous_degree_8": True,
             "scaling_law": False,
         }
+        assert err == '{"error": "a discriminant self-check failed", "exit_code": 3}\n'
+
+    def test_defective_octic_kernel_exit_3(self, monkeypatch, capsys):
+        # build_discriminant skips Octic's degree pass, so a kernel whose
+        # Delta mixes degrees reaches the homogeneous_degree_8 check, which
+        # reads false; the payload is written, and no ValueError escapes.
+        # z1^7 and its gradient vanish at the witness point (1,0,0,0).
+        real = MultiPoly.sum_of_products
+
+        def defective(cls, terms):
+            return real(terms) + MultiPoly.monomial((0, 7, 0, 0))
+
+        monkeypatch.setattr(MultiPoly, "sum_of_products", classmethod(defective))
+        assert main(["discriminant", "--degrees", "0,2", "--seed", "5"]) == 3
+        out, err = capsys.readouterr()
+        assert json.loads(out)["checks"]["homogeneous_degree_8"] is False
         assert err == '{"error": "a discriminant self-check failed", "exit_code": 3}\n'
 
     @pytest.mark.parametrize("bound", [0, 1, 1000])
@@ -818,3 +836,99 @@ class TestArgvFragments:
             assert json.loads(err.getvalue())["exit_code"] == code, argv
         else:
             assert err.getvalue() == "", argv
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of main(argv); argparse's exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_main_full_parser(argv):
+    """run_main with the full parser whatever argv names."""
+    full = cybundle.cli.build_parser
+    with mock.patch.object(cybundle.cli, "build_parser", lambda command=None: full()):
+        return run_main(argv)
+
+
+# command names, every option string, abbreviations, a negative leading
+# degree, "--", help flags, values and junk; every accepted value is cheap
+ARGV_TOKENS = (
+    *COMMAND_FLAGS, "kaeh", "enum", "bogus",
+    *sorted({f for flags in COMMAND_FLAGS.values() for f in flags}), "-h", "--help",
+    "--deg", "--he", "--max", "--fo", "--bogus", "-x",
+    "-5,0,0,0", "--degrees=-5,0,0,0", "--degrees=0,1", "--", "=",
+    "0,1", "0,2", "0,5", "0,0,1,2", "0,2,2,2", "p1", "p3", "json", "text", "csv",
+    "0", "2", "-1", "x", "", "{tmp}/out.json",
+)
+
+
+@st.composite
+def argv_tokens(draw):
+    """Tokens of ARGV_TOKENS, half the time after a command name."""
+    argv = draw(st.lists(st.sampled_from(ARGV_TOKENS), max_size=7))
+    if draw(st.booleans()):
+        argv.insert(0, draw(st.sampled_from(sorted(COMMAND_FLAGS))))
+    return argv
+
+
+class TestNamedSubcommandParser:
+    """main gives options only to the subparser that argv[0] names, and the
+    full parser to any other argv; each argv gets the exit code, stdout and
+    stderr that the full parser gives it."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(argv=argv_tokens() | argv_fragments())
+    def test_same_result_as_the_full_parser(self, argv):
+        # a relative --out lands in the temporary directory
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [a.replace("{tmp}", tmp) for a in argv]
+            os.chdir(tmp)
+            try:
+                assert run_main(argv) == run_main_full_parser(argv), argv
+            finally:
+                os.chdir(cwd)
+
+    @pytest.mark.parametrize("argv,named", [
+        ([], None),
+        (["-h"], None),
+        (["--", "kaehler", "--degrees", "0,1"], None),
+        (["kaeh", "--degrees", "0,1"], None),
+        (["bogus"], None),
+        (["kaehler", "--degrees", "0,1"], "kaehler"),
+        (["invariants", "--base", "p3", "--degrees=0,1", "--out", "kaehler"], "invariants"),
+        (["classify", "--degrees", "0,0,0,1", "--format", "discriminant"], "classify"),
+    ])
+    def test_argv0_names_the_subparser(self, monkeypatch, tmp_path, argv, named):
+        monkeypatch.chdir(tmp_path)
+        full = run_main_full_parser(argv)
+        built = []
+        real = cybundle.cli.build_parser
+
+        def spy(command=None):
+            built.append(command)
+            return real(command)
+
+        monkeypatch.setattr(cybundle.cli, "build_parser", spy)
+        assert run_main(argv) == full
+        assert built == [named]
+
+    def test_later_token_naming_a_command(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        argv = ["invariants", "--base", "p3", "--degrees=0,1", "--out", "kaehler"]
+        assert run_main(argv) == (0, "", "")
+        assert json.loads((tmp_path / "kaehler").read_text())["command"] == "invariants"
+
+    def test_only_the_named_subparser_has_options(self):
+        sub = build_parser("kaehler")._actions[1]
+        got = {name: TestParser.actions(p) for name, p in sub.choices.items()}
+        want = {name: (HELP_ACTION,) for name in TestParser.SUBCOMMANDS}
+        want["kaehler"] = TestParser.SUBCOMMANDS["kaehler"][2]
+        assert got == want
+        assert sub.choices["kaehler"].get_default("func").__name__ == "_cmd_kaehler"
