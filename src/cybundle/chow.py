@@ -146,8 +146,8 @@ class ChowClass:
     """A class on Z in normal form: coefficient grid over xi^i * H^j.
 
     Grid indices satisfy 0 <= i < rank and 0 <= j <= base_dim.  Mixed-degree
-    (inhomogeneous) classes are allowed; ``graded_part`` extracts pure pieces.
-    Nonzero coefficients are stored as ``int`` when integral and as
+    (inhomogeneous) classes are allowed; ``graded_coefficients`` reads one
+    degree.  Nonzero coefficients are stored as ``int`` when integral and as
     ``Fraction`` otherwise; ``coefficient`` always returns a ``Fraction``.
     """
 
@@ -174,14 +174,6 @@ class ChowClass:
         return obj
 
     @classmethod
-    def zero(cls, spec: BundleSpec) -> "ChowClass":
-        return cls(spec)
-
-    @classmethod
-    def one(cls, spec: BundleSpec) -> "ChowClass":
-        return cls(spec, {(0, 0): 1})
-
-    @classmethod
     def xi(cls, spec: BundleSpec) -> "ChowClass":
         return cls(spec, {(1, 0): 1})
 
@@ -191,9 +183,6 @@ class ChowClass:
 
     def coefficient(self, xi_pow: int, h_pow: int) -> Fraction:
         return Fraction(self.coeffs.get((xi_pow, h_pow), 0))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __eq__(self, other) -> bool:
         return (
@@ -249,12 +238,6 @@ class ChowClass:
 
     __rmul__ = __mul__
 
-    def graded_part(self, degree: int) -> "ChowClass":
-        return ChowClass._trusted(
-            self.spec,
-            {k: c for k, c in self.coeffs.items() if k[0] + k[1] == degree},
-        )
-
     def graded_coefficients(self, degree: int) -> List[Coefficient]:
         """The degree-``degree`` part as a list indexed by the H-power:
         entry j is the coefficient of xi^(degree-j) * H^j."""
@@ -263,20 +246,6 @@ class ChowClass:
     def _check(self, other: "ChowClass") -> None:
         if self.spec != other.spec:
             raise ValueError("classes live on different bundles")
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "ChowClass(0)"
-        parts = []
-        for (i, j) in sorted(self.coeffs):
-            mono = []
-            if i:
-                mono.append("xi" if i == 1 else f"xi^{i}")
-            if j:
-                mono.append("H" if j == 1 else f"H^{j}")
-            c = self.coeffs[(i, j)]
-            parts.append(f"{c}*" + "*".join(mono) if mono else f"{c}")
-        return "ChowClass(" + " + ".join(parts) + ")"
 
 
 def reduce(spec: BundleSpec, formal: FormalPoly) -> ChowClass:

@@ -17,7 +17,8 @@ Exit codes: 0 ok, 2 invalid input (malformed or wrong-arity degrees, a
 0..MAX_ENUMERATE_DEGREE, ``--format csv`` on ``kaehler``, ``classify`` or
 ``discriminant``, an empty ``--out``, an ``--out`` path that cannot be
 written, or a stdout that cannot be written, such as a full device or a
-closed pipe), 3 oracle mismatch or a false value under ``checks`` (the payload
+closed pipe), 3 oracle mismatch, a false value under ``checks`` or a
+base-locus ``witness`` that is not a verified singular point (the payload
 is written first), 4 inadmissible or refused spec (``RhoNotTwoError``
 too).  The csv and empty ``--out`` refusals come before any computation.
 Command handlers return only their payload fields; ``main`` alone adds the
@@ -349,7 +350,7 @@ def _enumerate_specs(base: str, max_degree: int) -> List[BundleSpec]:
         for a1 in range(0, max_degree + 1):
             for a2 in range(a1, max_degree + 1):
                 for a3 in range(a2, max_degree + 1):
-                    # sorted and normalized; __post_init__ still validates
+                    # sorted and normalized; BundleSpec.__init__ still validates
                     specs.append(BundleSpec(1, 4, a1 + a2 + a3, 0, (0, a1, a2, a3)))
     return specs
 
@@ -491,7 +492,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise CliError(EXIT_INVALID_INPUT, "--out needs a file path")
         payload = {"schema": SCHEMA_VERSION, "command": args.command, **args.func(args)}
         _emit(payload, args.format, args.out)
-        if not all(payload.get("checks", {}).values()):
+        checks = [*payload.get("checks", {}).values()]
+        witness = payload.get("witness")
+        if witness and witness["on_base_locus"]:
+            checks.append(witness["singular_point_verified"])
+        if not all(checks):
             raise CliError(EXIT_ORACLE_MISMATCH, f"a {args.command} self-check failed")
         return EXIT_OK
     except (CliError, *_ERROR_EXIT_CODES) as exc:

@@ -41,10 +41,6 @@ class SplitBundle(Frozen):
         object.__setattr__(obj, "degrees", degrees)
         return obj
 
-    @property
-    def rank(self) -> int:
-        return len(self.degrees)
-
     def twist(self, t: int) -> "SplitBundle":
         # adding t keeps the degrees sorted
         return SplitBundle._trusted(self.base_dim, tuple(map(t.__add__, self.degrees)))

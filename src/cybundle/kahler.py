@@ -48,15 +48,6 @@ class CubicForm(Frozen):
     def is_zero(self) -> bool:
         return self.w30 == self.w21 == self.w12 == self.w03 == 0
 
-    def evaluate(self, x, y) -> Fraction:
-        x, y = Fraction(x), Fraction(y)
-        return (
-            self.w30 * x ** 3
-            + self.w21 * x ** 2 * y
-            + self.w12 * x * y ** 2
-            + self.w03 * y ** 3
-        )
-
     def chart_poly(self, chart: str) -> UniPoly:
         """Dehomogenize: chart 'y' sets y = 1 (poly in x), chart 'x' sets x = 1."""
         if chart == "y":

@@ -2,11 +2,11 @@
 
 Two representations are used throughout the library:
 
-* ``UniPoly`` -- dense univariate polynomials (coefficient list, index =
-  degree) used for the cubic-form analysis on the two-dimensional divisor
-  lattice.
-* ``MultiPoly`` -- sparse homogeneous polynomials in the four coordinates
-  z0..z3, used for the discriminant construction.
+* ``UniPoly`` -- a coefficient list (index = degree) for the cubic-form
+  analysis on the divisor lattice; ``derivative``, ``poly_gcd`` and
+  ``rational_roots`` are its algebra.
+* ``MultiPoly`` -- sparse polynomials in the four coordinates z0..z3 for
+  the discriminant construction, with products and evaluation.
 
 ``UniPoly`` keeps ``fractions.Fraction`` coefficients; ``MultiPoly`` keeps
 integer numerators over one common denominator in lowest terms.  No
@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -49,7 +50,8 @@ def _frac(x) -> Fraction:
 
 
 class UniPoly:
-    """Dense univariate polynomial with rational coefficients."""
+    """Rational coefficient list without trailing zeros; of arithmetic it
+    keeps only ``-``."""
 
     __slots__ = ("coeffs",)
 
@@ -58,14 +60,6 @@ class UniPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: List[Fraction] = cs
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls([])
-
-    @classmethod
-    def monomial(cls, degree: int, coeff=1) -> "UniPoly":
-        return cls([0] * degree + [coeff])
 
     @property
     def degree(self) -> int:
@@ -81,81 +75,8 @@ class UniPoly:
     def __hash__(self):
         return hash(tuple(self.coeffs))
 
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "UniPoly(0)"
-        terms = []
-        for d in range(self.degree, -1, -1):
-            c = self.coeffs[d]
-            if c == 0:
-                continue
-            if d == 0:
-                terms.append(str(c))
-            elif d == 1:
-                terms.append(f"{c}*x")
-            else:
-                terms.append(f"{c}*x^{d}")
-        return "UniPoly(" + " + ".join(terms) + ")"
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return UniPoly(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __getitem__(self, d: int) -> Fraction:
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else Fraction(0)
-
-    def evaluate(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * _frac(x) + c
-        return acc
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return UniPoly([c / lead for c in self.coeffs])
-
-    def divmod(self, other: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        lead = other.coeffs[-1]
-        while len(rem) - 1 >= d and rem:
-            k = len(rem) - 1 - d
-            f = rem[-1] / lead
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return UniPoly(q), UniPoly(rem)
+        return UniPoly([a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
 
 def derivative(p: UniPoly) -> UniPoly:
@@ -284,9 +205,9 @@ class MultiPoly:
     Stored as integer numerators over one common denominator, in lowest
     terms: ``num`` maps exponent 4-tuples to nonzero ``int`` numerators,
     ``den`` is a positive ``int``, and gcd(content, den) = 1, so equal
-    polynomials have equal storage.  ``terms`` copies the coefficients out
-    as ``Fraction``.  Helper predicates check homogeneity; the
-    arithmetic itself works for any sparse polynomial.
+    polynomials have equal storage.  Products and evaluation work for any
+    sparse polynomial; there is no ``+`` or ``-``, since every sum the
+    library forms is a ``sum_of_products``.
     """
 
     __slots__ = ("num", "den")
@@ -318,26 +239,6 @@ class MultiPoly:
         obj.den = den
         return obj
 
-    @property
-    def terms(self) -> Dict[Exponent, Fraction]:
-        """A new dict of the coefficients as ``Fraction``, built on each
-        access; changing it does not change the polynomial."""
-        return {e: Fraction(c, self.den) for e, c in self.num.items()}
-
-    @classmethod
-    def zero(cls) -> "MultiPoly":
-        return cls()
-
-    @classmethod
-    def monomial(cls, exponent: Iterable[int], coeff=1) -> "MultiPoly":
-        return cls({tuple(exponent): _frac(coeff)})
-
-    @classmethod
-    def variable(cls, i: int) -> "MultiPoly":
-        e = [0] * NVARS
-        e[i] = 1
-        return cls.monomial(e)
-
     def is_zero(self) -> bool:
         return not self.num
 
@@ -345,28 +246,11 @@ class MultiPoly:
         """Max total degree; -1 for zero."""
         return max(map(sum, self.num), default=-1)
 
-    def is_homogeneous(self) -> bool:
-        return len(set(map(sum, self.num))) <= 1
-
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiPoly) and (self.den, self.num) == (other.den, other.num)
 
     def __hash__(self):
         return hash((self.den, frozenset(self.num.items())))
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        tm = {e: c * fa for e, c in self.num.items()}
-        for e, c in other.num.items():
-            tm[e] = tm.get(e, 0) + c * fb
-        return MultiPoly._trusted({e: c for e, c in tm.items() if c}, den)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly._trusted({e: -c for e, c in self.num.items()}, self.den)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):

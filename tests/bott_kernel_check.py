@@ -97,7 +97,7 @@ def check(seed=0, count=2000, max_degree=20):
         check_bundle(b)
         check_bundle(b.twist(rng.randint(-3, 3)))
         check_bundle(b.dual())
-        check_sym_power(b, rng.randint(0, 4 if b.rank <= 4 else 2))
+        check_sym_power(b, rng.randint(0, 4 if len(b.degrees) <= 4 else 2))
         checked += 1
     return checked
 

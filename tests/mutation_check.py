@@ -301,11 +301,21 @@ MUTATIONS = (
     Mutation(
         "exit after a failed self-check dropped",
         PKG / "cli.py",
-        """        if not all(payload.get("checks", {}).values()):
+        """        if not all(checks):
             raise CliError(EXIT_ORACLE_MISMATCH, f"a {args.command} self-check failed")
 """,
         "",
         ["tests/test_cli.py::TestDiscriminantCommand::test_failed_self_check_exit_3"],
+    ),
+    # every value under checks is true in this test: only the witness fails
+    Mutation(
+        "failed base-locus witness not counted as a failed check",
+        PKG / "cli.py",
+        """        if witness and witness["on_base_locus"]:
+            checks.append(witness["singular_point_verified"])
+""",
+        "",
+        ["tests/test_cli.py::TestDiscriminantCommand::test_failed_witness_alone_exit_3"],
     ),
     # build_discriminant skips the octic's degree pass; this check makes it
     Mutation(
@@ -344,6 +354,14 @@ MUTATIONS = (
         'payload = {"schema": SCHEMA_VERSION, "command": args.command, **args.func(args)}',
         'payload = {"command": args.command, **args.func(args)}',
         ["tests/test_golden.py"],
+    ),
+    # the reach guard: a function that no request calls and no reason allows
+    Mutation(
+        "unreached function added to kahler",
+        PKG / "kahler.py",
+        "def w_cubic(inv: CyInvariants) -> CubicForm:",
+        "def _unreached() -> None:\n    pass\n\n\ndef w_cubic(inv: CyInvariants) -> CubicForm:",
+        ["tests/test_reach.py"],
     ),
     Mutation(
         "p1 rho = 2 gate at c1 <= 4",

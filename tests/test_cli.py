@@ -32,10 +32,11 @@ from cybundle.cli import (
     build_parser,
     main,
 )
-from cybundle.discriminant import Octic, sample_section, witness_section
+from cybundle.discriminant import WITNESS_FAILED, Octic, sample_section, witness_section
 from cybundle.invariants import invariants_for
 from cybundle.kahler import RhoNotTwoError, require_rho_two
 from cybundle.ratpoly import MultiPoly
+from multipoly_kernel_check import ONE
 
 
 def run_cli(args, tmp_path=None):
@@ -276,7 +277,8 @@ class TestDiscriminantCommand:
         real = cybundle.discriminant.build_discriminant
 
         def perturbed(q):
-            return Octic(real(q).poly + MultiPoly.monomial((8, 0, 0, 0)))
+            z0_8 = MultiPoly({(8, 0, 0, 0): 1})
+            return Octic(MultiPoly.sum_of_products([(1, real(q).poly, ONE), (1, z0_8, ONE)]))
 
         monkeypatch.setattr(cybundle.cli, "build_discriminant", perturbed)
         assert main(["discriminant", "--degrees", "0,2", "--seed", "5"]) == 3
@@ -288,20 +290,41 @@ class TestDiscriminantCommand:
         }
         assert err == '{"error": "a discriminant self-check failed", "exit_code": 3}\n'
 
-    def test_defective_octic_kernel_exit_3(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("extra", [(0, 7, 0, 0), (7, 0, 0, 0)], ids=["z1^7", "z0^7"])
+    def test_defective_octic_kernel_exit_3(self, monkeypatch, capsys, extra):
         # build_discriminant skips Octic's degree pass, so a kernel whose
         # Delta mixes degrees reaches the homogeneous_degree_8 check, which
         # reads false; the payload is written, and no ValueError escapes.
-        # z1^7 and its gradient vanish at the witness point (1,0,0,0).
+        # z1^7 and its gradient vanish at the witness point (1,0,0,0), z0^7
+        # does not, and the witness reports the failure instead of raising
         real = MultiPoly.sum_of_products
 
         def defective(cls, terms):
-            return real(terms) + MultiPoly.monomial((0, 7, 0, 0))
+            return real([*terms, (1, MultiPoly({extra: 1}), ONE)])
 
         monkeypatch.setattr(MultiPoly, "sum_of_products", classmethod(defective))
         assert main(["discriminant", "--degrees", "0,2", "--seed", "5"]) == 3
         out, err = capsys.readouterr()
-        assert json.loads(out)["checks"]["homogeneous_degree_8"] is False
+        payload = json.loads(out)
+        assert payload["checks"]["homogeneous_degree_8"] is False
+        assert payload["witness"]["singular_point_verified"] is (extra == (0, 7, 0, 0))
+        assert (payload["witness"]["note"] == WITNESS_FAILED) is (extra == (7, 0, 0, 0))
+        assert err == '{"error": "a discriminant self-check failed", "exit_code": 3}\n'
+
+    def test_failed_witness_alone_exit_3(self, monkeypatch, capsys):
+        # every check under checks holds, and Delta reads 1 at the witness
+        # point: the failed witness alone exits 3, after the payload
+        real = cybundle.discriminant.value_and_gradient
+
+        def shifted(p, point):
+            value, gradient = real(p, point)
+            return value + 1, gradient
+
+        monkeypatch.setattr(cybundle.discriminant, "value_and_gradient", shifted)
+        assert main(["discriminant", "--degrees", "0,2", "--seed", "5"]) == 3
+        out, err = capsys.readouterr()
+        assert all(json.loads(out)["checks"].values())
+        assert json.loads(out)["witness"]["note"] == WITNESS_FAILED
         assert err == '{"error": "a discriminant self-check failed", "exit_code": 3}\n'
 
     @pytest.mark.parametrize("bound", [0, 1, 1000])

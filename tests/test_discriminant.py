@@ -6,6 +6,7 @@ import pytest
 
 import cybundle.discriminant
 import multipoly_kernel_check
+from multipoly_kernel_check import ONE, Z, as_fractions
 from cybundle.chow import BundleSpec
 from cybundle.discriminant import (
     MAX_SECTION_BOUND,
@@ -34,7 +35,7 @@ P3_GRID = [BundleSpec.from_split(3, (a, a + gap)) for a in range(-3, 7) for gap 
 
 
 def _mono(e, c=1):
-    return MultiPoly.monomial(e, c)
+    return MultiPoly({e: c})
 
 
 class TestBuildDiscriminant:
@@ -51,7 +52,7 @@ class TestBuildDiscriminant:
     def test_reducible_degenerate_shape(self):
         spec = BundleSpec.from_split(3, (0, 2))
         s01 = _mono((4, 0, 0, 0), 2)
-        q = QuadraticSection(spec, MultiPoly.zero(), s01, _mono((6, 0, 0, 0)))
+        q = QuadraticSection(spec, MultiPoly(), s01, _mono((6, 0, 0, 0)))
         assert build_discriminant(q).poly == s01 * s01
 
     def test_degree_8_and_linear_system_dimension(self):
@@ -69,7 +70,7 @@ class TestBuildDiscriminant:
         for key, text in got.items():
             c = Fraction(octic.poly.num[tuple(map(int, key.split(",")))], octic.poly.den)
             assert text == f"{c.numerator}/{c.denominator}"
-        assert Octic(MultiPoly.zero()).to_json_coeffs() == {}
+        assert Octic(MultiPoly()).to_json_coeffs() == {}
 
     def test_json_coeffs_two_digit_exponents(self):
         # no octic has them; the key format is read off a stand-in table
@@ -84,14 +85,14 @@ class TestBuildDiscriminant:
             QuadraticSection(spec, _mono((3, 0, 0, 0)), _mono((4, 0, 0, 0)), _mono((6, 0, 0, 0)))
         # a lower degree and mixed degrees, in a section and in the octic
         s00, s01, s11 = _mono((2, 0, 0, 0)), _mono((4, 0, 0, 0)), _mono((6, 0, 0, 0))
-        for bad in (_mono((3, 0, 0, 0)), _mono((4, 0, 0, 0)) + _mono((3, 0, 0, 0))):
+        for bad in (_mono((3, 0, 0, 0)), MultiPoly({(4, 0, 0, 0): 1, (3, 0, 0, 0): 1})):
             with pytest.raises(ValueError, match="s01 must be homogeneous of degree 4"):
                 QuadraticSection(spec, s00, bad, s11)
-        for bad in (_mono((7, 0, 0, 0)), _mono((8, 0, 0, 0)) + _mono((0, 7, 0, 0))):
+        for bad in (_mono((7, 0, 0, 0)), MultiPoly({(8, 0, 0, 0): 1, (0, 7, 0, 0): 1})):
             with pytest.raises(ValueError, match="homogeneous of degree 8"):
                 Octic(bad)
-        QuadraticSection(spec, MultiPoly.zero(), s01, s11)
-        Octic(MultiPoly.zero())
+        QuadraticSection(spec, MultiPoly(), s01, s11)
+        Octic(MultiPoly())
 
     def test_inadmissible_refused(self):
         spec = BundleSpec.from_split(3, (0, 5))
@@ -140,16 +141,17 @@ class TestGradientIdentity:
         # d1 + z2*h and d2 - z1*h keep sum_i z_i*d_i = 8*Delta, the Euler
         # identity that the four packed fields add up to; only the fields
         # themselves tell the partials apart
-        h = MultiPoly.monomial((6, 0, 0, 0))
+        h = _mono((6, 0, 0, 0))
 
         def traded(p):
             g0, g1, g2, g3 = multipoly_gradient(p)
-            return g0, g1 + h * MultiPoly.variable(2), g2 - h * MultiPoly.variable(1), g3
+            return (g0, MultiPoly.sum_of_products([(1, g1, ONE), (1, h, Z[2])]),
+                    MultiPoly.sum_of_products([(1, g2, ONE), (-1, h, Z[1])]), g3)
 
         sections = self._sections(spec)
         for q in sections:
             g = traded(build_discriminant(q).poly)
-            euler = sum((MultiPoly.variable(i) * g[i] for i in range(4)), MultiPoly.zero())
+            euler = MultiPoly.sum_of_products((1, Z[i], g[i]) for i in range(4))
             assert euler == build_discriminant(q).poly * 8
         monkeypatch.setattr(cybundle.discriminant, "multipoly_gradient", traded)
         for q in sections:
@@ -178,7 +180,8 @@ class TestChecksVerifyTheGivenOctic:
         for seed, bound in ((0, 2), (6, 1000), (1, 0)):
             q = sample_section(spec, seed, bound)
             octic = build_discriminant(q)
-            wrong = Octic(octic.poly + _mono((8, 0, 0, 0)))
+            wrong = Octic(MultiPoly.sum_of_products(
+                [(1, octic.poly, ONE), (1, _mono((8, 0, 0, 0)), ONE)]))
             assert scaling_law_check(q, octic, Fraction(3, 2))
             assert gradient_identity_holds(q, octic)
             assert not scaling_law_check(q, wrong, Fraction(3, 2))
@@ -191,7 +194,7 @@ class TestGapRule:
     that admissibility_p3 calls inadmissible."""
 
     def test_refuses_exactly_the_inadmissible(self):
-        zero = MultiPoly.zero()
+        zero = MultiPoly()
         calls = {
             "section_degrees": section_degrees,
             "sample_section": lambda spec: sample_section(spec, 0, 1),
@@ -241,7 +244,7 @@ class TestSingularityWitness:
             for full, dropped, degree in zip(
                 (q.s00, q.s01, q.s11), (w.s00, w.s01, w.s11), section_degrees(spec)
             ):
-                want = dict(full.terms)
+                want = as_fractions(full)
                 want.pop((degree, 0, 0, 0), None)
                 assert dropped == MultiPoly(want)
 
@@ -255,7 +258,7 @@ class TestSingularityWitness:
     def test_on_octic_off_base_locus(self):
         spec = ADMISSIBLE[2]
         # Delta = -4 z0^2 z1^6 vanishes at (1,0,0,0) although s00 does not
-        q = QuadraticSection(spec, _mono((2, 0, 0, 0)), MultiPoly.zero(), _mono((0, 6, 0, 0)))
+        q = QuadraticSection(spec, _mono((2, 0, 0, 0)), MultiPoly(), _mono((0, 6, 0, 0)))
         rec = singularity_witness(q, (1, 0, 0, 0))
         assert not rec.on_base_locus
         assert rec.delta == 0
@@ -304,7 +307,7 @@ class TestSampling:
     def test_coefficients_within_bound(self):
         q = sample_section(ADMISSIBLE[2], 11, 3)
         for p in (q.s00, q.s01, q.s11):
-            for c in p.terms.values():
+            for c in as_fractions(p).values():
                 assert abs(c) <= 3
 
     def test_bound_above_cap_refused(self):
@@ -319,7 +322,7 @@ class TestSampling:
     def test_both_signs_at_the_cap(self):
         # numerators spread over [-bound, bound], not one side of zero
         q = sample_section(ADMISSIBLE[0], 7, MAX_SECTION_BOUND)
-        nums = [c.numerator for p in (q.s00, q.s01, q.s11) for c in p.terms.values()]
+        nums = [c.numerator for p in (q.s00, q.s01, q.s11) for c in as_fractions(p).values()]
         assert len(nums) == 3 * 35
         assert all(abs(c) <= MAX_SECTION_BOUND for c in nums)
         positive = sum(c > 0 for c in nums)

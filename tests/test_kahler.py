@@ -61,10 +61,6 @@ class TestWCubic:
         assert w.w30 == inv.xi3
         assert w.w21 == 3 * inv.xi2_h
 
-    def test_zero_evaluation(self):
-        w = w_cubic(invariants_p1(BundleSpec.from_split(1, (0, 0, 0, 0))))
-        assert w.evaluate(0, 0) == 0
-
 
 class TestRationality:
     def test_p1_shape_double_line(self):

@@ -4,8 +4,9 @@
 
 compares ``ratpoly.poly_gcd`` and ``ratpoly.rational_roots``, which run on
 primitive integer coefficients, with the Fraction versions they replaced:
-Euclid through ``UniPoly.divmod`` and a monic result, and the rational root
-test through ``UniPoly.evaluate`` over the sorted candidate set.  It runs on
+Euclid through ``ref_divmod`` and a monic result, and the rational root
+test through ``ref_evaluate`` over the sorted candidate set, both on lists
+of Fraction coefficients (index = degree).  It runs on
 seeded polynomials of degree <= 6: products of rational linear factors
 (repeated roots, roots at 0, negative and non-integral leading
 coefficients) with an irreducible quadratic or none, and dense random ones.
@@ -24,14 +25,40 @@ from random import Random
 from cybundle.ratpoly import UniPoly, derivative, poly_gcd, rational_roots
 
 
+def mul(a: UniPoly, b: UniPoly) -> UniPoly:
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return UniPoly(out)
+
+
+def ref_divmod(a: list, b: list) -> tuple:
+    """Quotient and remainder of coefficient lists without trailing zeros,
+    b nonzero; the remainder has no trailing zeros."""
+    rem, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        q[k] = f = rem[-1] / b[-1]
+        for i, c in enumerate(b):
+            rem[k + i] -= f * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return q, rem
+
+
+def ref_evaluate(a: list, x: Fraction) -> Fraction:
+    return sum((c * x ** i for i, c in enumerate(a)), Fraction(0))
+
+
 def ref_poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd by Euclid over Fraction coefficients."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic()
+    a, b = a.coeffs, b.coeffs
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return UniPoly([c / a[-1] for c in a])
 
 
 def ref_divisors(n: int) -> list:
@@ -49,12 +76,11 @@ def ref_rational_roots(p: UniPoly) -> list:
     while p.coeffs[k] == 0:
         k += 1
     roots = [Fraction(0)] * k
-    if k:
-        p = UniPoly(p.coeffs[k:])
-    if p.degree == 0:
+    p = p.coeffs[k:]
+    if len(p) == 1:
         return roots
-    denlcm = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * denlcm) for c in p.coeffs]
+    denlcm = lcm(*(c.denominator for c in p))
+    ints = [int(c * denlcm) for c in p]
     lead, const = ints[-1], ints[0]
     cands = set()
     for pn in ref_divisors(abs(const)):
@@ -62,9 +88,9 @@ def ref_rational_roots(p: UniPoly) -> list:
             cands.add(Fraction(pn, qn))
             cands.add(Fraction(-pn, qn))
     for r in sorted(cands):
-        while p.degree >= 1 and p.evaluate(r) == 0:
-            p, rem = p.divmod(UniPoly([-r, 1]))
-            if not rem.is_zero():
+        while len(p) > 1 and ref_evaluate(p, r) == 0:
+            p, rem = ref_divmod(p, [-r, 1])
+            if rem:
                 raise AssertionError(f"{r} is a root but leaves a remainder")
             roots.append(r)
     return roots
@@ -97,8 +123,8 @@ def factored(rng: Random) -> UniPoly:
         else:
             r = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         roots.append(r)
-        p = p * UniPoly([-r, 1])
-    return p * irreducible_quadratic(rng) if quadratic else p
+        p = mul(p, UniPoly([-r, 1]))
+    return mul(p, irreducible_quadratic(rng)) if quadratic else p
 
 
 def dense(rng: Random) -> UniPoly:
@@ -117,18 +143,18 @@ def random_poly(rng: Random) -> UniPoly:
 def check(seed: int = 0, count: int = 2000) -> int:
     """Compare kernels and references on count polynomials; returns count."""
     rng = Random(seed)
-    zero = UniPoly.zero()
+    zero = UniPoly([])
     for _ in range(count):
         p = random_poly(rng)
         got, want = rational_roots(p), ref_rational_roots(p)
         if got != want or any(type(r) is not Fraction for r in got):
-            raise AssertionError(f"rational_roots({p}): {got} != {want}")
+            raise AssertionError(f"rational_roots({p.coeffs}): {got} != {want}")
         shared = factored(rng)
-        q = shared * random_poly(rng)
-        for a, b in ((p, derivative(p)), (p * shared, q), (q, p), (p, zero), (zero, p)):
+        q = mul(shared, random_poly(rng))
+        for a, b in ((p, derivative(p)), (mul(p, shared), q), (q, p), (p, zero), (zero, p)):
             got, want = poly_gcd(a, b), ref_poly_gcd(a, b)
             if got != want:
-                raise AssertionError(f"poly_gcd({a}, {b}): {got} != {want}")
+                raise AssertionError(f"poly_gcd({a.coeffs}, {b.coeffs}) != {want.coeffs}")
     return count
 
 
