@@ -1,31 +1,27 @@
 """Chow-ring arithmetic for projectivized bundles over projective space.
 
-Z = P(E) for E a bundle over P^m.  The ring is Q[xi, H] modulo
+Z = P(E) for E a bundle over P^m with integer Chern data.  The ring is
+Z[xi, H] modulo
 
   * H^(m+1) = 0, and
   * the defining relation of the projectivization,
       xi^r = c1*H*xi^(r-1) - c2*H^2*xi^(r-2) + ...  (signs alternating),
 
-so every class has a unique normal form with xi-power < r and H-power <= m.
-The two supported geometries are (m, r) = (3, 2) and (1, 4).  ``reduce``
-and ``ChowClass.__mul__`` give the normal form of any class; the Chern-class
-oracle needs neither: ``tangent_total_chern`` writes c(T_Z) in normal form
-directly, and the top intersections are the closed forms.
+so every class has a unique normal form with xi-power < r and H-power <= m,
+and every coefficient is an ``int``.  The two supported geometries are
+(m, r) = (3, 2) and (1, 4).  ``reduce`` gives the normal form of any formal
+polynomial, and ``ChowClass.__mul__`` is ``reduce`` of the formal product;
+the Chern-class oracle needs neither: ``tangent_total_chern`` writes c(T_Z)
+in normal form directly, and the top intersections are the closed forms.
 
 Top-degree integration reads off the coefficient of xi^(r-1) * H^m, which is
 the class of a point.
-
-Coefficients are exact rationals: a grid stores ``int`` where a coefficient
-is integral and ``Fraction`` otherwise.  With integer Chern data every
-product of integral classes stays integral, and the oracle runs on ints alone.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._value import Frozen
 
@@ -120,35 +116,20 @@ class BundleSpec(Frozen):
         return self.c1 ** 2 - 4 * self.c2
 
 
-Coefficient = Union[int, Fraction]
-FormalPoly = Dict[Tuple[int, int], Coefficient]  # (xi_pow, h_pow) -> coefficient
-NormalForm = Tuple[Tuple[Tuple[int, int], Coefficient], ...]  # items of a grid
-
-
-def _exact(c) -> Coefficient:
-    """Any rational as stored in a grid: int when integral, else Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+FormalPoly = Dict[Tuple[int, int], int]  # (xi_pow, h_pow) -> coefficient
 
 
 def _stored(coeffs: FormalPoly) -> FormalPoly:
-    """Drop zero entries and turn integral Fractions back into ints."""
-    return {
-        k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-        for k, c in coeffs.items()
-        if c
-    }
+    """The grid without its zero entries."""
+    return {k: c for k, c in coeffs.items() if c}
 
 
 class ChowClass:
-    """A class on Z in normal form: coefficient grid over xi^i * H^j.
+    """A class on Z in normal form: an ``int`` grid over xi^i * H^j.
 
-    Grid indices satisfy 0 <= i < rank and 0 <= j <= base_dim.  Mixed-degree
-    (inhomogeneous) classes are allowed; ``graded_coefficients`` reads one
-    degree.  Nonzero coefficients are stored as ``int`` when integral and as
-    ``Fraction`` otherwise; ``coefficient`` always returns a ``Fraction``.
+    Grid indices satisfy 0 <= i < rank and 0 <= j <= base_dim, and only
+    nonzero coefficients are stored.  Mixed-degree (inhomogeneous) classes
+    are allowed.
     """
 
     __slots__ = ("spec", "coeffs")
@@ -158,7 +139,8 @@ class ChowClass:
         self.coeffs: FormalPoly = {}
         if coeffs:
             for (i, j), c in coeffs.items():
-                c = _exact(c)
+                if type(c) is not int:
+                    raise TypeError(f"coefficient {c!r} of ({i},{j}) is not an int")
                 if c == 0:
                     continue
                 if not (0 <= i < spec.rank and 0 <= j <= spec.base_dim):
@@ -167,7 +149,7 @@ class ChowClass:
 
     @classmethod
     def _trusted(cls, spec: BundleSpec, coeffs: FormalPoly) -> "ChowClass":
-        """Wrap a grid already in normal form, nonzero and stored as above."""
+        """Wrap a grid already in normal form, with nonzero int entries."""
         obj = object.__new__(cls)
         obj.spec = spec
         obj.coeffs = coeffs
@@ -180,9 +162,6 @@ class ChowClass:
     @classmethod
     def hyperplane(cls, spec: BundleSpec) -> "ChowClass":
         return cls(spec, {(0, 1): 1})
-
-    def coefficient(self, xi_pow: int, h_pow: int) -> Fraction:
-        return Fraction(self.coeffs.get((xi_pow, h_pow), 0))
 
     def __eq__(self, other) -> bool:
         return (
@@ -207,15 +186,10 @@ class ChowClass:
     def __sub__(self, other: "ChowClass") -> "ChowClass":
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ChowClass._trusted(
-                self.spec, _stored({k: c * other for k, c in self.coeffs.items()})
-            )
+    def __mul__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
-        spec = self.spec
-        m, r = spec.base_dim, spec.rank
-        # formal product, H-powers above m already dropped
+        m = self.spec.base_dim
+        # the formal product, H-powers above m already dropped
         formal: FormalPoly = {}
         for (i1, j1), a in self.coeffs.items():
             for (i2, j2), b in other.coeffs.items():
@@ -223,25 +197,7 @@ class ChowClass:
                 if j <= m:
                     k = (i1 + i2, j)
                     formal[k] = formal.get(k, 0) + a * b
-        # xi^t with r <= t <= 2r-2 folds through its normal form
-        table = _xi_power_normal_forms(m, r, spec.c1, spec.c2)
-        out: FormalPoly = {}
-        for (t, j), c in formal.items():
-            if t < r:
-                out[(t, j)] = out.get((t, j), 0) + c
-                continue
-            for (i, jt), e in table[t - r]:
-                jt += j
-                if jt <= m:
-                    out[(i, jt)] = out.get((i, jt), 0) + c * e
-        return ChowClass._trusted(spec, _stored(out))
-
-    __rmul__ = __mul__
-
-    def graded_coefficients(self, degree: int) -> List[Coefficient]:
-        """The degree-``degree`` part as a list indexed by the H-power:
-        entry j is the coefficient of xi^(degree-j) * H^j."""
-        return [self.coeffs.get((degree - j, j), 0) for j in range(degree + 1)]
+        return reduce(self.spec, formal)
 
     def _check(self, other: "ChowClass") -> None:
         if self.spec != other.spec:
@@ -249,7 +205,7 @@ class ChowClass:
 
 
 def reduce(spec: BundleSpec, formal: FormalPoly) -> ChowClass:
-    """Normal form of a formal polynomial in xi and H.
+    """Normal form of a formal polynomial in xi and H with int coefficients.
 
     Powers H^j with j > m are dropped; powers xi^t with t >= r are rewritten
     through the defining relation
@@ -257,15 +213,14 @@ def reduce(spec: BundleSpec, formal: FormalPoly) -> ChowClass:
     each substitution strictly lowering the xi-degree, so this terminates.
     """
     m, r = spec.base_dim, spec.rank
-    work = {k: Fraction(c) for k, c in formal.items() if c != 0}
+    work = _stored(formal)
     out: FormalPoly = {}
     while work:
         (i, j), c = work.popitem()
         if c == 0 or j > m:
             continue
         if i < r:
-            key = (i, j)
-            out[key] = out.get(key, Fraction(0)) + c
+            out[(i, j)] = out.get((i, j), 0) + c
             continue
         for k in range(1, r + 1):
             ck = spec.chern_coefficient(k)
@@ -273,23 +228,13 @@ def reduce(spec: BundleSpec, formal: FormalPoly) -> ChowClass:
                 continue
             sign = 1 if k % 2 == 1 else -1
             nk = (i - k, j + k)
-            work[nk] = work.get(nk, Fraction(0)) + c * sign * ck
-    return ChowClass(spec, {k: c for k, c in out.items() if c != 0})
+            work[nk] = work.get(nk, 0) + c * sign * ck
+    return ChowClass(spec, out)
 
 
-@lru_cache(maxsize=256)
-def _xi_power_normal_forms(m: int, r: int, c1: int, c2: int) -> Tuple[NormalForm, ...]:
-    """Normal forms of xi^t for r <= t <= 2r-2, the xi-powers a product of
-    two normal forms can reach; they depend on the Chern data alone."""
-    spec = BundleSpec(m, r, c1, c2)
-    return tuple(
-        tuple(reduce(spec, {(t, 0): 1}).coeffs.items()) for t in range(r, 2 * r - 1)
-    )
-
-
-def integrate(c: ChowClass) -> Fraction:
+def integrate(c: ChowClass) -> int:
     """Degree of the top piece: the coefficient of xi^(r-1) * H^m."""
-    return c.coefficient(c.spec.rank - 1, c.spec.base_dim)
+    return c.coeffs.get((c.spec.rank - 1, c.spec.base_dim), 0)
 
 
 def anticanonical_class(spec: BundleSpec) -> ChowClass:
@@ -324,18 +269,15 @@ def closed_form_intersections(spec: BundleSpec) -> IntersectionNumbers:
 
 def intersection_numbers_by_reduction(spec: BundleSpec) -> IntersectionNumbers:
     """Same record computed by reduce + integrate; oracle for the closed forms."""
-    vals = []
-    for i, j in ((1, 3), (2, 2), (3, 1), (4, 0)):
-        v = integrate(reduce(spec, {(i, j): Fraction(1)}))
-        if v.denominator != 1:
-            raise ArithmeticError("intersection number is not an integer")
-        vals.append(int(v))
-    return IntersectionNumbers(*vals)
+    return IntersectionNumbers(*(
+        integrate(reduce(spec, {(i, j): 1})) for i, j in ((1, 3), (2, 2), (3, 1), (4, 0))
+    ))
 
 
-def tangent_total_chern(spec: BundleSpec) -> List[ChowClass]:
+def tangent_total_chern(spec: BundleSpec) -> List[List[int]]:
     """Total Chern class of the tangent bundle of Z = P(E), as the list of
-    its graded parts c0..c4 (index k holds c_k(T_Z)).
+    its graded parts c0..c4: index k holds c_k(T_Z) as k + 1 ints, entry j
+    the coefficient of xi^(k-j) * H^j.
 
     The relative Euler sequence and the pullback of the Euler sequence on
     the base give (Fulton, Intersection Theory, ch. 3)
@@ -350,10 +292,10 @@ def tangent_total_chern(spec: BundleSpec) -> List[ChowClass]:
     defining relation of the ring, so it is zero and is dropped.  Every
     other term c_k H^k xi^i has i + k < r, and (1 + H)^(m+1) only raises
     H-powers (those above m vanish), so every term is in normal form as
-    written: the class is summed on an integer grid, with no reduction.
+    written: the class is summed on integer lists, with no reduction.
     """
     m, r = spec.base_dim, spec.rank
-    parts: List[FormalPoly] = [{} for _ in range(5)]
+    parts = [[0] * (d + 1) for d in range(5)]
     for k in range(min(r, m) + 1):
         ck = (-1) ** k * spec.chern_coefficient(k)
         if not ck:
@@ -361,6 +303,5 @@ def tangent_total_chern(spec: BundleSpec) -> List[ChowClass]:
         for i in range(r - k):
             b = ck * comb(r - k, i)
             for j in range(m + 1 - k):
-                grid, key = parts[i + k + j], (i, k + j)
-                grid[key] = grid.get(key, 0) + b * comb(m + 1, j)
-    return [ChowClass._trusted(spec, _stored(p)) for p in parts]
+                parts[i + k + j][k + j] += b * comb(m + 1, j)
+    return parts

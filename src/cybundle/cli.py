@@ -10,8 +10,9 @@ template, text cells); every other json value goes through _json_text, and
 the json bytes are those of ``json.dumps(indent=2, sort_keys=True)``.  CSV
 holds report rows, so ``--format csv`` is accepted by ``invariants`` and
 ``enumerate`` only.  Each ``--degrees`` field is
-ASCII ``-?[0-9]+`` (no spaces, ``+``, ``_`` or non-ASCII digits); a
-negative leading degree needs the form ``--degrees=-5,0,0,0``.
+ASCII ``-?[0-9]+`` with at most MAX_DEGREE_DIGITS (1000) digits (no spaces,
+``+``, ``_`` or non-ASCII digits); a negative leading degree needs the form
+``--degrees=-5,0,0,0``.
 Exit codes: 0 ok, 2 invalid input (malformed or wrong-arity degrees, a
 ``--bound`` outside 0..MAX_SECTION_BOUND, a ``--max-degree`` outside
 0..MAX_ENUMERATE_DEGREE, ``--format csv`` on ``kaehler``, ``classify`` or
@@ -83,8 +84,12 @@ MAX_ENUMERATE_DEGREE = 64
 
 CSV_COMMANDS = ("invariants", "enumerate")
 
+# digits in one --degrees field: every int a request derives is at most
+# cubic in c1, so it stays below Python's 4300-digit limit on str(int)
+MAX_DEGREE_DIGITS = 1000
+
 # one --degrees field; [0-9], unlike \d, matches ASCII digits only
-_DEGREE_FIELD = re.compile(r"-?[0-9]+")
+_DEGREE_FIELD = re.compile(rf"-?[0-9]{{1,{MAX_DEGREE_DIGITS}}}")
 
 # the str rendering of json.dumps; it raises TypeError on any other type
 _encode_str = json.encoder.encode_basestring_ascii
@@ -135,12 +140,9 @@ class CliError(Exception):
 def _parse_spec(text: str, base: str) -> Tuple[List[int], BundleSpec]:
     """The ``--degrees`` list and the split spec it names over ``base``."""
     fields = text.split(",")
-    try:
-        if not all(map(_DEGREE_FIELD.fullmatch, fields)):
-            raise ValueError(text)
-        degs = [int(x) for x in fields]  # int() also refuses too many digits
-    except ValueError:
+    if not all(map(_DEGREE_FIELD.fullmatch, fields)):
         raise CliError(EXIT_INVALID_INPUT, f"unparsable degrees: {text!r}")
+    degs = [int(x) for x in fields]
     want = 2 if base == "p3" else 4
     if len(degs) != want:
         raise CliError(

@@ -88,11 +88,10 @@ def _oracle_numbers(spec: BundleSpec) -> dict:
     """
     m, r = spec.base_dim, spec.rank
     s = m + 1 - spec.c1
-    ct = tangent_total_chern(spec)
+    c2Z, c3Z = tangent_total_chern(spec)[2:4]
     n = closed_form_intersections(spec)
     T = [n.xi4, n.xi3_h1, n.xi2_h2, n.xi1_h3, 0]
     P = [r * T[j] + s * T[j + 1] for j in range(4)]
-    c2Z, c3Z = ct[2].graded_coefficients(2), ct[3].graded_coefficients(3)
 
     def times_L(a: list) -> list:  # a.(r*xi + s*H), one degree up
         return [r * x + s * y for x, y in zip(a + [0], [0] + a)]

@@ -79,13 +79,14 @@ def as_fractions(p: MultiPoly) -> dict:
 
 
 def reference(terms) -> dict:
-    """Sum of w*a*b as a dict of nonzero Fractions, for (w, a, b) of MultiPoly."""
+    """Sum of w*a*b as a dict of nonzero Fractions, for (w, a, b) with a and
+    b each a MultiPoly or a dict from exponent 4-tuples to rationals."""
     out = {}
     for w, a, b in terms:
-        b_terms = as_fractions(b).items()
-        for e1, c1 in as_fractions(a).items():
+        a, b = (as_fractions(p) if isinstance(p, MultiPoly) else p for p in (a, b))
+        for e1, c1 in a.items():
             c1 *= w
-            for e2, c2 in b_terms:
+            for e2, c2 in b.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
     return {e: c for e, c in out.items() if c}

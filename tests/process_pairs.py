@@ -15,33 +15,26 @@ timed process starts as a user's second call does.
 Both sides must exit with the same code and write the same stdout; a
 difference stops the script with exit 1.  It prints the parent's and the
 working tree's medians and quartiles of the wall time, their ratio, and
-the pairs the working tree won.  Stdlib only; the name does not match
-``test_*.py``, so tier-1 collection skips it.
+the pairs the working tree won.  Stdlib only; ``extract`` and
+``quartiles`` come from ``tests/ab_pairs.py`` next to it.  The name does
+not match ``test_*.py``, so tier-1 collection skips it.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from ab_pairs import ROOT, extract, quartiles
+
 MIN_PAIRS = 30
-
-
-def extract(ref: str, dest: Path) -> None:
-    tar = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
-                         capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
-        tf.extractall(dest)
 
 
 def run_cli(tree: Path, command) -> tuple:
@@ -53,11 +46,6 @@ def run_cli(tree: Path, command) -> tuple:
     t0 = time.perf_counter()
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True)
     return time.perf_counter() - t0, done.returncode, done.stdout
-
-
-def quartiles(xs):
-    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return q1, q3
 
 
 def main(argv=None) -> int:

@@ -89,6 +89,47 @@ class TestInvariantsCommand:
         assert exc.value.code == 2
 
 
+def _long_degrees_argv(case, digits):
+    """An argv of ``case`` whose --degrees fields have ``digits`` digits."""
+    a, n = 10 ** (digits - 1), "9" * digits
+    return {
+        "invariants-p3": ["invariants", "--base", "p3", f"--degrees={a},{a + 4}"],
+        "invariants-p1": ["invariants", "--base", "p1", f"--degrees=-{n},0,0,0"],
+        "kaehler-p3": ["kaehler", "--base", "p3", f"--degrees={a},{a + 2}"],
+        "kaehler-p1": ["kaehler", "--base", "p1", f"--degrees=-{n},0,0,0"],
+        "classify": ["classify", f"--degrees=-{n},0,0,0"],
+        "discriminant": ["discriminant", f"--degrees={a},{a + 2}"],
+    }[case]
+
+
+class TestDegreeDigits:
+    """A --degrees field has at most MAX_DEGREE_DIGITS digits, so no derived
+    int (at most cubic in c1) reaches Python's limit on str(int)."""
+
+    CASES = ["invariants-p3", "invariants-p1", "kaehler-p3", "kaehler-p1", "classify",
+             "discriminant"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_at_the_bound_runs_or_refuses(self, capsys, case):
+        code = main(_long_degrees_argv(case, cybundle.cli.MAX_DEGREE_DIGITS))
+        out, err = capsys.readouterr()
+        assert code in (0, 4)
+        if code == 0:
+            assert json.loads(out)["schema"] == 1
+        else:
+            assert out == "" and json.loads(err)["exit_code"] == 4
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_digit_more_exit_2(self, capsys, case):
+        argv = _long_degrees_argv(case, cybundle.cli.MAX_DEGREE_DIGITS + 1)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        degrees = argv[-1].split("=", 1)[1]
+        assert json.loads(err) == {
+            "error": f"unparsable degrees: {degrees!r}", "exit_code": 2}
+
+
 class TestClassifyCommand:
     def test_sixteen_curves(self, tmp_path):
         out = tmp_path / "c.json"

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -131,9 +130,9 @@ class TestOracleMismatch:
 
         def tangent_total_chern(spec):
             # xi*H survives H^2 = 0 on P^1, so xi.c2(X) moves in both geometries
-            bump = ChowClass.xi(spec) * ChowClass.hyperplane(spec)
             parts = real(spec)
-            return parts[:2] + [parts[2] + bump] + parts[3:]
+            parts[2][1] += 1
+            return parts
 
         monkeypatch.setattr(cybundle.invariants, "tangent_total_chern", tangent_total_chern)
 
@@ -307,8 +306,7 @@ class TestFastPaths:
             specs += [BundleSpec.from_chern(c1, c2) for c2 in range(-2, 4)]
         for spec in specs:
             for key, value in _oracle_numbers(spec).items():
-                want = int if value.denominator == 1 else Fraction
-                assert type(value) is want, (spec, key)
+                assert type(value) is int, (spec, key)
 
 
 class TestFiberCount:

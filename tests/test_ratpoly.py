@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import multipoly_kernel_check
 import unipoly_kernel_check
-from multipoly_kernel_check import ONE, Z
+from multipoly_kernel_check import ONE, Z, reference
 from unipoly_kernel_check import mul
 from cybundle.chow import BundleSpec
 from cybundle.discriminant import sample_section
@@ -240,23 +240,7 @@ class TestMultiPoly:
 
 # Reference arithmetic for the properties below: plain dicts from exponent
 # tuples to nonzero Fractions, with none of MultiPoly's integer storage.
-
-def _ref_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _ref_sum_of_products(terms):
-    out = {}
-    for w, a, b in terms:
-        for e, c in _ref_mul(a, b).items():
-            out[e] = out.get(e, Fraction(0)) + w * c
-    return {e: c for e, c in out.items() if c}
-
+# Sums of products take multipoly_kernel_check.reference.
 
 def _ref_partial(a, i):
     out = {}
@@ -328,7 +312,7 @@ class TestMultiPolyAgainstReference:
     def test_ring_operations(self, a, b):
         pa, pb = MultiPoly(a), MultiPoly(b)
         assert _checked(pa) == a
-        assert _checked(pa * pb) == _ref_mul(a, b)
+        assert _checked(pa * pb) == reference([(1, a, b)])
 
     @PROPS
     @given(a=DICTS, k=SCALARS)
@@ -385,7 +369,7 @@ class TestSumOfProducts:
         for w, a, b, square in terms:
             pa = MultiPoly(a)
             polys.append((w, pa, pa) if square else (w, pa, MultiPoly(b)))
-        want = _ref_sum_of_products([(w, a, a if sq else b) for w, a, b, sq in terms])
+        want = reference([(w, a, a if sq else b) for w, a, b, sq in terms])
         assert _checked(MultiPoly.sum_of_products(polys)) == want
 
     @PROPS
@@ -405,7 +389,7 @@ class TestSumOfProducts:
             got = MultiPoly.sum_of_products(terms)
             assert _checked(got) == {} and got == zero
         got = MultiPoly.sum_of_products([(0, a, a), (5, a, a), (1, zero, a)])
-        assert _checked(got) == multipoly_kernel_check.reference([(5, a, a)])
+        assert _checked(got) == reference([(5, a, a)])
 
     @PROPS
     @given(terms=_homogeneous_terms())
@@ -414,7 +398,7 @@ class TestSumOfProducts:
         for w, a, b in terms:
             pa = MultiPoly(a)
             polys.append((w, pa, pa if b is None else MultiPoly(b)))
-        want = _ref_sum_of_products([(w, a, a if b is None else b) for w, a, b in terms])
+        want = reference([(w, a, a if b is None else b) for w, a, b in terms])
         assert _checked(MultiPoly.sum_of_products(polys)) == want
 
     def test_discriminant_squares_take_the_dense_accumulator(self):
@@ -423,7 +407,7 @@ class TestSumOfProducts:
             q = sample_section(BundleSpec.from_split(3, (0, b)), b, 1000)
             for terms in ([(1, q.s01, q.s01)], [(1, q.s01, q.s01), (-4, q.s00, q.s11)]):
                 assert _dense_degree(terms) == 8
-                want = multipoly_kernel_check.reference(terms)
+                want = reference(terms)
                 assert _checked(MultiPoly.sum_of_products(terms)) == want
 
     def test_size_rule(self):
@@ -449,7 +433,7 @@ class TestSumOfProducts:
         b = MultiPoly({(0, top, 0, 0): 1, (1, 0, 0, top - 1): 5})
         terms = [(1, a, b), (2, a, a), (-1, b, b)]
         assert _dense_degree(terms) is None
-        want = multipoly_kernel_check.reference(terms)
+        want = reference(terms)
         assert _checked(MultiPoly.sum_of_products(terms)) == want
 
     def test_stdlib_script(self):
