@@ -142,8 +142,7 @@ def _record(
         c2=spec.c2,
         picard_number=rho,
         picard_hypothesis_note=note,
-        # equal to the closed forms, and plain ints where a closed form is
-        # an integral Fraction
+        # equal to the closed forms
         **{k: oracle[k] for k in closed},
         **fields,
     )
@@ -155,7 +154,7 @@ def invariants_p3(
     """Invariant record for rank-2 bundles over P^3 (see invariants_for)."""
     if (spec.base_dim, spec.rank) != (3, 2):
         raise ValueError("invariants_p3 needs a rank-2 bundle over P^3")
-    c1, g = spec.c1, spec.gamma()
+    c1, c2, g = spec.c1, spec.c2, spec.gamma()
     closed = {
         "c3_X": -8 * g - 168,
         "h_dot_c2": 44,
@@ -163,9 +162,8 @@ def invariants_p3(
         "mk_dot_c2": 8 * g + 224,
         "h3": 2,
         "xi_h2": c1 + 4,
-        # the two half-integral expressions stay exact rationals
-        "xi2_h": Fraction(g, 2) + Fraction(c1 ** 2, 2) + 4 * c1,
-        "xi3": g + Fraction(3 * g * c1, 4) + 3 * c1 ** 2 + Fraction(c1 ** 3, 4),
+        "xi2_h": c1 ** 2 - 2 * c2 + 4 * c1,
+        "xi3": c1 ** 3 + 4 * c1 ** 2 - 3 * c1 * c2 - 4 * c2,
     }
     return _record(
         spec,

@@ -2,9 +2,12 @@
 
 N^1(X) is two-dimensional with basis (xi|X, pi^*h).  The cubic hypersurface
 {D^3 = 0} is a binary cubic w(x, y); a double line in it forces rational
-boundary rays via gcd(w, w').  For normalized split bundles the boundary
-rays themselves are known (the cone of X is the restricted cone of Z), so
-they are asserted and their c2-values reported rather than rediscovered.
+boundary rays via gcd(w, w').  The coefficients of w are ints on X; the
+analysis clears a cubic once to a primitive int list, reads both charts
+from it and runs the ``ratpoly`` kernels on int lists.  For normalized
+split bundles the boundary rays themselves are known (the cone of X is the
+restricted cone of Z), so they are asserted and their c2-values reported
+rather than rediscovered.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Optional, Tuple
 from ._value import Frozen
 from .chow import BundleSpec, ChowClass, anticanonical_class, integrate, reduce
 from .invariants import RHO_ONE_SPLITTING_P3, CyInvariants, admissibility_p3
-from .ratpoly import UniPoly, derivative, poly_gcd, rational_roots
+from .ratpoly import _integer_coeffs, derivative, poly_gcd, rational_roots
 
 
 class Rationality(str, Enum):
@@ -37,34 +40,23 @@ class ContractionKind(str, Enum):
 class CubicForm(Frozen):
     """w(x, y) = sum_{i+j=3} w_ij x^i y^j in the basis (xi|X, pi^*h).
 
-    w_ij = C(3, i) * (L1^i . L2^j) with L1 = xi|X, L2 = pi^*h.
+    w_ij = C(3, i) * (L1^i . L2^j) with L1 = xi|X, L2 = pi^*h: ints from
+    w_cubic; library callers may pass rationals.
     """
 
     __slots__ = ("w30", "w21", "w12", "w03")
 
-    def __init__(self, w30: Fraction, w21: Fraction, w12: Fraction, w03: Fraction) -> None:
+    def __init__(self, w30: int | Fraction, w21: int | Fraction, w12: int | Fraction,
+                 w03: int | Fraction) -> None:
         self._fill(w30, w21, w12, w03)
 
     def is_zero(self) -> bool:
         return self.w30 == self.w21 == self.w12 == self.w03 == 0
 
-    def chart_poly(self, chart: str) -> UniPoly:
-        """Dehomogenize: chart 'y' sets y = 1 (poly in x), chart 'x' sets x = 1."""
-        if chart == "y":
-            return UniPoly([self.w03, self.w12, self.w21, self.w30])
-        if chart == "x":
-            return UniPoly([self.w30, self.w21, self.w12, self.w03])
-        raise ValueError("chart must be 'x' or 'y'")
-
 
 def w_cubic(inv: CyInvariants) -> CubicForm:
     """Expand (x*L1 + y*L2)^3 with the triple products from the invariants."""
-    return CubicForm(
-        w30=Fraction(inv.xi3),
-        w21=Fraction(3 * inv.xi2_h),
-        w12=Fraction(3 * inv.xi_h2),
-        w03=Fraction(inv.h3),
-    )
+    return CubicForm(w30=inv.xi3, w21=3 * inv.xi2_h, w12=3 * inv.xi_h2, w03=inv.h3)
 
 
 class RationalityReport(Frozen):
@@ -91,26 +83,32 @@ def rationality_analysis(w: CubicForm) -> RationalityReport:
     """
     if w.is_zero():
         raise ValueError("the zero cubic has no rationality analysis")
-    for chart in ("y", "x"):
-        p = w.chart_poly(chart)
-        if p.degree < 1:
+    # chart 'y' sets y = 1 (a poly in x), chart 'x' sets x = 1: one int
+    # list with its content divided out, and its reverse, each without its
+    # trailing zeros (the sign of the list leaves every root alone)
+    y = _integer_coeffs([w.w03, w.w12, w.w21, w.w30])
+    x = y[::-1]
+    for p in (y, x):
+        while p[-1] == 0:
+            p.pop()
+    for chart, p in (("y", y), ("x", x)):
+        if len(p) < 2:
             continue
         g = poly_gcd(p, derivative(p))
-        if g.degree >= 1:
+        if len(g) >= 2:
             roots = tuple(rational_roots(g))
             # the lemma guarantees rationality of the repeated factor; a
             # degree >= 1 gcd without rational roots would contradict it
-            if len(roots) == g.degree:
+            if len(roots) == len(g) - 1:
                 return RationalityReport(
                     verdict=Rationality.RATIONAL_DOUBLE_LINE,
                     chart=chart,
                     double_roots=roots,
                 )
-    p = w.chart_poly("y")
     # degree drop in the y-chart means y divides w; a cubic with a simple
     # y-factor can still split off rational lines
-    y_mult = 3 - p.degree
-    roots = tuple(rational_roots(p)) if p.degree >= 1 else ()
+    y_mult = 4 - len(y)
+    roots = tuple(rational_roots(y)) if len(y) >= 2 else ()
     if len(roots) + y_mult == 3:
         return RationalityReport(
             verdict=Rationality.RATIONAL_FACTORS,

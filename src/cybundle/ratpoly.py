@@ -2,22 +2,21 @@
 
 Two representations are used throughout the library:
 
-* ``UniPoly`` -- a coefficient list (index = degree) for the cubic-form
-  analysis on the divisor lattice; ``derivative``, ``poly_gcd`` and
-  ``rational_roots`` are its algebra.
+* int coefficient lists (index = degree, no trailing zeros) for the
+  cubic-form analysis on the divisor lattice; ``derivative``, ``poly_gcd``
+  and ``rational_roots`` are their algebra.
 * ``MultiPoly`` -- sparse polynomials in the four coordinates z0..z3 for
   the discriminant construction, with products and evaluation.
 
-``UniPoly`` keeps ``fractions.Fraction`` coefficients; ``MultiPoly`` keeps
-integer numerators over one common denominator in lowest terms.  No
-floating point appears anywhere in the library, so every equality test is
-exact.
+``UniPoly`` is a ``fractions.Fraction`` coefficient list with ``-`` and
+value equality, for library callers; ``MultiPoly`` keeps integer numerators
+over one common denominator in lowest terms.  No floating point appears
+anywhere in the library, so every equality test is exact.
 
-``poly_gcd`` and ``rational_roots`` run on the primitive integer multiples
-of their ``UniPoly`` inputs (content divided out, leading coefficient
-positive): Euclid on primitive pseudo-remainders, and each root candidate
-s/t tested by the integer t^n * a(s/t).  Only their results are built as
-``Fraction``.
+``poly_gcd`` runs Euclid on primitive pseudo-remainders and returns the
+primitive gcd (content divided out, leading coefficient positive);
+``rational_roots`` tests each root candidate s/t by the integer
+t^n * a(s/t).  Only the roots are built as ``Fraction``.
 
 Every product of two ``MultiPoly`` goes through one integer kernel,
 ``MultiPoly.sum_of_products``, which computes a sum of w*a*b with int
@@ -61,14 +60,6 @@ class UniPoly:
             cs.pop()
         self.coeffs: List[Fraction] = cs
 
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
@@ -79,9 +70,9 @@ class UniPoly:
         return UniPoly([a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
 
-def derivative(p: UniPoly) -> UniPoly:
-    """Formal derivative."""
-    return UniPoly([p.coeffs[d] * d for d in range(1, len(p.coeffs))])
+def derivative(a: List[int]) -> List[int]:
+    """Formal derivative of an int coefficient list (index = degree)."""
+    return [a[d] * d for d in range(1, len(a))]
 
 
 def _primitive(ints: List[int]) -> List[int]:
@@ -90,23 +81,24 @@ def _primitive(ints: List[int]) -> List[int]:
     return [c // g for c in ints] if ints[-1] > 0 else [-c // g for c in ints]
 
 
-def _integer_coeffs(coeffs: Sequence[Fraction]) -> List[int]:
-    """The primitive integer multiple of a nonzero coefficient list."""
+def _integer_coeffs(coeffs: Sequence) -> List[int]:
+    """The primitive integer multiple of a nonzero list of ints or
+    Fractions; an int is its own numerator over denominator 1."""
     den = lcm(*(c.denominator for c in coeffs))
     return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over the rationals by the Euclidean algorithm.
+def poly_gcd(a: List[int], b: List[int]) -> List[int]:
+    """The primitive gcd of two int coefficient lists, leading coefficient
+    positive, by the Euclidean algorithm on primitive pseudo-remainders.
 
-    Runs on primitive integer multiples of a and b: each pseudo-remainder
-    is scaled to its primitive part.  Raises ValueError if both inputs are
-    zero.
+    Over the rationals it is the gcd up to a unit.  Raises ValueError if
+    both inputs are zero.
     """
-    if a.is_zero() and b.is_zero():
+    if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
-    f = _integer_coeffs(a.coeffs) if a.coeffs else []
-    g = _integer_coeffs(b.coeffs) if b.coeffs else []
+    f = _primitive(a) if a else []
+    g = _primitive(b) if b else []
     while g:
         # lead^k * f modulo g; each step cancels the top coefficient of r
         r, d, lead = f, len(g) - 1, g[-1]
@@ -116,30 +108,30 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
             while r and r[-1] == 0:
                 r.pop()
         f, g = g, _primitive(r) if r else []
-    return UniPoly([Fraction(c, f[-1]) for c in f])
+    return f
 
 
-def rational_roots(p: UniPoly) -> List[Fraction]:
-    """All rational roots of p, with multiplicity, via the rational root test.
+def rational_roots(a: List[int]) -> List[Fraction]:
+    """All rational roots of an int coefficient list a_0..a_n, with
+    multiplicity, via the rational root test.
 
     The order is fixed: the roots at 0 first, then the others ascending.
-    The coefficients are cleared to primitive integers a_0..a_n once (after
-    dividing out the power of x); a candidate s/t in lowest terms, with
-    s | a_0 and t | a_n, is a root when the integer t^n * a(s/t) vanishes,
-    and t*x - s then divides a exactly in integers (Gauss's lemma).
+    After the power of x is divided out, a candidate s/t in lowest terms,
+    with s | a_0 and t | a_n, is a root when the integer t^n * a(s/t)
+    vanishes, and t*x - s then divides a exactly in integers (Gauss's
+    lemma).
     """
-    if p.is_zero():
+    if not a:
         raise ValueError("the zero polynomial has every root")
     # strip x^k factor: root 0 with multiplicity k
     k = 0
-    while p.coeffs[k] == 0:
+    while a[k] == 0:
         k += 1
-    roots = [Fraction(0)] * k
-    if k == p.degree:
+    roots, a = [Fraction(0)] * k, a[k:]
+    if len(a) == 1:
         return roots
-    a = _integer_coeffs(p.coeffs[k:])
     heads, found = _divisors(abs(a[0])), []
-    for t in _divisors(a[-1]):
+    for t in _divisors(abs(a[-1])):
         for s0 in heads:
             if gcd(s0, t) != 1:
                 continue

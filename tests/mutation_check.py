@@ -234,6 +234,16 @@ MUTATIONS = (
         ["tests/test_ratpoly.py::TestUniPoly",
          "tests/test_ratpoly.py::TestUniPolyAgainstReference"],
     ),
+    # the top coefficient still cancels, so the loop ends, but the
+    # remainder is no longer lead^k * f modulo g
+    Mutation(
+        "lead scaling dropped from poly_gcd's pseudo-remainder",
+        PKG / "ratpoly.py",
+        "r = [x * lead for x in r[:k]] + ",
+        "r = r[:k] + ",
+        ["tests/test_ratpoly.py::TestUniPoly",
+         "tests/test_ratpoly.py::TestUniPolyAgainstReference::test_stdlib_script"],
+    ),
     Mutation(
         "roots at 0 appended after the others",
         PKG / "ratpoly.py",
@@ -373,6 +383,20 @@ MUTATIONS = (
         ["tests/test_reach.py"],
     ),
     Mutation(
+        "x-chart skipped by the rationality analysis",
+        PKG / "kahler.py",
+        'for chart, p in (("y", y), ("x", x)):',
+        'for chart, p in (("y", y),):',
+        ["tests/test_kahler.py::TestRationality::test_double_line_at_infinity"],
+    ),
+    Mutation(
+        "w21 without its factor 3",
+        PKG / "kahler.py",
+        "w21=3 * inv.xi2_h",
+        "w21=inv.xi2_h",
+        ["tests/test_golden.py"],
+    ),
+    Mutation(
         "p1 rho = 2 gate at c1 <= 4",
         PKG / "kahler.py",
         "if norm.c1 > 3:",
@@ -437,6 +461,13 @@ MUTATIONS = (
         '"xi_dot_c2": 6 * c1 + 44,',
         '"xi_dot_c2": 6 * c1 + 45,',
         ["tests/test_invariants.py::TestInvariantsP1"],
+    ),
+    Mutation(
+        "p3 closed form xi^3 with the sign of 3*c1*c2 flipped",
+        PKG / "invariants.py",
+        '"xi3": c1 ** 3 + 4 * c1 ** 2 - 3 * c1 * c2 - 4 * c2,',
+        '"xi3": c1 ** 3 + 4 * c1 ** 2 + 3 * c1 * c2 - 4 * c2,',
+        ["tests/test_invariants.py::TestClosedFormCertificate::test_p3_grid"],
     ),
     Mutation(
         "p3 closed form c3(X) flipped",

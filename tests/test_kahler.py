@@ -113,6 +113,69 @@ class TestRationality:
             assert rationality_analysis(w).verdict is Rationality.RATIONAL_DOUBLE_LINE
 
 
+def _discriminant(a, b, c, d):
+    """The discriminant of the binary cubic a x^3 + b x^2 y + c x y^2 + d y^3."""
+    return b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+
+
+def _value_and_slope(coeffs, r):
+    """p(r) and p'(r) for the coefficient list p (index = degree), by Horner."""
+    value = slope = 0
+    for c in reversed(coeffs):
+        value, slope = value * r + c, slope * r + value
+    return value, slope
+
+
+def _seeded_cubics(rng, count):
+    """Int and rational cubics with some zero coefficients, and planted
+    (p x - q y)^2 (r x - s y), the two lines equal in a quarter of them;
+    p = 0 or r = 0 puts a line at infinity."""
+    def scalar():
+        n, d = rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5))
+        return n if d == 1 else Fraction(n, d)
+
+    for i in range(count):
+        if i % 2 == 0:
+            ws = [scalar() if rng.random() < 0.85 else 0 for _ in range(4)]
+        else:
+            p, q = rng.choice(((0, 1), (1, 0))) if rng.random() < 0.1 else (scalar(), scalar())
+            r, s = (p, q) if i % 4 == 1 else (scalar(), scalar())
+            k = scalar() or 1
+            ws = [k * p * p * r, -k * (p * p * s + 2 * p * q * r),
+                  k * (q * q * r + 2 * p * q * s), -k * q * q * s]
+        if any(ws):
+            yield CubicForm(*ws)
+
+
+class TestDoubleLineAgainstDiscriminant:
+    """The verdict against an independent criterion.
+
+    A nonzero binary cubic has a repeated linear factor over the complex
+    numbers exactly when its discriminant vanishes.  The repeated factor of
+    a rational cubic divides gcd(w, dw/dx) in one chart, so it is rational,
+    and RATIONAL_DOUBLE_LINE must be read exactly then.  Each reported
+    double root must be a zero of its chart polynomial and of that
+    polynomial's derivative.
+    """
+
+    def test_verdict_iff_discriminant_vanishes(self):
+        rng = random.Random(2311)
+        doubles = total = 0
+        for w in _seeded_cubics(rng, 3000):
+            rep = rationality_analysis(w)
+            double = rep.verdict is Rationality.RATIONAL_DOUBLE_LINE
+            assert double == (_discriminant(w.w30, w.w21, w.w12, w.w03) == 0), w
+            chart = [w.w03, w.w12, w.w21, w.w30]
+            if rep.chart == "x":
+                chart.reverse()
+            assert double == bool(rep.double_roots)
+            for r in rep.double_roots:
+                assert type(r) is Fraction and _value_and_slope(chart, r) == (0, 0), (w, r)
+            doubles, total = doubles + double, total + 1
+        # both sides of the equivalence are well represented
+        assert 0.3 < doubles / total < 0.7
+
+
 def _rays(spec):
     return boundary_rays(spec, invariants_for(spec.normalized()))
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import multipoly_kernel_check
 import unipoly_kernel_check
 from multipoly_kernel_check import ONE, Z, reference
-from unipoly_kernel_check import mul
+from unipoly_kernel_check import gcd_matches, ints, mul, trim
 from cybundle.chow import BundleSpec
 from cybundle.discriminant import sample_section
 from cybundle.ratpoly import (
@@ -48,9 +48,10 @@ def from_canonical_text(text: str) -> MultiPoly:
     return MultiPoly(tm)
 
 
-def _rand_unipoly(rng, max_deg=4, bound=5):
-    return UniPoly([Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
-                    for _ in range(rng.randint(0, max_deg + 1))])
+def _rand_ints(rng, max_deg=4, bound=5):
+    """A random rational polynomial, cleared to ints with its content kept."""
+    return ints(trim([Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
+                      for _ in range(rng.randint(0, max_deg + 1))]))
 
 
 def _rand_multipoly(rng, deg, bound=4):
@@ -62,57 +63,79 @@ def _rand_multipoly(rng, deg, bound=4):
 
 
 class TestUniPoly:
+    """The kernels on int coefficient lists, and the rational list UniPoly."""
+
     def test_gcd_repeated_factor(self):
         # (x-1)^2 (x+2)
-        p = UniPoly([2, -3, 0, 1])
-        assert poly_gcd(p, derivative(p)) == UniPoly([-1, 1])
+        p = [2, -3, 0, 1]
+        assert poly_gcd(p, derivative(p)) == [-1, 1]
 
     def test_gcd_squarefree(self):
-        p = UniPoly([-2, 0, 0, 1])  # x^3 - 2
-        assert poly_gcd(p, UniPoly([0, 0, 3])) == UniPoly([1])
+        p = [-2, 0, 0, 1]  # x^3 - 2
+        assert poly_gcd(p, [0, 0, 3]) == [1]
 
     def test_gcd_triple_root(self):
         # (x-5)^3 against its derivative -> (x-5)^2
-        p = UniPoly([-125, 75, -15, 1])
-        assert poly_gcd(p, derivative(p)) == UniPoly([25, -10, 1])
+        p = [-125, 75, -15, 1]
+        assert poly_gcd(p, derivative(p)) == [25, -10, 1]
+
+    def test_gcd_is_primitive_with_positive_lead(self):
+        # 4(x - 1) and -6(x - 1); against zero, -3x alone
+        assert poly_gcd([-4, 4], [6, -6]) == [-1, 1]
+        assert poly_gcd([], [0, -3]) == [0, 1]
+        assert poly_gcd([6, -4], []) == [-3, 2]
 
     def test_gcd_both_zero_raises(self):
         with pytest.raises(ValueError):
-            poly_gcd(UniPoly([]), UniPoly([]))
+            poly_gcd([], [])
 
     def test_derivative_examples(self):
-        assert derivative(UniPoly([0, 0, 0, 1])) == UniPoly([0, 0, 3])
-        assert derivative(UniPoly([7])) == UniPoly([])
-        assert derivative(UniPoly([0, 0, 12, 2])) == UniPoly([0, 24, 6])
+        assert derivative([0, 0, 0, 1]) == [0, 0, 3]
+        assert derivative([7]) == []
+        assert derivative([0, 0, 12, 2]) == [0, 24, 6]
+        assert all(type(c) is int for c in derivative([5, -3, 2]))
 
     def test_gcd_divides_both_inputs(self):
         rng = random.Random(7)
         for _ in range(50):
-            a, b = _rand_unipoly(rng), _rand_unipoly(rng)
-            if a.is_zero() and b.is_zero():
+            a, b = _rand_ints(rng), _rand_ints(rng)
+            if not a and not b:
                 continue
             g = poly_gcd(a, b)
             for p in (a, b):
-                if not p.is_zero():
-                    assert unipoly_kernel_check.ref_divmod(p.coeffs, g.coeffs)[1] == []
+                if p:
+                    assert unipoly_kernel_check.ref_divmod(p, g)[1] == []
 
     def test_product_rule(self):
+        # UniPoly subtracts the int lists as rationals
         rng = random.Random(13)
         for _ in range(50):
-            a, b = _rand_unipoly(rng), _rand_unipoly(rng)
-            assert derivative(mul(a, b)) - mul(derivative(a), b) == mul(a, derivative(b))
+            a, b = _rand_ints(rng), _rand_ints(rng)
+            left = UniPoly(derivative(mul(a, b))) - UniPoly(mul(derivative(a), b))
+            assert left == UniPoly(mul(a, derivative(b)))
+
+    def test_unipoly_value(self):
+        p = UniPoly([1, Fraction(1, 2), 0, 0])
+        assert p.coeffs == [1, Fraction(1, 2)] and all(type(c) is Fraction for c in p.coeffs)
+        assert p == UniPoly([Fraction(1), Fraction(1, 2)]) != [1, Fraction(1, 2)]
+        assert hash(p) == hash(UniPoly([1, Fraction(1, 2)]))
+        assert p - p == UniPoly([]) and (p - UniPoly([0, 1])).coeffs == [1, Fraction(-1, 2)]
 
     def test_rational_roots(self):
         # 6x^3 - 5x^2 - 2x + 1 = (x-1)(3x-1)(2x+1)
-        p = UniPoly([1, -2, -5, 6])
+        p = [1, -2, -5, 6]
         assert rational_roots(p) == [Fraction(-1, 2), Fraction(1, 3), Fraction(1)]
+
+    def test_rational_roots_keep_content_and_sign(self):
+        # -2x^2 - 4x + 6 = -2(x + 3)(x - 1)
+        assert rational_roots([6, -4, -2]) == [-3, 1]
 
     def test_rational_roots_order(self):
         # the roots at 0 first, then the others ascending with multiplicity:
         # -3 x^2 (x - 2)(x + 1/2)^2 (x^2 + 1)
-        plus_half = UniPoly([Fraction(1, 2), 1])
-        p = mul(mul(UniPoly([0, 0, -3]), UniPoly([-2, 1])), mul(plus_half, plus_half))
-        p = mul(p, UniPoly([1, 0, 1]))
+        plus_half = [Fraction(1, 2), 1]
+        p = mul(mul([0, 0, -3], [-2, 1]), mul(plus_half, plus_half))
+        p = ints(mul(p, [1, 0, 1]))
         half = Fraction(-1, 2)
         assert rational_roots(p) == [0, 0, half, half, 2]
 
@@ -125,24 +148,26 @@ TAILS = st.lists(st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=5), ma
 
 def _with_roots(lead, roots, tail=()):
     """lead * prod (x - r) * tail, the tail left out when it is zero."""
-    p, tail = UniPoly([lead]), UniPoly(tail)
+    p, tail = [Fraction(lead)], trim(tail)
     for r in roots:
-        p = mul(p, UniPoly([-r, 1]))
-    return p if tail.is_zero() else mul(p, tail)
+        p = mul(p, [-r, 1])
+    return mul(p, tail) if tail else p
 
 
 class TestUniPolyAgainstReference:
-    """The integer kernels against the Fraction versions they replaced."""
+    """The integer kernels against the Fraction versions they replaced; the
+    kernels get the rational polynomials cleared by ``ints``."""
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(lead=NONZERO, roots=LINEAR_ROOTS, tail=TAILS, shared=st.integers(0, 5),
            other=LINEAR_ROOTS)
     def test_matches_reference(self, lead, roots, tail, shared, other):
         p = _with_roots(lead, roots, tail)
-        assert rational_roots(p) == unipoly_kernel_check.ref_rational_roots(p)
+        assert rational_roots(ints(p)) == unipoly_kernel_check.ref_rational_roots(p)
         q = _with_roots(-lead, roots[:shared] + other)
-        for a, b in ((p, derivative(p)), (p, q), (q, p), (UniPoly([]), q)):
-            assert poly_gcd(a, b) == unipoly_kernel_check.ref_poly_gcd(a, b)
+        for a, b in ((p, derivative(p)), (p, q), (q, p), ([], q)):
+            assert gcd_matches(poly_gcd(ints(a), ints(b)),
+                               unipoly_kernel_check.ref_poly_gcd(a, b))
 
     def test_stdlib_script(self):
         # seeded factored and dense polynomials, also run as a script under
