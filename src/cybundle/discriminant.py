@@ -21,12 +21,12 @@ from ._value import Frozen
 from .chow import BundleSpec
 from .invariants import section_degrees
 from .ratpoly import (
+    _MONOMIALS,
     MultiPoly,
     _accumulate,
     _graded_lex,
     _homogeneous_degree,
     coefficient_texts,
-    monomials_of_degree,
     multipoly_gradient,
     to_canonical_text,
     value_and_gradient,
@@ -52,15 +52,25 @@ class QuadraticSection(Frozen):
             if poly.num and _homogeneous_degree(poly) != want:
                 raise ValueError(f"{name} must be homogeneous of degree {want}")
 
+    @classmethod
+    def _trusted(cls, spec: BundleSpec, s00: MultiPoly, s01: MultiPoly,
+                 s11: MultiPoly) -> "QuadraticSection":
+        """Wrap components derived from a validated section's by a scalar
+        or by dropping terms, which keep each homogeneous of its degree,
+        skipping the checks of __init__."""
+        obj = object.__new__(cls)
+        obj._fill(spec, s00, s01, s11)
+        return obj
+
     def scale(self, r) -> "QuadraticSection":
-        return QuadraticSection(self.spec, self.s00 * r, self.s01 * r, self.s11 * r)
+        return QuadraticSection._trusted(self.spec, self.s00 * r, self.s01 * r, self.s11 * r)
 
 
 class Octic(Frozen):
     """A (possibly zero) octic surface in P^3."""
 
-    # _texts holds the coefficient texts once _coeffs has built them
-    __slots__ = ("poly", "_texts")
+    # _lex holds the graded-lex rows once _rows has built them
+    __slots__ = ("poly", "_lex")
     _fields = ("poly",)
 
     def __init__(self, poly: MultiPoly) -> None:
@@ -81,19 +91,21 @@ class Octic(Frozen):
         return not self.poly.num or _homogeneous_degree(self.poly) == 8
 
     @property
-    def _coeffs(self) -> dict:
+    def _rows(self) -> list:
+        """(coefficient text, ``*zi^k`` suffix, "e0,e1,e2,e3" key) of each
+        term in graded-lex order, built once for both renderings."""
         try:
-            return self._texts
+            return self._lex
         except AttributeError:
-            object.__setattr__(self, "_texts", coefficient_texts(self.poly))
-            return self._texts
+            object.__setattr__(self, "_lex", _graded_lex(coefficient_texts(self.poly)))
+            return self._lex
 
     def to_text(self) -> str:
-        return to_canonical_text(self.poly, self._coeffs)
+        return to_canonical_text(self.poly, self._rows)
 
     def to_json_coeffs(self) -> dict:
         """The coefficients keyed by "e0,e1,e2,e3", in no particular order."""
-        return {key: t for t, _, key in _graded_lex(self._coeffs)}
+        return {key: t for t, _, key in self._rows}
 
 
 def build_discriminant(q: QuadraticSection) -> Octic:
@@ -261,7 +273,7 @@ def sample_section(spec: BundleSpec, seed: int, bound: int) -> QuadraticSection:
     # num/den is stored as num * (12 // den) over 12 = lcm(1, 2, 3, 4)
     for degree in degrees:
         num = {}
-        for e in monomials_of_degree(degree):
+        for e in _MONOMIALS[degree]:
             state = (state * _LCG_MULT + _LCG_INC) & _LCG_MASK
             n = (state >> 32) % span - bound
             state = (state * _LCG_MULT + _LCG_INC) & _LCG_MASK
@@ -284,4 +296,4 @@ def witness_section(section: QuadraticSection) -> QuadraticSection:
         return MultiPoly._trusted({e: c for e, c in p.num.items() if any(e[1:])}, p.den)
 
     s00, s01, s11 = (drop_pure_z0(p) for p in (section.s00, section.s01, section.s11))
-    return QuadraticSection(section.spec, s00, s01, s11)
+    return QuadraticSection._trusted(section.spec, s00, s01, s11)

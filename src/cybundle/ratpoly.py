@@ -26,8 +26,12 @@ product has one degree D and the products have at least (D+1)^3 monomial
 pairs in all -- as every product the discriminant makes does -- a flat list
 of (D+1)^3 ints; otherwise (mixed degrees, sparse or huge-degree operands)
 a dict keyed by packed exponents.  The keys never leave the kernel: ``num``
-stays keyed by exponent 4-tuples.  ``value_and_gradient`` evaluates a
-``MultiPoly`` and its four partials at a point in one pass over its terms.
+stays keyed by exponent 4-tuples, and the flat list is read back by one
+walk of the degree-D monomials in graded-lex order, taken from a table
+built at import for D up to 8.  ``evaluate`` and ``value_and_gradient``
+first drop the terms that vanish at the point's zero coordinates (with
+their partials, for the gradient), then make one pass over the live terms:
+an octic's value and gradient at (1, 0, 0, 0) keep at most 4 of its 165.
 """
 
 from __future__ import annotations
@@ -174,17 +178,30 @@ def _divisors(n: int) -> List[int]:
     return sorted(set(out))
 
 
-def _power_tables(point: Sequence, top: int) -> List[List[int]]:
-    """[n_i^k for k = 0..top] for i = 0..3, then [q^k for k = 0..top + 1],
-    where the point is (n0, n1, n2, n3)/q with q the lcm of the
-    coordinates' denominators."""
+def _live_terms(
+    p: MultiPoly, point: Sequence, order: int
+) -> Tuple[int, List[List[int]], List[Tuple[Exponent, int]]]:
+    """(D, tables, live) for p at the point (n0, n1, n2, n3)/q, where q is
+    the lcm of the coordinates' denominators.
+
+    ``live`` lists p's terms (e, c) whose exponents on the point's zero
+    coordinates sum to less than ``order``; every other term vanishes there,
+    in the value for order 1 and in each first partial too for order 2.  D
+    is the largest total degree in ``live`` (0 if it is empty), and
+    ``tables`` is [n_i^k for k = 0..D] for i = 0..3, then [q^k for k =
+    0..D + 1].
+    """
     pt = [_frac(x) for x in point]
     if len(pt) != NVARS:
         raise ValueError("a point of P^3 has 4 coordinates")
     q = lcm(*(x.denominator for x in pt))
     bases = [x.numerator * (q // x.denominator) for x in pt]
+    z0, z1, z2, z3 = (not b for b in bases)
+    live = [(e, c) for e, c in p.num.items()
+            if z0 * e[0] + z1 * e[1] + z2 * e[2] + z3 * e[3] < order]
+    top = max([sum(e) for e, _ in live], default=0)
     tables = [[b**k for k in range(top + 1)] for b in bases]
-    return tables + [[q**k for k in range(top + 2)]]
+    return top, tables + [[q**k for k in range(top + 2)]], live
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +285,9 @@ class MultiPoly:
         * dense: every a and b is homogeneous, every a*b has one degree D,
           and (D+1)^3 <= sum |a|*|b|, so the array is no larger than the
           pair loop that fills it.  A flat list of (D+1)^3 ints, indexed
-          by e1 + B*e2 + B^2*e3 with B = D + 1; e0 is read back as
-          D - e1 - e2 - e3.
+          by e1 + B*e2 + B^2*e3 with B = D + 1, read back at the slot of
+          each monomial of degree D in graded-lex order: from the import
+          table for D up to 8, from monomials_of_degree above.
         * packed: anything else.  A dict keyed by four ``width``-bit fields,
           with 2^width above twice the largest exponent of any operand.
 
@@ -309,23 +327,18 @@ class MultiPoly:
                 if c
             }
         else:
-            num = {}
-            for e3 in range(b1):
-                for e2 in range(b1 - e3):
-                    k = b1 * e2 + b2 * e3
-                    for e1, c in enumerate(acc[k:k + b1 - e2 - e3]):
-                        if c:
-                            num[(degree - e1 - e2 - e3, e1, e2, e3)] = c
+            mons = _MONOMIALS[degree] if degree < len(_MONOMIALS) else monomials_of_degree(degree)
+            num = {e: c for e in mons if (c := acc[e[1] + b1 * e[2] + b2 * e[3]])}
         return cls._trusted(num, den)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        # at the point (n0, n1, n2, n3)/q, with D the total degree, c*z^e
-        # contributes c * n^e * q^(D - |e|) over den * q^D
-        top = max(self.total_degree(), 0)
-        p0, p1, p2, p3, pq = _power_tables(point, top)
+        # at the point (n0, n1, n2, n3)/q, with D the largest degree of the
+        # terms that do not vanish there, such a c*z^e contributes
+        # c * n^e * q^(D - |e|) over den * q^D
+        top, (p0, p1, p2, p3, pq), live = _live_terms(self, point, 1)
         acc = sum(
             c * p0[e0] * p1[e1] * p2[e2] * p3[e3] * pq[top - e0 - e1 - e2 - e3]
-            for (e0, e1, e2, e3), c in self.num.items()
+            for (e0, e1, e2, e3), c in live
         )
         return Fraction(acc, self.den * pq[top])
 
@@ -390,18 +403,21 @@ def multipoly_gradient(p: MultiPoly) -> Tuple[MultiPoly, MultiPoly, MultiPoly, M
 def value_and_gradient(
     p: MultiPoly, point: Sequence
 ) -> Tuple[Fraction, Tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """p and its four partials at a point, in one pass over p's terms.
+    """p and its four partials at a point, in one pass over p's live terms.
 
     Equal to ``p.evaluate(point)`` and ``g.evaluate(point)`` for g in
-    ``multipoly_gradient(p)``, without building the partials.  At the point
-    (n0, n1, n2, n3)/q, with D the total degree, all five sums are taken
-    over den * q^D: c*z^e adds c * n^e * q^(D - |e|) to the value and
-    c * e_i * n^(e - 1_i) * q^(D + 1 - |e|) to the i-th partial.
+    ``multipoly_gradient(p)``, without building the partials.  A term whose
+    exponents on the point's zero coordinates sum to 2 or more vanishes
+    there with all four partials, so the pass skips it: at (1, 0, 0, 0)
+    only the terms z0^8 and z0^7*z_i of an octic are left.  At the point
+    (n0, n1, n2, n3)/q, with D the largest degree of the terms left, all
+    five sums are taken over den * q^D: c*z^e adds c * n^e * q^(D - |e|) to
+    the value and c * e_i * n^(e - 1_i) * q^(D + 1 - |e|) to the i-th
+    partial.
     """
-    top = max(p.total_degree(), 0)
-    p0, p1, p2, p3, pq = _power_tables(point, top)
+    top, (p0, p1, p2, p3, pq), live = _live_terms(p, point, 2)
     v = g0 = g1 = g2 = g3 = 0
-    for (e0, e1, e2, e3), c in p.num.items():
+    for (e0, e1, e2, e3), c in live:
         c *= pq[top - e0 - e1 - e2 - e3]
         x0, x1, x2, x3 = p0[e0], p1[e1], p2[e2], p3[e3]
         x01, x23 = x0 * x1, x2 * x3
@@ -429,16 +445,16 @@ def monomials_of_degree(d: int) -> List[Exponent]:
     return out
 
 
-def ratio_text(n: int, d: int) -> str:
-    """n/d in lowest terms as ``p/q`` with q > 0, as Fraction(n, d) would
-    print it with its denominator always shown; ``d`` is positive."""
-    g = gcd(n, d)
-    return f"{n // g}/{d // g}"
+# monomials_of_degree(d) for d = 0..8, the degrees of every section and octic
+_MONOMIALS = tuple(map(monomials_of_degree, range(9)))
 
 
 def coefficient_texts(p: MultiPoly) -> Dict[Exponent, str]:
-    """Each coefficient of p as ratio_text, reduced once for every rendering."""
-    return {e: ratio_text(c, p.den) for e, c in p.num.items()}
+    """Each coefficient of p as ``n/d`` in lowest terms, d > 0 and always
+    shown, as Fraction(n, d) would print it; reduced once for every
+    rendering."""
+    den = p.den
+    return {e: f"{c // (g := gcd(c, den))}/{den // g}" for e, c in p.num.items()}
 
 
 # "*z<i>^<k>" by variable and power up to 8; _monomial_text formats higher ones
@@ -457,7 +473,7 @@ def _monomial_text(e: Exponent) -> Tuple[Exponent, str, str]:
 
 
 # _monomial_text of every monomial of degree 0..8 (every section and octic), graded-lex
-_MONOMIAL_TEXT = tuple(tuple(map(_monomial_text, monomials_of_degree(d))) for d in range(9))
+_MONOMIAL_TEXT = tuple(tuple(map(_monomial_text, mons)) for mons in _MONOMIALS)
 
 
 def _graded_lex(coeffs: Dict[Exponent, str]) -> List[Tuple[str, str, str]]:
@@ -477,13 +493,14 @@ def _graded_lex(coeffs: Dict[Exponent, str]) -> List[Tuple[str, str, str]]:
     return out
 
 
-def to_canonical_text(p: MultiPoly, _coeffs: Dict[Exponent, str] | None = None) -> str:
+def to_canonical_text(p: MultiPoly, _rows: List[Tuple[str, str, str]] | None = None) -> str:
     """Canonical text form: graded-lex term order, coefficients as num/den.
 
     Example: ``3/1*z0^2*z1``.  The zero polynomial prints as ``0``.
-    ``_coeffs``, if given, must be coefficient_texts(p); nothing checks it.
+    ``_rows``, if given, must be _graded_lex(coefficient_texts(p)); nothing
+    checks it.
     """
     if p.is_zero():
         return "0"
-    coeffs = coefficient_texts(p) if _coeffs is None else _coeffs
-    return " + ".join([t + suffix for t, suffix, _ in _graded_lex(coeffs)])
+    rows = _graded_lex(coefficient_texts(p)) if _rows is None else _rows
+    return " + ".join([t + suffix for t, suffix, _ in rows])

@@ -29,7 +29,11 @@ and ``MAX_SECTION_BOUND``.  And it checks ``to_canonical_text``, which walks
 a table of each degree's monomials, and ``Octic.to_json_coeffs`` against
 ``ref_canonical_text`` and ``ref_json_coeffs``, which sort and format every
 exponent: on homogeneous polynomials of degrees 0-12, mixed-degree ones and
-zero.  It exits 1 on the first difference and needs nothing outside the standard library, so it runs
+zero.  And it checks ``MultiPoly.evaluate`` and ``value_and_gradient``,
+which skip the terms that vanish at a zero coordinate, against
+``ref_evaluate`` and ``ref_value_and_gradient``, which compute every term:
+at (1, 0, 0, 0), (0, 0, 0, 1) and rational points with 0 to 3 zero
+coordinates.  It exits 1 on the first difference and needs nothing outside the standard library, so it runs
 under any Python the package supports; ``tests/test_ratpoly.py`` runs it too.
 """
 
@@ -51,6 +55,7 @@ from cybundle.discriminant import (
     build_discriminant,
     gradient_identity_holds,
     sample_section,
+    witness_section,
 )
 from cybundle.invariants import section_degrees
 from cybundle.ratpoly import (
@@ -60,6 +65,7 @@ from cybundle.ratpoly import (
     monomials_of_degree,
     multipoly_gradient,
     to_canonical_text,
+    value_and_gradient,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -351,6 +357,77 @@ def check_renderer(seed: int = 0, count: int = 20) -> int:
     return len(polys)
 
 
+def ref_partial(a: dict, i: int) -> dict:
+    """d/dz_i of a dict from exponent 4-tuples to rationals, as a new dict."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]}
+
+
+def ref_evaluate(a: dict, point) -> Fraction:
+    """a at the point in Fraction arithmetic, every term computed: no term
+    is skipped at a zero coordinate."""
+    point, total = [Fraction(x) for x in point], Fraction(0)
+    for e, c in a.items():
+        for x, k in zip(point, e):
+            c *= x ** k
+        total += c
+    return total
+
+
+def ref_value_and_gradient(p: MultiPoly, point) -> tuple:
+    """p and its four ref_partial derivatives at the point, by ref_evaluate."""
+    a = as_fractions(p)
+    return ref_evaluate(a, point), tuple(ref_evaluate(ref_partial(a, i), point)
+                                         for i in range(4))
+
+
+def zero_coordinate_points(rng: Random, count: int) -> list:
+    """(1, 0, 0, 0), (0, 0, 0, 1), then ``count`` points with each number
+    0..3 of zero coordinates, at random places; the other coordinates are
+    nonzero rationals."""
+    points = [(1, 0, 0, 0), (0, 0, 0, 1)]
+    for zeros in range(4):
+        for _ in range(count):
+            pt = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+                  for _ in range(4)]
+            for i in rng.sample(range(4), zeros):
+                pt[i] = 0
+            points.append(tuple(pt))
+    return points
+
+
+def check_evaluation(seed: int = 0, count: int = 3) -> int:
+    """``MultiPoly.evaluate`` and ``value_and_gradient``, which skip the
+    terms that vanish at a point's zero coordinates, against ref_evaluate
+    and ref_value_and_gradient, which compute every term, for exact
+    equality: on zero, sparse and dense homogeneous polynomials of degrees
+    0-8, mixed-degree ones, and the octics of sampled sections and of their
+    witness sections, each at the points of zero_coordinate_points; returns
+    the number of (polynomial, point) pairs compared."""
+    rng = Random(seed)
+    polys = [MultiPoly()]
+    for degree in range(9):
+        polys.append(section_poly(rng, degree, 9))
+        polys += [sparse_homogeneous(rng, degree, rng.randint(1, len(monomials_of_degree(degree))))
+                  for _ in range(2)]
+    for _ in range(count):
+        polys.append(MultiPoly.sum_of_products(
+            (1, sparse_homogeneous(rng, d, rng.randint(1, 2 * d + 1)), ONE)
+            for d in rng.sample(range(9), 3)))
+    for b in range(5):
+        q = sample_section(BundleSpec.from_split(3, (0, b)), rng.randrange(2 ** 31), 2)
+        polys += [build_discriminant(q).poly, build_discriminant(witness_section(q)).poly]
+    points = zero_coordinate_points(rng, count)
+    for p in polys:
+        for point in points:
+            value, gradient = got = value_and_gradient(p, point)
+            if got != ref_value_and_gradient(p, point) or p.evaluate(point) != value:
+                raise AssertionError(f"evaluation at {point} differs from the reference "
+                                     f"on {p.num!r}")
+            if not all(type(x) is Fraction for x in (value, *gradient)):
+                raise AssertionError(f"evaluation at {point} returned a non-Fraction")
+    return len(polys) * len(points)
+
+
 def check(
     seed: int = 0, count: int = 2000, bounds: Sequence[int] = (0, 1, 2, 1000)
 ) -> Tuple[int, int]:
@@ -391,10 +468,12 @@ if __name__ == "__main__":
         n, n_dense = check()
         n_grad, n_held = check_gradient_identity(seeds_per_case=6)
         n_sampled, n_rendered = check_sampler(), check_renderer()
+        n_evaluated = check_evaluation()
     except AssertionError as exc:
         sys.exit(f"FAIL ({sys.version.split()[0]}): {exc}")
     print(f"ok: {n} sums of products match Fraction arithmetic "
           f"({n_dense} on the dense accumulator), {n_grad} gradient identities "
           f"({n_held} true) match the four-product form, {n_sampled} sections match "
-          f"the _Lcg sampler and {n_rendered} renderings the sorting renderer under "
+          f"the _Lcg sampler, {n_rendered} renderings the sorting renderer and "
+          f"{n_evaluated} evaluations the term-by-term reference under "
           f"Python {sys.version.split()[0]}")

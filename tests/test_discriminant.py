@@ -1,6 +1,5 @@
 from fractions import Fraction
 from math import comb
-from types import SimpleNamespace
 
 import pytest
 
@@ -24,9 +23,9 @@ from cybundle.discriminant import (
 from cybundle.invariants import admissibility_p3
 from cybundle.ratpoly import (
     MultiPoly,
-    coefficient_texts,
     monomials_of_degree,
     multipoly_gradient,
+    to_canonical_text,
 )
 
 ADMISSIBLE = [BundleSpec.from_split(3, (0, b)) for b in range(5)]
@@ -73,11 +72,14 @@ class TestBuildDiscriminant:
         assert Octic(MultiPoly()).to_json_coeffs() == {}
 
     def test_json_coeffs_two_digit_exponents(self):
-        # no octic has them; the key format is read off a stand-in table
+        # no octic has them; the stand-in is an Octic wrapper, which skips
+        # the degree check, around a polynomial of mixed degrees up to 124
         p = MultiPoly({(10, 0, 0, 12): Fraction(3, 4), (0, 11, 2, 0): -1,
                        (1, 0, 23, 100): Fraction(6, 8), (0, 0, 0, 0): 2})
-        assert Octic.to_json_coeffs(SimpleNamespace(_coeffs=coefficient_texts(p))) == {
+        stand_in = Octic._trusted(p)
+        assert stand_in.to_json_coeffs() == {
             "10,0,0,12": "3/4", "0,11,2,0": "-1/1", "1,0,23,100": "3/4", "0,0,0,0": "2/1"}
+        assert stand_in.to_text() == to_canonical_text(p)
 
     def test_degree_mismatch_refused(self):
         spec = BundleSpec.from_split(3, (0, 2))

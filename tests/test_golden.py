@@ -133,6 +133,31 @@ def test_golden_digest_out_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["survey.json"]
 
 
+# discriminant requests beyond the golden files: p3 (0,0)..(0,4) at the
+# sampler's edge bounds and two seeds each, the text format at negative
+# seeds, un-normalized splittings and the refusals; one sha256 locks the
+# exit code, stdout and stderr of all of them, in this order
+DISCRIMINANT_ARGVS = (
+    [["discriminant", "--degrees", f"0,{b}", "--seed", str(seed), "--bound", str(bound)]
+     for b in range(5) for bound in (0, 1, 2, 1000, 10 ** 6) for seed in (1, 6)]
+    + [["discriminant", "--degrees", f"0,{b}", "--seed", str(-1 - b), "--bound", "2",
+        "--format", "text"] for b in range(5)]
+    + [["discriminant", f"--degrees={degs}", "--seed", "12", "--bound", bound]
+       for degs, bound in (("2,5", "3"), ("-1,1", "1000"), ("0,2", "-1"),
+                           ("0,2", str(10 ** 6 + 1)), ("0,5", "2"))]
+)
+DISCRIMINANT_DIGEST = "e752893ce96405106a1bf3ca19ed92ca68852d4322747d08da1e493d03ac6291"
+
+
+def test_discriminant_digest():
+    h = hashlib.sha256()
+    for argv in DISCRIMINANT_ARGVS:
+        code, stdout, stderr = run_in_process(argv)
+        h.update(b"%d %d %d\n" % (code, len(stdout), len(stderr)) + stdout + stderr)
+    assert len(DISCRIMINANT_ARGVS) == 60
+    assert h.hexdigest() == DISCRIMINANT_DIGEST
+
+
 def write_missing(cases=CASES, golden_dir=GOLDEN_DIR):
     """Write the golden files that do not exist yet; never overwrite one.
 

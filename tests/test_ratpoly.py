@@ -213,6 +213,15 @@ class TestMultiPoly:
         g = multipoly_gradient(prod)
         assert g[2] == MultiPoly({(1, 1, 0, 1): 1})
 
+        # each partial lowers its own exponent and scales by it
+        p = MultiPoly({(2, 3, 1, 4): Fraction(1, 2), (0, 1, 0, 0): 5})
+        assert multipoly_gradient(p) == (
+            MultiPoly({(1, 3, 1, 4): 1}),
+            MultiPoly({(2, 2, 1, 4): Fraction(3, 2), (0, 0, 0, 0): 5}),
+            MultiPoly({(2, 3, 0, 4): Fraction(1, 2)}),
+            MultiPoly({(2, 3, 1, 3): 2}),
+        )
+
         const = MultiPoly({(0, 0, 0, 0): 5})
         assert all(gi.is_zero() for gi in multipoly_gradient(const))
 
@@ -263,25 +272,13 @@ class TestMultiPoly:
         assert multipoly_kernel_check.check_renderer(seed=1, count=8) == 1 + 13 * 8 + 8
 
 
-# Reference arithmetic for the properties below: plain dicts from exponent
-# tuples to nonzero Fractions, with none of MultiPoly's integer storage.
-# Sums of products take multipoly_kernel_check.reference.
+# Reference arithmetic for the properties below, from the stdlib script:
+# plain dicts from exponent tuples to nonzero Fractions, with none of
+# MultiPoly's integer storage, and sums of products by its ``reference``.
+# The names stay bound here: a property's examples are seeded from its source.
 
-def _ref_partial(a, i):
-    out = {}
-    for e, c in a.items():
-        if e[i]:
-            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
-    return out
-
-
-def _ref_evaluate(a, point):
-    total = Fraction(0)
-    for e, c in a.items():
-        for x, k in zip(point, e):
-            c *= Fraction(x) ** k
-        total += c
-    return total
+_ref_partial = multipoly_kernel_check.ref_partial
+_ref_evaluate = multipoly_kernel_check.ref_evaluate
 
 
 # p's coefficients as a dict of Fractions, after checking the storage rule
@@ -461,6 +458,27 @@ class TestSumOfProducts:
         want = reference(terms)
         assert _checked(MultiPoly.sum_of_products(terms)) == want
 
+    def test_packed_fields_hold_doubled_exponents(self):
+        # the largest exponent e at 1, 2^8 - 1 and 2^16 - 1: a square reaches
+        # 2e, which needs one more bit than e, in every field
+        for top in (1, 2 ** 8 - 1, 2 ** 16 - 1):
+            a = MultiPoly({(top, 0, 1, 0): 2, (0, top, 0, 1): -1, (1, 0, top, top): 3})
+            b = MultiPoly({(0, 0, 0, top): Fraction(1, 3), (top, 1, 0, 0): 1})
+            terms = [(1, a, a), (2, a, b), (-1, b, b)]
+            assert _dense_degree(terms) is None
+            assert _checked(MultiPoly.sum_of_products(terms)) == reference(terms)
+
+    def test_dense_past_the_monomial_table(self):
+        # degrees 9 and 10, above the import-time table's 0..8: full squares
+        # of degrees 4 and 5 against one full product, on the dense accumulator
+        for da, db in ((4, 5), (5, 5)):
+            a, b = (MultiPoly({e: Fraction(k % 7 - 3, 1 + k % 4)
+                               for k, e in enumerate(monomials_of_degree(d))})
+                    for d in (da, db))
+            terms = [(1, a, b), (-3, b, b)] if da == db else [(1, a, b), (2, b, a)]
+            assert _dense_degree(terms) == da + db
+            assert _checked(MultiPoly.sum_of_products(terms)) == reference(terms)
+
     def test_stdlib_script(self):
         # golden octics, seeded and discriminant-shaped sums, also run as a
         # script under other Pythons
@@ -468,43 +486,64 @@ class TestSumOfProducts:
         assert sums > 300 and dense > 50
 
 
-def _sparse_homogeneous(rng, degree):
+def _sparse_homogeneous(rng, degree, dense=False):
     mons = monomials_of_degree(degree)
-    return MultiPoly({e: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                      for e in rng.sample(mons, rng.randint(0, len(mons)))})
+    if not dense:
+        mons = rng.sample(mons, rng.randint(0, len(mons)))
+    return MultiPoly({e: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+                      for e in mons})
 
 
 class TestValueAndGradient:
-    """value_and_gradient against evaluate of the multipoly_gradient partials."""
+    """value_and_gradient and evaluate, which skip the terms that vanish at a
+    zero coordinate, against the term-by-term Fraction reference."""
 
     @staticmethod
-    def _reference(p, point):
-        return p.evaluate(point), tuple(g.evaluate(point) for g in multipoly_gradient(p))
+    def _check(p, point):
+        value, gradient = got = value_and_gradient(p, point)
+        assert got == multipoly_kernel_check.ref_value_and_gradient(p, point)
+        assert p.evaluate(point) == value
+        assert type(value) is Fraction and all(type(g) is Fraction for g in gradient)
 
     def _points(self, rng, n):
-        fixed = [(1, 1, 1, 1), (1, 0, 0, 0), (0, 0, 0, 1), (Fraction(1, 2), 3, -1, Fraction(2, 3))]
-        return fixed + [
-            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4))
-            for _ in range(n)
-        ]
+        fixed = [(1, 1, 1, 1), (1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0),
+                 (Fraction(1, 2), 3, -1, Fraction(2, 3)), (0, Fraction(-3, 4), 0, 2)]
+        return fixed + multipoly_kernel_check.zero_coordinate_points(rng, n)
 
     def test_homogeneous_degrees_0_to_8(self):
+        # sparse and, every third polynomial, dense: every monomial of the degree
         rng = random.Random(2026)
-        for i, point in enumerate(self._points(rng, 250)):
-            p = _sparse_homogeneous(rng, i % 9)
-            got = value_and_gradient(p, point)
-            assert got == self._reference(p, point)
-            assert type(got[0]) is Fraction and all(type(g) is Fraction for g in got[1])
+        for i, point in enumerate(self._points(rng, 60)):
+            p = _sparse_homogeneous(rng, i % 9, dense=i % 3 == 0)
+            self._check(p, point)
 
     def test_mixed_degrees(self):
         rng = random.Random(7)
-        for point in self._points(rng, 200):
+        for point in self._points(rng, 50):
             p = MultiPoly.sum_of_products(
                 (1, _sparse_homogeneous(rng, d), ONE) for d in rng.sample(range(7), 3))
-            assert value_and_gradient(p, point) == self._reference(p, point)
+            self._check(p, point)
 
     def test_zero_polynomial(self):
         assert value_and_gradient(MultiPoly(), (1, 2, 3, 4)) == (0, (0, 0, 0, 0))
+        for point in self._points(random.Random(3), 1):
+            self._check(MultiPoly(), point)
+
+    def test_octic_at_the_witness_point(self):
+        # only z0^8 and z0^7*z_i are live at (1, 0, 0, 0); their coefficients
+        # are the value and the gradient
+        q = sample_section(BundleSpec.from_split(3, (0, 2)), 4, 1000)
+        delta = MultiPoly.sum_of_products(((1, q.s01, q.s01), (-4, q.s00, q.s11)))
+        c = multipoly_kernel_check.as_fractions(delta)
+        want = (c[(8, 0, 0, 0)], (8 * c[(8, 0, 0, 0)], c[(7, 1, 0, 0)], c[(7, 0, 1, 0)],
+                                  c[(7, 0, 0, 1)]))
+        assert value_and_gradient(delta, (1, 0, 0, 0)) == want
+        self._check(delta, (1, 0, 0, 0))
+
+    def test_stdlib_script(self):
+        # zero, sparse, dense and mixed-degree polynomials and octics at points
+        # with 0-3 zero coordinates, also run as a script under other Pythons
+        assert multipoly_kernel_check.check_evaluation(seed=1, count=1) == 39 * 6
 
     @pytest.mark.parametrize("point", [(1, 0, 0), (1, 0, 0, 0, 0)], ids=str)
     def test_malformed_points_refused(self, point):

@@ -33,6 +33,7 @@ ALLOWED_UNREACHED = {
     "invariants.h0_split": "acceptance: criterion 7",
     "ratpoly.MultiPoly.__hash__": "value protocol: Octic and QuadraticSection hash",
     "ratpoly.MultiPoly.__repr__": "value protocol: Octic and QuadraticSection repr",
+    "ratpoly.MultiPoly.total_degree": "acceptance: criterion 11",
     "ratpoly.UniPoly.__eq__": "value protocol",
     "ratpoly.UniPoly.__hash__": "value protocol",
     "ratpoly.UniPoly.__init__": "acceptance: criterion 12",
