@@ -16,19 +16,23 @@ ASCII ``-?[0-9]+`` with at most MAX_DEGREE_DIGITS (1000) digits (no spaces,
 Exit codes: 0 ok, 2 invalid input (malformed or wrong-arity degrees, a
 ``--bound`` outside 0..MAX_SECTION_BOUND, a ``--max-degree`` outside
 0..MAX_ENUMERATE_DEGREE, ``--format csv`` on ``kaehler``, ``classify`` or
-``discriminant``, an empty ``--out``, an ``--out`` path that cannot be
-written, or a stdout that cannot be written, such as a full device or a
-closed pipe), 3 oracle mismatch, a false value under ``checks`` or a
+``discriminant``, an empty ``--out``, an ``--out`` that names a FIFO, a
+device or a directory, an ``--out`` path that cannot be written, or a
+stdout that cannot be written, such as a full device or a closed pipe), 3
+oracle mismatch, a false value under ``checks`` or a
 base-locus ``witness`` that is not a verified singular point (the payload
 is written first), 4 inadmissible or refused spec (``RhoNotTwoError``
-too).  The csv and empty ``--out`` refusals come before any computation.
+too).  The csv refusal and the refusals of an empty or a non-regular
+``--out`` come before any computation.
 Command handlers return only their payload fields; ``main`` alone adds the
 header (``schema``, ``command``), writes the payload and maps errors to exit
 codes, each with one JSON object ``{"error": ..., "exit_code": ...}`` on
 stderr; argparse's own usage errors keep its usage message.  A request
-builds every subparser but gives options only to the one that ``argv[0]``
-names exactly; any other argv gets the full parser (see build_parser).
-``--out`` is written atomically: a failed write leaves no partial file.
+gives options only to the subparser that ``argv[0]`` names exactly; the
+other subparsers are bare placeholders that only name themselves in the
+choice list.  Any other argv gets the full parser (see build_parser).
+``--out`` is written atomically, through any symlink to the file it names:
+a failed write leaves no partial file.
 After a failed write to stdout the descriptor under it is pointed at the
 null device, so the exit prints no second error.
 """
@@ -40,6 +44,7 @@ import csv
 import json
 import os
 import re
+import stat
 import sys
 from typing import Callable, List, Optional, TextIO, Tuple
 
@@ -298,9 +303,26 @@ def _json_text(value, indent: str = "") -> str:
     return f"{head}\n{inner}{sep.join(items)}\n{indent}{tail}"
 
 
+def _check_out_target(path: str) -> None:
+    """Refuse an ``--out`` that names, through any symlinks, something other
+    than a regular file, such as a FIFO, a device or a directory.  A path
+    that names nothing yet is left to the write."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return
+    except OSError as exc:  # such as a symlink loop or a path through a file
+        raise CliError(EXIT_INVALID_INPUT, f"cannot write {path}: {exc.strerror}")
+    if not stat.S_ISREG(mode):
+        raise CliError(EXIT_INVALID_INPUT, f"cannot write {path}: not a regular file")
+
+
 def _write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
     """Write through a temporary file in the target directory and rename it
-    over ``path``, so a failed write leaves no partial file behind."""
+    over ``path``, so a failed write leaves no partial file behind.  A
+    symlinked ``path`` is resolved first, so the link keeps pointing at the
+    file that now holds the payload."""
+    path = os.path.realpath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "w", encoding="utf-8")
     try:
@@ -454,19 +476,23 @@ _COMMAND_NAMES = frozenset(row[0] for row in _COMMANDS)
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser with every subcommand.  Given a ``command``, only that
-    subparser gets its options; the others hold only their help action.
-    Such a parser reads exactly the argv whose first token is ``command``:
-    the top-level parser has no option but ``-h``, so that token always
-    selects the subcommand, and only its subparser reads the rest."""
+    subparser gets its options; the others are bare placeholders, with no
+    action at all, not even ``-h``.  Such a parser reads exactly the argv
+    whose first token is ``command``: the top-level parser has no option
+    but ``-h``, so that token always selects the subcommand, and only its
+    subparser reads the rest.  A placeholder only supplies its name to the
+    top-level choice list, which the usage and error text show."""
     parser = argparse.ArgumentParser(
         prog="cybundle",
         description="Exact invariants of Calabi-Yau threefolds in projective bundles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, handler, options, takes_base in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
         if command is not None and name != command:
+            # a placeholder: it only lends its name to the choice list
+            sub.add_parser(name, help=help_text, add_help=False)
             continue
+        p = sub.add_parser(name, help=help_text)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
         if takes_base:
@@ -492,6 +518,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         if args.out == "":
             raise CliError(EXIT_INVALID_INPUT, "--out needs a file path")
+        if args.out is not None:
+            _check_out_target(args.out)
         payload = {"schema": SCHEMA_VERSION, "command": args.command, **args.func(args)}
         _emit(payload, args.format, args.out)
         checks = [*payload.get("checks", {}).values()]

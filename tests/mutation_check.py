@@ -382,6 +382,23 @@ MUTATIONS = (
          "test_only_the_named_subparser_has_options"],
     ),
     Mutation(
+        "placeholder keeps its help action",
+        PKG / "cli.py",
+        "sub.add_parser(name, help=help_text, add_help=False)",
+        "sub.add_parser(name, help=help_text, add_help=True)",
+        ["tests/test_cli.py::TestNamedSubcommandParser::"
+         "test_only_the_named_subparser_has_options"],
+    ),
+    Mutation(
+        "non-regular --out target not refused",
+        PKG / "cli.py",
+        """        if args.out is not None:
+            _check_out_target(args.out)
+""",
+        "",
+        ["tests/test_cli.py::TestOutPath::test_non_regular_target_exit_2_before_any_work"],
+    ),
+    Mutation(
         "subcommand taken from the last argv token that names one",
         PKG / "cli.py",
         "named = argv[0] if argv and argv[0] in _COMMAND_NAMES else None",

@@ -4,6 +4,7 @@ import enum
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -473,14 +474,66 @@ class TestOutPath:
         assert str(out) in payload["error"]
         assert not out.parent.exists()
 
-    def test_failed_write_leaves_no_partial_file(self, tmp_path, capsys):
-        # a directory in the way makes the final rename fail
-        out = tmp_path / "taken"
-        out.mkdir()
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "x.json"
+
+        def write(fh, payload, fmt):
+            fh.write("{\n  partial")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cybundle.cli, "_write", write)
+        assert main(self.ARGV + [str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"cannot write {out}: No space left on device", "exit_code": 2}
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("make", [os.mkfifo, os.mkdir])
+    @pytest.mark.parametrize("linked", [False, True])
+    def test_non_regular_target_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       make, linked):
+        # a FIFO or a directory, named directly or through a symlink
+        node = tmp_path / "node"
+        make(node)
+        out = node
+        if linked:
+            out = tmp_path / "link"
+            os.symlink(node, out)
+        monkeypatch.setattr(cybundle.cli, "invariants_for", self.refuse)
+        assert main(self.ARGV + [str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert json.loads(err) == {
+            "error": f"cannot write {out}: not a regular file", "exit_code": 2}
+        assert sorted(tmp_path.iterdir()) == sorted({node, out})
+        mode = os.lstat(node).st_mode
+        assert stat.S_ISFIFO(mode) if make is os.mkfifo else stat.S_ISDIR(mode)
+        assert not stat.S_ISDIR(mode) or list(node.iterdir()) == []
+        assert not linked or os.readlink(out) == str(node)
+
+    def test_symlink_loop_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "loop"
+        os.symlink(out, out)
+        monkeypatch.setattr(cybundle.cli, "invariants_for", self.refuse)
         assert main(self.ARGV + [str(out)]) == 2
         assert json.loads(capsys.readouterr().err)["exit_code"] == 2
-        assert list(tmp_path.iterdir()) == [out]
-        assert list(out.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [out] and os.readlink(out) == str(out)
+
+    @pytest.mark.parametrize("dangling", [False, True])
+    def test_symlink_keeps_pointing_at_the_payload(self, tmp_path, dangling):
+        target = tmp_path / "data" / "x.json"
+        target.parent.mkdir()
+        if not dangling:
+            target.write_text("old")
+        out = tmp_path / "link.json"
+        os.symlink(target, out)
+        assert main(self.ARGV + [str(out)]) == 0
+        assert os.readlink(out) == str(target)
+        assert json.loads(target.read_text())["row"]["c3_X"] == -200
+        assert sorted(tmp_path.rglob("*")) == [target.parent, target, out]
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("a command ran despite a refused --out")
 
     def test_failed_replace_keeps_old_file(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "x.json"
@@ -507,11 +560,8 @@ class TestOutPath:
         ],
     )
     def test_empty_path_exit_2_before_any_work(self, capsys, monkeypatch, argv):
-        def refuse(*args):
-            raise AssertionError("a command ran despite an empty --out")
-
         for name in ("invariants_for", "classify_contraction_p1", "sample_section"):
-            monkeypatch.setattr(cybundle.cli, name, refuse)
+            monkeypatch.setattr(cybundle.cli, name, self.refuse)
         assert main(argv + [""]) == 2
         stdout, err = capsys.readouterr()
         assert stdout == ""
@@ -990,9 +1040,44 @@ class TestNamedSubcommandParser:
         assert json.loads((tmp_path / "kaehler").read_text())["command"] == "invariants"
 
     def test_only_the_named_subparser_has_options(self):
+        # the other subparsers are bare placeholders: not even -h
         sub = build_parser("kaehler")._actions[1]
         got = {name: TestParser.actions(p) for name, p in sub.choices.items()}
-        want = {name: (HELP_ACTION,) for name in TestParser.SUBCOMMANDS}
+        want = {name: () for name in TestParser.SUBCOMMANDS}
         want["kaehler"] = TestParser.SUBCOMMANDS["kaehler"][2]
         assert got == want
         assert sub.choices["kaehler"].get_default("func").__name__ == "_cmd_kaehler"
+        assert {a.dest: a.help for a in sub._choices_actions} == {
+            name: row[0] for name, row in TestParser.SUBCOMMANDS.items()}
+
+    # the required option of each subcommand, so that a later token reaches
+    # the top-level parser as an unrecognized argument
+    REQUIRED = {
+        "invariants": ["--degrees", "0,1"],
+        "enumerate": ["--max-degree", "0"],
+        "kaehler": ["--degrees", "0,1"],
+        "classify": ["--degrees", "0,0,0,1"],
+        "discriminant": ["--degrees", "0,1"],
+    }
+    CHOICES = "{invariants,enumerate,kaehler,classify,discriminant}"
+
+    @pytest.mark.parametrize("name", sorted(COMMAND_FLAGS))
+    @pytest.mark.parametrize("required,last", [
+        (False, "--bogus"), (False, "-h"), (False, "stray"), (True, "--bogus"), (True, "stray"),
+    ])
+    def test_placeholders_change_no_byte(self, monkeypatch, tmp_path, name, required, last):
+        monkeypatch.chdir(tmp_path)
+        argv = [name, *(self.REQUIRED[name] if required else []), last]
+        full = run_main_full_parser(argv)
+        assert run_main(argv) == full
+        code, out, err = full
+        if last == "-h":
+            assert (code, err) == (0, "") and out.startswith(f"usage: cybundle {name} [-h]")
+        elif required:
+            # the subparser hands the token back; the top-level parser refuses it
+            assert (code, out) == (2, "")
+            assert err.startswith("usage: cybundle [-h] ") and self.CHOICES in err, err
+            assert err.endswith(f"cybundle: error: unrecognized arguments: {last}\n"), err
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith(f"usage: cybundle {name} [-h]"), err
