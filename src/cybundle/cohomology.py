@@ -64,19 +64,23 @@ def line_cohomology(m: int, d: int, i: int) -> int:
     return 0
 
 
-def cohomology(b: SplitBundle, i: int) -> int:
-    """h^i of a split bundle: the sum of line_cohomology over the line
-    summands; an index outside 0..m raises ValueError.  Only d >= 0 (i = 0)
-    and d <= -m-1 (i = m) contribute, and b.degrees is sorted ascending, so
-    bisection finds them and their binomials are summed in one map."""
+def cohomology(b: SplitBundle, i: int, twist: int = 0) -> int:
+    """h^i of b (x) O(twist), the sum of line_cohomology over the summands
+    O(d + twist), without building the twisted bundle; an index outside 0..m
+    raises ValueError.  Only d >= -twist (i = 0) and d <= -m-1-twist (i = m)
+    contribute; b.degrees is sorted ascending, so bisection finds them and
+    their binomials are summed in one map (on P^1, C(k, 1) = k in closed form)."""
     m, degs = b.base_dim, b.degrees
     if not 0 <= i <= m:
         raise ValueError(f"cohomology index {i} out of range for P^{m}")
-    if i == 0:  # C(d + m, m)
-        return sum(map(comb, map(m.__add__, degs[bisect_left(degs, 0):]), repeat(m)))
-    if i == m:  # C(-d - 1, m)
-        head = degs[:bisect_right(degs, -m - 1)]
-        return sum(map(comb, map((-1).__sub__, head), repeat(m)))
+    if i == 0:  # C(d + twist + m, m)
+        tail = degs[bisect_left(degs, -twist):]
+        return sum(map(comb, map((twist + m).__add__, tail), repeat(m)))
+    if i == m:  # C(-d - twist - 1, m)
+        head = degs[:bisect_right(degs, -m - 1 - twist)]
+        if m == 1:
+            return (-1 - twist) * len(head) - sum(head)
+        return sum(map(comb, map((-1 - twist).__sub__, head), repeat(m)))
     return 0
 
 

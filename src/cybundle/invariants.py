@@ -298,8 +298,7 @@ def picard_number(spec: BundleSpec) -> tuple[int, str]:
         h2 = cohomology(end_bundle(SplitBundle(3, norm.split_degrees)), 2)
         return 2 + h2, "hypotheses-not-verified: split bundles are not stable"
     bundle = SplitBundle._trusted(1, norm.split_degrees)  # BundleSpec sorts them
-    twisted = sym_power(bundle, 4).twist(2 - norm.c1)
-    h1 = cohomology(twisted, 1)
+    h1 = cohomology(sym_power(bundle, 4), 1, 2 - norm.c1)
     return 2 + h1, "normalized convention"
 
 

@@ -4,15 +4,20 @@
 
 compares ``cohomology.cohomology`` with the sum of ``line_cohomology`` over
 the line summands, one call per summand, and ``cohomology.sym_power`` with
-the sorted degree sums over all non-decreasing index tuples.  It runs on
-every p1 spec that ``enumerate --base p1 --max-degree 20`` reports (1771
-specs, where it also compares ``invariants.picard_number`` with the closed
+the sorted degree sums over all non-decreasing index tuples.  With a twist
+t, ``cohomology(b, i, t)`` is compared with the reference over the degrees
+d + t and with ``cohomology(b.twist(t), i)``.  It runs on every p1 spec
+that ``enumerate --base p1 --max-degree 20`` reports (1771 specs: Sym^4 E
+at the twist 2 - c1, and ``invariants.picard_number`` against the closed
 form 2 + sum of max(0, c1 - 3 - s) over the 4-fold degree sums s) and on
 seeded random bundles on P^1 and P^3 whose degrees include the bisection
 boundaries -m-1, -m, -1 and 0, for every index i in -1..m+1; an index
-outside 0..m must raise ValueError.  It exits 1 on the first difference and
-needs nothing outside the standard library, so it runs under any Python the
-package supports; ``tests/test_cohomology.py`` runs it too.
+outside 0..m must raise ValueError.  Each random bundle is also checked at
+every twist t in -m-3..m+3, next to a bundle whose degrees sit on the
+shifted boundaries -m-1-t, -m-t, -1-t and -t.  It exits 1 on the first
+difference and needs nothing outside the standard library, so it runs
+under any Python the package supports; ``tests/test_cohomology.py`` runs
+it too.
 """
 
 import sys
@@ -43,19 +48,37 @@ def ref_sym_power(degrees, k):
     )
 
 
+def kernel(b, i, *twist):
+    """cohomology(b, i, *twist); None where it raises ValueError."""
+    try:
+        return cohomology(b, i, *twist)
+    except ValueError:
+        return None
+
+
 def check_bundle(b):
     """Compare every index of b, and fail on the first difference."""
     m = b.base_dim
     if list(b.degrees) != sorted(b.degrees):
         raise AssertionError(f"degrees not sorted: {b!r}")
     for i in range(-1, m + 2):
-        want = ref_cohomology(m, b.degrees, i)
-        try:
-            got = cohomology(b, i)
-        except ValueError:
-            got = None
+        want, got = ref_cohomology(m, b.degrees, i), kernel(b, i)
         if got != want:
             raise AssertionError(f"h^{i} of {b!r}: {got} != reference {want}")
+
+
+def check_twist(b, t):
+    """Compare every index of b (x) O(t), taken by the twist argument and
+    by the twisted bundle, with the reference over the degrees d + t."""
+    m = b.base_dim
+    for i in range(-1, m + 2):
+        want = ref_cohomology(m, [d + t for d in b.degrees], i)
+        got, via_bundle = kernel(b, i, t), kernel(b.twist(t), i)
+        if got != want or via_bundle != want:
+            raise AssertionError(
+                f"h^{i} of {b!r} twisted by {t}: {got} (argument), "
+                f"{via_bundle} (twisted bundle) != reference {want}"
+            )
 
 
 def check_sym_power(b, k):
@@ -82,8 +105,7 @@ def check(seed=0, count=2000, max_degree=20):
     checked = 0
     for spec in _enumerate_specs("p1", max_degree):
         degrees, c1 = spec.split_degrees, spec.c1
-        twisted = check_sym_power(SplitBundle(1, degrees), 4).twist(2 - c1)
-        check_bundle(twisted)
+        check_twist(check_sym_power(SplitBundle(1, degrees), 4), 2 - c1)
         sums = map(sum, combinations_with_replacement(degrees, 4))
         want = 2 + sum(max(0, c1 - 3 - s) for s in sums)
         got = picard_number(spec)[0]
@@ -95,7 +117,10 @@ def check(seed=0, count=2000, max_degree=20):
         m = (1, 3)[n % 2]
         b = SplitBundle(m, tuple(boundary_degrees(rng, m)))
         check_bundle(b)
-        check_bundle(b.twist(rng.randint(-3, 3)))
+        for t in range(-m - 3, m + 4):
+            check_twist(b, t)
+            # the same draw moved onto the boundaries shifted by -t
+            check_twist(SplitBundle(m, tuple(d - t for d in b.degrees)), t)
         check_bundle(b.dual())
         check_sym_power(b, rng.randint(0, 4 if len(b.degrees) <= 4 else 2))
         checked += 1

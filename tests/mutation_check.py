@@ -54,8 +54,22 @@ MUTATIONS = (
     Mutation(
         "h^m bound by bisect_left",
         PKG / "cohomology.py",
-        "head = degs[:bisect_right(degs, -m - 1)]",
-        "head = degs[:bisect_left(degs, -m - 1)]",
+        "head = degs[:bisect_right(degs, -m - 1 - twist)]",
+        "head = degs[:bisect_left(degs, -m - 1 - twist)]",
+        ["tests/test_cohomology.py"],
+    ),
+    Mutation(
+        "h^m bound without the twist",
+        PKG / "cohomology.py",
+        "bisect_right(degs, -m - 1 - twist)",
+        "bisect_right(degs, -m - 1)",
+        ["tests/test_cohomology.py"],
+    ),
+    Mutation(
+        "P^1 top sum with the twist's sign flipped",
+        PKG / "cohomology.py",
+        "return (-1 - twist) * len(head)",
+        "return (-1 + twist) * len(head)",
         ["tests/test_cohomology.py"],
     ),
     Mutation(
@@ -450,10 +464,24 @@ MUTATIONS = (
         ["tests/test_kahler.py::TestRhoTwoGate"],
     ),
     Mutation(
+        "c2-positivity guard lets xi.c2 = 0 pass",
+        PKG / "kahler.py",
+        "if c2_xi <= 0 or c2_h <= 0:",
+        "if c2_xi < 0 or c2_h <= 0:",
+        ["tests/test_kahler.py::TestBoundaryRays"],
+    ),
+    Mutation(
+        "y-factor multiplicity off by one",
+        PKG / "kahler.py",
+        "y_mult = 4 - len(y)",
+        "y_mult = 3 - len(y)",
+        ["tests/test_kahler.py::TestRationality::test_factor_verdicts"],
+    ),
+    Mutation(
         "rho twisted by the un-normalized c1",
         PKG / "invariants.py",
-        "twisted = sym_power(bundle, 4).twist(2 - norm.c1)",
-        "twisted = sym_power(bundle, 4).twist(2 - spec.c1)",
+        "h1 = cohomology(sym_power(bundle, 4), 1, 2 - norm.c1)",
+        "h1 = cohomology(sym_power(bundle, 4), 1, 2 - spec.c1)",
         ["tests/test_invariants.py::TestPicardNumber"],
     ),
     Mutation(

@@ -69,14 +69,24 @@ class TestCohomologySums:
         assert cohomology(end_bundle(SplitBundle(3, (0, 4))), 2) == 0
 
     def test_h1_sym4_trivial_twisted(self):
-        s = sym_power(SplitBundle(1, (0, 0, 0, 0)), 4).twist(2)
-        assert cohomology(s, 1) == 0
+        s = sym_power(SplitBundle(1, (0, 0, 0, 0)), 4)
+        assert cohomology(s.twist(2), 1) == cohomology(s, 1, 2) == 0
 
     def test_h1_sym4_0022_twisted(self):
         # Sym^4(0,0,2,2) has five degree-0 summands; the twist by -2 makes
         # each contribute h^1 = 1
-        s = sym_power(SplitBundle(1, (0, 0, 2, 2)), 4).twist(-2)
-        assert cohomology(s, 1) == 5
+        s = sym_power(SplitBundle(1, (0, 0, 2, 2)), 4)
+        assert cohomology(s.twist(-2), 1) == cohomology(s, 1, -2) == 5
+
+    def test_twist_argument_examples(self):
+        # (O(-4) + O(1) + O(4)) (x) O(-1) on P^1 is O(-5) + O + O(3):
+        # h^0 = 1 + 4, h^1 = 4
+        b = SplitBundle(1, (-4, 1, 4))
+        assert (cohomology(b, 0, -1), cohomology(b, 1, -1)) == (5, 4)
+        # on P^3 the twist moves a summand across each boundary
+        b = SplitBundle(3, (-2, 0))
+        assert [cohomology(b, 0, t) for t in (-1, 0, 2)] == [0, 1, 11]
+        assert [cohomology(b, 3, t) for t in (-1, -2, -3)] == [0, 1, 4]
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_euler_characteristic_additivity(self, m):
@@ -99,17 +109,22 @@ class TestBottKernelProperties:
     summand, without the kernel's own iteration."""
 
     @PROPS
-    @given(b=SPLIT_BUNDLES)
-    def test_cohomology_is_the_sum_over_summands(self, b):
+    @given(b=SPLIT_BUNDLES, t=st.integers(-20, 20))
+    def test_cohomology_is_the_sum_over_summands(self, b, t):
+        # untwisted, and twisted by t both through the argument and through
+        # the twisted bundle
         m = b.base_dim
         for i in range(m + 1):
-            want = 0
+            want = want_t = 0
             for d in b.degrees:
                 want += line_cohomology(m, d, i)
+                want_t += line_cohomology(m, d + t, i)
             assert cohomology(b, i) == want
+            assert cohomology(b, i, t) == cohomology(b.twist(t), i) == want_t
         for i in (-1, m + 1):
-            with pytest.raises(ValueError):
-                cohomology(b, i)
+            for twist in (0, t):
+                with pytest.raises(ValueError):
+                    cohomology(b, i, twist)
 
     @PROPS
     @given(b=SPLIT_BUNDLES, k=st.integers(0, 4))
@@ -144,6 +159,6 @@ class TestBottKernelProperties:
             sym_power(SplitBundle(1, (0, 1)), -1)
 
     def test_stdlib_script(self):
-        # the N <= 20 survey and seeded boundary bundles, also run as a
-        # script under other Pythons
+        # the N <= 20 survey and seeded boundary bundles at every small
+        # twist, also run as a script under other Pythons
         assert bott_kernel_check.check(seed=1, count=500) == 1771 + 500

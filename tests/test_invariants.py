@@ -9,7 +9,7 @@ import chow_kernel_check
 import cybundle.invariants
 from chow_kernel_check import oracle_by_products
 from cybundle.chow import BundleSpec, ChowClass
-from cybundle.cli import main
+from cybundle.cli import _enumerate_specs, main
 from cybundle.invariants import (
     OracleMismatchError,
     admissibility_p3,
@@ -119,6 +119,49 @@ class TestClosedFormCertificate:
         for c1 in range(5):
             inv = invariants_p1(BundleSpec(1, 4, c1))
             assert (inv.c1, inv.picard_number) == (c1, None)
+
+
+class TestEulerNumberFromPencil:
+    """e(X) on P^1 from the K3 pencil instead of from c(T_Z).
+
+    X -> P^1 is a pencil of quartic K3 surfaces in the P^3 fibers of Z.  A
+    smooth fiber has e = 24, and each nodal fiber lowers that by 1, so
+    e(X) = 2 * 24 - N, where N is the number of nodal fibers: the degree on
+    P^1 of the discriminant of quaternary quartics, pulled back along the
+    family.  That discriminant has degree n (d - 1)^(n - 1) = 4 * 3^3 = 108
+    in the coefficients, and Disc(f o diag(l)) = (det l)^108 Disc(f), so the
+    exponent vectors e_1..e_108 of the coefficients in any one of its
+    monomials sum to (108, 108, 108, 108).  With -K_Z = 4 xi + (2 - c1) H,
+    the coefficient of x^e is a section of O(2 - c1 + <e, a>) for the
+    splitting a, and <e_1 + ... + e_108, a> = 108 c1.  So every monomial has
+    degree N = 108 (2 - c1) + 108 c1 = 216 on P^1, for every splitting, and
+    e(X) = 48 - 216 = -168 (Gelfand-Kapranov-Zelevinsky, Discriminants,
+    Resultants, and Multidimensional Determinants, 1994).
+
+    This is the closed form of ``c3_X``, which every record already compares
+    with the Chern oracle; the test records the second derivation and is
+    not claimed to catch a mutation that the oracle misses.  Twisting E by
+    O(t) leaves Z, and so X, unchanged.
+    """
+
+    DISC_DEGREE = 4 * 3 ** 3
+
+    def euler_number(self, c1):
+        return 2 * 24 - (self.DISC_DEGREE * (2 - c1) + self.DISC_DEGREE * c1)
+
+    def test_survey_specs(self):
+        memo = {}
+        specs = list(_enumerate_specs("p1", 20))
+        assert len(specs) == 1771
+        for spec in specs:
+            assert invariants_p1(spec, memo).c3_X == self.euler_number(spec.c1) == -168
+
+    def test_twisted_copies(self):
+        for spec in list(_enumerate_specs("p1", 20))[::97]:
+            for t in (-3, -1, 2, 5):
+                twisted = BundleSpec.from_split(1, [d + t for d in spec.split_degrees])
+                assert twisted.c1 == spec.c1 + 4 * t
+                assert invariants_p1(twisted).c3_X == self.euler_number(twisted.c1)
 
 
 class TestOracleMismatch:

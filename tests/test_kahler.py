@@ -90,6 +90,21 @@ class TestRationality:
         with pytest.raises(ValueError):
             rationality_analysis(CubicForm(Fraction(0), Fraction(0), Fraction(0), Fraction(0)))
 
+    # no argv yields RATIONAL_FACTORS: three library cubics without a double
+    # line, two of them split into rational lines
+    @pytest.mark.parametrize("w, verdict", [
+        # x y (x - y): y divides w, so the y-chart drops to degree 2
+        (CubicForm(0, 1, -1, 0), Rationality.RATIONAL_FACTORS),
+        # (x - y)(x - 2y)(x - 3y)
+        (CubicForm(1, -6, 11, -6), Rationality.RATIONAL_FACTORS),
+        # x (x^2 - 2y^2): one rational line, two irrational ones
+        (CubicForm(1, 0, -2, 0), Rationality.IRRATIONAL_OR_UNRESOLVED),
+    ])
+    def test_factor_verdicts(self, w, verdict):
+        r = rationality_analysis(w)
+        assert r.verdict is verdict
+        assert (r.chart, r.double_roots) == (None, ())
+
     def test_planted_double_roots(self):
         rng = random.Random(99)
         for _ in range(100):
@@ -212,6 +227,18 @@ class TestBoundaryRays:
         assert r.cubic == w_cubic(invariants_p1(spec))
         assert r.analysis == rationality_analysis(r.cubic)
         assert r.rationality is r.analysis.verdict
+
+    @pytest.mark.parametrize("field", ["xi_dot_c2", "h_dot_c2"])
+    def test_c2_positivity_guard(self, field):
+        # c2 is >= 24 on every ray a spec reaches, so the guard is reached
+        # only through a patched record: 0 is refused, 1 passes
+        spec = BundleSpec.from_split(3, (0, 1))
+        inv = invariants_for(spec)
+        setattr(inv, field, 0)
+        with pytest.raises(ArithmeticError, match="c2-positivity"):
+            boundary_rays(spec, inv)
+        setattr(inv, field, 1)
+        assert 1 in boundary_rays(spec, inv).c2_values
 
     def test_unnormalized_spec_takes_normalized_record(self):
         spec = BundleSpec.from_split(3, (1, 3))

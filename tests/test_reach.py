@@ -25,6 +25,7 @@ ALLOWED_UNREACHED = {
     "chow.intersection_numbers_by_reduction": "acceptance: criterion 1",
     "cli._discard_stdout": "error path: a stdout that cannot be written",
     "cohomology.SplitBundle.dual": "reserved for ROADMAP V",
+    "cohomology.SplitBundle.twist": "reserved for ROADMAP V",
     "cohomology.euler_characteristic": "reserved for ROADMAP V",
     "cohomology.line_cohomology": "reserved for ROADMAP V",
     "discriminant.Octic.__init__": "value protocol: the validating constructor",
