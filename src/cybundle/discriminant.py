@@ -14,7 +14,6 @@ X -- are singular points of Delta.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence, Tuple
 
 from ._value import Frozen
@@ -23,9 +22,9 @@ from .invariants import section_degrees
 from .ratpoly import (
     _MONOMIALS,
     MultiPoly,
-    _accumulate,
     _graded_lex,
     _homogeneous_degree,
+    _low_order_terms,
     coefficient_texts,
     multipoly_gradient,
     to_canonical_text,
@@ -159,17 +158,23 @@ def singularity_witness(q: QuadraticSection, point: Sequence) -> WitnessRecord:
     and must be a singular point of the octic: the record is verified when
     both the value and the gradient of Delta vanish, and otherwise carries
     WITNESS_FAILED as its note, which the CLI reports as a failed check.
-    Delta and its gradient are evaluated in one pass over Delta's terms.  A
-    ValueError refuses a point without exactly 4 coordinates, or with all of
-    them zero.
+    Delta is built from the section terms of order < 2 at the point (the sum
+    of their exponents on its zero coordinates) alone: a term of Delta of
+    order < 2 comes only from pairs of them, and the others vanish at the
+    point with their partials.  Delta and its gradient are evaluated in one
+    pass over Delta's terms.  A ValueError refuses a point without exactly 4
+    coordinates, or with all of them zero.
     """
     pt = tuple(Fraction(x) for x in point)
     if len(pt) != 4:
         raise ValueError("a point of P^3 has 4 coordinates")
     if all(x == 0 for x in pt):
         raise ValueError("(0,0,0,0) is not a point of P^3")
-    delta = build_discriminant(q).poly
-    v00, v01, v11 = (p.evaluate(pt) for p in (q.s00, q.s01, q.s11))
+    zeros = [x == 0 for x in pt]
+    live = QuadraticSection._trusted(q.spec, *(
+        MultiPoly._trusted(_low_order_terms(p, zeros, 2), p.den) for p in (q.s00, q.s01, q.s11)))
+    delta = build_discriminant(live).poly
+    v00, v01, v11 = (p.evaluate(pt) for p in (live.s00, live.s01, live.s11))
     dval, grad = value_and_gradient(delta, pt)
     on_locus = v00 == v01 == v11 == 0
     if on_locus:
@@ -197,45 +202,30 @@ def singularity_witness(q: QuadraticSection, point: Sequence) -> WitnessRecord:
 def gradient_identity_holds(q: QuadraticSection, octic: Octic) -> bool:
     """grad octic = 2*s01*grad s01 - 4*s11*grad s00 - 4*s00*grad s11,
     as an identity of polynomials, where ``octic`` is the Delta(q) of
-    build_discriminant(q); Delta is not built again.
+    build_discriminant(q) that the command prints.
 
-    Checked times z_i, which loses nothing (z_i is not a zero divisor):
-    z_i*d/dz_i(z^e) = e_i*z^e, so both sides live on the degree-8 slots
-    e1 + 9*e2 + 81*e3, each holding the four identities as the fields of one
-    int sum_i v_i*2^(i*F).  The right side runs sum_of_products' pair loop on
-    w*a*b, b's coefficients packed with the weights e_i.  The left side reads
-    the partials of multipoly_gradient(octic) straight into the slots: the
-    i-th partial's term at e - 1_i lands in field i of slot e, at offset 0, 1,
-    9 or 81 from its own.  With D_L Delta's denominator, D_R = lcm(a.den*b.den)
-    and |.|_1 the sum of |numerators|, each side times the other's denominator
-    has right fields at most R = 8*D_L*sum |w|*D_R/(a.den*b.den)*|a|_1*|b|_1
-    and left ones at most L = 8*D_R*max|Delta_k|.  With F = bit_length(max(R,
-    L)) + 2, fields differ by less than 2^F, and base-2^F digits below 2^F in
-    absolute value are unique.  Slots neither side filled are not compared.
+    Checked times z_i, which loses nothing (z_i is not a zero divisor).  By
+    the product rule z_i times the right side is z_i*d/dz_i Delta(q), whose
+    term at z^e is e_i times Delta(q)'s: Delta(q) is built again here, by
+    one small-int pass of sum_of_products, and field i of slot e1 + 9*e2 +
+    81*e3 is e_i times its term at e.  The left side reads the partials of
+    multipoly_gradient(octic), not Delta(q): the i-th partial's term at
+    e - 1_i lands in field i of slot e, at offset 0, 1, 9 or 81 from its
+    own.  The fields are compared one by one, over a common denominator.
     """
-    products = [(w, a, b) for w, a, b in ((2, q.s01, q.s01), (-4, q.s11, q.s00),
-                                          (-4, q.s00, q.s11)) if a.num and b.num]
-    den_r, den_l = lcm(*(a.den * b.den for _, a, b in products)), octic.poly.den
-    bound = max(8 * den_l * sum(abs(w) * den_r // (a.den * b.den)
-                                * sum(map(abs, a.num.values())) * sum(map(abs, b.num.values()))
-                                for w, a, b in products),
-                8 * den_r * max(map(abs, octic.poly.num.values()), default=0))
-    F = bound.bit_length() + 2
-    p1, p2, p3 = 1 << F, 1 << 2 * F, 1 << 3 * F
-    # a by slot, and b as sum_i z_i*d/dz_i b, field i holding the i-th term
-    rhs = [0] * 729
-    _accumulate(rhs, [
-        (w * (den_r // (a.den * b.den)),
-         [(e1 + 9 * e2 + 81 * e3, c) for (_, e1, e2, e3), c in a.num.items()],
-         [(e1 + 9 * e2 + 81 * e3, c * (e0 + e1 * p1 + e2 * p2 + e3 * p3))
-          for (e0, e1, e2, e3), c in b.num.items()])
-        for w, a, b in products])
-    lhs = [0] * 729
-    for field, offset, g in zip((1, p1, p2, p3), (0, 1, 9, 81), multipoly_gradient(octic.poly)):
-        f = field * (den_l // g.den)
+    delta = MultiPoly.sum_of_products(((1, q.s01, q.s01), (-4, q.s00, q.s11)))
+    den_r, den_l = delta.den, octic.poly.den
+    # field i of slot k at index k + 729*i on both sides
+    lhs, rhs = [0] * 2916, [0] * 2916
+    for (e0, e1, e2, e3), v in delta.num.items():
+        k, v = e1 + 9 * e2 + 81 * e3, v * den_l
+        rhs[k], rhs[k + 729], rhs[k + 1458], rhs[k + 2187] = e0 * v, e1 * v, e2 * v, e3 * v
+    for field, offset, g in zip((0, 729, 1458, 2187), (0, 1, 9, 81),
+                                multipoly_gradient(octic.poly)):
+        f = den_r * (den_l // g.den)
         for (_, e1, e2, e3), c in g.num.items():
-            lhs[e1 + 9 * e2 + 81 * e3 + offset] += f * c
-    return all(v * den_r == w * den_l for v, w in zip(lhs, rhs) if v or w)
+            lhs[e1 + 9 * e2 + 81 * e3 + offset + field] += c * f
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

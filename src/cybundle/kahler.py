@@ -106,9 +106,10 @@ def rationality_analysis(w: CubicForm) -> RationalityReport:
                     double_roots=roots,
                 )
     # degree drop in the y-chart means y divides w; a cubic with a simple
-    # y-factor can still split off rational lines
+    # y-factor can still split off rational lines.  len(y) >= 3 here: with
+    # len(y) <= 2, y^2 divides w and the x-chart gcd returned a double line
     y_mult = 4 - len(y)
-    roots = tuple(rational_roots(y)) if len(y) >= 2 else ()
+    roots = tuple(rational_roots(y))
     if len(roots) + y_mult == 3:
         return RationalityReport(
             verdict=Rationality.RATIONAL_FACTORS,

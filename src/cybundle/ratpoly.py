@@ -178,28 +178,32 @@ def _divisors(n: int) -> List[int]:
     return sorted(set(out))
 
 
+def _low_order_terms(p: MultiPoly, zeros: Sequence[bool], order: int) -> Dict[Exponent, int]:
+    """p's terms whose exponents on the coordinates flagged in ``zeros`` sum
+    to less than ``order``."""
+    z0, z1, z2, z3 = zeros
+    return {e: c for e, c in p.num.items() if z0 * e[0] + z1 * e[1] + z2 * e[2] + z3 * e[3] < order}
+
+
 def _live_terms(
     p: MultiPoly, point: Sequence, order: int
-) -> Tuple[int, List[List[int]], List[Tuple[Exponent, int]]]:
+) -> Tuple[int, List[List[int]], Dict[Exponent, int]]:
     """(D, tables, live) for p at the point (n0, n1, n2, n3)/q, where q is
     the lcm of the coordinates' denominators.
 
-    ``live`` lists p's terms (e, c) whose exponents on the point's zero
-    coordinates sum to less than ``order``; every other term vanishes there,
-    in the value for order 1 and in each first partial too for order 2.  D
-    is the largest total degree in ``live`` (0 if it is empty), and
-    ``tables`` is [n_i^k for k = 0..D] for i = 0..3, then [q^k for k =
-    0..D + 1].
+    ``live`` holds p's terms whose exponents on the point's zero coordinates
+    sum to less than ``order``; every other term vanishes there, in the
+    value for order 1 and in each first partial too for order 2.  D is the
+    largest total degree in ``live`` (0 if it is empty), and ``tables`` is
+    [n_i^k for k = 0..D] for i = 0..3, then [q^k for k = 0..D + 1].
     """
     pt = [_frac(x) for x in point]
     if len(pt) != NVARS:
         raise ValueError("a point of P^3 has 4 coordinates")
     q = lcm(*(x.denominator for x in pt))
     bases = [x.numerator * (q // x.denominator) for x in pt]
-    z0, z1, z2, z3 = (not b for b in bases)
-    live = [(e, c) for e, c in p.num.items()
-            if z0 * e[0] + z1 * e[1] + z2 * e[2] + z3 * e[3] < order]
-    top = max([sum(e) for e, _ in live], default=0)
+    live = _low_order_terms(p, [not b for b in bases], order)
+    top = max(map(sum, live), default=0)
     tables = [[b**k for k in range(top + 1)] for b in bases]
     return top, tables + [[q**k for k in range(top + 2)]], live
 
@@ -338,7 +342,7 @@ class MultiPoly:
         top, (p0, p1, p2, p3, pq), live = _live_terms(self, point, 1)
         acc = sum(
             c * p0[e0] * p1[e1] * p2[e2] * p3[e3] * pq[top - e0 - e1 - e2 - e3]
-            for (e0, e1, e2, e3), c in live
+            for (e0, e1, e2, e3), c in live.items()
         )
         return Fraction(acc, self.den * pq[top])
 
@@ -417,7 +421,7 @@ def value_and_gradient(
     """
     top, (p0, p1, p2, p3, pq), live = _live_terms(p, point, 2)
     v = g0 = g1 = g2 = g3 = 0
-    for (e0, e1, e2, e3), c in live:
+    for (e0, e1, e2, e3), c in live.items():
         c *= pq[top - e0 - e1 - e2 - e3]
         x0, x1, x2, x3 = p0[e0], p1[e1], p2[e2], p3[e3]
         x01, x23 = x0 * x1, x2 * x3

@@ -18,9 +18,12 @@ metric's ``better`` direction) and the parent's quartiles.  It also prints
 each side's median count of completed requests, the ``requests`` field of
 the run's ``.bench_out/report-*-trace0.json`` in its temporary tree: the
 bench keeps a record per completed request, so ``peak_rss_mb`` is read
-against that count.  Every run
+against that count.  Every pair
 uses ``--trace 0``, the setting the end-to-end metrics are measured
-under.  It reads ``BENCHMARK.json`` and runs ``bench/run.py`` as a
+under.  After the pairs, one ``--trace 1 --seconds 1 --seed 0`` run on each
+side lists every count metric (``*.calls``, ``*_per_*``) whose values
+differ, or prints "counts equal"; it reports, and does not change the exit
+code.  It reads ``BENCHMARK.json`` and runs ``bench/run.py`` as a
 program; it imports nothing from ``bench/`` and changes nothing there.
 Stdlib only; the name does not match ``test_*.py``, so tier-1 collection
 skips it.
@@ -55,10 +58,10 @@ def copy_tree(dest: Path) -> None:
                         ignore=shutil.ignore_patterns("__pycache__", ".bench_out"))
 
 
-def run_bench(tree: Path, args, seed: int) -> tuple:
-    """The run's end-to-end metric values and its completed request count."""
-    argv = [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(seed),
-            "--seconds", str(args.seconds), "--trace", "0"]
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple:
+    """The run's metric values and its completed request count."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines:
@@ -66,7 +69,7 @@ def run_bench(tree: Path, args, seed: int) -> tuple:
     result = json.loads(lines[-1])
     if result["correct"] is not True:
         sys.exit(f"{tree}: seed {seed}: correct is {result['correct']!r}\n{done.stdout}")
-    reports = (tree / ".bench_out").glob(f"report-*-seed{seed}-trace0.json")
+    reports = (tree / ".bench_out").glob(f"report-*-seed{seed}-trace{trace}.json")
     requests = sum(json.loads(r.read_text())["requests"] for r in reports)
     return {k: m["value"] for k, m in result["metrics"].items()}, requests
 
@@ -99,13 +102,15 @@ def main(argv=None) -> int:
             seed = seeds[i % len(seeds)]
             order = ("parent", "tree") if i % 2 == 0 else ("tree", "parent")
             for side in order:
-                metrics, count = run_bench(parent if side == "parent" else tree, args, seed)
+                metrics, count = run_bench(parent if side == "parent" else tree,
+                                           args.workload, seed, args.seconds)
                 runs[side].append(metrics)
                 requests[side].append(count)
             print(f"pair {i + 1}/{args.pairs} seed {seed}: " + "  ".join(
                 f"{k} {runs['parent'][-1][k]:.4g} -> {runs['tree'][-1][k]:.4g}"
                 for k in better if k in metrics)
                 + f"  requests {requests['parent'][-1]} -> {requests['tree'][-1]}", flush=True)
+        traced = [run_bench(side, args.workload, 0, 1.0, 1)[0] for side in (parent, tree)]
     print(f"== {args.workload}: {args.parent} (parent) against the working tree, "
           f"{args.pairs} pairs, seeds {args.seeds}, {args.seconds:g} s")
     for name, direction in better.items():
@@ -122,6 +127,13 @@ def main(argv=None) -> int:
               f"(IQR {q3 - q1:.4g}, |gap| {abs(mb - ma):.4g}), better {direction}")
     ra, rb = statistics.median(requests["parent"]), statistics.median(requests["tree"])
     print(f"  {'requests':<16} median {ra:g} -> {rb:g} completed ({rb / ra:.4f}x)")
+    changed = sorted(k for k in traced[0].keys() | traced[1].keys()
+                     if (k.endswith(".calls") or "_per_" in k)
+                     and traced[0].get(k) != traced[1].get(k))
+    print("  traced counts (--trace 1 --seconds 1 --seed 0): "
+          + ("counts equal" if not changed else f"{len(changed)} differ"))
+    for k in changed:
+        print(f"    {k}: {traced[0].get(k)} -> {traced[1].get(k)}")
     return 0
 
 

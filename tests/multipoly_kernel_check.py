@@ -18,8 +18,9 @@ dicts of ``Fraction`` coefficients.  It runs on
 
 Each sum also checks which accumulator the size rule picks.  The script
 then compares ``gradient_identity_holds``, which checks the four partials
-packed into one pass, with ``ref_gradient_identity``, the four separate
-``sum_of_products`` identities it replaced: on sections of p3 (0,0)..(0,4),
+field by field against Delta(q) rebuilt in one pair pass, with
+``ref_gradient_identity``, the four separate ``sum_of_products`` identities
+it replaced: on sections of p3 (0,0)..(0,4),
 (1,3) and (-2,2) at bounds 0, 1, 2, 1000 and 10^6, each with its own octic
 and with octics perturbed at 1 to 3 monomials by +-1 and by +-den in the
 numerator.  It also checks ``sample_section`` against ``ref_sample_section``,
@@ -241,7 +242,7 @@ def perturbed_octics(rng: Random, octic: Octic):
 
 
 def check_gradient_identity(seed: int = 0, seeds_per_case: int = 2) -> Tuple[int, int]:
-    """Packed against reference gradient identity on every spec and bound of
+    """gradient_identity_holds against the reference on every spec and bound of
     GRADIENT_SPECS x GRADIENT_BOUNDS; returns (identities compared, of them
     true).  The true ones are exactly the unperturbed octics."""
     rng = Random(seed)
@@ -257,7 +258,7 @@ def check_gradient_identity(seed: int = 0, seeds_per_case: int = 2) -> Tuple[int
                     if got != want or want != (i == 0):
                         raise AssertionError(
                             f"gradient identity on {degrees} bound {bound}, octic {i} "
-                            f"(0 = unperturbed): packed {got}, reference {want}")
+                            f"(0 = unperturbed): gradient_identity_holds {got}, reference {want}")
                     compared += 1
                     held += want
     return compared, held

@@ -199,30 +199,50 @@ MUTATIONS = (
         'for k in range(1, 9))) for i in range(NVARS))',
         ["tests/test_golden.py"],
     ),
-    # F = 0 adds the four fields into the Euler sum sum_i z_i*d/dz_i, which
-    # is 8*Delta on both sides; only partials that keep that sum while
+    # both sides' four fields added into one, the Euler sum sum_i z_i*d/dz_i,
+    # which is 8*Delta on both sides; only partials that keep that sum while
     # trading terms between fields tell the fields apart
     Mutation(
-        "packed gradient identity with F = 0",
+        "gradient identity fields compared through their sum (the Euler identity)",
         PKG / "discriminant.py",
-        "F = bound.bit_length() + 2",
-        "F = 0",
+        """        rhs[k], rhs[k + 729], rhs[k + 1458], rhs[k + 2187] = e0 * v, e1 * v, e2 * v, e3 * v
+    for field, offset, g in zip((0, 729, 1458, 2187), (0, 1, 9, 81),""",
+        """        rhs[k] = (e0 + e1 + e2 + e3) * v
+    for field, offset, g in zip((0, 0, 0, 0), (0, 1, 9, 81),""",
         ["tests/test_discriminant.py::TestGradientIdentity::"
          "test_fields_traded_with_euler_sum_kept_fail"],
     ),
     Mutation(
-        "field 2 of the packed gradient identity weighted by e1",
+        "field 2 of the gradient identity weighted by e1",
         PKG / "discriminant.py",
-        "c * (e0 + e1 * p1 + e2 * p2 + e3 * p3)",
-        "c * (e0 + e1 * p1 + e1 * p2 + e3 * p3)",
+        "e0 * v, e1 * v, e2 * v, e3 * v",
+        "e0 * v, e1 * v, e1 * v, e3 * v",
         ["tests/test_discriminant.py::TestGradientIdentity"],
     ),
     Mutation(
         "partials of the octic placed without their z_i shift",
         PKG / "discriminant.py",
-        "zip((1, p1, p2, p3), (0, 1, 9, 81), ",
-        "zip((1, p1, p2, p3), (0, 0, 0, 0), ",
+        "zip((0, 729, 1458, 2187), (0, 1, 9, 81),",
+        "zip((0, 729, 1458, 2187), (0, 0, 0, 0),",
         ["tests/test_discriminant.py::TestGradientIdentity"],
+    ),
+    Mutation(
+        "gradient identity's Delta(q) with +4*s00*s11",
+        PKG / "discriminant.py",
+        "delta = MultiPoly.sum_of_products(((1, q.s01, q.s01), (-4, q.s00, q.s11)))",
+        "delta = MultiPoly.sum_of_products(((1, q.s01, q.s01), (4, q.s00, q.s11)))",
+        ["tests/test_discriminant.py::TestGradientIdentity"],
+    ),
+    # the witness's Delta keeps only the section terms of order 0 at the
+    # point: at (1, 0, 0, 0) the terms z0^7*z_i, which carry the gradient,
+    # are then lost
+    Mutation(
+        "witness section filter at order < 1",
+        PKG / "discriminant.py",
+        "_low_order_terms(p, zeros, 2)",
+        "_low_order_terms(p, zeros, 1)",
+        ["tests/test_discriminant.py::TestSingularityWitness::"
+         "test_values_match_evaluated_partials"],
     ),
     Mutation(
         "inline LCG drawing d before n",

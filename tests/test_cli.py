@@ -33,11 +33,17 @@ from cybundle.cli import (
     build_parser,
     main,
 )
-from cybundle.discriminant import WITNESS_FAILED, Octic, sample_section, witness_section
+from cybundle.discriminant import (
+    WITNESS_FAILED,
+    Octic,
+    QuadraticSection,
+    sample_section,
+    witness_section,
+)
 from cybundle.invariants import invariants_for
 from cybundle.kahler import RhoNotTwoError, require_rho_two
 from cybundle.ratpoly import MultiPoly
-from multipoly_kernel_check import ONE
+from multipoly_kernel_check import ONE, as_fractions
 
 
 def run_cli(args, tmp_path=None):
@@ -372,7 +378,8 @@ class TestDiscriminantCommand:
     @pytest.mark.parametrize("bound", [0, 1, 1000])
     def test_three_builds_per_command(self, monkeypatch, capsys, bound):
         # Delta(q) once for the printed octic and both checks, Delta(r*q) in
-        # the scaling check, Delta of the witness section
+        # the scaling check, Delta of the witness section's terms of order < 2
+        # at (1, 0, 0, 0), the only ones its value and gradient there read
         real = cybundle.discriminant.build_discriminant
         built = []
 
@@ -390,7 +397,10 @@ class TestDiscriminantCommand:
         spec = BundleSpec.from_split(3, (0, 2))
         q = sample_section(spec, 5, bound)
         wq = witness_section(q if bound else sample_section(spec, 5, 1))
-        assert built == [q, q.scale(Fraction(3, 2)), wq]
+        low = QuadraticSection(spec, *(
+            MultiPoly({e: c for e, c in as_fractions(p).items() if sum(e[1:]) < 2})
+            for p in (wq.s00, wq.s01, wq.s11)))
+        assert built == [q, q.scale(Fraction(3, 2)), low]
 
 
 class TestReportRowGate:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import comb
+from random import Random
 
 import pytest
 
@@ -26,6 +27,7 @@ from cybundle.ratpoly import (
     monomials_of_degree,
     multipoly_gradient,
     to_canonical_text,
+    value_and_gradient,
 )
 
 ADMISSIBLE = [BundleSpec.from_split(3, (0, b)) for b in range(5)]
@@ -141,8 +143,8 @@ class TestGradientIdentity:
     @pytest.mark.parametrize("spec", ADMISSIBLE, ids=str)
     def test_fields_traded_with_euler_sum_kept_fail(self, spec, monkeypatch):
         # d1 + z2*h and d2 - z1*h keep sum_i z_i*d_i = 8*Delta, the Euler
-        # identity that the four packed fields add up to; only the fields
-        # themselves tell the partials apart
+        # identity that the four fields add up to; only the fields compared
+        # one by one tell the partials apart
         h = _mono((6, 0, 0, 0))
 
         def traded(p):
@@ -289,6 +291,23 @@ class TestSingularityWitness:
                 assert (rec.s00, rec.s01, rec.s11) == tuple(
                     p.evaluate(point) for p in (q.s00, q.s01, q.s11)
                 )
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, 1000])
+    def test_low_order_section_terms_give_the_full_values(self, bound):
+        # the witness builds Delta from the section terms of order < 2 at the
+        # point alone; its record holds the values of the whole section
+        points = multipoly_kernel_check.zero_coordinate_points(Random(bound), 2)
+        points.append((Fraction(1, 2), -1, Fraction(2, 3), 3))
+        for spec in ADMISSIBLE:
+            for seed in (0, 7):
+                q = sample_section(spec, seed, bound)
+                for s in (q, witness_section(q)):
+                    delta = build_discriminant(s).poly
+                    for point in points:
+                        rec = singularity_witness(s, point)
+                        assert (rec.delta, rec.gradient) == value_and_gradient(delta, point)
+                        assert (rec.s00, rec.s01, rec.s11) == tuple(
+                            p.evaluate(point) for p in (s.s00, s.s01, s.s11))
 
 
 class TestSampling:
