@@ -321,12 +321,13 @@ def _write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
     """Write through a temporary file in the target directory and rename it
     over ``path``, so a failed write leaves no partial file behind.  A
     symlinked ``path`` is resolved first, so the link keeps pointing at the
-    file that now holds the payload."""
+    file that now holds the payload.  The temporary file is created
+    exclusively: whatever already has its name is not written through."""
     path = os.path.realpath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "w", encoding="utf-8")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with fh:
+        with open(fd, "w", encoding="utf-8") as fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:

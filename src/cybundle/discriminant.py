@@ -25,7 +25,6 @@ from .ratpoly import (
     _graded_lex,
     _homogeneous_degree,
     _low_order_terms,
-    coefficient_texts,
     multipoly_gradient,
     to_canonical_text,
     value_and_gradient,
@@ -96,7 +95,7 @@ class Octic(Frozen):
         try:
             return self._lex
         except AttributeError:
-            object.__setattr__(self, "_lex", _graded_lex(coefficient_texts(self.poly)))
+            object.__setattr__(self, "_lex", _graded_lex(self.poly))
             return self._lex
 
     def to_text(self) -> str:
@@ -163,7 +162,12 @@ def singularity_witness(q: QuadraticSection, point: Sequence) -> WitnessRecord:
     order < 2 comes only from pairs of them, and the others vanish at the
     point with their partials.  Delta and its gradient are evaluated in one
     pass over Delta's terms.  A ValueError refuses a point without exactly 4
-    coordinates, or with all of them zero.
+    coordinates, or with all of them zero.  At the CLI's point (1, 0, 0, 0)
+    a witness section has no term of order 0, so every term of this Delta
+    has order 2: the verdict checks only that the product kernel adds none
+    of lower order.  Over 360 discriminant requests (p3 (0,0)..(0,4), seeds
+    0-11, bounds 0-3, 1000, 10^6) no Delta kept a live term, and the
+    section values kept only terms of order 1.
     """
     pt = tuple(Fraction(x) for x in point)
     if len(pt) != 4:

@@ -91,9 +91,8 @@ def rationality_analysis(w: CubicForm) -> RationalityReport:
     for p in (y, x):
         while p[-1] == 0:
             p.pop()
+    # a one-entry chart has derivative [] and gcd [1], which the len test skips
     for chart, p in (("y", y), ("x", x)):
-        if len(p) < 2:
-            continue
         g = poly_gcd(p, derivative(p))
         if len(g) >= 2:
             roots = tuple(rational_roots(g))

@@ -28,10 +28,12 @@ of (D+1)^3 ints; otherwise (mixed degrees, sparse or huge-degree operands)
 a dict keyed by packed exponents.  The keys never leave the kernel: ``num``
 stays keyed by exponent 4-tuples, and the flat list is read back by one
 walk of the degree-D monomials in graded-lex order, taken from a table
-built at import for D up to 8.  ``evaluate`` and ``value_and_gradient``
-first drop the terms that vanish at the point's zero coordinates (with
-their partials, for the gradient), then make one pass over the live terms:
-an octic's value and gradient at (1, 0, 0, 0) keep at most 4 of its 165.
+built at import for D up to 8.  One loop evaluates, ``value_and_gradient``:
+it drops the terms that vanish with all their first partials at the
+point's zero coordinates and makes one pass over the rest (an octic at
+(1, 0, 0, 0) keeps at most 4 of its 165); ``MultiPoly.evaluate`` is its
+value.  One walk renders: ``to_canonical_text`` writes each coefficient
+it meets in that table walk as ``n/d`` in lowest terms.
 """
 
 from __future__ import annotations
@@ -185,29 +187,6 @@ def _low_order_terms(p: MultiPoly, zeros: Sequence[bool], order: int) -> Dict[Ex
     return {e: c for e, c in p.num.items() if z0 * e[0] + z1 * e[1] + z2 * e[2] + z3 * e[3] < order}
 
 
-def _live_terms(
-    p: MultiPoly, point: Sequence, order: int
-) -> Tuple[int, List[List[int]], Dict[Exponent, int]]:
-    """(D, tables, live) for p at the point (n0, n1, n2, n3)/q, where q is
-    the lcm of the coordinates' denominators.
-
-    ``live`` holds p's terms whose exponents on the point's zero coordinates
-    sum to less than ``order``; every other term vanishes there, in the
-    value for order 1 and in each first partial too for order 2.  D is the
-    largest total degree in ``live`` (0 if it is empty), and ``tables`` is
-    [n_i^k for k = 0..D] for i = 0..3, then [q^k for k = 0..D + 1].
-    """
-    pt = [_frac(x) for x in point]
-    if len(pt) != NVARS:
-        raise ValueError("a point of P^3 has 4 coordinates")
-    q = lcm(*(x.denominator for x in pt))
-    bases = [x.numerator * (q // x.denominator) for x in pt]
-    live = _low_order_terms(p, [not b for b in bases], order)
-    top = max(map(sum, live), default=0)
-    tables = [[b**k for k in range(top + 1)] for b in bases]
-    return top, tables + [[q**k for k in range(top + 2)]], live
-
-
 # ---------------------------------------------------------------------------
 # Sparse multivariate polynomials in z0..z3
 # ---------------------------------------------------------------------------
@@ -336,15 +315,9 @@ class MultiPoly:
         return cls._trusted(num, den)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        # at the point (n0, n1, n2, n3)/q, with D the largest degree of the
-        # terms that do not vanish there, such a c*z^e contributes
-        # c * n^e * q^(D - |e|) over den * q^D
-        top, (p0, p1, p2, p3, pq), live = _live_terms(self, point, 1)
-        acc = sum(
-            c * p0[e0] * p1[e1] * p2[e2] * p3[e3] * pq[top - e0 - e1 - e2 - e3]
-            for (e0, e1, e2, e3), c in live.items()
-        )
-        return Fraction(acc, self.den * pq[top])
+        """The value at a point of P^3 given by 4 rational coordinates: the
+        value of value_and_gradient's one pass, its partials unused."""
+        return value_and_gradient(self, point)[0]
 
     def __repr__(self) -> str:
         return f"MultiPoly({to_canonical_text(self)})"
@@ -409,17 +382,24 @@ def value_and_gradient(
 ) -> Tuple[Fraction, Tuple[Fraction, Fraction, Fraction, Fraction]]:
     """p and its four partials at a point, in one pass over p's live terms.
 
-    Equal to ``p.evaluate(point)`` and ``g.evaluate(point)`` for g in
-    ``multipoly_gradient(p)``, without building the partials.  A term whose
-    exponents on the point's zero coordinates sum to 2 or more vanishes
-    there with all four partials, so the pass skips it: at (1, 0, 0, 0)
-    only the terms z0^8 and z0^7*z_i of an octic are left.  At the point
-    (n0, n1, n2, n3)/q, with D the largest degree of the terms left, all
-    five sums are taken over den * q^D: c*z^e adds c * n^e * q^(D - |e|) to
-    the value and c * e_i * n^(e - 1_i) * q^(D + 1 - |e|) to the i-th
-    partial.
+    The partials are those of ``multipoly_gradient(p)``, without building
+    them, and ``p.evaluate(point)`` is the value.  A term whose exponents
+    on the point's zero coordinates sum to 2 or more vanishes there with
+    all four partials, so the pass skips it: at (1, 0, 0, 0) only the terms
+    z0^8 and z0^7*z_i of an octic are left.  At the point (n0, n1, n2,
+    n3)/q, q the lcm of the coordinates' denominators and D the largest
+    degree of the terms left, all five sums are taken over den * q^D: c*z^e
+    adds c * n^e * q^(D - |e|) to the value and c * e_i * n^(e - 1_i) *
+    q^(D + 1 - |e|) to the i-th partial.
     """
-    top, (p0, p1, p2, p3, pq), live = _live_terms(p, point, 2)
+    pt = [_frac(x) for x in point]
+    if len(pt) != NVARS:
+        raise ValueError("a point of P^3 has 4 coordinates")
+    q = lcm(*(x.denominator for x in pt))
+    bases = [x.numerator * (q // x.denominator) for x in pt]
+    live = _low_order_terms(p, [not b for b in bases], 2)
+    top = max(map(sum, live), default=0)
+    p0, p1, p2, p3, pq = ([b**k for k in range(top + 2)] for b in (*bases, q))
     v = g0 = g1 = g2 = g3 = 0
     for (e0, e1, e2, e3), c in live.items():
         c *= pq[top - e0 - e1 - e2 - e3]
@@ -453,14 +433,6 @@ def monomials_of_degree(d: int) -> List[Exponent]:
 _MONOMIALS = tuple(map(monomials_of_degree, range(9)))
 
 
-def coefficient_texts(p: MultiPoly) -> Dict[Exponent, str]:
-    """Each coefficient of p as ``n/d`` in lowest terms, d > 0 and always
-    shown, as Fraction(n, d) would print it; reduced once for every
-    rendering."""
-    den = p.den
-    return {e: f"{c // (g := gcd(c, den))}/{den // g}" for e, c in p.num.items()}
-
-
 # "*z<i>^<k>" by variable and power up to 8; _monomial_text formats higher ones
 _POWER_TEXT = tuple(("", f"*z{i}", *(f"*z{i}^{k}" for k in range(2, 9))) for i in range(NVARS))
 
@@ -480,31 +452,30 @@ def _monomial_text(e: Exponent) -> Tuple[Exponent, str, str]:
 _MONOMIAL_TEXT = tuple(tuple(map(_monomial_text, mons)) for mons in _MONOMIALS)
 
 
-def _graded_lex(coeffs: Dict[Exponent, str]) -> List[Tuple[str, str, str]]:
-    """(coeffs[e], suffix, key) for each exponent e of coeffs, with the
-    suffix and key of _monomial_text(e): higher total degree first, then the
-    lexicographically larger exponent.  Degrees up to 8 are read off
-    _MONOMIAL_TEXT; higher ones are sorted and formatted here."""
-    top = len(_MONOMIAL_TEXT)
-    degrees = sorted(set(map(sum, coeffs)), reverse=True)
-    out = []
+def _graded_lex(p: MultiPoly) -> List[Tuple[str, str, str]]:
+    """(coefficient, suffix, key) for each term c*z^e of p, with the suffix
+    and key of _monomial_text(e) and c written as ``n/d`` in lowest terms,
+    d > 0 and always shown, as Fraction(n, d) would print it, in one walk:
+    higher total degree first, then the lexicographically larger exponent.
+    Degrees up to 8 are read off _MONOMIAL_TEXT; higher ones are sorted and
+    formatted here."""
+    num, den, top = p.num, p.den, len(_MONOMIAL_TEXT)
+    degrees = sorted(set(map(sum, num)), reverse=True)
+    tables = [_MONOMIAL_TEXT[d] for d in degrees if d < top]
     if degrees and degrees[0] >= top:
-        high = sorted((e for e in coeffs if sum(e) >= top), key=lambda e: (sum(e), e), reverse=True)
-        out = [(coeffs[e], s, k) for e, s, k in map(_monomial_text, high)]
-    for d in degrees:
-        if d < top:
-            out += [(t, s, k) for e, s, k in _MONOMIAL_TEXT[d] if (t := coeffs.get(e)) is not None]
-    return out
+        high = sorted((e for e in num if sum(e) >= top), key=lambda e: (sum(e), e), reverse=True)
+        tables.insert(0, map(_monomial_text, high))
+    return [(f"{c // (g := gcd(c, den))}/{den // g}", s, k)
+            for table in tables for e, s, k in table if (c := num.get(e))]
 
 
 def to_canonical_text(p: MultiPoly, _rows: List[Tuple[str, str, str]] | None = None) -> str:
     """Canonical text form: graded-lex term order, coefficients as num/den.
 
     Example: ``3/1*z0^2*z1``.  The zero polynomial prints as ``0``.
-    ``_rows``, if given, must be _graded_lex(coefficient_texts(p)); nothing
-    checks it.
+    ``_rows``, if given, must be _graded_lex(p); nothing checks it.
     """
     if p.is_zero():
         return "0"
-    rows = _graded_lex(coefficient_texts(p)) if _rows is None else _rows
+    rows = _graded_lex(p) if _rows is None else _rows
     return " + ".join([t + suffix for t, suffix, _ in rows])

@@ -26,16 +26,19 @@ and with octics perturbed at 1 to 3 monomials by +-1 and by +-den in the
 numerator.  It also checks ``sample_section`` against ``ref_sample_section``,
 which draws from ``_Lcg``, a generator object with the sampler's constants:
 p3 (0,0)..(0,4) at seeds 0, -3, 2^64 + 5 and 10^23 and bounds 0, 1, 2, 1000
-and ``MAX_SECTION_BOUND``.  And it checks ``to_canonical_text``, which walks
-a table of each degree's monomials, and ``Octic.to_json_coeffs`` against
-``ref_canonical_text`` and ``ref_json_coeffs``, which sort and format every
-exponent: on homogeneous polynomials of degrees 0-12, mixed-degree ones and
-zero.  And it checks ``MultiPoly.evaluate`` and ``value_and_gradient``,
-which skip the terms that vanish at a zero coordinate, against
-``ref_evaluate`` and ``ref_value_and_gradient``, which compute every term:
-at (1, 0, 0, 0), (0, 0, 0, 1) and rational points with 0 to 3 zero
-coordinates.  It exits 1 on the first difference and needs nothing outside the standard library, so it runs
-under any Python the package supports; ``tests/test_ratpoly.py`` runs it too.
+and ``MAX_SECTION_BOUND``.  And it checks ``to_canonical_text`` and
+``Octic.to_json_coeffs``, which reduce and write each coefficient in one
+walk of a table of each degree's monomials, against ``ref_canonical_text``
+and ``ref_json_coeffs``, which sort and format every exponent and write
+each coefficient through ``Fraction``: on homogeneous polynomials of
+degrees 0-12, mixed-degree ones and zero.  And it checks
+``value_and_gradient``, the one evaluation loop, which skips the terms that
+vanish at a zero coordinate with their partials, and ``MultiPoly.evaluate``,
+its value, against ``ref_value_and_gradient`` and ``ref_evaluate``, which
+compute every term: at (1, 0, 0, 0), (0, 0, 0, 1) and rational points with
+0 to 3 zero coordinates.  It exits 1 on the first difference and needs
+nothing outside the standard library, so it runs under any Python the
+package supports; ``tests/test_ratpoly.py`` runs it too.
 """
 
 import json
@@ -62,7 +65,6 @@ from cybundle.invariants import section_degrees
 from cybundle.ratpoly import (
     MultiPoly,
     _dense_degree,
-    coefficient_texts,
     monomials_of_degree,
     multipoly_gradient,
     to_canonical_text,
@@ -313,12 +315,18 @@ def check_sampler() -> int:
     return compared
 
 
+def ref_coefficient_texts(p: MultiPoly) -> dict:
+    """Each coefficient of p as Fraction(c, den) reduces it, written as
+    ``n/d`` with d always shown."""
+    return {e: f"{f.numerator}/{f.denominator}" for e, f in as_fractions(p).items()}
+
+
 def ref_canonical_text(p: MultiPoly) -> str:
     """to_canonical_text by two stable sorts of p's exponents, every power
     formatted on its own."""
     if p.is_zero():
         return "0"
-    coeffs = coefficient_texts(p)
+    coeffs = ref_coefficient_texts(p)
     parts = []
     for e in sorted(sorted(coeffs, reverse=True), key=sum, reverse=True):
         parts.append(coeffs[e] + "".join(f"*z{i}" if k == 1 else f"*z{i}^{k}"
@@ -327,7 +335,7 @@ def ref_canonical_text(p: MultiPoly) -> str:
 
 
 def ref_json_coeffs(p: MultiPoly) -> dict:
-    return {f"{e0},{e1},{e2},{e3}": t for (e0, e1, e2, e3), t in coefficient_texts(p).items()}
+    return {f"{e0},{e1},{e2},{e3}": t for (e0, e1, e2, e3), t in ref_coefficient_texts(p).items()}
 
 
 def check_renderer(seed: int = 0, count: int = 20) -> int:
@@ -397,9 +405,9 @@ def zero_coordinate_points(rng: Random, count: int) -> list:
 
 
 def check_evaluation(seed: int = 0, count: int = 3) -> int:
-    """``MultiPoly.evaluate`` and ``value_and_gradient``, which skip the
-    terms that vanish at a point's zero coordinates, against ref_evaluate
-    and ref_value_and_gradient, which compute every term, for exact
+    """``value_and_gradient``, which skips the terms that vanish at a point's
+    zero coordinates, and ``MultiPoly.evaluate``, its value, against
+    ref_value_and_gradient, which computes every term, for exact
     equality: on zero, sparse and dense homogeneous polynomials of degrees
     0-8, mixed-degree ones, and the octics of sampled sections and of their
     witness sections, each at the points of zero_coordinate_points; returns
@@ -421,7 +429,8 @@ def check_evaluation(seed: int = 0, count: int = 3) -> int:
     for p in polys:
         for point in points:
             value, gradient = got = value_and_gradient(p, point)
-            if got != ref_value_and_gradient(p, point) or p.evaluate(point) != value:
+            want = ref_value_and_gradient(p, point)
+            if got != want or p.evaluate(point) != want[0]:
                 raise AssertionError(f"evaluation at {point} differs from the reference "
                                      f"on {p.num!r}")
             if not all(type(x) is Fraction for x in (value, *gradient)):

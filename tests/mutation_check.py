@@ -166,10 +166,18 @@ MUTATIONS = (
     Mutation(
         "gradient terms kept by the value's order-1 rule",
         PKG / "ratpoly.py",
-        "_live_terms(p, point, 2)",
-        "_live_terms(p, point, 1)",
+        "_low_order_terms(p, [not b for b in bases], 2)",
+        "_low_order_terms(p, [not b for b in bases], 1)",
         ["tests/test_ratpoly.py::TestValueAndGradient",
          "tests/test_discriminant.py::TestSingularityWitness"],
+    ),
+    # evaluate keeps no loop of its own: it reads the value of the one pass
+    Mutation(
+        "evaluate returning the first partial instead of the value",
+        PKG / "ratpoly.py",
+        "return value_and_gradient(self, point)[0]",
+        "return value_and_gradient(self, point)[1][0]",
+        ["tests/test_ratpoly.py::TestValueAndGradient"],
     ),
     Mutation(
         "zero flag of z3 read from z2 in the live-term filter",
@@ -177,6 +185,13 @@ MUTATIONS = (
         "z2 * e[2] + z3 * e[3] < order",
         "z2 * e[2] + z2 * e[3] < order",
         ["tests/test_ratpoly.py::TestValueAndGradient"],
+    ),
+    Mutation(
+        "rendered coefficient without its gcd reduction",
+        PKG / "ratpoly.py",
+        "g := gcd(c, den)",
+        "g := 1",
+        ["tests/test_ratpoly.py::TestMultiPoly::test_canonical_text_matches_sorting_reference"],
     ),
     Mutation(
         "json key fields e2 and e3 swapped",

@@ -584,6 +584,33 @@ class TestOutPath:
         assert json.loads(out.read_text())["row"]["c3_X"] == -200
         assert list(tmp_path.iterdir()) == [out]
 
+    def test_planted_temporary_name_is_not_written_through(self, tmp_path, capsys, monkeypatch):
+        # a symlink already at the temporary file's name, aimed at another file
+        monkeypatch.setattr(cybundle.cli.os, "getpid", lambda: 4242)
+        out, victim = tmp_path / "out.json", tmp_path / "victim.txt"
+        planted = tmp_path / "out.json.4242.tmp"
+        victim.write_text("victim")
+        os.symlink(victim, planted)
+        code = main(self.ARGV + [str(out)])
+        assert victim.read_text() == "victim"
+        assert os.readlink(planted) == str(victim)
+        if code == 0:
+            assert stat.S_ISREG(os.lstat(out).st_mode)
+            assert json.loads(out.read_text())["row"]["c3_X"] == -200
+        else:
+            assert code == 2
+            assert json.loads(capsys.readouterr().err)["exit_code"] == 2
+            assert sorted(tmp_path.iterdir()) == [planted, victim]
+
+    def test_written_file_mode_follows_the_umask(self, tmp_path):
+        out = tmp_path / "x.json"
+        umask = os.umask(0o027)
+        try:
+            assert main(self.ARGV + [str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o640
+
 
 class TestOracleRuns:
     """The oracle runs once per Chern datum a command reports on: the spec

@@ -86,6 +86,18 @@ class TestRationality:
         assert r.verdict is Rationality.RATIONAL_DOUBLE_LINE
         assert r.chart == "x"
 
+    # a one-entry chart: w = y^3 has the constant y-chart [1], so the x-chart
+    # finds the double line; w = x^3 has the constant x-chart, and the
+    # y-chart finds the double line first
+    @pytest.mark.parametrize("w, chart", [
+        (CubicForm(1, 0, 0, 0), "y"),
+        (CubicForm(0, 0, 0, 1), "x"),
+    ])
+    def test_cube_of_a_line(self, w, chart):
+        r = rationality_analysis(w)
+        assert r.verdict is Rationality.RATIONAL_DOUBLE_LINE
+        assert (r.chart, r.double_roots) == (chart, (Fraction(0), Fraction(0)))
+
     def test_zero_form_refused(self):
         with pytest.raises(ValueError):
             rationality_analysis(CubicForm(Fraction(0), Fraction(0), Fraction(0), Fraction(0)))
