@@ -27,12 +27,17 @@ class Record:
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _trusted(cls, *values):
+        """A record of these fields, in ``_fields`` order, past ``__init__``'s checks."""
+        obj = object.__new__(cls)
+        obj._fill(*values)
+        return obj
+
     def _key(self) -> tuple:
         return tuple(map(getattr, repeat(self), self._fields))
 
     def __eq__(self, other) -> bool:
-        if self is other:  # cli._report_row compares most specs with themselves
-            return True
         if type(other) is not type(self):
             return NotImplemented
         return self._key() == other._key()

@@ -11,8 +11,8 @@ so every class has a unique normal form with xi-power < r and H-power <= m,
 and every coefficient is an ``int``.  The two supported geometries are
 (m, r) = (3, 2) and (1, 4).  ``reduce`` gives the normal form of any formal
 polynomial, and ``ChowClass.__mul__`` is ``reduce`` of the formal product;
-the Chern-class oracle needs neither: ``tangent_total_chern`` writes c(T_Z)
-in normal form directly, and the top intersections are the closed forms.
+the oracle and the Gram determinant need neither: ``tangent_total_chern``
+writes c(T_Z) in normal form and the top intersections are closed forms.
 
 Top-degree integration reads off the coefficient of xi^(r-1) * H^m, which is
 the class of a point.
@@ -174,6 +174,8 @@ class ChowClass:
         return hash((self.spec, frozenset(self.coeffs.items())))
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
+        if not isinstance(other, ChowClass):
+            return NotImplemented
         self._check(other)
         cs = dict(self.coeffs)
         for k, c in other.coeffs.items():
@@ -187,6 +189,8 @@ class ChowClass:
         return self + (-other)
 
     def __mul__(self, other: "ChowClass") -> "ChowClass":
+        if not isinstance(other, ChowClass):
+            return NotImplemented
         self._check(other)
         m = self.spec.base_dim
         # the formal product, H-powers above m already dropped

@@ -170,7 +170,7 @@ def _report_row(spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None) -> d
     norm, _ = rho_two_gate(spec)
     if norm is None:
         return row
-    kr = boundary_rays(norm, inv if norm == spec else invariants_for(norm, oracle_memo))
+    kr = boundary_rays(norm, inv if norm is spec else invariants_for(norm, oracle_memo))
     row["rationality"] = kr.rationality.value
     row["ray_c2_xi"], row["ray_c2_h"] = kr.c2_values
     if spec.base_dim == 1:

@@ -32,15 +32,6 @@ class SplitBundle(Frozen):
             raise ValueError("rank must be at least 1")
         object.__setattr__(self, "degrees", tuple(sorted(self.degrees)))
 
-    @classmethod
-    def _trusted(cls, base_dim: int, degrees: Tuple[int, ...]) -> "SplitBundle":
-        """Wrap degrees already sorted over a valid base, skipping the
-        checks and the sort of __init__."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "base_dim", base_dim)
-        object.__setattr__(obj, "degrees", degrees)
-        return obj
-
     def twist(self, t: int) -> "SplitBundle":
         # adding t keeps the degrees sorted
         return SplitBundle._trusted(self.base_dim, tuple(map(t.__add__, self.degrees)))

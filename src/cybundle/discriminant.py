@@ -32,7 +32,8 @@ from .ratpoly import (
 
 
 class QuadraticSection(Frozen):
-    """The fiberwise quadric datum (s00, s01, s11) over a split spec."""
+    """The fiberwise quadric datum (s00, s01, s11) over a split spec; ``_trusted``
+    wraps a validated section's scaled or truncated components, still homogeneous."""
 
     __slots__ = ("spec", "s00", "s01", "s11")
 
@@ -50,22 +51,13 @@ class QuadraticSection(Frozen):
             if poly.num and _homogeneous_degree(poly) != want:
                 raise ValueError(f"{name} must be homogeneous of degree {want}")
 
-    @classmethod
-    def _trusted(cls, spec: BundleSpec, s00: MultiPoly, s01: MultiPoly,
-                 s11: MultiPoly) -> "QuadraticSection":
-        """Wrap components derived from a validated section's by a scalar
-        or by dropping terms, which keep each homogeneous of its degree,
-        skipping the checks of __init__."""
-        obj = object.__new__(cls)
-        obj._fill(spec, s00, s01, s11)
-        return obj
-
     def scale(self, r) -> "QuadraticSection":
         return QuadraticSection._trusted(self.spec, self.s00 * r, self.s01 * r, self.s11 * r)
 
 
 class Octic(Frozen):
-    """A (possibly zero) octic surface in P^3."""
+    """A (possibly zero) octic surface in P^3; ``_trusted`` wraps the Delta of a
+    validated section, and the CLI's homogeneous_degree_8 check makes its degree pass."""
 
     # _lex holds the graded-lex rows once _rows has built them
     __slots__ = ("poly", "_lex")
@@ -75,14 +67,6 @@ class Octic(Frozen):
         self._fill(poly)
         if not self.is_homogeneous_octic():
             raise ValueError("the discriminant must be homogeneous of degree 8")
-
-    @classmethod
-    def _trusted(cls, poly: MultiPoly) -> "Octic":
-        """Wrap Delta of a validated section, skipping the degree pass of
-        __init__; the CLI's homogeneous_degree_8 check makes that pass."""
-        obj = object.__new__(cls)
-        obj._fill(poly)
-        return obj
 
     def is_homogeneous_octic(self) -> bool:
         """Zero or homogeneous of degree 8, in one pass over the exponents."""
@@ -107,9 +91,7 @@ class Octic(Frozen):
 
 
 def build_discriminant(q: QuadraticSection) -> Octic:
-    """Delta = s01^2 - 4*s00*s11, homogeneous of degree 8.  The sections are
-    validated, so the octic skips the constructor's degree pass; the CLI's
-    check runs Octic.is_homogeneous_octic on it instead."""
+    """Delta = s01^2 - 4*s00*s11, homogeneous of degree 8."""
     return Octic._trusted(MultiPoly.sum_of_products(((1, q.s01, q.s01), (-4, q.s00, q.s11))))
 
 

@@ -7,7 +7,8 @@ analysis clears a cubic once to a primitive int list, reads both charts
 from it and runs the ``ratpoly`` kernels on int lists.  For normalized
 split bundles the boundary rays themselves are known (the cone of X is the
 restricted cone of Z), so they are asserted and their c2-values reported
-rather than rediscovered.
+rather than rediscovered.  The Gram determinant reads the top intersections
+of ``closed_form_intersections``; only ``verify_KY_squared`` reduces.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from ._value import Frozen
-from .chow import BundleSpec, ChowClass, anticanonical_class, integrate, reduce
+from .chow import BundleSpec, ChowClass, anticanonical_class, closed_form_intersections, integrate
 from .invariants import RHO_ONE_SPLITTING_P3, CyInvariants, admissibility_p3
 from .ratpoly import _integer_coeffs, derivative, poly_gcd, rational_roots
 
@@ -216,19 +217,17 @@ def degeneracy_determinant(spec: BundleSpec) -> int:
 def h4_basis_determinant(spec: BundleSpec) -> int:
     """Determinant of the Gram matrix of the middle-cohomology basis.
 
-    m = 3 basis: ((pi^*h)^2, xi.pi^*h); m = 1 basis: (xi.pi^*h, xi^2).
-    The Gram entries are recomputed through reduce/integrate; the result is
-    -1 in both geometries, so the basis is unimodular.
+    m = 3 basis: ((pi^*h)^2, xi.pi^*h), Gram [[H^4 = 0, xi H^3], [xi H^3, xi^2 H^2]];
+    m = 1 basis: (xi.pi^*h, xi^2), Gram [[xi^2 H^2 = 0, xi^3 H], [xi^3 H, xi^4]].
+    The entries are the top intersections of closed_form_intersections; the
+    result is -1 in both geometries, so the basis is unimodular.
     """
+    n = closed_form_intersections(spec)
     if spec.base_dim == 3:
-        v1, v2 = (0, 2), (1, 1)
+        g11, g12, g22 = 0, n.xi1_h3, n.xi2_h2
     else:
-        v1, v2 = (1, 1), (2, 0)
-
-    def gram(a, b) -> int:
-        return integrate(reduce(spec, {(a[0] + b[0], a[1] + b[1]): 1}))
-
-    return gram(v1, v1) * gram(v2, v2) - gram(v1, v2) * gram(v2, v1)
+        g11, g12, g22 = n.xi2_h2, n.xi3_h1, n.xi4
+    return g11 * g22 - g12 * g12
 
 
 class ContractionReport(Frozen):

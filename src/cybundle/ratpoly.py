@@ -250,6 +250,8 @@ class MultiPoly:
                 return MultiPoly()
             tm = {e: c * other.numerator for e, c in self.num.items()}
             return MultiPoly._trusted(tm, self.den * other.denominator)
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         return MultiPoly.sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__

@@ -159,6 +159,17 @@ MUTATIONS = (
         "d1[(e0, e1, e2, e3)] = c * e1",
         ["tests/test_ratpoly.py::TestMultiPoly::test_gradient_examples"],
     ),
+    # with the guard gone, a float or str operand reaches sum_of_products and
+    # raises AttributeError, not TypeError
+    Mutation(
+        "MultiPoly.__mul__ without its NotImplemented guard",
+        PKG / "ratpoly.py",
+        """        if not isinstance(other, MultiPoly):
+            return NotImplemented
+""",
+        "",
+        ["tests/test_ratpoly.py::TestMultiPoly::test_unsupported_operand_raises_type_error"],
+    ),
     # the terms of order 1 at the point's zero coordinates vanish in the
     # value but not in the partial along that coordinate; widening the test
     # from < order to <= order keeps only terms that add exactly 0, so it
@@ -511,6 +522,28 @@ MUTATIONS = (
         "y_mult = 4 - len(y)",
         "y_mult = 3 - len(y)",
         ["tests/test_kahler.py::TestRationality::test_factor_verdicts"],
+    ),
+    Mutation(
+        "RuledOverQuartic reported with quartic_degree 5",
+        PKG / "kahler.py",
+        "quartic_degree=4",
+        "quartic_degree=5",
+        ["tests/test_kahler.py::TestContractionClassification::test_table"],
+    ),
+    # one Gram entry per geometry, read from the wrong top intersection
+    Mutation(
+        "p3 Gram entry xi H^3 read as xi^2 H^2",
+        PKG / "kahler.py",
+        "g11, g12, g22 = 0, n.xi1_h3, n.xi2_h2",
+        "g11, g12, g22 = 0, n.xi2_h2, n.xi2_h2",
+        ["tests/test_kahler.py::TestDeterminants::test_h4_unimodular"],
+    ),
+    Mutation(
+        "p1 Gram entry xi^3 H read as xi^4",
+        PKG / "kahler.py",
+        "g11, g12, g22 = n.xi2_h2, n.xi3_h1, n.xi4",
+        "g11, g12, g22 = n.xi2_h2, n.xi4, n.xi4",
+        ["tests/test_kahler.py::TestDeterminants::test_h4_unimodular"],
     ),
     Mutation(
         "rho twisted by the un-normalized c1",

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,15 @@ class TestReduce:
                 ChowClass(spec, {(0, 0): c})
             with pytest.raises(TypeError):
                 reduce(spec, {(2, 0): c})
+
+    def test_unsupported_operand_raises_type_error(self):
+        xi = ChowClass.xi(BundleSpec.from_split(3, (0, 4)))
+        for other in (2, Fraction(1, 2), 0.5, "x"):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError):
+                    op(xi, other)
+                with pytest.raises(TypeError):
+                    op(other, xi)
 
 
 class TestIntegrate:

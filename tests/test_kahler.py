@@ -323,21 +323,22 @@ class TestDeterminants:
 
 class TestContractionClassification:
     @pytest.mark.parametrize(
-        "degrees,kind,count",
+        "degrees,kind,count,quartic_degree",
         [
-            ((0, 0, 0, 1), ContractionKind.SIXTEEN_CURVES, 16),
-            ((0, 0, 1, 1), ContractionKind.RULED_OVER_POINTS, 4),
-            ((0, 0, 0, 0), ContractionKind.SIXTY_FOUR_CURVES, 64),
-            ((0, 0, 0, 2), ContractionKind.RULED_OVER_QUARTIC, None),
-            ((0, 1, 1, 1), ContractionKind.DIVISOR_TO_SURFACE, None),
-            ((0, 0, 1, 2), ContractionKind.DIVISOR_TO_SURFACE, None),
-            ((0, 0, 0, 3), ContractionKind.EXCLUDED, None),
+            ((0, 0, 0, 1), ContractionKind.SIXTEEN_CURVES, 16, None),
+            ((0, 0, 1, 1), ContractionKind.RULED_OVER_POINTS, 4, None),
+            ((0, 0, 0, 0), ContractionKind.SIXTY_FOUR_CURVES, 64, None),
+            ((0, 0, 0, 2), ContractionKind.RULED_OVER_QUARTIC, None, 4),
+            ((0, 1, 1, 1), ContractionKind.DIVISOR_TO_SURFACE, None, None),
+            ((0, 0, 1, 2), ContractionKind.DIVISOR_TO_SURFACE, None, None),
+            ((0, 0, 0, 3), ContractionKind.EXCLUDED, None, None),
         ],
     )
-    def test_table(self, degrees, kind, count):
+    def test_table(self, degrees, kind, count, quartic_degree):
         r = classify_contraction_p1(BundleSpec.from_split(1, degrees))
         assert r.kind is kind
         assert r.count == count
+        assert r.quartic_degree == quartic_degree
 
     def test_sixteen_case_extras(self):
         r = classify_contraction_p1(BundleSpec.from_split(1, (0, 0, 0, 1)))

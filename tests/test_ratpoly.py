@@ -192,6 +192,17 @@ class TestMultiPoly:
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
 
+    def test_unsupported_operand_raises_type_error(self):
+        z0 = Z[0]
+        for other in (0.5, "x", None):
+            with pytest.raises(TypeError):
+                z0 * other
+            with pytest.raises(TypeError):
+                other * z0
+        assert z0 * 2 == 2 * z0 == MultiPoly({(1, 0, 0, 0): 2})
+        half = MultiPoly({(1, 0, 0, 0): Fraction(1, 2)})
+        assert z0 * Fraction(1, 2) == Fraction(1, 2) * z0 == half
+
     def test_degree_adds_for_homogeneous(self):
         rng = random.Random(11)
         for _ in range(25):
