@@ -7,7 +7,9 @@ on plain ints (see _oracle_numbers).  The oracle needs only the Chern
 data, so bundles known by (c1, c2) alone are checked like split ones, and
 a caller reporting on many specs may pass an OracleMemo to compute it once
 per Chern datum; the closed forms of every spec are still compared
-against it.
+against it.  The same dict keeps the symmetric powers of each p1 prefix
+(see picard_number), so specs that share their three smallest normalized
+degrees build them once.
 A disagreement raises OracleMismatchError -- self-validation is the point
 of the library, not an afterthought.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from operator import mul
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ._value import Frozen, Record
 from .chow import (
@@ -32,8 +34,10 @@ class OracleMismatchError(ArithmeticError):
     """A closed form disagreed with its independent Chow-ring oracle."""
 
 
-# Chern datum (base_dim, rank, c1, c2) -> the oracle integrals of that datum
-OracleMemo = Dict[Tuple[int, int, int, int], dict]
+# Chern datum (base_dim, rank, c1, c2) -> the oracle integrals of that datum,
+# and p1 prefix (0, a1, a2) -> its Sym^(4-j), j = 0..4 (see picard_number);
+# the keys differ in length, so the two kinds never meet
+OracleMemo = Dict[Tuple[int, ...], Union[dict, List[SplitBundle]]]
 
 
 class CyInvariants(Record):
@@ -122,29 +126,27 @@ def _compare(closed: dict, oracle: dict) -> None:
 
 
 def _record(
-    spec: BundleSpec, closed: dict, oracle_memo: Optional[OracleMemo], **fields
+    spec: BundleSpec, closed: dict, oracle_memo: Optional[OracleMemo],
+    gamma: Optional[int], fibers: Optional[int],
 ) -> CyInvariants:
     """Check the closed forms against the oracle and build the record.
 
     The oracle reads only the Chern data, so with a memo it runs once per
-    Chern datum; the comparison runs for every spec regardless.
+    Chern datum; the comparison runs for every spec regardless.  The
+    record's integrals are the oracle's, equal to the closed forms.
     """
     memo = {} if oracle_memo is None else oracle_memo
     key = (spec.base_dim, spec.rank, spec.c1, spec.c2)
-    oracle = memo.get(key)
-    if oracle is None:
-        oracle = memo[key] = _oracle_numbers(spec)
-    _compare(closed, oracle)
-    rho, note = picard_number(spec) if spec.is_split else (None, None)
-    return CyInvariants(
-        base_dim=spec.base_dim,
-        c1=spec.c1,
-        c2=spec.c2,
-        picard_number=rho,
-        picard_hypothesis_note=note,
-        # equal to the closed forms
-        **{k: oracle[k] for k in closed},
-        **fields,
+    o = memo.get(key)
+    if o is None:
+        o = memo[key] = _oracle_numbers(spec)
+    _compare(closed, o)
+    rho, note = picard_number(spec, memo) if spec.is_split else (None, None)
+    p1 = spec.base_dim == 1
+    return CyInvariants(  # one positional call, in field order
+        spec.base_dim, spec.c1, spec.c2, gamma, o["c3_X"], o["h_dot_c2"], o["xi_dot_c2"],
+        o["mk_dot_c2"], o["h3"], o["xi_h2"], o["xi2_h"], o["xi3"], fibers, rho, note,
+        o["mk_cubed"] if p1 else None, o["mk_sq_h"] if p1 else None,
     )
 
 
@@ -165,15 +167,7 @@ def invariants_p3(
         "xi2_h": c1 ** 2 - 2 * c2 + 4 * c1,
         "xi3": c1 ** 3 + 4 * c1 ** 2 - 3 * c1 * c2 - 4 * c2,
     }
-    return _record(
-        spec,
-        closed,
-        oracle_memo,
-        gamma=g,
-        fiber_count=fiber_count(spec) if g <= 16 else None,
-        mk_cubed=None,
-        mk_sq_h=None,
-    )
+    return _record(spec, closed, oracle_memo, g, fiber_count(spec) if g <= 16 else None)
 
 
 def invariants_p1(
@@ -195,7 +189,7 @@ def invariants_p1(
         "xi_h2": 0,
         "h3": 0,
     }
-    return _record(spec, closed, oracle_memo, gamma=None, fiber_count=None)
+    return _record(spec, closed, oracle_memo, None, None)
 
 
 def invariants_for(
@@ -208,7 +202,8 @@ def invariants_for(
     an optional dict owned by the caller (start it empty): the oracle
     integrals are stored in it under the spec's Chern datum and reused for
     later specs with the same datum, so a survey computes them once per
-    datum instead of once per spec.
+    datum instead of once per spec.  A split p1 spec also stores the
+    symmetric powers of its prefix there (see picard_number).
     """
     if spec.base_dim == 3:
         return invariants_p3(spec, oracle_memo)
@@ -278,7 +273,9 @@ def h0_split(a: int, b: int) -> int:
 RHO_ONE_SPLITTING_P3 = (0, 4)
 
 
-def picard_number(spec: BundleSpec) -> tuple[int, str]:
+def picard_number(
+    spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None
+) -> tuple[int, str]:
     """Picard number of X with the relevant hypothesis note.
 
     m = 3: rho = 2 + h^2(End E) on P^3, which is 2 for every split bundle;
@@ -287,7 +284,12 @@ def picard_number(spec: BundleSpec) -> tuple[int, str]:
     from scratch, E = O + O(4) up to twist, has rho = 1.
 
     m = 1: rho = 2 + h^1(S^4 E (x) O(2 - c1)) for normalized E; this is 2
-    exactly when c1 <= 3.
+    exactly when c1 <= 3.  With E = F + O(a3), F the prefix of the three
+    smallest degrees, S^4 E is the sum over j = 0..4 of S^(4-j) F (x)
+    O(j*a3), so h^1 is the sum of h^1(S^(4-j) F) at the twists
+    2 - c1 + j*a3: still Bott's rule over all 35 summands of S^4 E, read
+    from F's five powers, which ``oracle_memo`` (a fresh dict when None)
+    keeps for every later spec with the same prefix.
     """
     if not spec.is_split:
         raise ValueError("picard number needs split degrees")
@@ -297,8 +299,13 @@ def picard_number(spec: BundleSpec) -> tuple[int, str]:
             return 1, "computed directly for O + O(4); -K_Z big and nef"
         h2 = cohomology(end_bundle(SplitBundle(3, norm.split_degrees)), 2)
         return 2 + h2, "hypotheses-not-verified: split bundles are not stable"
-    bundle = SplitBundle._trusted(1, norm.split_degrees)  # BundleSpec sorts them
-    h1 = cohomology(sym_power(bundle, 4), 1, 2 - norm.c1)
+    memo = {} if oracle_memo is None else oracle_memo
+    prefix, a3 = norm.split_degrees[:3], norm.split_degrees[3]
+    powers = memo.get(prefix)
+    if powers is None:
+        f = SplitBundle._trusted(1, prefix)  # BundleSpec sorts the degrees
+        powers = memo[prefix] = [sym_power(f, 4 - j) for j in range(5)]
+    h1 = sum(cohomology(s, 1, 2 - norm.c1 + j * a3) for j, s in enumerate(powers))
     return 2 + h1, "normalized convention"
 
 

@@ -548,9 +548,32 @@ MUTATIONS = (
     Mutation(
         "rho twisted by the un-normalized c1",
         PKG / "invariants.py",
-        "h1 = cohomology(sym_power(bundle, 4), 1, 2 - norm.c1)",
-        "h1 = cohomology(sym_power(bundle, 4), 1, 2 - spec.c1)",
+        "cohomology(s, 1, 2 - norm.c1 + j * a3)",
+        "cohomology(s, 1, 2 - spec.c1 + j * a3)",
         ["tests/test_invariants.py::TestPicardNumber"],
+    ),
+    Mutation(
+        "twist step j*a3 dropped from rho",
+        PKG / "invariants.py",
+        "cohomology(s, 1, 2 - norm.c1 + j * a3)",
+        "cohomology(s, 1, 2 - norm.c1)",
+        ["tests/test_invariants.py::TestPicardNumber::test_p1_examples"],
+    ),
+    # the sum merges prefixes such as (0, 0, 2) and (0, 1, 1); a spec alone
+    # never meets a second prefix, so only a shared memo shows it
+    Mutation(
+        "memo key that merges two prefixes",
+        PKG / "invariants.py",
+        "powers = memo.get(prefix)",
+        "prefix = sum(prefix)\n    powers = memo.get(prefix)",
+        ["tests/test_invariants.py::TestPicardNumber::test_shared_memo_equals_no_memo"],
+    ),
+    Mutation(
+        "xi_h2 and xi2_h swapped in the positional record",
+        PKG / "invariants.py",
+        'o["h3"], o["xi_h2"], o["xi2_h"], o["xi3"]',
+        'o["h3"], o["xi2_h"], o["xi_h2"], o["xi3"]',
+        ["tests/test_invariants.py::TestInvariantsP3::test_both_paths_agree_on_0_2"],
     ),
     Mutation(
         "oracle pairing built with H in place of -K_Z",

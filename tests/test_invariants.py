@@ -241,9 +241,11 @@ class TestOracleMemo:
             assert invariants_for(spec, memo) == invariants_for(spec)
         p1_c1 = {spec.c1 for spec in P1_FAMILY}
         p3_data = {(spec.c1, spec.c2) for spec in specs if spec.base_dim == 3}
+        # and the symmetric powers of each p1 prefix, for picard_number
+        p1_prefixes = {spec.split_degrees[:3] for spec in P1_FAMILY}
         assert set(memo) == {(1, 4, c1, 0) for c1 in p1_c1} | {
             (3, 2, c1, c2) for c1, c2 in p3_data
-        }
+        } | p1_prefixes
 
 
 class TestOraclePairing:
@@ -409,6 +411,15 @@ class TestPicardNumber:
     def test_non_split_refused(self):
         with pytest.raises(ValueError):
             picard_number(BundleSpec.from_chern(2, 1))
+
+    def test_shared_memo_equals_no_memo(self):
+        # one memo across the N = 20 specs and their twists, which normalize
+        # back onto them: each spec gets the rho it gets alone
+        memo = {}
+        for spec in _enumerate_specs("p1", 20):
+            for t in range(-3, 4):
+                twisted = BundleSpec.from_split(1, [d + t for d in spec.split_degrees])
+                assert picard_number(twisted, memo) == picard_number(twisted), twisted
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(degrees=st.lists(st.integers(-6, 25), min_size=4, max_size=4))

@@ -14,7 +14,7 @@ def test_library_example_prints_its_comments():
     # and a remark
     want = [line.split("#", 1)[1].strip().split("  ")[0]
             for line in code.splitlines() if line.startswith("print(")]
-    assert want == ["-200 44", "48", "-168 None", "3 1"]
+    assert want == ["-200 44", "48", "-168 None", "3 4"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
