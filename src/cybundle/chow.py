@@ -34,20 +34,15 @@ class BundleSpec(Frozen):
     ``split_degrees`` is present iff the bundle is a direct sum of line
     bundles; cone and contraction work additionally requires it normalized
     (minimal degree 0).  For m = 1 all Chern classes above c1 vanish on the
-    base, so only c1 is stored.
+    base, so only c1 is stored.  ``_trusted`` sets the five fields past
+    ``__init__``'s checks, for callers whose fields are valid by construction.
     """
 
     __slots__ = ("base_dim", "rank", "c1", "c2", "split_degrees")
 
     def __init__(self, base_dim: int, rank: int, c1: int, c2: int = 0,
                  split_degrees: Optional[Tuple[int, ...]] = None) -> None:
-        # field by field, not through _fill's loop: a survey builds one spec
-        # per row
-        object.__setattr__(self, "base_dim", base_dim)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "split_degrees", split_degrees)
+        self._fill(base_dim, rank, c1, c2, split_degrees)
         if (self.base_dim, self.rank) not in SUPPORTED_CASES:
             raise ValueError(
                 f"unsupported (base_dim, rank) = ({self.base_dim}, {self.rank})"
@@ -66,6 +61,15 @@ class BundleSpec(Frozen):
                 a, b = degs
                 if self.c2 != a * b:
                     raise ValueError("c2 must equal the product of the split degrees")
+
+    def _fill(self, base_dim: int, rank: int, c1: int, c2: int,
+              split_degrees: Optional[Tuple[int, ...]]) -> None:
+        # field by field, not through Record._fill's loop: one spec per survey row
+        object.__setattr__(self, "base_dim", base_dim)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "split_degrees", split_degrees)
 
     @classmethod
     def from_split(cls, base_dim: int, degrees: Sequence[int]) -> "BundleSpec":

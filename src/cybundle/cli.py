@@ -128,11 +128,12 @@ ROW_KEYS = (
 CSV_COLUMNS = tuple(k for k in ROW_KEYS if k != "picard_hypothesis_note")
 
 _NULL_ROW = dict.fromkeys(ROW_KEYS)
-# report row keys in sort_keys order: the text cells, and the json template
-# of a row in a top-level list, whose keys sit 6 spaces deep
+# report row keys in sort_keys order: the json template of a row in a
+# top-level list, whose keys sit 6 spaces deep, and the text row template
 _ROW_ORDER = tuple(sorted(ROW_KEYS))
 _JSON_ROW_TEMPLATE = tuple(
     (k, ("," if i else "{") + f"\n      {_encode_str(k)}: ") for i, k in enumerate(_ROW_ORDER))
+_TEXT_ROW_TEMPLATE = " ".join(f"{k}=%s" for k in _ROW_ORDER) + "\n"
 _RECORD_KEYS = tuple(k for k in ROW_KEYS if k in CyInvariants._fields)
 
 
@@ -164,8 +165,7 @@ def _report_row(spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None) -> d
     row["degrees"] = list(spec.split_degrees)
     # every record is oracle-checked; a mismatch raises before this
     row["oracle_ok"] = True
-    for key in _RECORD_KEYS:
-        row[key] = getattr(inv, key)
+    row.update(zip(_RECORD_KEYS, map(inv.__getattribute__, _RECORD_KEYS)))
     # one rho = 2 decision fills both the cone and the contraction fields
     norm, _ = rho_two_gate(spec)
     if norm is None:
@@ -233,8 +233,9 @@ def _write(fh: TextIO, payload: dict, fmt: str) -> None:
         for key in sorted(payload):
             if key == "rows":
                 for row in payload[key]:
-                    fh.write(" ".join([f"{k}={v if type(v) in _PLAIN else _csv_cell(v)}"
-                                       for k in _ROW_ORDER for v in (row[k],)]) + "\n")
+                    cells = map(row.__getitem__, _ROW_ORDER)
+                    fh.write(_TEXT_ROW_TEMPLATE % tuple(
+                        [v if type(v) in _PLAIN else _csv_cell(v) for v in cells]))
             else:
                 fh.write(f"{key}: {json.dumps(payload[key], sort_keys=True)}\n")
 
@@ -305,14 +306,16 @@ def _json_text(value, indent: str = "") -> str:
 
 def _check_out_target(path: str) -> None:
     """Refuse an ``--out`` that names, through any symlinks, something other
-    than a regular file, such as a FIFO, a device or a directory.  A path
-    that names nothing yet is left to the write."""
+    than a regular file, such as a FIFO, a device or a directory, or that
+    holds a NUL byte.  A path that names nothing yet is left to the write."""
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
         return
     except OSError as exc:  # such as a symlink loop or a path through a file
         raise CliError(EXIT_INVALID_INPUT, f"cannot write {path}: {exc.strerror}")
+    except ValueError as exc:  # a NUL byte, which no path can hold
+        raise CliError(EXIT_INVALID_INPUT, f"cannot write {path}: {exc}")
     if not stat.S_ISREG(mode):
         raise CliError(EXIT_INVALID_INPUT, f"cannot write {path}: not a regular file")
 
@@ -375,8 +378,8 @@ def _enumerate_specs(base: str, max_degree: int) -> List[BundleSpec]:
         for a1 in range(0, max_degree + 1):
             for a2 in range(a1, max_degree + 1):
                 for a3 in range(a2, max_degree + 1):
-                    # sorted and normalized; BundleSpec.__init__ still validates
-                    specs.append(BundleSpec(1, 4, a1 + a2 + a3, 0, (0, a1, a2, a3)))
+                    # sorted and normalized by the loop bounds: no checks needed
+                    specs.append(BundleSpec._trusted(1, 4, a1 + a2 + a3, 0, (0, a1, a2, a3)))
     return specs
 
 

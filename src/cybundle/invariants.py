@@ -34,10 +34,14 @@ class OracleMismatchError(ArithmeticError):
     """A closed form disagreed with its independent Chow-ring oracle."""
 
 
-# Chern datum (base_dim, rank, c1, c2) -> the oracle integrals of that datum,
-# and p1 prefix (0, a1, a2) -> its Sym^(4-j), j = 0..4 (see picard_number);
-# the keys differ in length, so the two kinds never meet
-OracleMemo = Dict[Tuple[int, ...], Union[dict, List[SplitBundle]]]
+# Chern datum (base_dim, rank, c1, c2) -> its oracle integrals in INTEGRAL_KEYS
+# order, and p1 prefix (0, a1, a2) -> its Sym^(4-j), j = 0..4 (see
+# picard_number); the keys differ in length, so the two kinds never meet
+OracleMemo = Dict[Tuple[int, ...], Union[Tuple[int, ...], List[SplitBundle]]]
+
+# CyInvariants' integral fields in order; p3 closed forms give only the first 8
+INTEGRAL_KEYS = ("c3_X", "h_dot_c2", "xi_dot_c2", "mk_dot_c2", "h3", "xi_h2", "xi2_h",
+                 "xi3", "mk_cubed", "mk_sq_h")
 
 
 class CyInvariants(Record):
@@ -116,17 +120,15 @@ def _oracle_numbers(spec: BundleSpec) -> dict:
     return {key: sum(map(mul, a, P)) for key, a in integrands.items()}
 
 
-def _compare(closed: dict, oracle: dict) -> None:
-    for key, want in closed.items():
-        got = oracle[key]
-        if got != want:
-            raise OracleMismatchError(
-                f"{key}: closed form {want} != oracle {got}"
-            )
+def _compare(closed: tuple, oracle: tuple) -> None:
+    if closed != oracle[:len(closed)]:
+        for key, want, got in zip(INTEGRAL_KEYS, closed, oracle):
+            if got != want:
+                raise OracleMismatchError(f"{key}: closed form {want} != oracle {got}")
 
 
 def _record(
-    spec: BundleSpec, closed: dict, oracle_memo: Optional[OracleMemo],
+    spec: BundleSpec, closed: tuple, oracle_memo: Optional[OracleMemo],
     gamma: Optional[int], fibers: Optional[int],
 ) -> CyInvariants:
     """Check the closed forms against the oracle and build the record.
@@ -139,15 +141,11 @@ def _record(
     key = (spec.base_dim, spec.rank, spec.c1, spec.c2)
     o = memo.get(key)
     if o is None:
-        o = memo[key] = _oracle_numbers(spec)
+        o = memo[key] = tuple(map(_oracle_numbers(spec).__getitem__, INTEGRAL_KEYS))
     _compare(closed, o)
     rho, note = picard_number(spec, memo) if spec.is_split else (None, None)
-    p1 = spec.base_dim == 1
-    return CyInvariants(  # one positional call, in field order
-        spec.base_dim, spec.c1, spec.c2, gamma, o["c3_X"], o["h_dot_c2"], o["xi_dot_c2"],
-        o["mk_dot_c2"], o["h3"], o["xi_h2"], o["xi2_h"], o["xi3"], fibers, rho, note,
-        o["mk_cubed"] if p1 else None, o["mk_sq_h"] if p1 else None,
-    )
+    return CyInvariants(spec.base_dim, spec.c1, spec.c2, gamma, *o[:8], fibers, rho, note,
+                        *(o[8:] if spec.base_dim == 1 else (None, None)))  # in field order
 
 
 def invariants_p3(
@@ -157,16 +155,16 @@ def invariants_p3(
     if (spec.base_dim, spec.rank) != (3, 2):
         raise ValueError("invariants_p3 needs a rank-2 bundle over P^3")
     c1, c2, g = spec.c1, spec.c2, spec.gamma()
-    closed = {
-        "c3_X": -8 * g - 168,
-        "h_dot_c2": 44,
-        "xi_dot_c2": 4 * g + 22 * c1 + 24,
-        "mk_dot_c2": 8 * g + 224,
-        "h3": 2,
-        "xi_h2": c1 + 4,
-        "xi2_h": c1 ** 2 - 2 * c2 + 4 * c1,
-        "xi3": c1 ** 3 + 4 * c1 ** 2 - 3 * c1 * c2 - 4 * c2,
-    }
+    closed = (
+        -8 * g - 168,                                # c3_X
+        44,                                          # h_dot_c2
+        4 * g + 22 * c1 + 24,                        # xi_dot_c2
+        8 * g + 224,                                 # mk_dot_c2
+        2,                                           # h3
+        c1 + 4,                                      # xi_h2
+        c1 ** 2 - 2 * c2 + 4 * c1,                   # xi2_h
+        c1 ** 3 + 4 * c1 ** 2 - 3 * c1 * c2 - 4 * c2,  # xi3
+    )
     return _record(spec, closed, oracle_memo, g, fiber_count(spec) if g <= 16 else None)
 
 
@@ -177,18 +175,18 @@ def invariants_p1(
     if (spec.base_dim, spec.rank) != (1, 4):
         raise ValueError("invariants_p1 needs a rank-4 bundle over P^1")
     c1 = spec.c1
-    closed = {
-        "c3_X": -168,
-        "h_dot_c2": 24,
-        "xi_dot_c2": 6 * c1 + 44,
-        "mk_dot_c2": 224,
-        "mk_cubed": 512,
-        "mk_sq_h": 64,
-        "xi3": 3 * c1 + 2,
-        "xi2_h": 4,
-        "xi_h2": 0,
-        "h3": 0,
-    }
+    closed = (
+        -168,         # c3_X
+        24,           # h_dot_c2
+        6 * c1 + 44,  # xi_dot_c2
+        224,          # mk_dot_c2
+        0,            # h3
+        0,            # xi_h2
+        4,            # xi2_h
+        3 * c1 + 2,   # xi3
+        512,          # mk_cubed
+        64,           # mk_sq_h
+    )
     return _record(spec, closed, oracle_memo, None, None)
 
 
@@ -287,9 +285,10 @@ def picard_number(
     exactly when c1 <= 3.  With E = F + O(a3), F the prefix of the three
     smallest degrees, S^4 E is the sum over j = 0..4 of S^(4-j) F (x)
     O(j*a3), so h^1 is the sum of h^1(S^(4-j) F) at the twists
-    2 - c1 + j*a3: still Bott's rule over all 35 summands of S^4 E, read
-    from F's five powers, which ``oracle_memo`` (a fresh dict when None)
-    keeps for every later spec with the same prefix.
+    t = 2 - c1 + j*a3, read from F's five powers, which ``oracle_memo`` (a
+    fresh dict when None) keeps for every later spec with the same prefix.
+    It is still Bott's rule over all 35 summands of S^4 E: a power of least
+    degree d0 with d0 + t >= -1 is skipped, as each of its h^1 is 0.
     """
     if not spec.is_split:
         raise ValueError("picard number needs split degrees")
@@ -305,7 +304,11 @@ def picard_number(
     if powers is None:
         f = SplitBundle._trusted(1, prefix)  # BundleSpec sorts the degrees
         powers = memo[prefix] = [sym_power(f, 4 - j) for j in range(5)]
-    h1 = sum(cohomology(s, 1, 2 - norm.c1 + j * a3) for j, s in enumerate(powers))
+    h1, t0 = 0, 2 - norm.c1
+    for j, s in enumerate(powers):  # s = Sym^(4-j) F
+        t = t0 + j * a3
+        if s.degrees[0] + t < -1:  # else h^1(O(d + t)) = 0 for every summand
+            h1 += cohomology(s, 1, t)
     return 2 + h1, "normalized convention"
 
 

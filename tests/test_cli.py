@@ -10,6 +10,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 from pathlib import Path
 from unittest import mock
 
@@ -26,6 +27,7 @@ from cybundle.cli import (
     CSV_COLUMNS,
     ROW_KEYS,
     _csv_cell,
+    _enumerate_specs,
     _json_text,
     _report_row,
     _write,
@@ -191,6 +193,17 @@ class TestEnumerateCommand:
             assert row["picard_number"] == want, row["degrees"]
             assert row.keys() == SURVEY_ROW_KEYS
         assert {row["picard_number"] for row in rows} > {2}
+
+    @pytest.mark.parametrize("n", [0, 1, 20])
+    def test_p1_specs_equal_from_split(self, n):
+        # the survey builds its specs past BundleSpec.__init__'s checks: they
+        # must be the validated from_split specs, field by field and in order
+        specs = _enumerate_specs("p1", n)
+        want = [BundleSpec.from_split(1, (0, a1, a2, a3)) for a1 in range(n + 1)
+                for a2 in range(a1, n + 1) for a3 in range(a2, n + 1)]
+        assert len(specs) == len(want) == comb(n + 3, 3)
+        assert [s._key() for s in specs] == [s._key() for s in want]
+        assert all(type(s) is BundleSpec and type(s.split_degrees) is tuple for s in specs)
 
     def test_p3_skips_inadmissible(self, tmp_path):
         out = tmp_path / "fam.json"
@@ -519,6 +532,16 @@ class TestOutPath:
         assert stat.S_ISFIFO(mode) if make is os.mkfifo else stat.S_ISDIR(mode)
         assert not stat.S_ISDIR(mode) or list(node.iterdir()) == []
         assert not linked or os.readlink(out) == str(node)
+
+    def test_nul_byte_exit_2(self, tmp_path, capsys, monkeypatch):
+        # os.stat raises ValueError, not OSError, on a path with a NUL byte
+        monkeypatch.chdir(tmp_path)
+        assert main(self.ARGV + ["a\x00b"]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert json.loads(err) == {
+            "error": "cannot write a\x00b: embedded null byte", "exit_code": 2}
+        assert list(tmp_path.iterdir()) == []
 
     def test_symlink_loop_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "loop"

@@ -1,5 +1,6 @@
 import json
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ import cybundle.invariants
 from chow_kernel_check import oracle_by_products
 from cybundle.chow import BundleSpec, ChowClass
 from cybundle.cli import _enumerate_specs, main
+from cybundle.cohomology import SplitBundle, cohomology, sym_power
 from cybundle.invariants import (
+    INTEGRAL_KEYS,
     OracleMismatchError,
     admissibility_p3,
     euler_characteristic_rank2_p3,
@@ -218,6 +221,27 @@ class TestOracleMismatch:
         assert len(memo) == 1
 
 
+class TestComparedIntegrals:
+    """The closed forms are compared as one tuple; a mismatch names the
+    first differing key."""
+
+    @pytest.mark.parametrize("spec", [BundleSpec.from_split(1, (0, 0, 1, 1)),
+                                      BundleSpec.from_split(3, (0, 2))], ids=["p1", "p3"])
+    def test_each_integral_compared(self, spec, monkeypatch):
+        # each closed form alone, perturbed in the oracle, is named
+        real = cybundle.invariants._oracle_numbers
+        keys = INTEGRAL_KEYS if spec.base_dim == 1 else INTEGRAL_KEYS[:8]
+        for key in keys:
+            def oracle(spec, key=key):
+                numbers = real(spec)
+                numbers[key] += 1
+                return numbers
+
+            monkeypatch.setattr(cybundle.invariants, "_oracle_numbers", oracle)
+            with pytest.raises(OracleMismatchError, match=f"^{key}: closed form"):
+                invariants_for(spec)
+
+
 class TestOracleMemo:
     """The oracle reads only the Chern data, which is what lets a caller's
     memo share one oracle run among specs of equal (base_dim, rank, c1, c2)."""
@@ -420,6 +444,32 @@ class TestPicardNumber:
             for t in range(-3, 4):
                 twisted = BundleSpec.from_split(1, [d + t for d in spec.split_degrees])
                 assert picard_number(twisted, memo) == picard_number(twisted), twisted
+
+    def test_skipped_powers_add_nothing(self):
+        # picard_number passes cohomology only the powers whose least degree
+        # can reach h^1; the unskipped sum over all five powers of F must
+        # agree on the N = 30 specs and their twists by -3..3
+        specs = _enumerate_specs("p1", 30)
+        assert len(specs) == comb(33, 3) == 5456
+        memo, powers = {}, {}
+        for spec in specs:
+            prefix, a3 = spec.split_degrees[:3], spec.split_degrees[3]
+            if prefix not in powers:
+                f = SplitBundle(1, prefix)
+                powers[prefix] = [sym_power(f, 4 - j) for j in range(5)]
+            want = 2 + sum(cohomology(s, 1, 2 - spec.c1 + j * a3)
+                           for j, s in enumerate(powers[prefix]))
+            for t in range(-3, 4):
+                twisted = BundleSpec.from_split(1, [d + t for d in spec.split_degrees])
+                assert picard_number(twisted, memo)[0] == want, twisted
+
+    @pytest.mark.parametrize("degrees,rho", [
+        ((0, 0, 0, 4), 17),  # j = 0 at t = -2: Sym^4 (0,0,0) adds 15
+        ((0, 0, 0, 3), 2),   # j = 0 at t = -1: nothing
+        ((0, 2, 2, 2), 8),   # j = 1 at t = -2 adds 1 to j = 0's 5
+    ])
+    def test_vanishing_boundary(self, degrees, rho):
+        assert picard_number(BundleSpec.from_split(1, degrees))[0] == rho
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(degrees=st.lists(st.integers(-6, 25), min_size=4, max_size=4))
