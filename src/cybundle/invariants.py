@@ -35,7 +35,7 @@ class OracleMismatchError(ArithmeticError):
 
 
 # Chern datum (base_dim, rank, c1, c2) -> its oracle integrals in INTEGRAL_KEYS
-# order, and p1 prefix (0, a1, a2) -> its Sym^(4-j), j = 0..4 (see
+# order, and p1 prefix (0, a1, a2) -> its Sym^(4-j), j = 0..2 (see
 # picard_number); the keys differ in length, so the two kinds never meet
 OracleMemo = Dict[Tuple[int, ...], Union[Tuple[int, ...], List[SplitBundle]]]
 
@@ -281,14 +281,14 @@ def picard_number(
     value carries a "hypotheses-not-verified" note.  The one case worked out
     from scratch, E = O + O(4) up to twist, has rho = 1.
 
-    m = 1: rho = 2 + h^1(S^4 E (x) O(2 - c1)) for normalized E; this is 2
-    exactly when c1 <= 3.  With E = F + O(a3), F the prefix of the three
-    smallest degrees, S^4 E is the sum over j = 0..4 of S^(4-j) F (x)
-    O(j*a3), so h^1 is the sum of h^1(S^(4-j) F) at the twists
-    t = 2 - c1 + j*a3, read from F's five powers, which ``oracle_memo`` (a
-    fresh dict when None) keeps for every later spec with the same prefix.
-    It is still Bott's rule over all 35 summands of S^4 E: a power of least
-    degree d0 with d0 + t >= -1 is skipped, as each of its h^1 is 0.
+    m = 1: rho = 2 + h^1(S^4 E (x) O(2 - c1)) for normalized E, which is 2
+    exactly when c1 <= 3.  With E = F + O(a3), F = (0, a1, a2), that bundle
+    is the sum over j = 0..4 of S^(4-j) F (x) O(t), t = 2 - c1 + j*a3 =
+    2 - a1 - a2 + (j - 1)*a3.  It is Bott's rule over every summand that
+    can be nonzero: each S^k F has least degree 0, so it adds h^1 only at
+    t < -1, and a3 >= a1, a2 gives t >= 2 for j >= 3.  Only S^4 F, S^3 F and
+    S^2 F are built, once per prefix in ``oracle_memo`` (a fresh dict when
+    None), and a power reaches cohomology only at a twist below -1.
     """
     if not spec.is_split:
         raise ValueError("picard number needs split degrees")
@@ -303,11 +303,11 @@ def picard_number(
     powers = memo.get(prefix)
     if powers is None:
         f = SplitBundle._trusted(1, prefix)  # BundleSpec sorts the degrees
-        powers = memo[prefix] = [sym_power(f, 4 - j) for j in range(5)]
+        powers = memo[prefix] = [sym_power(f, 4 - j) for j in range(3)]
     h1, t0 = 0, 2 - norm.c1
     for j, s in enumerate(powers):  # s = Sym^(4-j) F
         t = t0 + j * a3
-        if s.degrees[0] + t < -1:  # else h^1(O(d + t)) = 0 for every summand
+        if t < -1:  # else h^1(O(d + t)) = 0 for every summand, as d >= 0
             h1 += cohomology(s, 1, t)
     return 2 + h1, "normalized convention"
 

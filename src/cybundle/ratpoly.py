@@ -99,10 +99,12 @@ def poly_gcd(a: List[int], b: List[int]) -> List[int]:
     positive, by the Euclidean algorithm on primitive pseudo-remainders.
 
     Over the rationals it is the gcd up to a unit.  Raises ValueError if
-    both inputs are zero.
+    both inputs are zero or either ends in a zero.
     """
     if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
+    if a[-1:] == [0] or b[-1:] == [0]:
+        raise ValueError("coefficient lists must have no trailing zeros")
     f = _primitive(a) if a else []
     g = _primitive(b) if b else []
     while g:
@@ -125,10 +127,12 @@ def rational_roots(a: List[int]) -> List[Fraction]:
     After the power of x is divided out, a candidate s/t in lowest terms,
     with s | a_0 and t | a_n, is a root when the integer t^n * a(s/t)
     vanishes, and t*x - s then divides a exactly in integers (Gauss's
-    lemma).
+    lemma).  [] or a list ending in 0 raises ValueError.
     """
     if not a:
         raise ValueError("the zero polynomial has every root")
+    if a[-1] == 0:
+        raise ValueError("coefficient lists must have no trailing zeros")
     # strip x^k factor: root 0 with multiplicity k
     k = 0
     while a[k] == 0:

@@ -334,6 +334,20 @@ MUTATIONS = (
          "tests/test_ratpoly.py::TestUniPolyAgainstReference::test_stdlib_script"],
     ),
     Mutation(
+        "trailing-zero check dropped from poly_gcd",
+        PKG / "ratpoly.py",
+        "if a[-1:] == [0] or b[-1:] == [0]:",
+        "if False:",
+        ["tests/test_ratpoly.py::TestUniPoly::test_gcd_trailing_zero_raises"],
+    ),
+    Mutation(
+        "trailing-zero check dropped from rational_roots",
+        PKG / "ratpoly.py",
+        "if a[-1] == 0:",
+        "if False:",
+        ["tests/test_ratpoly.py::TestUniPoly::test_rational_roots_trailing_zero_raises"],
+    ),
+    Mutation(
         "roots at 0 appended after the others",
         PKG / "ratpoly.py",
         "return roots + sorted(found)",
@@ -559,19 +573,28 @@ MUTATIONS = (
         "t = t0",
         ["tests/test_invariants.py::TestPicardNumber::test_p1_examples"],
     ),
-    # a power at d0 + t = -2 has h^1 > 0 and must be summed
+    # every power of F has least degree 0, so one at t = -2 has h^1 > 0
+    # and must be summed
     Mutation(
         "rho's vanishing bound one too low",
         PKG / "invariants.py",
-        "if s.degrees[0] + t < -1:",
-        "if s.degrees[0] + t < -2:",
+        "if t < -1:",
+        "if t < -2:",
         ["tests/test_invariants.py::TestPicardNumber::test_vanishing_boundary"],
     ),
     Mutation(
         "rho's least degree read from the top of the power",
         PKG / "invariants.py",
-        "if s.degrees[0] + t < -1:",
+        "if t < -1:",
         "if s.degrees[-1] + t < -1:",
+        ["tests/test_invariants.py::TestPicardNumber::test_vanishing_boundary"],
+    ),
+    # (0, 4, 4, 4) is the boundary case whose Sym^2 F adds 1
+    Mutation(
+        "Sym^2 F dropped from rho's powers",
+        PKG / "invariants.py",
+        "[sym_power(f, 4 - j) for j in range(3)]",
+        "[sym_power(f, 4 - j) for j in range(2)]",
         ["tests/test_invariants.py::TestPicardNumber::test_vanishing_boundary"],
     ),
     # the sum merges prefixes such as (0, 0, 2) and (0, 1, 1); a spec alone
@@ -582,6 +605,29 @@ MUTATIONS = (
         "powers = memo.get(prefix)",
         "prefix = sum(prefix)\n    powers = memo.get(prefix)",
         ["tests/test_invariants.py::TestPicardNumber::test_shared_memo_equals_no_memo"],
+    ),
+    Mutation(
+        "fiber_count's gamma > 16 guard dropped",
+        PKG / "invariants.py",
+        "if g > 16:",
+        "if False:",
+        ["tests/test_invariants.py::TestFiberCount::"
+         "test_gamma_over_16_refused_from_chern_data"],
+    ),
+    Mutation(
+        "invariants_p1's shape guard dropped",
+        PKG / "invariants.py",
+        "if (spec.base_dim, spec.rank) != (1, 4):",
+        "if False:",
+        ["tests/test_invariants.py::TestInvariantsP1::test_p3_spec_refused"],
+    ),
+    Mutation(
+        "h0_split's negative-degree guard dropped",
+        PKG / "invariants.py",
+        "if a < 0 or b < 0:",
+        "if False:",
+        ["tests/test_invariants.py::TestEulerCharacteristic::"
+         "test_h0_split_refuses_negative_degrees"],
     ),
     Mutation(
         "xi_h2 and xi2_h swapped in the positional record",

@@ -88,6 +88,11 @@ class TestInvariantsP1:
     def test_0111(self):
         assert invariants_p1(BundleSpec.from_split(1, (0, 1, 1, 1))).xi3 == 11
 
+    def test_p3_spec_refused(self):
+        # refused before the closed forms, which would disagree with the oracle
+        with pytest.raises(ValueError, match="rank-4 bundle over P\\^1"):
+            invariants_p1(BundleSpec.from_split(3, (0, 2)))
+
     @pytest.mark.parametrize("spec", P1_FAMILY[:30], ids=str)
     def test_constants_any_degrees(self, spec):
         inv = invariants_p1(spec)
@@ -389,6 +394,12 @@ class TestFiberCount:
         with pytest.raises(ValueError):
             fiber_count(BundleSpec.from_split(3, (0, 5)))
 
+    def test_gamma_over_16_refused_from_chern_data(self):
+        # gamma = 20 without split degrees: only the gamma guard stands
+        # between the spec and a count of 64 - 80 = -16
+        with pytest.raises(ValueError, match="gamma = 20 > 16"):
+            fiber_count(BundleSpec.from_chern(0, -5))
+
     @pytest.mark.parametrize("spec", ADMISSIBLE_P3, ids=str)
     def test_triple_agreement(self, spec):
         # closed form, pushforward c3 formula and Bezout product all agree
@@ -404,6 +415,13 @@ class TestEulerCharacteristic:
         spec = BundleSpec.from_split(3, degrees)
         assert euler_characteristic_rank2_p3(spec) == chi
         assert h0_split(*degrees) == chi
+
+    def test_h0_split_refuses_negative_degrees(self):
+        # refused, not summed: (-1, 0) would give C(2, 3) + C(3, 3) = 1, and
+        # (-4, -4) would reach math.comb with n < 0
+        for degrees in ((-1, 0), (0, -1), (-4, -4)):
+            with pytest.raises(ValueError, match="h0_split expects non-negative"):
+                h0_split(*degrees)
 
     def test_riemann_roch_equals_h0_sweep(self):
         for a in range(0, 9):
@@ -446,9 +464,9 @@ class TestPicardNumber:
                 assert picard_number(twisted, memo) == picard_number(twisted), twisted
 
     def test_skipped_powers_add_nothing(self):
-        # picard_number passes cohomology only the powers whose least degree
-        # can reach h^1; the unskipped sum over all five powers of F must
-        # agree on the N = 30 specs and their twists by -3..3
+        # picard_number builds only Sym^4..Sym^2 of F and passes cohomology
+        # only those at a twist below -1; the unskipped sum over all five
+        # powers of F must agree on the N = 30 specs and their twists by -3..3
         specs = _enumerate_specs("p1", 30)
         assert len(specs) == comb(33, 3) == 5456
         memo, powers = {}, {}
@@ -467,6 +485,7 @@ class TestPicardNumber:
         ((0, 0, 0, 4), 17),  # j = 0 at t = -2: Sym^4 (0,0,0) adds 15
         ((0, 0, 0, 3), 2),   # j = 0 at t = -1: nothing
         ((0, 2, 2, 2), 8),   # j = 1 at t = -2 adds 1 to j = 0's 5
+        ((0, 4, 4, 4), 32),  # j = 2 at t = -2: Sym^2 (0,4,4) adds 1 to 29
     ])
     def test_vanishing_boundary(self, degrees, rho):
         assert picard_number(BundleSpec.from_split(1, degrees))[0] == rho

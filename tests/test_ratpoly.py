@@ -88,6 +88,13 @@ class TestUniPoly:
         with pytest.raises(ValueError):
             poly_gcd([], [])
 
+    @pytest.mark.parametrize("a,b", [([0], [0]), ([0], [1]), ([1], [0]), ([], [0]),
+                                     ([1, 2, 0], [1, 1]), ([-1, 1], [2, 0, 0])])
+    def test_gcd_trailing_zero_raises(self, a, b):
+        # [] is the zero polynomial; a list ending in 0 is malformed
+        with pytest.raises(ValueError, match="trailing zeros"):
+            poly_gcd(a, b)
+
     def test_derivative_examples(self):
         assert derivative([0, 0, 0, 1]) == [0, 0, 3]
         assert derivative([7]) == []
@@ -128,6 +135,11 @@ class TestUniPoly:
     def test_rational_roots_keep_content_and_sign(self):
         # -2x^2 - 4x + 6 = -2(x + 3)(x - 1)
         assert rational_roots([6, -4, -2]) == [-3, 1]
+
+    @pytest.mark.parametrize("a", [[0], [0, 0], [1, 0], [-2, 1, 0]])
+    def test_rational_roots_trailing_zero_raises(self, a):
+        with pytest.raises(ValueError, match="trailing zeros"):
+            rational_roots(a)
 
     def test_rational_roots_order(self):
         # the roots at 0 first, then the others ascending with multiplicity:
