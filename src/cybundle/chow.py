@@ -21,6 +21,7 @@ the class of a point.
 from __future__ import annotations
 
 from math import comb
+from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._value import Frozen
@@ -73,7 +74,7 @@ class BundleSpec(Frozen):
 
     @classmethod
     def from_split(cls, base_dim: int, degrees: Sequence[int]) -> "BundleSpec":
-        degs = tuple(sorted(int(d) for d in degrees))
+        degs = tuple(sorted(map(index, degrees)))
         c1 = sum(degs)
         c2 = degs[0] * degs[1] if base_dim == 3 else 0
         return cls(base_dim, len(degs), c1, c2, degs)

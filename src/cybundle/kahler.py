@@ -3,12 +3,13 @@
 N^1(X) is two-dimensional with basis (xi|X, pi^*h).  The cubic hypersurface
 {D^3 = 0} is a binary cubic w(x, y); a double line in it forces rational
 boundary rays via gcd(w, w').  The coefficients of w are ints on X; the
-analysis clears a cubic once to a primitive int list, reads both charts
-from it and runs the ``ratpoly`` kernels on int lists.  For normalized
-split bundles the boundary rays themselves are known (the cone of X is the
-restricted cone of Z), so they are asserted and their c2-values reported
-rather than rediscovered.  The Gram determinant reads the top intersections
-of ``closed_form_intersections``; only ``verify_KY_squared`` reduces.
+analysis clears a cubic once to a primitive int list, reads the y = 1
+chart and the power of y dividing w from it and runs the ``ratpoly``
+kernels on int lists.  For normalized split bundles the boundary rays
+themselves are known (the cone of X is the restricted cone of Z), so they
+are asserted and their c2-values reported rather than rediscovered.  The
+Gram determinant reads the top intersections of
+``closed_form_intersections``; only ``verify_KY_squared`` reduces.
 """
 
 from __future__ import annotations
@@ -71,11 +72,12 @@ class RationalityReport(Frozen):
 
 
 def rationality_analysis(w: CubicForm) -> RationalityReport:
-    """Double-line detection by gcd(w, Dw) on both dehomogenization charts.
+    """Double-line detection by gcd(w, Dw) in the y = 1 chart.
 
-    A double line through [1:0] is invisible in the y-chart, so both charts
-    are inspected.  If no double line exists, fall back to full rational-root
-    factorization of the cubic.
+    That chart misses only the line y = 0, the point [1:0].  If y^k divides
+    w exactly, y = 0 is a k-fold root of w(1, y), whose gcd with its
+    derivative is y^(k-1): that line is double exactly when k >= 2.  If no
+    double line exists, fall back to full rational-root factorization.
 
     The verdict describes the cubic {D^3 = 0}, not the Kaehler cone: the
     split p3 specs (0,1)..(0,3) read IRRATIONAL_OR_UNRESOLVED although
@@ -84,31 +86,28 @@ def rationality_analysis(w: CubicForm) -> RationalityReport:
     """
     if w.is_zero():
         raise ValueError("the zero cubic has no rationality analysis")
-    # chart 'y' sets y = 1 (a poly in x), chart 'x' sets x = 1: one int
-    # list with its content divided out, and its reverse, each without its
-    # trailing zeros (the sign of the list leaves every root alone)
+    # chart 'y' sets y = 1 (a poly in x): one primitive int list (its sign
+    # leaves every root alone) whose y_mult trailing zeros say y^y_mult | w
     y = _integer_coeffs([w.w03, w.w12, w.w21, w.w30])
-    x = y[::-1]
-    for p in (y, x):
-        while p[-1] == 0:
-            p.pop()
-    # a one-entry chart has derivative [] and gcd [1], which the len test skips
-    for chart, p in (("y", y), ("x", x)):
-        g = poly_gcd(p, derivative(p))
-        if len(g) >= 2:
-            roots = tuple(rational_roots(g))
-            # the lemma guarantees rationality of the repeated factor; a
-            # degree >= 1 gcd without rational roots would contradict it
-            if len(roots) == len(g) - 1:
-                return RationalityReport(
-                    verdict=Rationality.RATIONAL_DOUBLE_LINE,
-                    chart=chart,
-                    double_roots=roots,
-                )
-    # degree drop in the y-chart means y divides w; a cubic with a simple
-    # y-factor can still split off rational lines.  len(y) >= 3 here: with
-    # len(y) <= 2, y^2 divides w and the x-chart gcd returned a double line
+    while y[-1] == 0:
+        y.pop()
     y_mult = 4 - len(y)
+    # a one-entry chart has derivative [] and gcd [1], which the len test skips
+    g = poly_gcd(y, derivative(y))
+    if len(g) >= 2:
+        roots = tuple(rational_roots(g))
+        # the lemma guarantees rationality of the repeated factor; a
+        # degree >= 1 gcd without rational roots would contradict it
+        if len(roots) == len(g) - 1:
+            return RationalityReport(
+                verdict=Rationality.RATIONAL_DOUBLE_LINE,
+                chart="y",
+                double_roots=roots,
+            )
+    if y_mult >= 2:
+        return RationalityReport(verdict=Rationality.RATIONAL_DOUBLE_LINE, chart="x",
+                                 double_roots=(Fraction(0),) * (y_mult - 1))
+    # a cubic with a simple y-factor can still split off rational lines
     roots = tuple(rational_roots(y))
     if len(roots) + y_mult == 3:
         return RationalityReport(

@@ -80,6 +80,13 @@ MUTATIONS = (
         ["tests/test_cohomology.py"],
     ),
     Mutation(
+        "SplitBundle's base guard dropped",
+        PKG / "cohomology.py",
+        "if self.base_dim not in (1, 3):",
+        "if False:",
+        ["tests/test_cohomology.py::TestConstructions::test_base_other_than_p1_or_p3_refused"],
+    ),
+    Mutation(
         "unreversed dual",
         PKG / "cohomology.py",
         "tuple(-d for d in reversed(self.degrees))",
@@ -505,9 +512,38 @@ MUTATIONS = (
     Mutation(
         "x-chart skipped by the rationality analysis",
         PKG / "kahler.py",
-        'for chart, p in (("y", y), ("x", x)):',
-        'for chart, p in (("y", y),):',
+        "if y_mult >= 2:",
+        "if False:",
         ["tests/test_kahler.py::TestRationality::test_double_line_at_infinity"],
+    ),
+    # x y^2: y^2 divides w, so its double line is read at y_mult = 2
+    Mutation(
+        "[1:0] double line read only at y^3",
+        PKG / "kahler.py",
+        "if y_mult >= 2:",
+        "if y_mult >= 3:",
+        ["tests/test_kahler.py::TestRationality::test_double_line_at_infinity"],
+    ),
+    Mutation(
+        "[1:0] double roots one too many",
+        PKG / "kahler.py",
+        "(y_mult - 1)",
+        "y_mult",
+        ["tests/test_kahler.py::TestRationality::test_cube_of_a_line"],
+    ),
+    Mutation(
+        "degeneracy_determinant's shape guard dropped",
+        PKG / "kahler.py",
+        "if (spec.base_dim, spec.rank) != (3, 2):",
+        "if False:",
+        ["tests/test_kahler.py::TestDeterminants::test_degeneracy_refuses_p1_spec"],
+    ),
+    Mutation(
+        "classify_contraction_p1's shape guard dropped",
+        PKG / "kahler.py",
+        "if (spec.base_dim, spec.rank) != (1, 4) or not spec.is_split:",
+        "if False:",
+        ["tests/test_kahler.py::TestContractionClassification::test_p3_spec_refused"],
     ),
     Mutation(
         "w21 without its factor 3",
@@ -621,6 +657,21 @@ MUTATIONS = (
         "if False:",
         ["tests/test_invariants.py::TestInvariantsP1::test_p3_spec_refused"],
     ),
+    # a spec from Chern data alone then fails to unpack its degrees: TypeError
+    Mutation(
+        "admissibility_p3's shape guard dropped",
+        PKG / "invariants.py",
+        "if (spec.base_dim, spec.rank) != (3, 2) or not spec.is_split:",
+        "if False:",
+        ["tests/test_invariants.py::TestAdmissibility::test_non_split_spec_refused"],
+    ),
+    Mutation(
+        "gamma's shape guard dropped",
+        PKG / "chow.py",
+        "if (self.base_dim, self.rank) != (3, 2):",
+        "if False:",
+        ["tests/test_invariants.py::TestGamma::test_p1_spec_refused"],
+    ),
     Mutation(
         "h0_split's negative-degree guard dropped",
         PKG / "invariants.py",
@@ -658,6 +709,27 @@ MUTATIONS = (
         "IntersectionNumbers(1, c1, c1 ** 2 - c2, c1 ** 3 - 2 * c1 * c2)",
         "IntersectionNumbers(1, c1, c1 ** 2 + c2, c1 ** 3 + 2 * c1 * c2)",
         ["tests/test_chow.py::TestClosedForms"],
+    ),
+    Mutation(
+        "BundleSpec's split degree count guard dropped",
+        PKG / "chow.py",
+        "if len(degs) != self.rank:",
+        "if False:",
+        ["tests/test_chow.py::TestBundleSpec::test_split_degree_count_must_equal_rank"],
+    ),
+    Mutation(
+        "from_split truncating degrees with int",
+        PKG / "chow.py",
+        "tuple(sorted(map(index, degrees)))",
+        "tuple(sorted(map(int, degrees)))",
+        ["tests/test_chow.py::TestBundleSpec::test_from_split_refuses_non_integral_degrees"],
+    ),
+    Mutation(
+        "ChowClass's normal-form guard dropped",
+        PKG / "chow.py",
+        "if not (0 <= i < spec.rank and 0 <= j <= spec.base_dim):",
+        "if False:",
+        ["tests/test_chow.py::TestReduce::test_index_outside_normal_form_refused"],
     ),
     Mutation(
         "relation sign flipped in reduce",

@@ -94,6 +94,11 @@ class TestReduce:
             with pytest.raises(TypeError):
                 reduce(spec, {(2, 0): c})
 
+    def test_index_outside_normal_form_refused(self):
+        # xi^5 on a rank-2 bundle is not in the normal form i < rank
+        with pytest.raises(ValueError, match="normal form"):
+            ChowClass(BundleSpec.from_split(3, (0, 1)), {(5, 0): 1})
+
     def test_unsupported_operand_raises_type_error(self):
         xi = ChowClass.xi(BundleSpec.from_split(3, (0, 4)))
         for other in (2, Fraction(1, 2), 0.5, "x"):
@@ -194,6 +199,22 @@ class TestBundleSpec:
             BundleSpec(3, 2, 5, 0, (0, 4))  # c1 mismatch
         with pytest.raises(ValueError):
             BundleSpec(1, 4, 1, 1)  # c2 on P^1
+
+    def test_split_degree_count_must_equal_rank(self):
+        # three degrees summing to c1 = 3 at rank 4
+        with pytest.raises(ValueError, match="count"):
+            BundleSpec(1, 4, 3, 0, (0, 1, 2))
+
+    @pytest.mark.parametrize("base, degrees", [
+        (1, (0, 0, 0, 1.5)),
+        (1, (0, 0, 0, Fraction(3, 2))),
+        (1, (0, 0, 0, Fraction(1))),
+        (3, ("0", " 2")),
+    ])
+    def test_from_split_refuses_non_integral_degrees(self, base, degrees):
+        # int() would truncate 1.5 to 1 and parse " 2"; a degree is an int
+        with pytest.raises(TypeError):
+            BundleSpec.from_split(base, degrees)
 
     def test_normalization(self):
         spec = BundleSpec.from_split(3, (1, 3))

@@ -38,6 +38,10 @@ class TestLineCohomology:
 
 
 class TestConstructions:
+    def test_base_other_than_p1_or_p3_refused(self):
+        with pytest.raises(ValueError, match=r"P\^1 or P\^3"):
+            SplitBundle(2, (0, 1))
+
     def test_sym2_pair_sums(self):
         assert sym_power(SplitBundle(1, (0, 2)), 2).degrees == (0, 2, 4)
 

@@ -46,6 +46,10 @@ class TestGamma:
             for t in range(3):
                 assert BundleSpec.from_split(3, (t, b + t)).gamma() == b * b
 
+    def test_p1_spec_refused(self):
+        with pytest.raises(ValueError, match="rank-2 bundles over P"):
+            BundleSpec.from_split(1, (0, 0, 0, 1)).gamma()
+
 
 class TestInvariantsP3:
     def test_trivial_bundle_values(self):
@@ -513,3 +517,8 @@ class TestAdmissibility:
         assert not admissibility_p3(BundleSpec.from_split(3, (0, 5))).admissible
         r0 = admissibility_p3(BundleSpec.from_split(3, (0, 0)))
         assert r0.admissible and r0.gamma == 0
+
+    def test_non_split_spec_refused(self):
+        # Chern data alone have no splitting degrees to read a gap from
+        with pytest.raises(ValueError, match="split rank-2"):
+            admissibility_p3(BundleSpec.from_chern(1, 0))

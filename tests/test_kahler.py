@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import unipoly_kernel_check
 from cybundle.chow import BundleSpec
 from cybundle.invariants import (
     admissibility_p3,
@@ -81,14 +82,15 @@ class TestRationality:
         assert r.verdict is Rationality.IRRATIONAL_OR_UNRESOLVED
 
     def test_double_line_at_infinity(self):
-        # x y^2: double line y = 0 only visible in the x = 1 chart
+        # x y^2: the double line y = 0 is not in the y = 1 chart; y^2 divides
+        # w, so 0 is a double root of w(1, y)
         r = rationality_analysis(CubicForm(Fraction(0), Fraction(0), Fraction(1), Fraction(0)))
         assert r.verdict is Rationality.RATIONAL_DOUBLE_LINE
-        assert r.chart == "x"
+        assert (r.chart, r.double_roots) == ("x", (Fraction(0),))
 
-    # a one-entry chart: w = y^3 has the constant y-chart [1], so the x-chart
-    # finds the double line; w = x^3 has the constant x-chart, and the
-    # y-chart finds the double line first
+    # w = y^3 has the constant y-chart [1] and y^3 divides it, so the line
+    # y = 0 is read from that power; w = x^3 has the y-chart x^3, whose gcd
+    # with its derivative is x^2
     @pytest.mark.parametrize("w, chart", [
         (CubicForm(1, 0, 0, 0), "y"),
         (CubicForm(0, 0, 0, 1), "x"),
@@ -132,6 +134,12 @@ class TestRationality:
             r = rationality_analysis(w)
             assert r.verdict is Rationality.RATIONAL_DOUBLE_LINE
             assert a in r.double_roots
+
+    def test_matches_two_chart_reference(self):
+        # the two-chart search this analysis replaced, on every nonzero cubic
+        # with entries in -3..3 and every product of three nonzero linear
+        # forms with entries in -1..1; the script's default grid is larger
+        assert unipoly_kernel_check.check_rationality(bound=3, linear_bound=1) == 2400 + 512
 
     def test_every_rho2_p1_spec_has_double_line(self):
         for spec in P1_RHO2:
@@ -313,6 +321,10 @@ class TestDeterminants:
                 spec = BundleSpec.from_chern(c1, c2)
                 assert degeneracy_determinant(spec) == 16 - spec.gamma()
 
+    def test_degeneracy_refuses_p1_spec(self):
+        with pytest.raises(ValueError, match="rank-2 bundles on P"):
+            degeneracy_determinant(BundleSpec.from_split(1, (0, 0, 0, 1)))
+
     def test_h4_unimodular(self):
         for b in range(5):
             assert h4_basis_determinant(BundleSpec.from_split(3, (0, b))) == -1
@@ -352,6 +364,12 @@ class TestContractionClassification:
     def test_c1_over_3_refused(self):
         with pytest.raises(RhoNotTwoError):
             classify_contraction_p1(BundleSpec.from_split(1, (0, 0, 2, 2)))
+
+    @pytest.mark.parametrize("degrees", [(0, 0), (0, 2)])
+    def test_p3_spec_refused(self, degrees):
+        # both pass the rho = 2 gate, which would classify them by c1 alone
+        with pytest.raises(ValueError, match="split rank-4 bundle over P"):
+            classify_contraction_p1(BundleSpec.from_split(3, degrees))
 
     def test_refuses_exactly_when_the_gate_does(self):
         refused = 0

@@ -15,16 +15,29 @@ quadratic or none, and dense random ones.  Root lists are compared
 exactly, order included; gcd(p, p'), gcd(p, q) with q sharing a random
 factor with p, and gcds with the zero polynomial must be primitive int
 lists with a positive leading coefficient, equal to the monic reference
-times that coefficient.  It exits 1 on the first difference and needs
-nothing outside the standard library, so it runs under any Python the
-package supports; ``tests/test_ratpoly.py`` runs it too.
+times that coefficient.
+
+It also compares ``kahler.rationality_analysis``, which reads the y = 1
+chart and the power of y dividing w, with ``ref_rationality``, the
+two-chart search it replaced: gcd(w, w') in the chart y = 1, then in the
+reversed chart x = 1, then the rational roots of the y-chart, all by the
+int kernels checked above.  Verdict, chart and double roots must be equal on
+every nonzero cubic with coefficients in -6..6 and every product of three
+nonzero linear forms with coefficients in -3..3 (139 152 cubics).
+
+It exits 1 on the first difference and needs nothing outside the standard
+library, so it runs under any Python the package supports;
+``tests/test_ratpoly.py`` and ``tests/test_kahler.py`` run it on smaller
+sizes.
 """
 
 import sys
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt, lcm
 from random import Random
 
+from cybundle.kahler import CubicForm, Rationality, rationality_analysis
 from cybundle.ratpoly import derivative, poly_gcd, rational_roots
 
 
@@ -121,6 +134,52 @@ def ref_rational_roots(p: list) -> list:
     return roots
 
 
+def ref_rationality(w: tuple) -> tuple:
+    """(verdict, chart, double roots) of the cubic w = (w30, w21, w12, w03)
+    by the two-chart search: in the chart y = 1, then in the reversed chart
+    x = 1, a gcd(p, p') of degree >= 1 whose rational roots number its
+    degree is a double line; else the y-chart's rational roots and its
+    degree drop (the power of y dividing w) either count 3 lines or not."""
+    full = [c // gcd(*w) for c in reversed(w)]
+    y = trim(full)
+    for chart, p in (("y", y), ("x", trim(full[::-1]))):
+        g = poly_gcd(p, derivative(p))
+        if len(g) >= 2:
+            roots = tuple(rational_roots(g))
+            if len(roots) == len(g) - 1:
+                return Rationality.RATIONAL_DOUBLE_LINE, chart, roots
+    if len(rational_roots(y)) + 4 - len(y) == 3:
+        return Rationality.RATIONAL_FACTORS, None, ()
+    return Rationality.IRRATIONAL_OR_UNRESOLVED, None, ()
+
+
+def rationality_grid(bound: int, linear_bound: int):
+    """Every nonzero (w30, w21, w12, w03) with entries in -bound..bound,
+    then every ordered product of three nonzero linear forms a*x + b*y
+    with a, b in -linear_bound..linear_bound."""
+    for w in product(range(-bound, bound + 1), repeat=4):
+        if any(w):
+            yield w
+    span = range(-linear_bound, linear_bound + 1)
+    forms = [f for f in product(span, repeat=2) if any(f)]
+    for (a, b), (c, d), (e, f) in product(forms, repeat=3):
+        q2, q1, q0 = a * c, a * d + b * c, b * d
+        yield q2 * e, q2 * f + q1 * e, q1 * f + q0 * e, q0 * f
+
+
+def check_rationality(bound: int = 6, linear_bound: int = 3) -> int:
+    """Compare rationality_analysis with ref_rationality on the grid;
+    returns the number of cubics."""
+    n = 0
+    for w in rationality_grid(bound, linear_bound):
+        r = rationality_analysis(CubicForm(*w))
+        got, want = (r.verdict, r.chart, r.double_roots), ref_rationality(w)
+        if got != want or any(type(x) is not Fraction for x in r.double_roots):
+            raise AssertionError(f"rationality_analysis{w}: {got} != {want}")
+        n += 1
+    return n
+
+
 def random_scalar(rng: Random) -> Fraction:
     return Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 4))
 
@@ -186,8 +245,8 @@ def check(seed: int = 0, count: int = 2000) -> int:
 
 if __name__ == "__main__":
     try:
-        n = check()
+        n, cubics = check(), check_rationality()
     except AssertionError as exc:
         sys.exit(f"FAIL ({sys.version.split()[0]}): {exc}")
-    print(f"ok: rational_roots and poly_gcd of {n} polynomials match the Fraction "
-          f"references under Python {sys.version.split()[0]}")
+    print(f"ok: rational_roots and poly_gcd of {n} polynomials and rationality_analysis "
+          f"of {cubics} cubics match the references under Python {sys.version.split()[0]}")
