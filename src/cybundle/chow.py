@@ -35,15 +35,17 @@ class BundleSpec(Frozen):
     ``split_degrees`` is present iff the bundle is a direct sum of line
     bundles; cone and contraction work additionally requires it normalized
     (minimal degree 0).  For m = 1 all Chern classes above c1 vanish on the
-    base, so only c1 is stored.  ``_trusted`` sets the five fields past
-    ``__init__``'s checks, for callers whose fields are valid by construction.
+    base, so only c1 is stored.  ``__init__`` reads every int with
+    ``operator.index``, refusing a float, str or Fraction; ``_trusted`` sets
+    the five fields past its checks, for callers whose fields are valid.
     """
 
     __slots__ = ("base_dim", "rank", "c1", "c2", "split_degrees")
 
     def __init__(self, base_dim: int, rank: int, c1: int, c2: int = 0,
                  split_degrees: Optional[Tuple[int, ...]] = None) -> None:
-        self._fill(base_dim, rank, c1, c2, split_degrees)
+        degs = None if split_degrees is None else tuple(map(index, split_degrees))
+        self._fill(index(base_dim), index(rank), index(c1), index(c2), degs)
         if (self.base_dim, self.rank) not in SUPPORTED_CASES:
             raise ValueError(
                 f"unsupported (base_dim, rank) = ({self.base_dim}, {self.rank})"

@@ -69,7 +69,6 @@ from .kahler import (
     boundary_rays,
     classify_contraction_p1,
     require_rho_two,
-    rho_two_gate,
 )
 
 SCHEMA_VERSION = 1
@@ -112,7 +111,7 @@ _PLAIN = (int, str)
 
 # the keys of a report row, in csv column order: base and degrees, every
 # invariant field but base_dim, oracle_ok, then the cone and contraction
-# keys, null unless rho = 2
+# keys, null unless picard_number is 2 and, on p3, fiber_count is not null
 ROW_KEYS = (
     "base",
     "degrees",
@@ -166,10 +165,11 @@ def _report_row(spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None) -> d
     # every record is oracle-checked; a mismatch raises before this
     row["oracle_ok"] = True
     row.update(zip(_RECORD_KEYS, map(inv.__getattribute__, _RECORD_KEYS)))
-    # one rho = 2 decision fills both the cone and the contraction fields
-    norm, _ = rho_two_gate(spec)
-    if norm is None:
+    # the record's rho = 2, and on p3 its fiber count (None where gamma > 16
+    # leaves no smooth X), fill the cone and contraction fields
+    if inv.picard_number != 2 or (spec.base_dim == 3 and inv.fiber_count is None):
         return row
+    norm = spec.normalized()
     kr = boundary_rays(norm, inv if norm is spec else invariants_for(norm, oracle_memo))
     row["rationality"] = kr.rationality.value
     row["ray_c2_xi"], row["ray_c2_h"] = kr.c2_values

@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import combinations_with_replacement, repeat
 from math import comb, factorial, prod
+from operator import index
 from typing import Tuple
 
 from ._value import Frozen
@@ -30,7 +31,7 @@ class SplitBundle(Frozen):
             raise ValueError("base must be P^1 or P^3")
         if not self.degrees:
             raise ValueError("rank must be at least 1")
-        object.__setattr__(self, "degrees", tuple(sorted(self.degrees)))
+        object.__setattr__(self, "degrees", tuple(sorted(map(index, self.degrees))))
 
     def twist(self, t: int) -> "SplitBundle":
         # adding t keeps the degrees sorted

@@ -32,8 +32,8 @@ from .ratpoly import (
 
 
 class QuadraticSection(Frozen):
-    """The fiberwise quadric datum (s00, s01, s11) over a split spec; ``_trusted``
-    wraps a validated section's scaled or truncated components, still homogeneous."""
+    """The fiberwise quadric datum (s00, s01, s11) over a split spec; ``_trusted`` wraps
+    components homogeneous of section_degrees already: sampled, scaled or truncated."""
 
     __slots__ = ("spec", "s00", "s01", "s11")
 
@@ -256,7 +256,7 @@ def sample_section(spec: BundleSpec, seed: int, bound: int) -> QuadraticSection:
             if n:
                 num[e] = n * (12, 6, 4, 3)[(state >> 32) % 4]
         parts.append(MultiPoly._trusted(num, 12))
-    return QuadraticSection(spec, *parts)
+    return QuadraticSection._trusted(spec, *parts)
 
 
 def witness_section(section: QuadraticSection) -> QuadraticSection:

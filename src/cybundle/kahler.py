@@ -150,29 +150,24 @@ class RhoNotTwoError(ValueError):
     """The spec does not satisfy the rho = 2 criterion required here."""
 
 
-def rho_two_gate(spec: BundleSpec) -> Tuple[Optional[BundleSpec], Optional[str]]:
-    """(the normalized spec, None) if rho = 2 holds for it, else (None, the
-    reason it fails); require_rho_two raises that reason."""
+def require_rho_two(spec: BundleSpec) -> BundleSpec:
+    """The normalized spec, or RhoNotTwoError naming why rho = 2 fails.
+
+    boundary_rays and classify_contraction_p1 guard with it; a report row
+    reaches them once its invariant record reads rho = 2, so a record that
+    disagrees with this criterion raises here instead of printing a cone."""
     if not spec.is_split:
-        return None, "cone analysis needs split, normalized bundles"
+        raise RhoNotTwoError("cone analysis needs split, normalized bundles")
     norm = spec.normalized()
     if norm.base_dim == 1:
         if norm.c1 > 3:
-            return None, f"c1 = {norm.c1} > 3 forces rho > 2"
+            raise RhoNotTwoError(f"c1 = {norm.c1} > 3 forces rho > 2")
     else:
         adm = admissibility_p3(norm)
         if not adm.admissible:
-            return None, f"splitting gap {adm.gap} > 4: no smooth X"
+            raise RhoNotTwoError(f"splitting gap {adm.gap} > 4: no smooth X")
         if norm.split_degrees == RHO_ONE_SPLITTING_P3:
-            return None, "O + O(4) has rho = 1"
-    return norm, None
-
-
-def require_rho_two(spec: BundleSpec) -> BundleSpec:
-    """The normalized spec, or RhoNotTwoError if rho = 2 fails for it."""
-    norm, reason = rho_two_gate(spec)
-    if reason is not None:
-        raise RhoNotTwoError(reason)
+            raise RhoNotTwoError("O + O(4) has rho = 1")
     return norm
 
 

@@ -43,6 +43,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
+from operator import index
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 Exponent = Tuple[int, int, int, int]
@@ -214,7 +215,7 @@ class MultiPoly:
             for e, c in terms.items():
                 c = _frac(c)
                 if c != 0:
-                    if len(e) != NVARS or any(x < 0 for x in e):
+                    if len(e) != NVARS or any(index(x) < 0 for x in e):
                         raise ValueError(f"bad exponent tuple {e!r}")
                     tm[tuple(e)] = c
         # over the lcm of reduced denominators the numerators are coprime to it

@@ -559,6 +559,22 @@ MUTATIONS = (
         "if norm.c1 > 4:",
         ["tests/test_kahler.py::TestRhoTwoGate"],
     ),
+    # a report row reads rho = 2 from its record; a row the cone layer
+    # refuses then raises RhoNotTwoError from boundary_rays
+    Mutation(
+        "row gate reads rho > 2",
+        PKG / "cli.py",
+        "if inv.picard_number != 2 or",
+        "if inv.picard_number > 2 or",
+        ["tests/test_cli.py::TestReportRowGate"],
+    ),
+    Mutation(
+        "row gate without the P^3 fiber-count clause",
+        PKG / "cli.py",
+        "if inv.picard_number != 2 or (spec.base_dim == 3 and inv.fiber_count is None):",
+        "if inv.picard_number != 2:",
+        ["tests/test_cli.py::TestReportRowGate"],
+    ),
     Mutation(
         "c2-positivity guard lets xi.c2 = 0 pass",
         PKG / "kahler.py",
@@ -723,6 +739,56 @@ MUTATIONS = (
         "tuple(sorted(map(index, degrees)))",
         "tuple(sorted(map(int, degrees)))",
         ["tests/test_chow.py::TestBundleSpec::test_from_split_refuses_non_integral_degrees"],
+    ),
+    # one mutation per int that a constructor reads with operator.index
+    Mutation(
+        "BundleSpec keeping a float base_dim",
+        PKG / "chow.py",
+        "index(base_dim)",
+        "base_dim",
+        ["tests/test_chow.py::TestBundleSpec::test_init_refuses_non_integral_fields"],
+    ),
+    Mutation(
+        "BundleSpec keeping a float rank",
+        PKG / "chow.py",
+        "index(rank)",
+        "rank",
+        ["tests/test_chow.py::TestBundleSpec::test_init_refuses_non_integral_fields"],
+    ),
+    Mutation(
+        "BundleSpec keeping a float c1",
+        PKG / "chow.py",
+        "index(c1)",
+        "c1",
+        ["tests/test_chow.py::TestBundleSpec::test_init_refuses_non_integral_fields"],
+    ),
+    Mutation(
+        "BundleSpec keeping a float c2",
+        PKG / "chow.py",
+        "index(c2)",
+        "c2",
+        ["tests/test_chow.py::TestBundleSpec::test_init_refuses_non_integral_fields"],
+    ),
+    Mutation(
+        "BundleSpec keeping float split degrees",
+        PKG / "chow.py",
+        "tuple(map(index, split_degrees))",
+        "tuple(split_degrees)",
+        ["tests/test_chow.py::TestBundleSpec::test_init_refuses_non_integral_fields"],
+    ),
+    Mutation(
+        "SplitBundle keeping float degrees",
+        PKG / "cohomology.py",
+        "tuple(sorted(map(index, self.degrees)))",
+        "tuple(sorted(self.degrees))",
+        ["tests/test_cohomology.py::TestConstructions::test_non_integral_degree_refused"],
+    ),
+    Mutation(
+        "MultiPoly keeping float exponents",
+        PKG / "ratpoly.py",
+        "any(index(x) < 0 for x in e)",
+        "any(x < 0 for x in e)",
+        ["tests/test_ratpoly.py::TestMultiPoly::test_non_integral_exponent_refused"],
     ),
     Mutation(
         "ChowClass's normal-form guard dropped",

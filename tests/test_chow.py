@@ -216,6 +216,22 @@ class TestBundleSpec:
         with pytest.raises(TypeError):
             BundleSpec.from_split(base, degrees)
 
+    @pytest.mark.parametrize("args", [
+        (3, 2, 1.5, 0),  # from_chern(1.5, 0): a record with c3_X = -186.0
+        (3, 2, Fraction(2), 0),
+        (3, 2, "1", 0),
+        (3, 2, 0, 0.5),
+        (1, 4, 3.0, 0, (0, 1, 1, 1)),  # a record with xi3 = 11.0
+        (1.0, 4, 3, 0, (0, 1, 1, 1)),
+        (1, 4.0, 3, 0, (0, 1, 1, 1)),
+        (1, 4, 3, 0, (0, 1, 1, 1.0)),
+    ], ids=["c1-float", "c1-fraction", "c1-str", "c2", "c1-split", "base_dim", "rank",
+            "degree"])
+    def test_init_refuses_non_integral_fields(self, args):
+        # each field is an int: a float would reach every record as a float
+        with pytest.raises(TypeError):
+            BundleSpec(*args)
+
     def test_normalization(self):
         spec = BundleSpec.from_split(3, (1, 3))
         norm = spec.normalized()

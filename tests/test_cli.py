@@ -417,9 +417,10 @@ class TestDiscriminantCommand:
 
 
 class TestReportRowGate:
-    """_report_row takes one rho = 2 decision: the cone fields are null
-    exactly when require_rho_two refuses, and on p1 so are the contraction
-    fields; p3 rows have no contraction."""
+    """_report_row reads rho = 2 from the record it prints: the cone fields
+    are null exactly when the row's picard_number is not 2 or, on p3, its
+    fiber_count is null, which is exactly when require_rho_two refuses; on
+    p1 so are the contraction fields, and p3 rows have no contraction."""
 
     def test_exhaustive_grid(self):
         # p1 degrees in -3..6 up to order; p3 (a, b) with a in -3..6, b - a in 0..9
@@ -440,6 +441,9 @@ class TestReportRowGate:
             cone = [row["rationality"], row["ray_c2_xi"], row["ray_c2_h"]]
             assert all(v is None for v in cone) == gate, spec
             assert any(v is None for v in cone) == gate, spec
+            no_cone = row["picard_number"] != 2 or (
+                row["base"] == "p3" and row["fiber_count"] is None)
+            assert no_cone == gate, spec
             if spec.base_dim == 1:
                 assert (row["contraction_kind"] is None) == gate, spec
             else:

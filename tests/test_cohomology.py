@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -41,6 +42,11 @@ class TestConstructions:
     def test_base_other_than_p1_or_p3_refused(self):
         with pytest.raises(ValueError, match=r"P\^1 or P\^3"):
             SplitBundle(2, (0, 1))
+
+    @pytest.mark.parametrize("degrees", [(0.5, 1), (0, 1.0), (0, Fraction(1)), ("0",)])
+    def test_non_integral_degree_refused(self, degrees):
+        with pytest.raises(TypeError):
+            SplitBundle(1, degrees)
 
     def test_sym2_pair_sums(self):
         assert sym_power(SplitBundle(1, (0, 2)), 2).degrees == (0, 2, 4)

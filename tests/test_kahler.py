@@ -24,7 +24,6 @@ from cybundle.kahler import (
     h4_basis_determinant,
     rationality_analysis,
     require_rho_two,
-    rho_two_gate,
     verify_KY_squared,
     w_cubic,
 )
@@ -290,8 +289,9 @@ class TestRhoTwoGate:
         for spec in specs:
             assert _refuses(require_rho_two, spec) == (picard_number(spec)[0] != 2), spec
 
-    def test_gate_and_require_rho_two_agree(self):
-        # rho_two_gate returns what require_rho_two returns or raises
+    def test_refusal_reasons(self):
+        # each refusal names its cause, read here from rho, the gap or the
+        # missing splitting; every other spec comes back normalized
         specs = [BundleSpec.from_split(1, (0, a1, a2, a3))
                  for a1 in range(4) for a2 in range(a1, 4) for a3 in range(a2, 4)]
         specs += [BundleSpec.from_split(3, (a, a + gap))
@@ -299,12 +299,22 @@ class TestRhoTwoGate:
         specs += [BundleSpec.from_chern(c1, c2) for c1, c2 in [(0, 0), (2, 1), (4, 4)]]
         reasons = set()
         for spec in specs:
-            try:
-                want = (require_rho_two(spec), None)
-            except RhoNotTwoError as exc:
-                want = (None, str(exc))
-                reasons.add(str(exc).split()[0])
-            assert rho_two_gate(spec) == want, spec
+            if not spec.is_split:
+                want = "cone analysis needs split, normalized bundles"
+            elif spec.base_dim == 1:
+                want = None if picard_number(spec)[0] == 2 else (
+                    f"c1 = {spec.c1} > 3 forces rho > 2")
+            elif (gap := spec.split_degrees[1] - spec.split_degrees[0]) > 4:
+                want = f"splitting gap {gap} > 4: no smooth X"
+            else:
+                want = None if picard_number(spec)[0] == 2 else "O + O(4) has rho = 1"
+            if want is None:
+                assert require_rho_two(spec) == spec.normalized(), spec
+            else:
+                with pytest.raises(RhoNotTwoError) as exc:
+                    require_rho_two(spec)
+                assert str(exc.value) == want, spec
+                reasons.add(want.split()[0])
         assert reasons == {"c1", "splitting", "O", "cone"}
 
 

@@ -195,6 +195,12 @@ class TestMultiPoly:
         s01 = MultiPoly({(4, 0, 0, 0): 1})
         assert s01 * s01 == MultiPoly({(8, 0, 0, 0): 1})
 
+    @pytest.mark.parametrize("e", [(1.5, 0, 0, 0), (0, 1.0, 0, 0), (0, 0, Fraction(1), 0)])
+    def test_non_integral_exponent_refused(self, e):
+        # an exponent is an int, even where a float or Fraction equals one
+        with pytest.raises(TypeError):
+            MultiPoly({e: 1})
+
     def test_mul_commutative_associative(self):
         rng = random.Random(5)
         for _ in range(25):

@@ -29,6 +29,7 @@ ALLOWED_UNREACHED = {
     "cohomology.euler_characteristic": "reserved for ROADMAP V",
     "cohomology.line_cohomology": "reserved for ROADMAP V",
     "discriminant.Octic.__init__": "value protocol: the validating constructor",
+    "discriminant.QuadraticSection.__init__": "value protocol: the validating constructor",
     "discriminant.base_locus_expected": "acceptance: criterion 11",
     "invariants.euler_characteristic_rank2_p3": "acceptance: criterion 7",
     "invariants.h0_split": "acceptance: criterion 7",
