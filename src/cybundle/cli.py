@@ -415,7 +415,7 @@ def _cmd_kaehler(args) -> dict:
             "w03": str(w.w03),
         },
         "rationality": analysis.verdict.value,
-        "double_roots": [str(r) for r in analysis.double_roots],
+        "double_roots": [list(r) for r in analysis.double_roots],
         "report": report.to_dict(),
     }
 

@@ -26,7 +26,7 @@ class SplitBundle(Frozen):
     __slots__ = ("base_dim", "degrees")
 
     def __init__(self, base_dim: int, degrees: Tuple[int, ...]) -> None:
-        self._fill(base_dim, degrees)
+        self._fill(index(base_dim), degrees)
         if self.base_dim not in (1, 3):
             raise ValueError("base must be P^1 or P^3")
         if not self.degrees:

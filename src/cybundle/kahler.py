@@ -5,10 +5,11 @@ N^1(X) is two-dimensional with basis (xi|X, pi^*h).  The cubic hypersurface
 boundary rays via gcd(w, w').  The coefficients of w are ints on X; the
 analysis clears a cubic once to a primitive int list, reads the y = 1
 chart and the power of y dividing w from it and runs the ``ratpoly``
-kernels on int lists.  For normalized split bundles the boundary rays
-themselves are known (the cone of X is the restricted cone of Z), so they
-are asserted and their c2-values reported rather than rediscovered.  The
-Gram determinant reads the top intersections of
+kernels on int lists.  A double line is reported as the point [x, y] of
+P^1 in the basis of the rays.  For normalized split bundles the boundary
+rays themselves are known (the cone of X is the restricted cone of Z), so
+they are asserted and their c2-values reported rather than rediscovered.
+The Gram determinant reads the top intersections of
 ``closed_form_intersections``; only ``verify_KY_squared`` reduces.
 """
 
@@ -62,22 +63,22 @@ def w_cubic(inv: CyInvariants) -> CubicForm:
 
 
 class RationalityReport(Frozen):
-    # chart: the chart that exhibited the gcd factor; double_roots: the roots
-    # of gcd(w, Dw) in that chart
-    __slots__ = ("verdict", "chart", "double_roots")
+    # double_roots: each double line of w as a primitive int point (x, y) of
+    # P^1 in the basis (xi|X, pi^*h) of KahlerReport.rays: y > 0, or (1, 0)
+    __slots__ = ("verdict", "double_roots")
 
-    def __init__(self, verdict: Rationality, chart: Optional[str],
-                 double_roots: Tuple[Fraction, ...]) -> None:
-        self._fill(verdict, chart, double_roots)
+    def __init__(self, verdict: Rationality, double_roots: Tuple[Tuple[int, int], ...]) -> None:
+        self._fill(verdict, double_roots)
 
 
 def rationality_analysis(w: CubicForm) -> RationalityReport:
     """Double-line detection by gcd(w, Dw) in the y = 1 chart.
 
-    That chart misses only the line y = 0, the point [1:0].  If y^k divides
-    w exactly, y = 0 is a k-fold root of w(1, y), whose gcd with its
-    derivative is y^(k-1): that line is double exactly when k >= 2.  If no
-    double line exists, fall back to full rational-root factorization.
+    A root s/t of that chart (t > 0) is the line [s:t].  The chart misses
+    only the line y = 0, the point [1:0].  If y^k divides w exactly, y = 0
+    is a k-fold root of w(1, y), whose gcd with its derivative is y^(k-1):
+    that line is double exactly when k >= 2.  If no double line exists,
+    fall back to full rational-root factorization.
 
     The verdict describes the cubic {D^3 = 0}, not the Kaehler cone: the
     split p3 specs (0,1)..(0,3) read IRRATIONAL_OR_UNRESOLVED although
@@ -95,31 +96,18 @@ def rationality_analysis(w: CubicForm) -> RationalityReport:
     # a one-entry chart has derivative [] and gcd [1], which the len test skips
     g = poly_gcd(y, derivative(y))
     if len(g) >= 2:
-        roots = tuple(rational_roots(g))
+        roots = rational_roots(g)
         # the lemma guarantees rationality of the repeated factor; a
         # degree >= 1 gcd without rational roots would contradict it
         if len(roots) == len(g) - 1:
-            return RationalityReport(
-                verdict=Rationality.RATIONAL_DOUBLE_LINE,
-                chart="y",
-                double_roots=roots,
-            )
+            return RationalityReport(Rationality.RATIONAL_DOUBLE_LINE,
+                                     tuple((r.numerator, r.denominator) for r in roots))
     if y_mult >= 2:
-        return RationalityReport(verdict=Rationality.RATIONAL_DOUBLE_LINE, chart="x",
-                                 double_roots=(Fraction(0),) * (y_mult - 1))
+        return RationalityReport(Rationality.RATIONAL_DOUBLE_LINE, ((1, 0),) * (y_mult - 1))
     # a cubic with a simple y-factor can still split off rational lines
-    roots = tuple(rational_roots(y))
-    if len(roots) + y_mult == 3:
-        return RationalityReport(
-            verdict=Rationality.RATIONAL_FACTORS,
-            chart=None,
-            double_roots=(),
-        )
-    return RationalityReport(
-        verdict=Rationality.IRRATIONAL_OR_UNRESOLVED,
-        chart=None,
-        double_roots=(),
-    )
+    if len(rational_roots(y)) + y_mult == 3:
+        return RationalityReport(Rationality.RATIONAL_FACTORS, ())
+    return RationalityReport(Rationality.IRRATIONAL_OR_UNRESOLVED, ())
 
 
 class KahlerReport(Frozen):

@@ -80,6 +80,13 @@ MUTATIONS = (
         ["tests/test_cohomology.py"],
     ),
     Mutation(
+        "SplitBundle keeping a float base_dim",
+        PKG / "cohomology.py",
+        "self._fill(index(base_dim), degrees)",
+        "self._fill(base_dim, degrees)",
+        ["tests/test_cohomology.py::TestConstructions::test_non_integral_base_refused"],
+    ),
+    Mutation(
         "SplitBundle's base guard dropped",
         PKG / "cohomology.py",
         "if self.base_dim not in (1, 3):",
@@ -530,6 +537,24 @@ MUTATIONS = (
         "(y_mult - 1)",
         "y_mult",
         ["tests/test_kahler.py::TestRationality::test_cube_of_a_line"],
+    ),
+    # a double line is the point [x, y] in the basis of the rays: y = 0 is
+    # [1:0], and a root s/t of the chart y = 1 is [s:t]
+    Mutation(
+        "chart-x double root emitted as (0, 1)",
+        PKG / "kahler.py",
+        "((1, 0),) * (y_mult - 1)",
+        "((0, 1),) * (y_mult - 1)",
+        ["tests/test_kahler.py::TestRationality::test_double_line_at_infinity",
+         "tests/test_cli.py::TestKaehlerCommand::test_double_roots_are_rays"],
+    ),
+    Mutation(
+        "root s/t emitted as (t, s)",
+        PKG / "kahler.py",
+        "(r.numerator, r.denominator) for r in roots",
+        "(r.denominator, r.numerator) for r in roots",
+        ["tests/test_kahler.py::TestRationality::test_planted_double_roots",
+         "tests/test_cli.py::TestKaehlerCommand::test_double_roots_are_rays"],
     ),
     Mutation(
         "degeneracy_determinant's shape guard dropped",

@@ -165,7 +165,7 @@ def test_criterion_09_cone_rationality():
         w = CubicForm(Fraction(1), -(2 * a + b), a * a + 2 * a * b, -(a * a * b))
         rep = rationality_analysis(w)
         assert rep.verdict is Rationality.RATIONAL_DOUBLE_LINE
-        assert a in rep.double_roots
+        assert (a.numerator, a.denominator) in rep.double_roots
     _passed(9, "cone rationality: double lines detected, planted roots recovered")
 
 

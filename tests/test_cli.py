@@ -275,6 +275,20 @@ class TestKaehlerCommand:
     def test_rho1_refused(self):
         assert main(["kaehler", "--base", "p3", "--degrees", "0,4"]) == 4
 
+    # the 8 cubics a request reaches, p3 (0,0)..(0,3) and one p1 spec per
+    # c1 = 0..3: each double line is printed as a point in the basis of the
+    # rays, and it is one of them
+    @pytest.mark.parametrize("base, degs, want", [
+        ("p3", "0,0", [[1, 0]]), ("p3", "0,1", []), ("p3", "0,2", []), ("p3", "0,3", []),
+        ("p1", "0,0,0,0", [[0, 1]]), ("p1", "0,0,0,1", [[0, 1]]),
+        ("p1", "0,0,1,1", [[0, 1]]), ("p1", "0,0,1,2", [[0, 1]]),
+    ])
+    def test_double_roots_are_rays(self, base, degs, want):
+        code, out, err = run_main(["kaehler", "--base", base, "--degrees", degs])
+        payload = json.loads(out)
+        assert (code, err, payload["double_roots"]) == (0, "", want)
+        assert all(p in payload["report"]["rays"] for p in payload["double_roots"])
+
 
 class TestDiscriminantCommand:
     def test_checks_and_witness(self, tmp_path):

@@ -48,6 +48,11 @@ class TestConstructions:
         with pytest.raises(TypeError):
             SplitBundle(1, degrees)
 
+    @pytest.mark.parametrize("base_dim", [3.0, Fraction(3), "3"])
+    def test_non_integral_base_refused(self, base_dim):
+        with pytest.raises(TypeError):
+            SplitBundle(base_dim, (0, 1))
+
     def test_sym2_pair_sums(self):
         assert sym_power(SplitBundle(1, (0, 2)), 2).degrees == (0, 2, 4)
 

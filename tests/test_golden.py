@@ -79,8 +79,8 @@ CASES = (
     ]
     + [
         # every distinct rho = 2 cubic besides the p3 0,2 and p1 0,0,1,1 cases
-        # above; p3 0,0 is the double line of the x chart, and a p1 cubic
-        # depends on c1 alone
+        # above; p3 0,0 has the double line [1, 0], and a p1 cubic depends
+        # on c1 alone
         (f"kaehler-{base}-{degs.replace(',', '')}",
          ["kaehler", "--base", base, "--degrees", degs, "--format", "json"], 0)
         for base, degs in (("p3", "0,0"), ("p3", "0,1"), ("p3", "0,3"),

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
 import pytest
 
@@ -62,42 +63,58 @@ class TestWCubic:
         assert w.w21 == 3 * inv.xi2_h
 
 
+def _double_line_at(w, point) -> bool:
+    """point is a primitive int pair (x, y) with y > 0, or (1, 0), and
+    w(x, y) = dw/dx = dw/dy = 0 there, in ints: the line [x:y] is a double
+    root of w."""
+    if not unipoly_kernel_check.is_point(point):
+        return False
+    x, y = point
+    den = lcm(*(Fraction(c).denominator for c in (w.w30, w.w21, w.w12, w.w03)))
+    a, b, c, d = (int(k * den) for k in (w.w30, w.w21, w.w12, w.w03))
+    return (a * x ** 3 + b * x * x * y + c * x * y * y + d * y ** 3,
+            3 * a * x * x + 2 * b * x * y + c * y * y,
+            b * x * x + 2 * c * x * y + 3 * d * y * y) == (0, 0, 0)
+
+
 class TestRationality:
     def test_p1_shape_double_line(self):
-        r = rationality_analysis(CubicForm(Fraction(2), Fraction(12), Fraction(0), Fraction(0)))
+        # 2 x^2 (x + 6y): the double line x = 0 is the ray pi^*h
+        w = CubicForm(Fraction(2), Fraction(12), Fraction(0), Fraction(0))
+        r = rationality_analysis(w)
         assert r.verdict is Rationality.RATIONAL_DOUBLE_LINE
-        assert Fraction(0) in r.double_roots
+        assert r.double_roots == ((0, 1),) and _double_line_at(w, (0, 1))
 
     def test_constructed_double_line(self):
         # (x - y)^2 (x + y) = x^3 - x^2 y - x y^2 + y^3
-        r = rationality_analysis(
-            CubicForm(Fraction(1), Fraction(-1), Fraction(-1), Fraction(1))
-        )
+        w = CubicForm(Fraction(1), Fraction(-1), Fraction(-1), Fraction(1))
+        r = rationality_analysis(w)
         assert r.verdict is Rationality.RATIONAL_DOUBLE_LINE
-        assert r.double_roots == (Fraction(1),)
+        assert r.double_roots == ((1, 1),) and _double_line_at(w, (1, 1))
 
     def test_irrational(self):
         r = rationality_analysis(CubicForm(Fraction(1), Fraction(0), Fraction(0), Fraction(-2)))
         assert r.verdict is Rationality.IRRATIONAL_OR_UNRESOLVED
 
     def test_double_line_at_infinity(self):
-        # x y^2: the double line y = 0 is not in the y = 1 chart; y^2 divides
-        # w, so 0 is a double root of w(1, y)
-        r = rationality_analysis(CubicForm(Fraction(0), Fraction(0), Fraction(1), Fraction(0)))
+        # x y^2: the double line y = 0, the point [1:0], is not in the y = 1
+        # chart; y^2 divides w, so it is read from that power
+        w = CubicForm(Fraction(0), Fraction(0), Fraction(1), Fraction(0))
+        r = rationality_analysis(w)
         assert r.verdict is Rationality.RATIONAL_DOUBLE_LINE
-        assert (r.chart, r.double_roots) == ("x", (Fraction(0),))
+        assert r.double_roots == ((1, 0),) and _double_line_at(w, (1, 0))
 
     # w = y^3 has the constant y-chart [1] and y^3 divides it, so the line
     # y = 0 is read from that power; w = x^3 has the y-chart x^3, whose gcd
     # with its derivative is x^2
-    @pytest.mark.parametrize("w, chart", [
-        (CubicForm(1, 0, 0, 0), "y"),
-        (CubicForm(0, 0, 0, 1), "x"),
+    @pytest.mark.parametrize("w, point", [
+        (CubicForm(1, 0, 0, 0), (0, 1)),
+        (CubicForm(0, 0, 0, 1), (1, 0)),
     ])
-    def test_cube_of_a_line(self, w, chart):
+    def test_cube_of_a_line(self, w, point):
         r = rationality_analysis(w)
         assert r.verdict is Rationality.RATIONAL_DOUBLE_LINE
-        assert (r.chart, r.double_roots) == (chart, (Fraction(0), Fraction(0)))
+        assert r.double_roots == (point, point) and _double_line_at(w, point)
 
     def test_zero_form_refused(self):
         with pytest.raises(ValueError):
@@ -116,7 +133,7 @@ class TestRationality:
     def test_factor_verdicts(self, w, verdict):
         r = rationality_analysis(w)
         assert r.verdict is verdict
-        assert (r.chart, r.double_roots) == (None, ())
+        assert r.double_roots == ()
 
     def test_planted_double_roots(self):
         rng = random.Random(99)
@@ -132,7 +149,8 @@ class TestRationality:
             )
             r = rationality_analysis(w)
             assert r.verdict is Rationality.RATIONAL_DOUBLE_LINE
-            assert a in r.double_roots
+            assert (a.numerator, a.denominator) in r.double_roots
+            assert all(_double_line_at(w, p) for p in r.double_roots), (w, r.double_roots)
 
     def test_matches_two_chart_reference(self):
         # the two-chart search this analysis replaced, on every nonzero cubic
@@ -150,14 +168,6 @@ class TestRationality:
 def _discriminant(a, b, c, d):
     """The discriminant of the binary cubic a x^3 + b x^2 y + c x y^2 + d y^3."""
     return b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d - 27 * a * a * d * d + 18 * a * b * c * d
-
-
-def _value_and_slope(coeffs, r):
-    """p(r) and p'(r) for the coefficient list p (index = degree), by Horner."""
-    value = slope = 0
-    for c in reversed(coeffs):
-        value, slope = value * r + c, slope * r + value
-    return value, slope
 
 
 def _seeded_cubics(rng, count):
@@ -188,8 +198,8 @@ class TestDoubleLineAgainstDiscriminant:
     numbers exactly when its discriminant vanishes.  The repeated factor of
     a rational cubic divides gcd(w, dw/dx) in one chart, so it is rational,
     and RATIONAL_DOUBLE_LINE must be read exactly then.  Each reported
-    double root must be a zero of its chart polynomial and of that
-    polynomial's derivative.
+    double root must be a point [x:y] where w and both its partial
+    derivatives vanish.
     """
 
     def test_verdict_iff_discriminant_vanishes(self):
@@ -199,12 +209,9 @@ class TestDoubleLineAgainstDiscriminant:
             rep = rationality_analysis(w)
             double = rep.verdict is Rationality.RATIONAL_DOUBLE_LINE
             assert double == (_discriminant(w.w30, w.w21, w.w12, w.w03) == 0), w
-            chart = [w.w03, w.w12, w.w21, w.w30]
-            if rep.chart == "x":
-                chart.reverse()
             assert double == bool(rep.double_roots)
-            for r in rep.double_roots:
-                assert type(r) is Fraction and _value_and_slope(chart, r) == (0, 0), (w, r)
+            for p in rep.double_roots:
+                assert _double_line_at(w, p), (w, p)
             doubles, total = doubles + double, total + 1
         # both sides of the equivalence are well represented
         assert 0.3 < doubles / total < 0.7

@@ -67,8 +67,7 @@ CASES = [
     (CubicForm, lambda: dict(
         w30=Fraction(5, 2), w21=Fraction(3), w12=Fraction(0), w03=Fraction(-1, 4))),
     (RationalityReport, lambda: dict(
-        verdict=Rationality.RATIONAL_DOUBLE_LINE, chart="y",
-        double_roots=(Fraction(1, 2),))),
+        verdict=Rationality.RATIONAL_DOUBLE_LINE, double_roots=((1, 2),))),
     (KahlerReport, lambda: _named(
         boundary_rays(P3_SPEC, invariants_for(P3_SPEC)),
         ("rays", "cubic", "analysis", "c2_values", "degeneracy_det", "basis_det"))),

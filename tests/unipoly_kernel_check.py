@@ -21,7 +21,8 @@ It also compares ``kahler.rationality_analysis``, which reads the y = 1
 chart and the power of y dividing w, with ``ref_rationality``, the
 two-chart search it replaced: gcd(w, w') in the chart y = 1, then in the
 reversed chart x = 1, then the rational roots of the y-chart, all by the
-int kernels checked above.  Verdict, chart and double roots must be equal on
+int kernels checked above.  The verdict and the double roots, each a point
+[x, y] of P^1 as a primitive int pair with y > 0 or (1, 0), must be equal on
 every nonzero cubic with coefficients in -6..6 and every product of three
 nonzero linear forms with coefficients in -3..3 (139 152 cubics).
 
@@ -134,23 +135,44 @@ def ref_rational_roots(p: list) -> list:
     return roots
 
 
+def y_chart_point(r: Fraction) -> tuple:
+    """The point [r : 1] as a primitive int pair."""
+    return r.numerator, r.denominator
+
+
+def x_chart_point(s: Fraction) -> tuple:
+    """The point [1 : s] as a primitive int pair with y > 0, or (1, 0)."""
+    if s == 0:
+        return 1, 0
+    sign = 1 if s > 0 else -1
+    return sign * s.denominator, sign * s.numerator
+
+
+def is_point(p) -> bool:
+    """p is a primitive int pair (x, y) with y > 0, or (1, 0)."""
+    x, y = p
+    return (type(x) is int and type(y) is int and gcd(x, y) == 1
+            and (y > 0 or (x, y) == (1, 0)))
+
+
 def ref_rationality(w: tuple) -> tuple:
-    """(verdict, chart, double roots) of the cubic w = (w30, w21, w12, w03)
-    by the two-chart search: in the chart y = 1, then in the reversed chart
-    x = 1, a gcd(p, p') of degree >= 1 whose rational roots number its
-    degree is a double line; else the y-chart's rational roots and its
-    degree drop (the power of y dividing w) either count 3 lines or not."""
+    """(verdict, double roots) of the cubic w = (w30, w21, w12, w03) by the
+    two-chart search: in the chart y = 1, then in the reversed chart x = 1,
+    a gcd(p, p') of degree >= 1 whose rational roots number its degree is
+    a double line, each root mapped to its point; else the y-chart's
+    rational roots and its degree drop (the power of y dividing w) either
+    count 3 lines or not."""
     full = [c // gcd(*w) for c in reversed(w)]
     y = trim(full)
-    for chart, p in (("y", y), ("x", trim(full[::-1]))):
+    for point, p in ((y_chart_point, y), (x_chart_point, trim(full[::-1]))):
         g = poly_gcd(p, derivative(p))
         if len(g) >= 2:
-            roots = tuple(rational_roots(g))
+            roots = rational_roots(g)
             if len(roots) == len(g) - 1:
-                return Rationality.RATIONAL_DOUBLE_LINE, chart, roots
+                return Rationality.RATIONAL_DOUBLE_LINE, tuple(map(point, roots))
     if len(rational_roots(y)) + 4 - len(y) == 3:
-        return Rationality.RATIONAL_FACTORS, None, ()
-    return Rationality.IRRATIONAL_OR_UNRESOLVED, None, ()
+        return Rationality.RATIONAL_FACTORS, ()
+    return Rationality.IRRATIONAL_OR_UNRESOLVED, ()
 
 
 def rationality_grid(bound: int, linear_bound: int):
@@ -173,8 +195,8 @@ def check_rationality(bound: int = 6, linear_bound: int = 3) -> int:
     n = 0
     for w in rationality_grid(bound, linear_bound):
         r = rationality_analysis(CubicForm(*w))
-        got, want = (r.verdict, r.chart, r.double_roots), ref_rationality(w)
-        if got != want or any(type(x) is not Fraction for x in r.double_roots):
+        got, want = (r.verdict, r.double_roots), ref_rationality(w)
+        if got != want or not all(map(is_point, r.double_roots)):
             raise AssertionError(f"rationality_analysis{w}: {got} != {want}")
         n += 1
     return n
