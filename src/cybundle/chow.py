@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from math import comb
 from operator import index
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from ._value import Frozen
 
@@ -43,7 +43,7 @@ class BundleSpec(Frozen):
     __slots__ = ("base_dim", "rank", "c1", "c2", "split_degrees")
 
     def __init__(self, base_dim: int, rank: int, c1: int, c2: int = 0,
-                 split_degrees: Optional[Tuple[int, ...]] = None) -> None:
+                 split_degrees: tuple[int, ...] | None = None) -> None:
         degs = None if split_degrees is None else tuple(map(index, split_degrees))
         self._fill(index(base_dim), index(rank), index(c1), index(c2), degs)
         if (self.base_dim, self.rank) not in SUPPORTED_CASES:
@@ -66,7 +66,7 @@ class BundleSpec(Frozen):
                     raise ValueError("c2 must equal the product of the split degrees")
 
     def _fill(self, base_dim: int, rank: int, c1: int, c2: int,
-              split_degrees: Optional[Tuple[int, ...]]) -> None:
+              split_degrees: tuple[int, ...] | None) -> None:
         # field by field, not through Record._fill's loop: one spec per survey row
         object.__setattr__(self, "base_dim", base_dim)
         object.__setattr__(self, "rank", rank)
@@ -123,7 +123,7 @@ class BundleSpec(Frozen):
         return self.c1 ** 2 - 4 * self.c2
 
 
-FormalPoly = Dict[Tuple[int, int], int]  # (xi_pow, h_pow) -> coefficient
+FormalPoly = dict[tuple[int, int], int]  # (xi_pow, h_pow) -> coefficient
 
 
 def _stored(coeffs: FormalPoly) -> FormalPoly:
@@ -141,7 +141,7 @@ class ChowClass:
 
     __slots__ = ("spec", "coeffs")
 
-    def __init__(self, spec: BundleSpec, coeffs: Optional[FormalPoly] = None) -> None:
+    def __init__(self, spec: BundleSpec, coeffs: FormalPoly | None = None) -> None:
         self.spec = spec
         self.coeffs: FormalPoly = {}
         if coeffs:
@@ -285,7 +285,7 @@ def intersection_numbers_by_reduction(spec: BundleSpec) -> IntersectionNumbers:
     ))
 
 
-def tangent_total_chern(spec: BundleSpec) -> List[List[int]]:
+def tangent_total_chern(spec: BundleSpec) -> list[list[int]]:
     """Total Chern class of the tangent bundle of Z = P(E), as the list of
     its graded parts c0..c4: index k holds c_k(T_Z) as k + 1 ints, entry j
     the coefficient of xi^(k-j) * H^j.

@@ -41,12 +41,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import re
 import stat
 import sys
-from typing import Callable, List, Optional, TextIO, Tuple
+from collections.abc import Callable
 
 from .chow import BundleSpec
 from .discriminant import (
@@ -142,7 +143,7 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_spec(text: str, base: str) -> Tuple[List[int], BundleSpec]:
+def _parse_spec(text: str, base: str) -> tuple[list[int], BundleSpec]:
     """The ``--degrees`` list and the split spec it names over ``base``."""
     fields = text.split(",")
     if not all(map(_DEGREE_FIELD.fullmatch, fields)):
@@ -157,7 +158,7 @@ def _parse_spec(text: str, base: str) -> Tuple[List[int], BundleSpec]:
     return degs, BundleSpec.from_split(3 if base == "p3" else 1, degs)
 
 
-def _report_row(spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None) -> dict:
+def _report_row(spec: BundleSpec, oracle_memo: OracleMemo | None = None) -> dict:
     inv = invariants_for(spec, oracle_memo)
     row = _NULL_ROW.copy()
     row["base"] = "p3" if spec.base_dim == 3 else "p1"
@@ -180,7 +181,7 @@ def _report_row(spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None) -> d
     return row
 
 
-def _emit(payload: dict, fmt: str, out: Optional[str]) -> None:
+def _emit(payload: dict, fmt: str, out: str | None) -> None:
     """Write the payload to stdout, or atomically to ``out``, as json, csv
     or text.
 
@@ -220,7 +221,7 @@ def _discard_stdout() -> None:
         os.close(null)
 
 
-def _write(fh: TextIO, payload: dict, fmt: str) -> None:
+def _write(fh: io.TextIOBase, payload: dict, fmt: str) -> None:
     if fmt == "json":
         _write_json(fh, payload)
     elif fmt == "csv":
@@ -240,7 +241,7 @@ def _write(fh: TextIO, payload: dict, fmt: str) -> None:
                 fh.write(f"{key}: {json.dumps(payload[key], sort_keys=True)}\n")
 
 
-def _write_json(fh: TextIO, payload: dict) -> None:
+def _write_json(fh: io.TextIOBase, payload: dict) -> None:
     """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, one
     top-level key per write and a top-level list one element per write."""
     sep = "{\n  "
@@ -320,7 +321,7 @@ def _check_out_target(path: str) -> None:
         raise CliError(EXIT_INVALID_INPUT, f"cannot write {path}: not a regular file")
 
 
-def _write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
+def _write_atomic(path: str, write: Callable[[io.TextIOBase], None]) -> None:
     """Write through a temporary file in the target directory and rename it
     over ``path``, so a failed write leaves no partial file behind.  A
     symlinked ``path`` is resolved first, so the link keeps pointing at the
@@ -366,7 +367,7 @@ def _cmd_invariants(args) -> dict:
     }
 
 
-def _enumerate_specs(base: str, max_degree: int) -> List[BundleSpec]:
+def _enumerate_specs(base: str, max_degree: int) -> list[BundleSpec]:
     """The normalized specs of one base, in ascending order of degrees."""
     specs = []
     if base == "p3":
@@ -478,7 +479,7 @@ _COMMANDS = (
 _COMMAND_NAMES = frozenset(row[0] for row in _COMMANDS)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with every subcommand.  Given a ``command``, only that
     subparser gets its options; the others are bare placeholders, with no
     action at all, not even ``-h``.  Such a parser reads exactly the argv
@@ -507,7 +508,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # an exact subcommand name first needs only that subparser's options;
     # any other argv (empty, -h, --, an unknown name) gets the full parser

@@ -15,7 +15,6 @@ from bisect import bisect_left, bisect_right
 from itertools import combinations_with_replacement, repeat
 from math import comb, factorial, prod
 from operator import index
-from typing import Tuple
 
 from ._value import Frozen
 
@@ -25,7 +24,7 @@ class SplitBundle(Frozen):
 
     __slots__ = ("base_dim", "degrees")
 
-    def __init__(self, base_dim: int, degrees: Tuple[int, ...]) -> None:
+    def __init__(self, base_dim: int, degrees: tuple[int, ...]) -> None:
         self._fill(index(base_dim), degrees)
         if self.base_dim not in (1, 3):
             raise ValueError("base must be P^1 or P^3")
@@ -35,7 +34,7 @@ class SplitBundle(Frozen):
 
     def twist(self, t: int) -> "SplitBundle":
         # adding t keeps the degrees sorted
-        return SplitBundle._trusted(self.base_dim, tuple(map(t.__add__, self.degrees)))
+        return SplitBundle._trusted(self.base_dim, tuple(map(index(t).__add__, self.degrees)))
 
     def dual(self) -> "SplitBundle":
         # negating the reversed degrees keeps them sorted
@@ -62,7 +61,7 @@ def cohomology(b: SplitBundle, i: int, twist: int = 0) -> int:
     raises ValueError.  Only d >= -twist (i = 0) and d <= -m-1-twist (i = m)
     contribute; b.degrees is sorted ascending, so bisection finds them and
     their binomials are summed in one map (on P^1, C(k, 1) = k in closed form)."""
-    m, degs = b.base_dim, b.degrees
+    m, degs, twist = b.base_dim, b.degrees, index(twist)
     if not 0 <= i <= m:
         raise ValueError(f"cohomology index {i} out of range for P^{m}")
     if i == 0:  # C(d + twist + m, m)

@@ -14,7 +14,7 @@ X -- are singular points of Delta.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Tuple
+from collections.abc import Sequence
 
 from ._value import Frozen
 from .chow import BundleSpec
@@ -124,9 +124,9 @@ class WitnessRecord(Frozen):
     __slots__ = ("point", "s00", "s01", "s11", "delta", "gradient", "on_base_locus",
                  "singular_point_verified", "note")
 
-    def __init__(self, point: Tuple[Fraction, Fraction, Fraction, Fraction],
+    def __init__(self, point: tuple[Fraction, Fraction, Fraction, Fraction],
                  s00: Fraction, s01: Fraction, s11: Fraction, delta: Fraction,
-                 gradient: Tuple[Fraction, Fraction, Fraction, Fraction],
+                 gradient: tuple[Fraction, Fraction, Fraction, Fraction],
                  on_base_locus: bool, singular_point_verified: bool, note: str) -> None:
         self._fill(point, s00, s01, s11, delta, gradient, on_base_locus,
                    singular_point_verified, note)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from operator import mul
-from typing import Dict, List, Optional, Tuple, Union
 
 from ._value import Frozen, Record
 from .chow import (
@@ -37,7 +36,7 @@ class OracleMismatchError(ArithmeticError):
 # Chern datum (base_dim, rank, c1, c2) -> its oracle integrals in INTEGRAL_KEYS
 # order, and p1 prefix (0, a1, a2) -> its Sym^(4-j), j = 0..2 (see
 # picard_number); the keys differ in length, so the two kinds never meet
-OracleMemo = Dict[Tuple[int, ...], Union[Tuple[int, ...], List[SplitBundle]]]
+OracleMemo = dict[tuple[int, ...], tuple[int, ...] | list[SplitBundle]]
 
 # CyInvariants' integral fields in order; p3 closed forms give only the first 8
 INTEGRAL_KEYS = ("c3_X", "h_dot_c2", "xi_dot_c2", "mk_dot_c2", "h3", "xi_h2", "xi2_h",
@@ -66,11 +65,11 @@ class CyInvariants(Record):
         "mk_cubed", "mk_sq_h",        # m = 1 only
     )
 
-    def __init__(self, base_dim: int, c1: int, c2: int, gamma: Optional[int], c3_X: int,
+    def __init__(self, base_dim: int, c1: int, c2: int, gamma: int | None, c3_X: int,
                  h_dot_c2: int, xi_dot_c2: int, mk_dot_c2: int, h3: int, xi_h2: int,
-                 xi2_h: int, xi3: int, fiber_count: Optional[int],
-                 picard_number: Optional[int], picard_hypothesis_note: Optional[str],
-                 mk_cubed: Optional[int], mk_sq_h: Optional[int]) -> None:
+                 xi2_h: int, xi3: int, fiber_count: int | None,
+                 picard_number: int | None, picard_hypothesis_note: str | None,
+                 mk_cubed: int | None, mk_sq_h: int | None) -> None:
         # one assignment per field, as fast as a dataclass's own __init__
         self.base_dim, self.c1, self.c2, self.gamma = base_dim, c1, c2, gamma
         self.c3_X, self.h_dot_c2, self.xi_dot_c2 = c3_X, h_dot_c2, xi_dot_c2
@@ -128,8 +127,8 @@ def _compare(closed: tuple, oracle: tuple) -> None:
 
 
 def _record(
-    spec: BundleSpec, closed: tuple, oracle_memo: Optional[OracleMemo],
-    gamma: Optional[int], fibers: Optional[int],
+    spec: BundleSpec, closed: tuple, oracle_memo: OracleMemo | None,
+    gamma: int | None, fibers: int | None,
 ) -> CyInvariants:
     """Check the closed forms against the oracle and build the record.
 
@@ -149,7 +148,7 @@ def _record(
 
 
 def invariants_p3(
-    spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None
+    spec: BundleSpec, oracle_memo: OracleMemo | None = None
 ) -> CyInvariants:
     """Invariant record for rank-2 bundles over P^3 (see invariants_for)."""
     if (spec.base_dim, spec.rank) != (3, 2):
@@ -169,7 +168,7 @@ def invariants_p3(
 
 
 def invariants_p1(
-    spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None
+    spec: BundleSpec, oracle_memo: OracleMemo | None = None
 ) -> CyInvariants:
     """Invariant record for rank-4 bundles over P^1 (see invariants_for)."""
     if (spec.base_dim, spec.rank) != (1, 4):
@@ -191,7 +190,7 @@ def invariants_p1(
 
 
 def invariants_for(
-    spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None
+    spec: BundleSpec, oracle_memo: OracleMemo | None = None
 ) -> CyInvariants:
     """Invariant record of either geometry, chosen by the base dimension.
 
@@ -272,7 +271,7 @@ RHO_ONE_SPLITTING_P3 = (0, 4)
 
 
 def picard_number(
-    spec: BundleSpec, oracle_memo: Optional[OracleMemo] = None
+    spec: BundleSpec, oracle_memo: OracleMemo | None = None
 ) -> tuple[int, str]:
     """Picard number of X with the relevant hypothesis note.
 
@@ -337,7 +336,7 @@ def admissibility_p3(spec: BundleSpec) -> AdmissibilityReport:
     )
 
 
-def section_degrees(spec: BundleSpec) -> Tuple[int, int, int]:
+def section_degrees(spec: BundleSpec) -> tuple[int, int, int]:
     """(d00, d01, d11) = (a-b+4, 4, b-a+4): the degrees on P^3 of the
     coefficients of a fiberwise quadric in |-K_Z| over the splitting type
     (a, b).

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple
 
 from ._value import Frozen
 from .chow import BundleSpec, ChowClass, anticanonical_class, closed_form_intersections, integrate
@@ -67,7 +66,7 @@ class RationalityReport(Frozen):
     # P^1 in the basis (xi|X, pi^*h) of KahlerReport.rays: y > 0, or (1, 0)
     __slots__ = ("verdict", "double_roots")
 
-    def __init__(self, verdict: Rationality, double_roots: Tuple[Tuple[int, int], ...]) -> None:
+    def __init__(self, verdict: Rationality, double_roots: tuple[tuple[int, int], ...]) -> None:
         self._fill(verdict, double_roots)
 
 
@@ -100,8 +99,7 @@ def rationality_analysis(w: CubicForm) -> RationalityReport:
         # the lemma guarantees rationality of the repeated factor; a
         # degree >= 1 gcd without rational roots would contradict it
         if len(roots) == len(g) - 1:
-            return RationalityReport(Rationality.RATIONAL_DOUBLE_LINE,
-                                     tuple((r.numerator, r.denominator) for r in roots))
+            return RationalityReport(Rationality.RATIONAL_DOUBLE_LINE, tuple(roots))
     if y_mult >= 2:
         return RationalityReport(Rationality.RATIONAL_DOUBLE_LINE, ((1, 0),) * (y_mult - 1))
     # a cubic with a simple y-factor can still split off rational lines
@@ -115,9 +113,9 @@ class KahlerReport(Frozen):
     # degeneracy_det for m = 3 only
     __slots__ = ("rays", "cubic", "analysis", "c2_values", "degeneracy_det", "basis_det")
 
-    def __init__(self, rays: Tuple[Tuple[int, int], Tuple[int, int]], cubic: CubicForm,
-                 analysis: RationalityReport, c2_values: Tuple[int, int],
-                 degeneracy_det: Optional[int], basis_det: int) -> None:
+    def __init__(self, rays: tuple[tuple[int, int], tuple[int, int]], cubic: CubicForm,
+                 analysis: RationalityReport, c2_values: tuple[int, int],
+                 degeneracy_det: int | None, basis_det: int) -> None:
         self._fill(rays, cubic, analysis, c2_values, degeneracy_det, basis_det)
 
     @property
@@ -217,8 +215,8 @@ class ContractionReport(Frozen):
                  "image")
 
     def __init__(self, c1: int, rk_trivial: int, kind: ContractionKind,
-                 count: Optional[int] = None, k_y_squared: Optional[int] = None,
-                 quartic_degree: Optional[int] = None, image: Optional[str] = None) -> None:
+                 count: int | None = None, k_y_squared: int | None = None,
+                 quartic_degree: int | None = None, image: str | None = None) -> None:
         self._fill(c1, rk_trivial, kind, count, k_y_squared, quartic_degree, image)
 
     def to_dict(self) -> dict:

@@ -16,7 +16,7 @@ anywhere in the library, so every equality test is exact.
 ``poly_gcd`` runs Euclid on primitive pseudo-remainders and returns the
 primitive gcd (content divided out, leading coefficient positive);
 ``rational_roots`` tests each root candidate s/t by the integer
-t^n * a(s/t).  Only the roots are built as ``Fraction``.
+t^n * a(s/t) and returns each root as the int pair (s, t).
 
 Every product of two ``MultiPoly`` goes through one integer kernel,
 ``MultiPoly.sum_of_products``, which computes a sum of w*a*b with int
@@ -39,14 +39,14 @@ it meets in that table walk as ``n/d`` in lowest terms.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import zip_longest
 from math import gcd, lcm
 from operator import index
-from typing import Dict, Iterable, List, Sequence, Tuple
 
-Exponent = Tuple[int, int, int, int]
+Exponent = tuple[int, int, int, int]
 
 NVARS = 4
 
@@ -65,7 +65,7 @@ class UniPoly:
         cs = [_frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: List[Fraction] = cs
+        self.coeffs: list[Fraction] = cs
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
@@ -77,25 +77,25 @@ class UniPoly:
         return UniPoly([a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
 
-def derivative(a: List[int]) -> List[int]:
+def derivative(a: list[int]) -> list[int]:
     """Formal derivative of an int coefficient list (index = degree)."""
     return [a[d] * d for d in range(1, len(a))]
 
 
-def _primitive(ints: List[int]) -> List[int]:
+def _primitive(ints: list[int]) -> list[int]:
     """ints divided by their content, the leading coefficient made positive."""
     g = gcd(*ints)
     return [c // g for c in ints] if ints[-1] > 0 else [-c // g for c in ints]
 
 
-def _integer_coeffs(coeffs: Sequence) -> List[int]:
+def _integer_coeffs(coeffs: Sequence) -> list[int]:
     """The primitive integer multiple of a nonzero list of ints or
     Fractions; an int is its own numerator over denominator 1."""
     den = lcm(*(c.denominator for c in coeffs))
     return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
 
 
-def poly_gcd(a: List[int], b: List[int]) -> List[int]:
+def poly_gcd(a: list[int], b: list[int]) -> list[int]:
     """The primitive gcd of two int coefficient lists, leading coefficient
     positive, by the Euclidean algorithm on primitive pseudo-remainders.
 
@@ -120,15 +120,17 @@ def poly_gcd(a: List[int], b: List[int]) -> List[int]:
     return f
 
 
-def rational_roots(a: List[int]) -> List[Fraction]:
+def rational_roots(a: list[int]) -> list[tuple[int, int]]:
     """All rational roots of an int coefficient list a_0..a_n, with
-    multiplicity, via the rational root test.
+    multiplicity, via the rational root test; a root s/t is the coprime int
+    pair (s, t) with t > 0, and a root at 0 is (0, 1).
 
-    The order is fixed: the roots at 0 first, then the others ascending.
-    After the power of x is divided out, a candidate s/t in lowest terms,
-    with s | a_0 and t | a_n, is a root when the integer t^n * a(s/t)
-    vanishes, and t*x - s then divides a exactly in integers (Gauss's
-    lemma).  [] or a list ending in 0 raises ValueError.
+    The order is fixed: the roots at 0 first, then the others ascending by
+    value, compared exactly as s1*t2 against s2*t1.  After the power of x
+    is divided out, a candidate s/t in lowest terms, with s | a_0 and
+    t | a_n, is a root when the integer t^n * a(s/t) vanishes, and t*x - s
+    then divides a exactly in integers (Gauss's lemma).  [] or a list
+    ending in 0 raises ValueError.
     """
     if not a:
         raise ValueError("the zero polynomial has every root")
@@ -138,7 +140,7 @@ def rational_roots(a: List[int]) -> List[Fraction]:
     k = 0
     while a[k] == 0:
         k += 1
-    roots, a = [Fraction(0)] * k, a[k:]
+    roots, a = [(0, 1)] * k, a[k:]
     if len(a) == 1:
         return roots
     heads, found = _divisors(abs(a[0])), []
@@ -149,11 +151,11 @@ def rational_roots(a: List[int]) -> List[Fraction]:
             for s in (s0, -s0):
                 while len(a) > 1 and _scaled_value(a, s, t) == 0:
                     a = _divide_linear(a, s, t)
-                    found.append(Fraction(s, t))
-    return roots + sorted(found)
+                    found.append((s, t))
+    return roots + sorted(found, key=cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1]))
 
 
-def _scaled_value(a: List[int], s: int, t: int) -> int:
+def _scaled_value(a: list[int], s: int, t: int) -> int:
     """t^n * a(s/t) for the integer coefficients a_0..a_n, by Horner."""
     acc, tp = a[-1], 1
     for c in a[-2::-1]:
@@ -162,7 +164,7 @@ def _scaled_value(a: List[int], s: int, t: int) -> int:
     return acc
 
 
-def _divide_linear(a: List[int], s: int, t: int) -> List[int]:
+def _divide_linear(a: list[int], s: int, t: int) -> list[int]:
     """The quotient of a by t*x - s, a factor of a in integers: q_(i-1) =
     (a_i + s*q_i) / t from the top down."""
     q, acc = [], 0
@@ -172,7 +174,7 @@ def _divide_linear(a: List[int], s: int, t: int) -> List[int]:
     return q[::-1]
 
 
-def _divisors(n: int) -> List[int]:
+def _divisors(n: int) -> list[int]:
     if n == 0:
         return [1]
     out = []
@@ -185,7 +187,7 @@ def _divisors(n: int) -> List[int]:
     return sorted(set(out))
 
 
-def _low_order_terms(p: MultiPoly, zeros: Sequence[bool], order: int) -> Dict[Exponent, int]:
+def _low_order_terms(p: MultiPoly, zeros: Sequence[bool], order: int) -> dict[Exponent, int]:
     """p's terms whose exponents on the coordinates flagged in ``zeros`` sum
     to less than ``order``."""
     z0, z1, z2, z3 = zeros
@@ -210,7 +212,7 @@ class MultiPoly:
     __slots__ = ("num", "den")
 
     def __init__(self, terms: Mapping[Exponent, Fraction] | None = None) -> None:
-        tm: Dict[Exponent, Fraction] = {}
+        tm: dict[Exponent, Fraction] = {}
         if terms:
             for e, c in terms.items():
                 c = _frac(c)
@@ -224,7 +226,7 @@ class MultiPoly:
         self.den = den
 
     @classmethod
-    def _trusted(cls, num: Dict[Exponent, int], den: int) -> "MultiPoly":
+    def _trusted(cls, num: dict[Exponent, int], den: int) -> "MultiPoly":
         """Wrap integer numerators with valid exponents and no zero entry over
         ``den`` > 0, dividing out their common factor with ``den``."""
         g = gcd(den, *num.values())
@@ -263,7 +265,7 @@ class MultiPoly:
 
     @classmethod
     def sum_of_products(
-        cls, terms: Iterable[Tuple[int, "MultiPoly", "MultiPoly"]]
+        cls, terms: Iterable[tuple[int, "MultiPoly", "MultiPoly"]]
     ) -> "MultiPoly":
         """The exact sum of w*a*b over ``terms`` of (int w, a, b), in one pass.
 
@@ -294,7 +296,7 @@ class MultiPoly:
             top = max(max(map(max, p.num)) for _, a, b in terms for p in (a, b))
             width = (2 * top).bit_length()
 
-            def keyed(p: "MultiPoly") -> List[Tuple[int, int]]:
+            def keyed(p: "MultiPoly") -> list[tuple[int, int]]:
                 return [(((e0 << width | e1) << width | e2) << width | e3, c)
                         for (e0, e1, e2, e3), c in p.num.items()]
 
@@ -303,7 +305,7 @@ class MultiPoly:
             b1 = degree + 1
             b2 = b1 * b1
 
-            def keyed(p: "MultiPoly") -> List[Tuple[int, int]]:
+            def keyed(p: "MultiPoly") -> list[tuple[int, int]]:
                 return [(e1 + b1 * e2 + b2 * e3, c) for (_, e1, e2, e3), c in p.num.items()]
 
             acc = [0] * (b2 * b1)
@@ -369,7 +371,7 @@ def _dense_degree(terms) -> int | None:
     return out if (out + 1) ** 3 <= pairs else None
 
 
-def multipoly_gradient(p: MultiPoly) -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
+def multipoly_gradient(p: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
     """Formal partial derivatives with respect to z0..z3, in one pass."""
     d0, d1, d2, d3 = parts = ({}, {}, {}, {})
     for (e0, e1, e2, e3), c in p.num.items():
@@ -386,7 +388,7 @@ def multipoly_gradient(p: MultiPoly) -> Tuple[MultiPoly, MultiPoly, MultiPoly, M
 
 def value_and_gradient(
     p: MultiPoly, point: Sequence
-) -> Tuple[Fraction, Tuple[Fraction, Fraction, Fraction, Fraction]]:
+) -> tuple[Fraction, tuple[Fraction, Fraction, Fraction, Fraction]]:
     """p and its four partials at a point, in one pass over p's live terms.
 
     The partials are those of ``multipoly_gradient(p)``, without building
@@ -426,7 +428,7 @@ def value_and_gradient(
     return Fraction(v, den), tuple(Fraction(g, den) for g in (g0, g1, g2, g3))
 
 
-def monomials_of_degree(d: int) -> List[Exponent]:
+def monomials_of_degree(d: int) -> list[Exponent]:
     """All exponent tuples in z0..z3 of total degree d, graded-lex order."""
     out = []
     for a in range(d, -1, -1):
@@ -444,7 +446,7 @@ _MONOMIALS = tuple(map(monomials_of_degree, range(9)))
 _POWER_TEXT = tuple(("", f"*z{i}", *(f"*z{i}^{k}" for k in range(2, 9))) for i in range(NVARS))
 
 
-def _monomial_text(e: Exponent) -> Tuple[Exponent, str, str]:
+def _monomial_text(e: Exponent) -> tuple[Exponent, str, str]:
     """e with its ``*zi^k`` text suffix and its "e0,e1,e2,e3" key."""
     z0, z1, z2, z3 = _POWER_TEXT
     try:
@@ -459,7 +461,7 @@ def _monomial_text(e: Exponent) -> Tuple[Exponent, str, str]:
 _MONOMIAL_TEXT = tuple(tuple(map(_monomial_text, mons)) for mons in _MONOMIALS)
 
 
-def _graded_lex(p: MultiPoly) -> List[Tuple[str, str, str]]:
+def _graded_lex(p: MultiPoly) -> list[tuple[str, str, str]]:
     """(coefficient, suffix, key) for each term c*z^e of p, with the suffix
     and key of _monomial_text(e) and c written as ``n/d`` in lowest terms,
     d > 0 and always shown, as Fraction(n, d) would print it, in one walk:
@@ -476,7 +478,7 @@ def _graded_lex(p: MultiPoly) -> List[Tuple[str, str, str]]:
             for table in tables for e, s, k in table if (c := num.get(e))]
 
 
-def to_canonical_text(p: MultiPoly, _rows: List[Tuple[str, str, str]] | None = None) -> str:
+def to_canonical_text(p: MultiPoly, _rows: list[tuple[str, str, str]] | None = None) -> str:
     """Canonical text form: graded-lex term order, coefficients as num/den.
 
     Example: ``3/1*z0^2*z1``.  The zero polynomial prints as ``0``.

@@ -87,6 +87,22 @@ MUTATIONS = (
         ["tests/test_cohomology.py::TestConstructions::test_non_integral_base_refused"],
     ),
     Mutation(
+        "cohomology reading twist without index",
+        PKG / "cohomology.py",
+        "m, degs, twist = b.base_dim, b.degrees, index(twist)",
+        "m, degs = b.base_dim, b.degrees",
+        ["tests/test_cohomology.py::TestConstructions::test_non_integral_twist_refused"],
+    ),
+    # annotations are builtin generics; one typing import in any module of
+    # src loads it into every request
+    Mutation(
+        "typing import put back into cohomology",
+        PKG / "cohomology.py",
+        "from operator import index\n",
+        "from operator import index\nfrom typing import Tuple\n",
+        ["tests/test_cli.py::TestStartup::test_requests_load_no_typing"],
+    ),
+    Mutation(
         "SplitBundle's base guard dropped",
         PKG / "cohomology.py",
         "if self.base_dim not in (1, 3):",
@@ -364,10 +380,25 @@ MUTATIONS = (
     Mutation(
         "roots at 0 appended after the others",
         PKG / "ratpoly.py",
-        "return roots + sorted(found)",
-        "return sorted(found) + roots",
+        "return roots + sorted(found, key=cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1]))",
+        "return sorted(found, key=cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])) + roots",
         ["tests/test_ratpoly.py::TestUniPoly",
          "tests/test_ratpoly.py::TestUniPolyAgainstReference"],
+    ),
+    Mutation(
+        "roots sorted descending",
+        PKG / "ratpoly.py",
+        "p[0] * q[1] - q[0] * p[1]",
+        "q[0] * p[1] - p[0] * q[1]",
+        ["tests/test_ratpoly.py::TestUniPoly::test_rational_roots_order"],
+    ),
+    # the division by t*x - s is right; only the recorded root is not
+    Mutation(
+        "root emitted as (t, s)",
+        PKG / "ratpoly.py",
+        "found.append((s, t))",
+        "found.append((t, s))",
+        ["tests/test_ratpoly.py::TestUniPoly::test_rational_roots"],
     ),
     Mutation(
         "picard_hypothesis_note dropped from the row keys",
@@ -551,8 +582,8 @@ MUTATIONS = (
     Mutation(
         "root s/t emitted as (t, s)",
         PKG / "kahler.py",
-        "(r.numerator, r.denominator) for r in roots",
-        "(r.denominator, r.numerator) for r in roots",
+        "RATIONAL_DOUBLE_LINE, tuple(roots))",
+        "RATIONAL_DOUBLE_LINE, tuple(r[::-1] for r in roots))",
         ["tests/test_kahler.py::TestRationality::test_planted_double_roots",
          "tests/test_cli.py::TestKaehlerCommand::test_double_roots_are_rays"],
     ),

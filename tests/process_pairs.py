@@ -10,7 +10,10 @@ that both sides load from the same file system.  Each pair then starts one
 ``PYTHONPATH`` set to that side's ``src/``, the order alternating from pair
 to pair (parent first in even pairs), and times it from start to exit.
 Before the pairs, one untimed run per side writes its bytecode, so every
-timed process starts as a user's second call does.
+timed process starts as a user's second call does.  With ``-S`` both sides
+start under ``python -S``, without the ``site`` module: a ``.pth`` file of
+site-packages may import modules, such as ``typing``, into every
+interpreter, and then what cybundle's own imports cost cannot be seen.
 
 Both sides must exit with the same code and write the same stdout; a
 difference stops the script with exit 1.  It prints the parent's and the
@@ -37,12 +40,13 @@ from ab_pairs import ROOT, extract, quartiles
 MIN_PAIRS = 30
 
 
-def run_cli(tree: Path, command) -> tuple:
-    """(wall time in s, exit code, stdout bytes) of one fresh CLI process."""
+def run_cli(tree: Path, command, flags=()) -> tuple:
+    """(wall time in s, exit code, stdout bytes) of one fresh CLI process,
+    with the interpreter flags ``flags``."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
     env["PYTHONPATH"] = str(tree / "src")
-    argv = [sys.executable, "-m", "cybundle.cli", *command]
+    argv = [sys.executable, *flags, "-m", "cybundle.cli", *command]
     t0 = time.perf_counter()
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True)
     return time.perf_counter() - t0, done.returncode, done.stdout
@@ -52,6 +56,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD", help="git ref of the parent tree")
     ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
+    ap.add_argument("-S", dest="flags", action="store_const", const=("-S",), default=(),
+                    help="start both sides under python -S, without the site module")
     ap.add_argument("command", nargs="+", help="the cybundle command line, after --")
     args = ap.parse_args(argv)
     if args.pairs < MIN_PAIRS:
@@ -62,13 +68,14 @@ def main(argv=None) -> int:
         extract(args.parent, trees["parent"])
         shutil.copytree(ROOT / "src", trees["tree"] / "src",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        want = {side: run_cli(tree, args.command)[1:] for side, tree in trees.items()}
+        want = {side: run_cli(tree, args.command, args.flags)[1:]
+                for side, tree in trees.items()}
         if want["parent"] != want["tree"]:
             sys.exit(f"the sides differ: exit {want['parent'][0]} against {want['tree'][0]}, "
                      f"stdout equal: {want['parent'][1] == want['tree'][1]}")
         for i in range(args.pairs):
             for side in ("parent", "tree") if i % 2 == 0 else ("tree", "parent"):
-                seconds, *got = run_cli(trees[side], args.command)
+                seconds, *got = run_cli(trees[side], args.command, args.flags)
                 if tuple(got) != want[side]:
                     sys.exit(f"pair {i + 1}: the {side} run's exit code or stdout changed")
                 times[side].append(seconds)
@@ -76,7 +83,8 @@ def main(argv=None) -> int:
     ma, mb = statistics.median(a), statistics.median(b)
     (qa1, qa3), (qb1, qb3) = quartiles(a), quartiles(b)
     wins = sum(y < x for x, y in zip(a, b))
-    print(f"== cybundle {' '.join(args.command)}: {args.parent} (parent) against the "
+    under = " under python -S" if args.flags else ""
+    print(f"== cybundle {' '.join(args.command)}{under}: {args.parent} (parent) against the "
           f"working tree, {args.pairs} pairs, exit {want['tree'][0]}")
     print(f"  parent median {ma * 1e3:.1f} ms, quartiles {qa1 * 1e3:.1f}-{qa3 * 1e3:.1f} ms")
     print(f"  tree   median {mb * 1e3:.1f} ms, quartiles {qb1 * 1e3:.1f}-{qb3 * 1e3:.1f} ms")

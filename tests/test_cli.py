@@ -777,6 +777,27 @@ class TestStartup:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.split() == []
 
+    REQUESTS = (["kaehler", "--base", "p1", "--degrees", "0,0,0,1"],
+                ["invariants", "--base", "p1", "--degrees", "0,0,1,1"],
+                ["classify", "--degrees", "0,0,1,1"],
+                ["enumerate", "--base", "p3", "--max-degree", "6"],
+                ["discriminant", "--degrees", "0,2", "--seed", "0"])
+
+    def test_requests_load_no_typing(self):
+        # pytest itself imports typing, so one fresh child serves every
+        # command; -S keeps a .pth file of site-packages from importing it
+        src = Path(cybundle.cli.__file__).resolve().parents[1]
+        probe = ("import io, sys\nfrom cybundle.cli import main\n"
+                 f"for argv in {self.REQUESTS!r}:\n"
+                 "    sys.stdout = io.StringIO()\n"
+                 "    code = main(argv)\n"
+                 "    sys.stdout = sys.__stdout__\n"
+                 "    print(argv[0], code, 'typing' in sys.modules)\n")
+        result = subprocess.run([sys.executable, "-S", "-c", probe],
+                                env={**os.environ, "PYTHONPATH": str(src)},
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines() == [f"{a[0]} 0 False" for a in self.REQUESTS]
+
 
 JSON_LEAVES = st.one_of(
     st.none(),

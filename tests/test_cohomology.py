@@ -53,6 +53,16 @@ class TestConstructions:
         with pytest.raises(TypeError):
             SplitBundle(base_dim, (0, 1))
 
+    @pytest.mark.parametrize("t", [0.5, 1.0, Fraction(1), Fraction(1, 2)])
+    def test_non_integral_twist_refused(self, t):
+        # a twist is an int, even where a float or Fraction equals one
+        b = SplitBundle(1, (-5, 0, 1))
+        with pytest.raises(TypeError):
+            b.twist(t)
+        for i in (0, 1):
+            with pytest.raises(TypeError):
+                cohomology(b, i, t)
+
     def test_sym2_pair_sums(self):
         assert sym_power(SplitBundle(1, (0, 2)), 2).degrees == (0, 2, 4)
 

@@ -12,10 +12,12 @@ their inputs keep a content and a sign.  It runs on seeded polynomials of
 degree <= 6: products of rational linear factors (repeated roots, roots at
 0, negative and non-integral leading coefficients) with an irreducible
 quadratic or none, and dense random ones.  Root lists are compared
-exactly, order included; gcd(p, p'), gcd(p, q) with q sharing a random
-factor with p, and gcds with the zero polynomial must be primitive int
-lists with a positive leading coefficient, equal to the monic reference
-times that coefficient.
+exactly, order included: ``rational_roots`` returns each root s/t as the
+int pair (s, t) with t > 0, and the reference maps each of its Fraction
+roots r to (r.numerator, r.denominator).  gcd(p, p'), gcd(p, q) with q
+sharing a random factor with p, and gcds with the zero polynomial must be
+primitive int lists with a positive leading coefficient, equal to the
+monic reference times that coefficient.
 
 It also compares ``kahler.rationality_analysis``, which reads the y = 1
 chart and the power of y dividing w, with ``ref_rationality``, the
@@ -108,7 +110,8 @@ def ref_divisors(n: int) -> list:
 
 def ref_rational_roots(p: list) -> list:
     """The roots at 0, then every candidate in ascending order, each tested
-    and divided out by Fraction arithmetic for as long as it is a root."""
+    and divided out by Fraction arithmetic for as long as it is a root;
+    each root r is returned as the pair (r.numerator, r.denominator)."""
     if not p:
         raise ValueError("the zero polynomial has every root")
     k = 0
@@ -116,8 +119,6 @@ def ref_rational_roots(p: list) -> list:
         k += 1
     roots = [Fraction(0)] * k
     p = [Fraction(c) for c in p[k:]]
-    if len(p) == 1:
-        return roots
     denlcm = lcm(*(c.denominator for c in p))
     ints = [int(c * denlcm) for c in p]
     lead, const = ints[-1], ints[0]
@@ -132,20 +133,22 @@ def ref_rational_roots(p: list) -> list:
             if rem:
                 raise AssertionError(f"{r} is a root but leaves a remainder")
             roots.append(r)
-    return roots
+    return [(r.numerator, r.denominator) for r in roots]
 
 
-def y_chart_point(r: Fraction) -> tuple:
-    """The point [r : 1] as a primitive int pair."""
-    return r.numerator, r.denominator
+def y_chart_point(root: tuple) -> tuple:
+    """The root s/t = (s, t) of the chart y = 1 as the point [s : t]."""
+    s, t = root
+    return s, t
 
 
-def x_chart_point(s: Fraction) -> tuple:
-    """The point [1 : s] as a primitive int pair with y > 0, or (1, 0)."""
+def x_chart_point(root: tuple) -> tuple:
+    """The root s/t = (s, t) of the chart x = 1 as the point [t : s], a
+    primitive int pair with y > 0, or (1, 0)."""
+    s, t = root
     if s == 0:
         return 1, 0
-    sign = 1 if s > 0 else -1
-    return sign * s.denominator, sign * s.numerator
+    return (t, s) if s > 0 else (-t, -s)
 
 
 def is_point(p) -> bool:
@@ -252,7 +255,7 @@ def check(seed: int = 0, count: int = 2000) -> int:
     for _ in range(count):
         p = random_poly(rng)
         got, want = rational_roots(ints(p)), ref_rational_roots(p)
-        if got != want or any(type(r) is not Fraction for r in got):
+        if got != want or not all(type(s) is type(t) is int for s, t in got):
             raise AssertionError(f"rational_roots({ints(p)}): {got} != {want}")
         shared = factored(rng)
         q = mul(shared, random_poly(rng))
