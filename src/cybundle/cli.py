@@ -40,7 +40,6 @@ null device, so the exit prints no second error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -225,6 +224,8 @@ def _write(fh: io.TextIOBase, payload: dict, fmt: str) -> None:
     if fmt == "json":
         _write_json(fh, payload)
     elif fmt == "csv":
+        import csv  # only --format csv needs it, so no other request loads it
+
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in payload["rows"]:

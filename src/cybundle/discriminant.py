@@ -13,7 +13,6 @@ X -- are singular points of Delta.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from collections.abc import Sequence
 
 from ._value import Frozen
@@ -22,6 +21,7 @@ from .invariants import section_degrees
 from .ratpoly import (
     _MONOMIALS,
     MultiPoly,
+    _fraction,
     _graded_lex,
     _homogeneous_degree,
     _low_order_terms,
@@ -98,7 +98,7 @@ def build_discriminant(q: QuadraticSection) -> Octic:
 def scaling_law_check(q: QuadraticSection, octic: Octic, r) -> bool:
     """Delta(r*q) == r^2 * octic, exactly, where ``octic`` is the Delta(q)
     of build_discriminant(q): the check verifies that octic."""
-    r = Fraction(r)
+    r = _fraction()(r)
     lhs = build_discriminant(q.scale(r)).poly
     rhs = octic.poly * (r * r)
     return lhs == rhs
@@ -151,7 +151,7 @@ def singularity_witness(q: QuadraticSection, point: Sequence) -> WitnessRecord:
     0-11, bounds 0-3, 1000, 10^6) no Delta kept a live term, and the
     section values kept only terms of order 1.
     """
-    pt = tuple(Fraction(x) for x in point)
+    pt = tuple(map(_fraction(), point))
     if len(pt) != 4:
         raise ValueError("a point of P^3 has 4 coordinates")
     if all(x == 0 for x in pt):

@@ -16,7 +16,6 @@ of the library, not an afterthought.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from operator import mul
 
@@ -34,9 +33,10 @@ class OracleMismatchError(ArithmeticError):
 
 
 # Chern datum (base_dim, rank, c1, c2) -> its oracle integrals in INTEGRAL_KEYS
-# order, and p1 prefix (0, a1, a2) -> its Sym^(4-j), j = 0..2 (see
-# picard_number); the keys differ in length, so the two kinds never meet
-OracleMemo = dict[tuple[int, ...], tuple[int, ...] | list[SplitBundle]]
+# order, and p1 prefix (0, a1, a2) -> its Sym^(4-j), j = 0..2, each None until
+# first used (see picard_number); the keys differ in length, so the two kinds
+# never meet
+OracleMemo = dict[tuple[int, ...], tuple[int, ...] | list[SplitBundle | None]]
 
 # CyInvariants' integral fields in order; p3 closed forms give only the first 8
 INTEGRAL_KEYS = ("c3_X", "h_dot_c2", "xi_dot_c2", "mk_dot_c2", "h3", "xi_h2", "xi2_h",
@@ -246,6 +246,9 @@ def euler_characteristic_rank2_p3(spec: BundleSpec) -> Fraction:
     """
     if (spec.base_dim, spec.rank) != (3, 2):
         raise ValueError("this Riemann-Roch form is for rank-2 bundles on P^3")
+    # imported here: fractions loads decimal, and no request calls this
+    from fractions import Fraction
+
     g, c1 = spec.gamma(), spec.c1
     return (
         Fraction(g * (c1 + 4), 8)
@@ -286,8 +289,9 @@ def picard_number(
     2 - a1 - a2 + (j - 1)*a3.  It is Bott's rule over every summand that
     can be nonzero: each S^k F has least degree 0, so it adds h^1 only at
     t < -1, and a3 >= a1, a2 gives t >= 2 for j >= 3.  Only S^4 F, S^3 F and
-    S^2 F are built, once per prefix in ``oracle_memo`` (a fresh dict when
-    None), and a power reaches cohomology only at a twist below -1.
+    S^2 F can reach cohomology, each only at a twist below -1: a power is
+    built there, the first time a spec of its prefix needs it, and kept in
+    ``oracle_memo`` (a fresh dict when None) for the prefix's other specs.
     """
     if not spec.is_split:
         raise ValueError("picard number needs split degrees")
@@ -301,12 +305,13 @@ def picard_number(
     prefix, a3 = norm.split_degrees[:3], norm.split_degrees[3]
     powers = memo.get(prefix)
     if powers is None:
-        f = SplitBundle._trusted(1, prefix)  # BundleSpec sorts the degrees
-        powers = memo[prefix] = [sym_power(f, 4 - j) for j in range(3)]
+        powers = memo[prefix] = [None] * 3
     h1, t0 = 0, 2 - norm.c1
-    for j, s in enumerate(powers):  # s = Sym^(4-j) F
+    for j, s in enumerate(powers):  # s = Sym^(4-j) F, None until first used
         t = t0 + j * a3
         if t < -1:  # else h^1(O(d + t)) = 0 for every summand, as d >= 0
+            if s is None:  # _trusted: BundleSpec sorts the degrees
+                s = powers[j] = sym_power(SplitBundle._trusted(1, prefix), 4 - j)
             h1 += cohomology(s, 1, t)
     return 2 + h1, "normalized convention"
 

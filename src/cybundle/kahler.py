@@ -16,7 +16,6 @@ The Gram determinant reads the top intersections of
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
 from ._value import Frozen
 from .chow import BundleSpec, ChowClass, anticanonical_class, closed_form_intersections, integrate

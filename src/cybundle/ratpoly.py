@@ -11,7 +11,11 @@ Two representations are used throughout the library:
 ``UniPoly`` is a ``fractions.Fraction`` coefficient list with ``-`` and
 value equality, for library callers; ``MultiPoly`` keeps integer numerators
 over one common denominator in lowest terms.  No floating point appears
-anywhere in the library, so every equality test is exact.
+anywhere in the library, so every equality test is exact.  ``Fraction`` is
+imported by ``_fraction`` on its first call, not with this module: a
+request that builds no UniPoly and scales or evaluates no MultiPoly (every
+command but ``discriminant``) never loads ``fractions``, nor the ``decimal``
+and ``numbers`` that it pulls in.
 
 ``poly_gcd`` runs Euclid on primitive pseudo-remainders and returns the
 primitive gcd (content divided out, leading coefficient positive);
@@ -33,15 +37,15 @@ it drops the terms that vanish with all their first partials at the
 point's zero coordinates and makes one pass over the rest (an octic at
 (1, 0, 0, 0) keeps at most 4 of its 165); ``MultiPoly.evaluate`` is its
 value.  One walk renders: ``to_canonical_text`` writes each coefficient
-it meets in that table walk as ``n/d`` in lowest terms.
+it meets in a walk of that order as ``n/d`` in lowest terms, reading each
+monomial's text from a table built for its degree on the first render.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import zip_longest
 from math import gcd, lcm
 from operator import index
@@ -51,8 +55,16 @@ Exponent = tuple[int, int, int, int]
 NVARS = 4
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+@cache
+def _fraction() -> type:
+    """``fractions.Fraction``, imported on the first call and not with this
+    module: ``fractions`` loads ``decimal`` and ``numbers``, and only the
+    rational paths (UniPoly, a MultiPoly built from coefficients, a scalar
+    product, an evaluation) need it.  A later call returns the cached class
+    in about 0.05 us, where an import statement takes about 0.9 us (Python
+    3.11); a caller looks it up once per call."""
+    from fractions import Fraction
+    return Fraction
 
 
 class UniPoly:
@@ -62,7 +74,8 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence) -> None:
-        cs = [_frac(c) for c in coeffs]
+        F = _fraction()
+        cs = [c if isinstance(c, F) else F(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: list[Fraction] = cs
@@ -214,8 +227,10 @@ class MultiPoly:
     def __init__(self, terms: Mapping[Exponent, Fraction] | None = None) -> None:
         tm: dict[Exponent, Fraction] = {}
         if terms:
+            F = _fraction()
             for e, c in terms.items():
-                c = _frac(c)
+                if not isinstance(c, F):
+                    c = F(c)
                 if c != 0:
                     if len(e) != NVARS or any(index(x) < 0 for x in e):
                         raise ValueError(f"bad exponent tuple {e!r}")
@@ -252,14 +267,14 @@ class MultiPoly:
         return hash((self.den, frozenset(self.num.items())))
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return MultiPoly()
-            tm = {e: c * other.numerator for e, c in self.num.items()}
-            return MultiPoly._trusted(tm, self.den * other.denominator)
-        if not isinstance(other, MultiPoly):
+        if isinstance(other, MultiPoly):
+            return MultiPoly.sum_of_products(((1, self, other),))
+        if not isinstance(other, (int, _fraction())):
             return NotImplemented
-        return MultiPoly.sum_of_products(((1, self, other),))
+        if not other:
+            return MultiPoly()
+        tm = {e: c * other.numerator for e, c in self.num.items()}
+        return MultiPoly._trusted(tm, self.den * other.denominator)
 
     __rmul__ = __mul__
 
@@ -401,7 +416,8 @@ def value_and_gradient(
     adds c * n^e * q^(D - |e|) to the value and c * e_i * n^(e - 1_i) *
     q^(D + 1 - |e|) to the i-th partial.
     """
-    pt = [_frac(x) for x in point]
+    F = _fraction()
+    pt = [x if isinstance(x, F) else F(x) for x in point]
     if len(pt) != NVARS:
         raise ValueError("a point of P^3 has 4 coordinates")
     q = lcm(*(x.denominator for x in pt))
@@ -425,7 +441,7 @@ def value_and_gradient(
         if e3:
             g3 += c * e3 * p3[e3 - 1] * x2 * x01
     den = p.den * pq[top]
-    return Fraction(v, den), tuple(Fraction(g, den) for g in (g0, g1, g2, g3))
+    return F(v, den), tuple(F(g, den) for g in (g0, g1, g2, g3))
 
 
 def monomials_of_degree(d: int) -> list[Exponent]:
@@ -457,8 +473,12 @@ def _monomial_text(e: Exponent) -> tuple[Exponent, str, str]:
     return e, suffix, "%d,%d,%d,%d" % e
 
 
-# _monomial_text of every monomial of degree 0..8 (every section and octic), graded-lex
-_MONOMIAL_TEXT = tuple(tuple(map(_monomial_text, mons)) for mons in _MONOMIALS)
+@cache
+def _monomial_texts(d: int) -> tuple[tuple[Exponent, str, str], ...]:
+    """_monomial_text of every monomial of degree d <= 8 (every section and
+    octic), graded-lex; built on the first render of degree d, not at
+    import, as only discriminant renders."""
+    return tuple(map(_monomial_text, _MONOMIALS[d]))
 
 
 def _graded_lex(p: MultiPoly) -> list[tuple[str, str, str]]:
@@ -466,11 +486,11 @@ def _graded_lex(p: MultiPoly) -> list[tuple[str, str, str]]:
     and key of _monomial_text(e) and c written as ``n/d`` in lowest terms,
     d > 0 and always shown, as Fraction(n, d) would print it, in one walk:
     higher total degree first, then the lexicographically larger exponent.
-    Degrees up to 8 are read off _MONOMIAL_TEXT; higher ones are sorted and
+    Degrees up to 8 are read off _monomial_texts; higher ones are sorted and
     formatted here."""
-    num, den, top = p.num, p.den, len(_MONOMIAL_TEXT)
+    num, den, top = p.num, p.den, len(_MONOMIALS)
     degrees = sorted(set(map(sum, num)), reverse=True)
-    tables = [_MONOMIAL_TEXT[d] for d in degrees if d < top]
+    tables = [_monomial_texts(d) for d in degrees if d < top]
     if degrees and degrees[0] >= top:
         high = sorted((e for e in num if sum(e) >= top), key=lambda e: (sum(e), e), reverse=True)
         tables.insert(0, map(_monomial_text, high))

@@ -100,7 +100,23 @@ MUTATIONS = (
         PKG / "cohomology.py",
         "from operator import index\n",
         "from operator import index\nfrom typing import Tuple\n",
-        ["tests/test_cli.py::TestStartup::test_requests_load_no_typing"],
+        ["tests/test_cli.py::TestStartup::test_requests_load_only_what_they_use"],
+    ),
+    # fractions loads decimal and numbers; only discriminant may load them,
+    # and only when it runs
+    Mutation(
+        "fractions import put back into kahler",
+        PKG / "kahler.py",
+        "from enum import Enum\n",
+        "from enum import Enum\nfrom fractions import Fraction\n",
+        ["tests/test_cli.py::TestStartup::test_cli_import_loads_only_what_every_command_uses"],
+    ),
+    Mutation(
+        "csv imported at cli module level",
+        PKG / "cli.py",
+        "import argparse\n",
+        "import argparse\nimport csv\n",
+        ["tests/test_cli.py::TestStartup::test_cli_import_loads_only_what_every_command_uses"],
     ),
     Mutation(
         "SplitBundle's base guard dropped",
@@ -189,12 +205,12 @@ MUTATIONS = (
         "d1[(e0, e1, e2, e3)] = c * e1",
         ["tests/test_ratpoly.py::TestMultiPoly::test_gradient_examples"],
     ),
-    # with the guard gone, a float or str operand reaches sum_of_products and
-    # raises AttributeError, not TypeError
+    # with the guard gone, a float or str operand reaches the scalar product
+    # and raises AttributeError (no .numerator), not TypeError
     Mutation(
         "MultiPoly.__mul__ without its NotImplemented guard",
         PKG / "ratpoly.py",
-        """        if not isinstance(other, MultiPoly):
+        """        if not isinstance(other, (int, _fraction())):
             return NotImplemented
 """,
         "",
@@ -244,8 +260,8 @@ MUTATIONS = (
     Mutation(
         "monomial table in reversed order",
         PKG / "ratpoly.py",
-        "tuple(map(_monomial_text, mons)) for mons in _MONOMIALS",
-        "tuple(map(_monomial_text, mons[::-1])) for mons in _MONOMIALS",
+        "tuple(map(_monomial_text, _MONOMIALS[d]))",
+        "tuple(map(_monomial_text, _MONOMIALS[d][::-1]))",
         ["tests/test_golden.py"],
     ),
     Mutation(
@@ -693,25 +709,34 @@ MUTATIONS = (
     Mutation(
         "rho's least degree read from the top of the power",
         PKG / "invariants.py",
-        "if t < -1:",
-        "if s.degrees[-1] + t < -1:",
+        "h1 += cohomology(s, 1, t)",
+        "h1 += cohomology(s, 1, t) if s.degrees[-1] + t < -1 else 0",
         ["tests/test_invariants.py::TestPicardNumber::test_vanishing_boundary"],
     ),
     # (0, 4, 4, 4) is the boundary case whose Sym^2 F adds 1
     Mutation(
         "Sym^2 F dropped from rho's powers",
         PKG / "invariants.py",
-        "[sym_power(f, 4 - j) for j in range(3)]",
-        "[sym_power(f, 4 - j) for j in range(2)]",
+        "powers = memo[prefix] = [None] * 3",
+        "powers = memo[prefix] = [None] * 2",
         ["tests/test_invariants.py::TestPicardNumber::test_vanishing_boundary"],
+    ),
+    # all three powers of each prefix built whether or not a twist reads them
+    Mutation(
+        "rho's powers built eagerly",
+        PKG / "invariants.py",
+        "powers = memo[prefix] = [None] * 3",
+        "powers = memo[prefix] = [sym_power(SplitBundle._trusted(1, prefix), 4 - j)"
+        " for j in range(3)]",
+        ["tests/test_invariants.py::TestPicardNumber::test_powers_built_only_where_read"],
     ),
     # the sum merges prefixes such as (0, 0, 2) and (0, 1, 1); a spec alone
     # never meets a second prefix, so only a shared memo shows it
     Mutation(
         "memo key that merges two prefixes",
         PKG / "invariants.py",
-        "powers = memo.get(prefix)",
-        "prefix = sum(prefix)\n    powers = memo.get(prefix)",
+        "powers = memo.get(prefix)\n    if powers is None:\n        powers = memo[prefix] =",
+        "powers = memo.get(sum(prefix))\n    if powers is None:\n        powers = memo[sum(prefix)] =",
         ["tests/test_invariants.py::TestPicardNumber::test_shared_memo_equals_no_memo"],
     ),
     Mutation(

@@ -766,37 +766,52 @@ class TestStdoutFailure:
 
 
 class TestStartup:
-    def test_cli_import_loads_no_code_introspection(self):
+    # modules that only some requests need: typing none of them, fractions
+    # (which loads decimal and numbers) only discriminant, csv only --format csv
+    LAZY = ("typing", "fractions", "decimal", "numbers", "csv")
+
+    def test_cli_import_loads_only_what_every_command_uses(self):
         # -S as well as -I: a .pth file of site-packages may import anything,
         # and what it imports belongs to the environment, not to cybundle
         src = Path(cybundle.cli.__file__).resolve().parents[1]
         probe = ("import sys; sys.path.insert(0, sys.argv[1]); import cybundle.cli; "
+                 "cybundle.cli.build_parser(); "
                  "print(*sorted(set(sys.argv[2:]) & set(sys.modules)))")
-        heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+        heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", *self.LAZY]
         result = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(src), *heavy],
                                 capture_output=True, text=True, check=True)
         assert result.stdout.split() == []
 
-    REQUESTS = (["kaehler", "--base", "p1", "--degrees", "0,0,0,1"],
-                ["invariants", "--base", "p1", "--degrees", "0,0,1,1"],
-                ["classify", "--degrees", "0,0,1,1"],
-                ["enumerate", "--base", "p3", "--max-degree", "6"],
-                ["discriminant", "--degrees", "0,2", "--seed", "0"])
+    # each request with the LAZY modules first loaded by it, or for the first
+    # request by it or the import of cli
+    REQUESTS = ((["kaehler", "--base", "p1", "--degrees", "0,0,0,1"], ""),
+                (["invariants", "--base", "p1", "--degrees", "0,0,1,1"], ""),
+                (["classify", "--degrees", "0,0,1,1"], ""),
+                (["enumerate", "--base", "p3", "--max-degree", "6"], ""),
+                (["invariants", "--base", "p1", "--degrees", "0,0,1,1", "--format", "csv"],
+                 "csv"),
+                (["discriminant", "--degrees", "0,2", "--seed", "0"],
+                 "decimal fractions numbers"))
 
-    def test_requests_load_no_typing(self):
-        # pytest itself imports typing, so one fresh child serves every
-        # command; -S keeps a .pth file of site-packages from importing it
+    def test_requests_load_only_what_they_use(self):
+        # this process has typing and fractions loaded already, so one fresh
+        # child serves every command; -S keeps a .pth file of site-packages
+        # from importing them
         src = Path(cybundle.cli.__file__).resolve().parents[1]
         probe = ("import io, sys\nfrom cybundle.cli import main\n"
-                 f"for argv in {self.REQUESTS!r}:\n"
+                 f"lazy, seen = set({self.LAZY!r}), set()\n"
+                 f"for argv, _ in {self.REQUESTS!r}:\n"
                  "    sys.stdout = io.StringIO()\n"
                  "    code = main(argv)\n"
                  "    sys.stdout = sys.__stdout__\n"
-                 "    print(argv[0], code, 'typing' in sys.modules)\n")
+                 "    now = lazy & set(sys.modules)\n"
+                 "    print(argv[0], code, *sorted(now - seen))\n"
+                 "    seen = now\n")
         result = subprocess.run([sys.executable, "-S", "-c", probe],
                                 env={**os.environ, "PYTHONPATH": str(src)},
                                 capture_output=True, text=True, check=True)
-        assert result.stdout.splitlines() == [f"{a[0]} 0 False" for a in self.REQUESTS]
+        assert result.stdout.splitlines() == [f"{a[0]} 0 {loads}".rstrip()
+                                              for a, loads in self.REQUESTS]
 
 
 JSON_LEAVES = st.one_of(

@@ -485,6 +485,20 @@ class TestPicardNumber:
                 twisted = BundleSpec.from_split(1, [d + t for d in spec.split_degrees])
                 assert picard_number(twisted, memo)[0] == want, twisted
 
+    def test_powers_built_only_where_read(self):
+        # Sym^(4-j) F of a prefix is built exactly when some spec of that
+        # prefix twists it below -1: 609 of the 693 powers at N = 20
+        specs = _enumerate_specs("p1", 20)
+        memo, read = {}, set()
+        for spec in specs:
+            prefix, a3 = spec.split_degrees[:3], spec.split_degrees[3]
+            read |= {(prefix, j) for j in range(3) if 2 - spec.c1 + j * a3 < -1}
+            picard_number(spec, memo)
+        built = {(key, j) for key, powers in memo.items() for j, s in enumerate(powers)
+                 if s is not None}
+        assert built == read
+        assert (len(built), 3 * len(memo)) == (609, 693)
+
     @pytest.mark.parametrize("degrees,rho", [
         ((0, 0, 0, 4), 17),  # j = 0 at t = -2: Sym^4 (0,0,0) adds 15
         ((0, 0, 0, 3), 2),   # j = 0 at t = -1: nothing
