@@ -33,7 +33,6 @@ from .discriminant import (
     singularity_witness,
 )
 from .invariants import (
-    AdmissibilityReport,
     CyInvariants,
     OracleMismatchError,
     admissibility_p3,

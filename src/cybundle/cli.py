@@ -355,10 +355,10 @@ def _csv_cell(value):
 def _cmd_invariants(args) -> dict:
     _, spec = _parse_spec(args.degrees, args.base)
     if args.base == "p3":
-        adm = admissibility_p3(spec)
-        if not adm.admissible:
+        if not admissibility_p3(spec):
+            a, b = spec.split_degrees
             raise CliError(
-                EXIT_INADMISSIBLE, f"splitting gap {adm.gap} > 4: no smooth Calabi-Yau"
+                EXIT_INADMISSIBLE, f"splitting gap {b - a} > 4: no smooth Calabi-Yau"
             )
     row = _report_row(spec)
     return {
@@ -374,7 +374,7 @@ def _enumerate_specs(base: str, max_degree: int) -> list[BundleSpec]:
     if base == "p3":
         for b in range(0, max_degree + 1):
             spec = BundleSpec.from_split(3, (0, b))
-            if admissibility_p3(spec).admissible:  # skip inadmissible splittings
+            if admissibility_p3(spec):  # skip inadmissible splittings
                 specs.append(spec)
     else:
         for a1 in range(0, max_degree + 1):
@@ -432,7 +432,7 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_discriminant(args) -> dict:
     degs, spec = _parse_spec(args.degrees, "p3")
-    if not admissibility_p3(spec).admissible:
+    if not admissibility_p3(spec):
         raise CliError(EXIT_INADMISSIBLE, "splitting gap > 4")
     try:
         q = sample_section(spec, args.seed, args.bound)

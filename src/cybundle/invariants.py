@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import comb
 from operator import mul
 
-from ._value import Frozen, Record
+from ._value import Record
 from .chow import (
     BundleSpec,
     closed_form_intersections,
@@ -316,29 +316,12 @@ def picard_number(
     return 2 + h1, "normalized convention"
 
 
-class AdmissibilityReport(Frozen):
-    # gap is b - a for the splitting type, gamma_max the split maximum (a - b)^2
-    __slots__ = ("admissible", "gap", "gamma", "gamma_max")
-
-    def __init__(self, admissible: bool, gap: int, gamma: int, gamma_max: int) -> None:
-        self._fill(admissible, gap, gamma, gamma_max)
-
-
-def admissibility_p3(spec: BundleSpec) -> AdmissibilityReport:
-    """Whether a split rank-2 bundle on P^3 can carry a smooth X: b - a <= 4.
-
-    gamma_max reports the extremal value (a - b)^2 attained exactly by the
-    split bundle of the same splitting type.
-    """
+def admissibility_p3(spec: BundleSpec) -> bool:
+    """Whether a split rank-2 bundle on P^3 can carry a smooth X: b - a <= 4."""
     if (spec.base_dim, spec.rank) != (3, 2) or not spec.is_split:
         raise ValueError("admissibility is for split rank-2 bundles over P^3")
     a, b = spec.split_degrees
-    return AdmissibilityReport(
-        admissible=(b - a) <= 4,
-        gap=b - a,
-        gamma=spec.gamma(),
-        gamma_max=(a - b) ** 2,
-    )
+    return b - a <= 4
 
 
 def section_degrees(spec: BundleSpec) -> tuple[int, int, int]:
@@ -347,9 +330,9 @@ def section_degrees(spec: BundleSpec) -> tuple[int, int, int]:
     (a, b).
 
     The one gap refusal of the discriminant: a ValueError when
-    admissibility_p3 calls the spec inadmissible (b - a > 4, so d00 < 0).
+    admissibility_p3 is False (b - a > 4, so d00 < 0).
     """
-    if not admissibility_p3(spec).admissible:
+    if not admissibility_p3(spec):
         raise ValueError("inadmissible spec: b - a > 4")
     a, b = spec.split_degrees
     return (a - b + 4, 4, b - a + 4)

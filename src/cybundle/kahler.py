@@ -148,9 +148,9 @@ def require_rho_two(spec: BundleSpec) -> BundleSpec:
         if norm.c1 > 3:
             raise RhoNotTwoError(f"c1 = {norm.c1} > 3 forces rho > 2")
     else:
-        adm = admissibility_p3(norm)
-        if not adm.admissible:
-            raise RhoNotTwoError(f"splitting gap {adm.gap} > 4: no smooth X")
+        if not admissibility_p3(norm):
+            a, b = norm.split_degrees
+            raise RhoNotTwoError(f"splitting gap {b - a} > 4: no smooth X")
         if norm.split_degrees == RHO_ONE_SPLITTING_P3:
             raise RhoNotTwoError("O + O(4) has rho = 1")
     return norm

@@ -188,8 +188,6 @@ def _divide_linear(a: list[int], s: int, t: int) -> list[int]:
 
 
 def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
     out = []
     d = 1
     while d * d <= n:

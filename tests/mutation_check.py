@@ -393,6 +393,14 @@ MUTATIONS = (
         "if False:",
         ["tests/test_ratpoly.py::TestUniPoly::test_rational_roots_trailing_zero_raises"],
     ),
+    # [] then reaches a[-1]: IndexError, not the guard's ValueError
+    Mutation(
+        "empty-list check dropped from rational_roots",
+        PKG / "ratpoly.py",
+        "if not a:",
+        "if False:",
+        ["tests/test_ratpoly.py::TestUniPoly::test_rational_roots_of_empty_list_raises"],
+    ),
     Mutation(
         "roots at 0 appended after the others",
         PKG / "ratpoly.py",
@@ -762,6 +770,47 @@ MUTATIONS = (
         "if False:",
         ["tests/test_invariants.py::TestAdmissibility::test_non_split_spec_refused"],
     ),
+    # (0, 5) then has a smooth X: invariants prints a row where it exits 4,
+    # and the rho = 2 gate passes it
+    Mutation(
+        "admissible at gap 5",
+        PKG / "invariants.py",
+        "return b - a <= 4",
+        "return b - a <= 5",
+        ["tests/test_golden.py::test_golden_output[refuse-gap-exit4]",
+         "tests/test_kahler.py::TestRhoTwoGate"],
+    ),
+    # without each of the next four guards a P^1 spec reaches gamma() or
+    # admissibility_p3, which refuse it with their own messages
+    Mutation(
+        "invariants_p3's shape guard dropped",
+        PKG / "invariants.py",
+        'if (spec.base_dim, spec.rank) != (3, 2):\n        raise ValueError("invariants_p3',
+        'if False:\n        raise ValueError("invariants_p3',
+        ["tests/test_invariants.py::TestInvariantsP3::test_p1_spec_refused"],
+    ),
+    Mutation(
+        "fiber_count's shape guard dropped",
+        PKG / "invariants.py",
+        'if (spec.base_dim, spec.rank) != (3, 2):\n        raise ValueError("fiber counting',
+        'if False:\n        raise ValueError("fiber counting',
+        ["tests/test_invariants.py::TestFiberCount::test_p1_spec_refused"],
+    ),
+    Mutation(
+        "euler_characteristic_rank2_p3's shape guard dropped",
+        PKG / "invariants.py",
+        'if (spec.base_dim, spec.rank) != (3, 2):\n        raise ValueError("this Riemann-Roch',
+        'if False:\n        raise ValueError("this Riemann-Roch',
+        ["tests/test_invariants.py::TestEulerCharacteristic::test_p1_spec_refused"],
+    ),
+    Mutation(
+        "QuadraticSection's split-P^3 guard dropped",
+        PKG / "discriminant.py",
+        "if (self.spec.base_dim, self.spec.rank) != (3, 2) or not self.spec.is_split:",
+        "if False:",
+        ["tests/test_discriminant.py::TestBuildDiscriminant::"
+         "test_spec_other_than_split_p3_refused"],
+    ),
     Mutation(
         "gamma's shape guard dropped",
         PKG / "chow.py",
@@ -813,6 +862,36 @@ MUTATIONS = (
         "if len(degs) != self.rank:",
         "if False:",
         ["tests/test_chow.py::TestBundleSpec::test_split_degree_count_must_equal_rank"],
+    ),
+    Mutation(
+        "BundleSpec's sorted-degrees guard dropped",
+        PKG / "chow.py",
+        "if list(degs) != sorted(degs):",
+        "if False:",
+        ["tests/test_chow.py::TestBundleSpec::test_unsorted_split_degrees_refused"],
+    ),
+    Mutation(
+        "BundleSpec's c2 = a*b guard dropped",
+        PKG / "chow.py",
+        "if self.c2 != a * b:",
+        "if False:",
+        ["tests/test_chow.py::TestBundleSpec::"
+         "test_c2_must_equal_the_product_of_split_degrees"],
+    ),
+    # a spec from Chern data alone then fails to index its degrees: TypeError
+    Mutation(
+        "normalized's split guard dropped",
+        PKG / "chow.py",
+        "if not self.is_split:",
+        "if False:",
+        ["tests/test_chow.py::TestBundleSpec::test_normalization_needs_split_degrees"],
+    ),
+    Mutation(
+        "ChowClass's same-bundle guard dropped",
+        PKG / "chow.py",
+        "if self.spec != other.spec:",
+        "if False:",
+        ["tests/test_chow.py::TestChowClass::test_classes_on_different_bundles_refused"],
     ),
     Mutation(
         "from_split truncating degrees with int",

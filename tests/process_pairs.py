@@ -6,7 +6,10 @@
 extracts ``git archive <parent>`` into a temporary directory and copies
 this working tree's ``src/`` (uncommitted edits included) next to it, so
 that both sides load from the same file system.  Each pair then starts one
-``python -m cybundle.cli <command>`` process on each side, with
+``python -c "import sys; from cybundle.cli import main; sys.exit(main())"
+<command>`` process on each side, as the installed ``cybundle`` console
+script starts (``python -m`` would also load ``runpy``, ``importlib.util``
+and ``contextlib``, which neither the script nor cybundle imports), with
 ``PYTHONPATH`` set to that side's ``src/``, the order alternating from pair
 to pair (parent first in even pairs), and times it from start to exit.
 Before the pairs, one untimed run per side writes its bytecode, so every
@@ -38,6 +41,8 @@ from pathlib import Path
 from ab_pairs import ROOT, extract, quartiles
 
 MIN_PAIRS = 30
+# what the console script's entry point runs: cybundle.cli:main
+ENTRY = "import sys; from cybundle.cli import main; sys.exit(main())"
 
 
 def run_cli(tree: Path, command, flags=()) -> tuple:
@@ -46,7 +51,7 @@ def run_cli(tree: Path, command, flags=()) -> tuple:
     env = {k: v for k, v in os.environ.items()
            if k not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
     env["PYTHONPATH"] = str(tree / "src")
-    argv = [sys.executable, *flags, "-m", "cybundle.cli", *command]
+    argv = [sys.executable, *flags, "-c", ENTRY, *command]
     t0 = time.perf_counter()
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True)
     return time.perf_counter() - t0, done.returncode, done.stdout

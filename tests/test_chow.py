@@ -109,6 +109,16 @@ class TestReduce:
                     op(other, xi)
 
 
+class TestChowClass:
+    def test_classes_on_different_bundles_refused(self):
+        # both specs are rank 2 over P^3, so each grid is in normal form on either
+        a = ChowClass.xi(BundleSpec.from_split(3, (0, 1)))
+        b = ChowClass.xi(BundleSpec.from_split(3, (0, 2)))
+        for op in (operator.add, operator.mul):
+            with pytest.raises(ValueError, match="classes live on different bundles"):
+                op(a, b)
+
+
 class TestIntegrate:
     def test_point_class(self):
         spec = BundleSpec.from_chern(5, 3)
@@ -231,6 +241,21 @@ class TestBundleSpec:
         # each field is an int: a float would reach every record as a float
         with pytest.raises(TypeError):
             BundleSpec(*args)
+
+    def test_unsorted_split_degrees_refused(self):
+        # c1 and c2 agree with (2, 0); only the order is wrong
+        with pytest.raises(ValueError, match="sorted ascending"):
+            BundleSpec(3, 2, 2, 0, (2, 0))
+
+    def test_c2_must_equal_the_product_of_split_degrees(self):
+        # (0, 2) has c2 = 0, not 1
+        with pytest.raises(ValueError, match="c2 must equal the product"):
+            BundleSpec(3, 2, 2, 1, (0, 2))
+
+    def test_normalization_needs_split_degrees(self):
+        # Chern data alone have no least degree to twist away
+        with pytest.raises(ValueError, match="normalization needs split degrees"):
+            BundleSpec.from_chern(1, 0).normalized()
 
     def test_normalization(self):
         spec = BundleSpec.from_split(3, (1, 3))

@@ -98,6 +98,13 @@ class TestBuildDiscriminant:
         QuadraticSection(spec, MultiPoly(), s01, s11)
         Octic(MultiPoly())
 
+    def test_spec_other_than_split_p3_refused(self):
+        # without this guard both reach admissibility_p3, which refuses them in other words
+        zero = MultiPoly()
+        for spec in (BundleSpec.from_chern(1, 0), BundleSpec.from_split(1, (0, 0, 0, 1))):
+            with pytest.raises(ValueError, match="need a split rank-2 spec on P\\^3"):
+                QuadraticSection(spec, zero, zero, zero)
+
     def test_inadmissible_refused(self):
         spec = BundleSpec.from_split(3, (0, 5))
         with pytest.raises(ValueError):
@@ -207,7 +214,7 @@ class TestGapRule:
         }
         refused = 0
         for spec in P3_GRID:
-            admissible = admissibility_p3(spec).admissible
+            admissible = admissibility_p3(spec)
             refused += not admissible
             for name, call in calls.items():
                 try:

@@ -76,6 +76,11 @@ class TestInvariantsP3:
     def test_oracle_cross_check_family(self, spec):
         invariants_p3(spec)  # raises on closed-form/oracle mismatch
 
+    def test_p1_spec_refused(self):
+        # without this guard the spec reaches gamma(), which refuses it in other words
+        with pytest.raises(ValueError, match="invariants_p3 needs a rank-2 bundle over P\\^3"):
+            invariants_p3(BundleSpec.from_split(1, (0, 0, 0, 1)))
+
     def test_c3_lower_bound(self):
         vals = {s.gamma(): invariants_p3(s).c3_X for s in ADMISSIBLE_P3}
         assert min(vals.values()) == -296
@@ -404,6 +409,11 @@ class TestFiberCount:
         with pytest.raises(ValueError, match="gamma = 20 > 16"):
             fiber_count(BundleSpec.from_chern(0, -5))
 
+    def test_p1_spec_refused(self):
+        # without this guard the spec reaches gamma(), which refuses it in other words
+        with pytest.raises(ValueError, match="fiber counting needs a rank-2 bundle over P\\^3"):
+            fiber_count(BundleSpec.from_split(1, (0, 0, 0, 1)))
+
     @pytest.mark.parametrize("spec", ADMISSIBLE_P3, ids=str)
     def test_triple_agreement(self, spec):
         # closed form, pushforward c3 formula and Bezout product all agree
@@ -419,6 +429,11 @@ class TestEulerCharacteristic:
         spec = BundleSpec.from_split(3, degrees)
         assert euler_characteristic_rank2_p3(spec) == chi
         assert h0_split(*degrees) == chi
+
+    def test_p1_spec_refused(self):
+        # without this guard the spec reaches gamma(), which refuses it in other words
+        with pytest.raises(ValueError, match="Riemann-Roch form is for rank-2 bundles on P\\^3"):
+            euler_characteristic_rank2_p3(BundleSpec.from_split(1, (0, 0, 0, 1)))
 
     def test_h0_split_refuses_negative_degrees(self):
         # refused, not summed: (-1, 0) would give C(2, 3) + C(3, 3) = 1, and
@@ -526,11 +541,9 @@ class TestPicardNumber:
 
 class TestAdmissibility:
     def test_examples(self):
-        r = admissibility_p3(BundleSpec.from_split(3, (0, 4)))
-        assert r.admissible and r.gamma == 16 and r.gamma_max == 16
-        assert not admissibility_p3(BundleSpec.from_split(3, (0, 5))).admissible
-        r0 = admissibility_p3(BundleSpec.from_split(3, (0, 0)))
-        assert r0.admissible and r0.gamma == 0
+        assert admissibility_p3(BundleSpec.from_split(3, (0, 4))) is True
+        assert admissibility_p3(BundleSpec.from_split(3, (0, 5))) is False
+        assert admissibility_p3(BundleSpec.from_split(3, (0, 0))) is True
 
     def test_non_split_spec_refused(self):
         # Chern data alone have no splitting degrees to read a gap from

@@ -280,17 +280,17 @@ class TestRhoTwoGate:
         # the gap refusal reads admissibility_p3; O + O(4) is the one
         # admissible splitting with rho = 1
         for spec in P3_GRID:
-            adm = admissibility_p3(spec)
-            if adm.admissible:
-                assert _refuses(require_rho_two, spec) == (adm.gap == 4), spec
+            a, b = spec.split_degrees
+            if admissibility_p3(spec):
+                assert _refuses(require_rho_two, spec) == (b - a == 4), spec
             else:
-                msg = f"^splitting gap {adm.gap} > 4: no smooth X$"
+                msg = f"^splitting gap {b - a} > 4: no smooth X$"
                 with pytest.raises(RhoNotTwoError, match=msg):
                     require_rho_two(spec)
 
     def test_refuses_exactly_when_rho_is_not_two(self):
         # the gate decides without cohomology; picard_number computes rho
-        admissible = [s for s in P3_GRID if admissibility_p3(s).admissible]
+        admissible = [s for s in P3_GRID if admissibility_p3(s)]
         specs = admissible + P1_GRID
         assert len(specs) == 765
         for spec in specs:

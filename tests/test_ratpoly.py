@@ -136,6 +136,11 @@ class TestUniPoly:
         # -2x^2 - 4x + 6 = -2(x + 3)(x - 1)
         assert rational_roots([6, -4, -2]) == [(-3, 1), (1, 1)]
 
+    def test_rational_roots_of_empty_list_raises(self):
+        # [] is the zero polynomial: a[-1] would raise IndexError instead
+        with pytest.raises(ValueError, match="the zero polynomial has every root"):
+            rational_roots([])
+
     @pytest.mark.parametrize("a", [[0], [0, 0], [1, 0], [-2, 1, 0]])
     def test_rational_roots_trailing_zero_raises(self, a):
         with pytest.raises(ValueError, match="trailing zeros"):

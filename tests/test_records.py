@@ -1,4 +1,4 @@
-"""Value semantics of the twelve record types.
+"""Value semantics of the eleven record types.
 
 Each record compares equal to a record of its own type with equal fields
 and to nothing else, repr-s as ``Name(field=value, ...)`` with its fields in
@@ -24,7 +24,7 @@ from cybundle.discriminant import (
     singularity_witness,
     witness_section,
 )
-from cybundle.invariants import AdmissibilityReport, CyInvariants, invariants_for
+from cybundle.invariants import CyInvariants, invariants_for
 from cybundle.kahler import (
     ContractionKind,
     ContractionReport,
@@ -63,7 +63,6 @@ CASES = [
         ("base_dim", "c1", "c2", "gamma", "c3_X", "h_dot_c2", "xi_dot_c2", "mk_dot_c2",
          "h3", "xi_h2", "xi2_h", "xi3", "fiber_count", "picard_number",
          "picard_hypothesis_note", "mk_cubed", "mk_sq_h"))),
-    (AdmissibilityReport, lambda: dict(admissible=True, gap=2, gamma=4, gamma_max=4)),
     (CubicForm, lambda: dict(
         w30=Fraction(5, 2), w21=Fraction(3), w12=Fraction(0), w03=Fraction(-1, 4))),
     (RationalityReport, lambda: dict(
