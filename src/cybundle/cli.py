@@ -28,9 +28,9 @@ Command handlers return only their payload fields; ``main`` alone adds the
 header (``schema``, ``command``), writes the payload and maps errors to exit
 codes, each with one JSON object ``{"error": ..., "exit_code": ...}`` on
 stderr; argparse's own usage errors keep its usage message.  A request
-gives options only to the subparser that ``argv[0]`` names exactly; the
-other subparsers are bare placeholders that only name themselves in the
-choice list.  Any other argv gets the full parser (see build_parser).
+builds only the subparser that ``argv[0]`` names exactly; there are no
+placeholder parsers, as the other names appear only in the usage's choice
+list.  Any other argv gets the full parser (see build_parser).
 ``--out`` is written atomically, through any symlink to the file it names:
 a failed write leaves no partial file.
 After a failed write to stdout the descriptor under it is pointed at the
@@ -478,25 +478,25 @@ _COMMANDS = (
 
 
 _COMMAND_NAMES = frozenset(row[0] for row in _COMMANDS)
+# the text argparse derives from the full choice map, for the usage line
+_CHOICES = "{" + ",".join(row[0] for row in _COMMANDS) + "}"
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand.  Given a ``command``, only that
-    subparser gets its options; the others are bare placeholders, with no
-    action at all, not even ``-h``.  Such a parser reads exactly the argv
-    whose first token is ``command``: the top-level parser has no option
-    but ``-h``, so that token always selects the subcommand, and only its
-    subparser reads the rest.  A placeholder only supplies its name to the
-    top-level choice list, which the usage and error text show."""
+    """The full parser, or, given a ``command``, one that holds only that
+    subparser; the other names then appear only in the usage's choice list,
+    the metavar _CHOICES.  It reads exactly the argv whose first token is
+    ``command``: the top-level parser has no option but ``-h``, so that token
+    always selects the subcommand.  The full parser keeps no metavar, so its
+    own errors name ``argument command``."""
     parser = argparse.ArgumentParser(
         prog="cybundle",
         description="Exact invariants of Calabi-Yau threefolds in projective bundles",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=None if command is None else _CHOICES)
     for name, help_text, handler, options, takes_base in _COMMANDS:
         if command is not None and name != command:
-            # a placeholder: it only lends its name to the choice list
-            sub.add_parser(name, help=help_text, add_help=False)
             continue
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in options:

@@ -524,13 +524,22 @@ MUTATIONS = (
         ["tests/test_cli.py::TestNamedSubcommandParser::"
          "test_only_the_named_subparser_has_options"],
     ),
+    # the usage line of a named parser then lists only the named command
     Mutation(
-        "placeholder keeps its help action",
+        "named parser's usage without the other command names",
         PKG / "cli.py",
-        "sub.add_parser(name, help=help_text, add_help=False)",
-        "sub.add_parser(name, help=help_text, add_help=True)",
+        "metavar=None if command is None else _CHOICES",
+        "metavar=None",
         ["tests/test_cli.py::TestNamedSubcommandParser::"
-         "test_only_the_named_subparser_has_options"],
+         "test_placeholders_change_no_byte"],
+    ),
+    # the full parser's own errors then say argument {invariants,...}
+    Mutation(
+        "full parser's errors name the choice list, not the command",
+        PKG / "cli.py",
+        "metavar=None if command is None else _CHOICES",
+        "metavar=_CHOICES",
+        ["tests/test_cli.py::TestParser::test_full_parser_errors_name_the_command"],
     ),
     Mutation(
         "non-regular --out target not refused",
