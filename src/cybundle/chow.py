@@ -67,12 +67,25 @@ class BundleSpec(Frozen):
 
     def _fill(self, base_dim: int, rank: int, c1: int, c2: int,
               split_degrees: tuple[int, ...] | None) -> None:
-        # field by field, not through Record._fill's loop: one spec per survey row
+        # field by field, not through Record._fill's loop
         object.__setattr__(self, "base_dim", base_dim)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
         object.__setattr__(self, "split_degrees", split_degrees)
+
+    @classmethod
+    def _trusted(cls, base_dim: int, rank: int, c1: int, c2: int,
+                 split_degrees: tuple[int, ...] | None) -> "BundleSpec":
+        # through the slots' own setters (below the class), with no _fill
+        # call between: the survey builds one spec per row
+        spec = object.__new__(cls)
+        _set_base_dim(spec, base_dim)
+        _set_rank(spec, rank)
+        _set_c1(spec, c1)
+        _set_c2(spec, c2)
+        _set_split_degrees(spec, split_degrees)
+        return spec
 
     @classmethod
     def from_split(cls, base_dim: int, degrees: Sequence[int]) -> "BundleSpec":
@@ -121,6 +134,12 @@ class BundleSpec(Frozen):
         if (self.base_dim, self.rank) != (3, 2):
             raise ValueError("gamma is defined for rank-2 bundles over P^3")
         return self.c1 ** 2 - 4 * self.c2
+
+
+# the __set__ of each BundleSpec slot's member descriptor, in __slots__
+# order: it stores a field past Frozen.__setattr__ without a setattr lookup
+_set_base_dim, _set_rank, _set_c1, _set_c2, _set_split_degrees = (
+    BundleSpec.__dict__[name].__set__ for name in BundleSpec.__slots__)
 
 
 FormalPoly = dict[tuple[int, int], int]  # (xi_pow, h_pow) -> coefficient

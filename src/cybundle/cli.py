@@ -6,8 +6,14 @@ seed.  JSON reports carry ``"schema": 1``.  A report row holds the keys of
 ROW_KEYS; the CSV columns (CSV_COLUMNS) are those keys in that order
 without the free-text ``picard_hypothesis_note``, which only json and text
 rows carry.  Report rows are rendered from ROW_KEYS sorted once (a json row
-template, text cells); every other json value goes through _json_text, and
-the json bytes are those of ``json.dumps(indent=2, sort_keys=True)``.  CSV
+template, text cells), and a json row cell that is a list of exact ints,
+such as ``degrees``, is one join; every other json value goes through
+_json_text, and the json bytes are those of
+``json.dumps(indent=2, sort_keys=True)``.
+``enumerate`` shares one OracleMemo among its rows: the oracle runs once
+per Chern datum, and a row whose datum an earlier row had and whose rho is
+not 2 is that datum's checked row with its own degrees and Picard fields
+(see _report_row); every row's closed forms are still compared.  CSV
 holds report rows, so ``--format csv`` is accepted by ``invariants`` and
 ``enumerate`` only.  Each ``--degrees`` field is
 ASCII ``-?[0-9]+`` with at most MAX_DEGREE_DIGITS (1000) digits (no spaces,
@@ -32,7 +38,8 @@ builds only the subparser that ``argv[0]`` names exactly; there are no
 placeholder parsers, as the other names appear only in the usage's choice
 list.  Any other argv gets the full parser (see build_parser).
 ``--out`` is written atomically, through any symlink to the file it names:
-a failed write leaves no partial file.
+a failed write leaves no partial file, and a file already at the temporary
+name is left as it is (see _write_atomic).
 After a failed write to stdout the descriptor under it is pointed at the
 null device, so the exit prints no second error.
 """
@@ -62,7 +69,9 @@ from .invariants import (
     OracleMemo,
     OracleMismatchError,
     admissibility_p3,
+    check_invariants,
     invariants_for,
+    picard_number,
 )
 from .kahler import (
     RhoNotTwoError,
@@ -105,6 +114,9 @@ _JSON_LEAVES = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
+
+# the element types of a nonempty list of exact ints, which _json_row joins
+_INT_ONLY = {int}
 
 # csv and text cells of these exact types need no _csv_cell conversion
 _PLAIN = (int, str)
@@ -158,6 +170,26 @@ def _parse_spec(text: str, base: str) -> tuple[list[int], BundleSpec]:
 
 
 def _report_row(spec: BundleSpec, oracle_memo: OracleMemo | None = None) -> dict:
+    """The report row of a split spec, a new dict on every call.
+
+    With a memo, the first row of each Chern datum is built from the spec's
+    record, and a copy of it without the cone and contraction fields is
+    kept in the memo as the datum row.  A later spec of that datum whose
+    rho is not 2 runs the record's checks (check_invariants) and gets a copy
+    of the datum row with its own degrees and Picard fields: every other
+    field of the row is a function of the Chern datum, and its cone and
+    contraction fields are null.  Any other row comes from its record.
+    """
+    key = ("row", spec.base_dim, spec.rank, spec.c1, spec.c2)
+    datum_row = None if oracle_memo is None else oracle_memo.get(key)
+    if datum_row is not None:
+        rho, note = picard_number(spec, oracle_memo)
+        if rho != 2:
+            check_invariants(spec, oracle_memo)
+            row = datum_row.copy()
+            row["degrees"] = list(spec.split_degrees)
+            row["picard_number"], row["picard_hypothesis_note"] = rho, note
+            return row
     inv = invariants_for(spec, oracle_memo)
     row = _NULL_ROW.copy()
     row["base"] = "p3" if spec.base_dim == 3 else "p1"
@@ -165,6 +197,8 @@ def _report_row(spec: BundleSpec, oracle_memo: OracleMemo | None = None) -> dict
     # every record is oracle-checked; a mismatch raises before this
     row["oracle_ok"] = True
     row.update(zip(_RECORD_KEYS, map(inv.__getattribute__, _RECORD_KEYS)))
+    if datum_row is None and oracle_memo is not None:
+        oracle_memo[key] = row.copy()
     # the record's rho = 2, and on p3 its fiber count (None where gamma > 16
     # leaves no smooth X), fill the cone and contraction fields
     if inv.picard_number != 2 or (spec.base_dim == 3 and inv.fiber_count is None):
@@ -191,7 +225,8 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
     once: ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline
     for json.  A report row (a dict with exactly the keys of ROW_KEYS) is
     rendered in the key order sorted once from ROW_KEYS, in json from a row
-    template; every other json value goes through _json_text.
+    template (see _json_row); every other json value goes through
+    _json_text.
     """
     try:
         if out:
@@ -262,12 +297,19 @@ def _write_json(fh: io.TextIOBase, payload: dict) -> None:
 
 
 def _json_row(row: dict) -> str:
-    """``_json_text(row, "    ")`` for a report row, from the row template."""
+    """``_json_text(row, "    ")`` for a report row, from the row template;
+    a nonempty list of exact ints, such as ``degrees``, is one join."""
     parts = []
     for key, head in _JSON_ROW_TEMPLATE:
         v = row[key]
         leaf = _JSON_LEAVES.get(type(v))
-        parts.append(head + (leaf(v) if leaf else _json_text(v, "      ")))
+        if leaf is not None:
+            parts.append(head + leaf(v))
+        elif type(v) is list and {*map(type, v)} == _INT_ONLY:
+            ints = ",\n        ".join(map(int.__repr__, v))
+            parts.append(f"{head}[\n        {ints}\n      ]")
+        else:
+            parts.append(head + _json_text(v, "      "))
     return "".join(parts) + "\n    }"
 
 
@@ -327,10 +369,18 @@ def _write_atomic(path: str, write: Callable[[io.TextIOBase], None]) -> None:
     over ``path``, so a failed write leaves no partial file behind.  A
     symlinked ``path`` is resolved first, so the link keeps pointing at the
     file that now holds the payload.  The temporary file is created
-    exclusively: whatever already has its name is not written through."""
+    exclusively: whatever already has its name, such as a file left by a
+    killed process with the same pid, is neither written through nor
+    touched, and the next free name ``<path>.<pid>.<n>.tmp`` is taken."""
     path = os.path.realpath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    tmp, n = f"{path}.{os.getpid()}.tmp", 0
+    while True:
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            n += 1
+            tmp = f"{path}.{os.getpid()}.{n}.tmp"
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             write(fh)

@@ -9,7 +9,10 @@ a caller reporting on many specs may pass an OracleMemo to compute it once
 per Chern datum; the closed forms of every spec are still compared
 against it.  The same dict keeps the symmetric powers of each p1 prefix
 (see picard_number), so specs that share their three smallest normalized
-degrees build them once.
+degrees build them once, and it may keep the caller's own result per Chern
+datum (the CLI keeps a report row there).  Every field of a record but
+the Picard ones depends on the Chern datum alone, so check_invariants runs
+a spec's checks without building its record.
 A disagreement raises OracleMismatchError -- self-validation is the point
 of the library, not an afterthought.
 """
@@ -32,11 +35,12 @@ class OracleMismatchError(ArithmeticError):
     """A closed form disagreed with its independent Chow-ring oracle."""
 
 
-# Chern datum (base_dim, rank, c1, c2) -> its oracle integrals in INTEGRAL_KEYS
-# order, and p1 prefix (0, a1, a2) -> its Sym^(4-j), j = 0..2, each None until
-# first used (see picard_number); the keys differ in length, so the two kinds
-# never meet
-OracleMemo = dict[tuple[int, ...], tuple[int, ...] | list[SplitBundle | None]]
+# three key kinds: Chern datum (base_dim, rank, c1, c2) -> its oracle integrals
+# in INTEGRAL_KEYS order; p1 prefix (0, a1, a2) -> its Sym^(4-j), j = 0..2, each
+# None until first used (see picard_number); and ("row", base_dim, rank, c1, c2)
+# -> the checked report row of that Chern datum, kept by cli._report_row.  The
+# keys differ in length, so no two kinds meet
+OracleMemo = dict[tuple, tuple[int, ...] | list[SplitBundle | None] | dict]
 
 # CyInvariants' integral fields in order; p3 closed forms give only the first 8
 INTEGRAL_KEYS = ("c3_X", "h_dot_c2", "xi_dot_c2", "mk_dot_c2", "h3", "xi_h2", "xi2_h",
@@ -126,24 +130,68 @@ def _compare(closed: tuple, oracle: tuple) -> None:
                 raise OracleMismatchError(f"{key}: closed form {want} != oracle {got}")
 
 
-def _record(
-    spec: BundleSpec, closed: tuple, oracle_memo: OracleMemo | None,
-    gamma: int | None, fibers: int | None,
-) -> CyInvariants:
-    """Check the closed forms against the oracle and build the record.
+def check_invariants(
+    spec: BundleSpec, oracle_memo: OracleMemo
+) -> tuple[tuple[int, ...], int | None, int | None]:
+    """Every check invariants_for runs on ``spec`` but picard_number's,
+    without building the record: on P^3 with gamma <= 16, fiber_count's
+    pushforward and Bezout checks; then the closed forms against the
+    oracle integrals kept in ``oracle_memo`` under the Chern datum (the
+    oracle runs there on a miss).  A disagreement raises
+    OracleMismatchError.
+
+    Returns the oracle integrals in INTEGRAL_KEYS order, gamma and the
+    fiber count (both None on P^1; the count None past gamma 16).  All of
+    them, and so every field of the record but the Picard ones, depend on
+    the Chern datum alone.
+    """
+    c1, c2 = spec.c1, spec.c2
+    if spec.base_dim == 3:
+        g = spec.gamma()
+        fibers = fiber_count(spec) if g <= 16 else None
+        closed = (
+            -8 * g - 168,                                # c3_X
+            44,                                          # h_dot_c2
+            4 * g + 22 * c1 + 24,                        # xi_dot_c2
+            8 * g + 224,                                 # mk_dot_c2
+            2,                                           # h3
+            c1 + 4,                                      # xi_h2
+            c1 ** 2 - 2 * c2 + 4 * c1,                   # xi2_h
+            c1 ** 3 + 4 * c1 ** 2 - 3 * c1 * c2 - 4 * c2,  # xi3
+        )
+    else:
+        g = fibers = None
+        closed = (
+            -168,         # c3_X
+            24,           # h_dot_c2
+            6 * c1 + 44,  # xi_dot_c2
+            224,          # mk_dot_c2
+            0,            # h3
+            0,            # xi_h2
+            4,            # xi2_h
+            3 * c1 + 2,   # xi3
+            512,          # mk_cubed
+            64,           # mk_sq_h
+        )
+    key = (spec.base_dim, spec.rank, c1, c2)
+    o = oracle_memo.get(key)
+    if o is None:
+        o = oracle_memo[key] = tuple(map(_oracle_numbers(spec).__getitem__, INTEGRAL_KEYS))
+    _compare(closed, o)
+    return o, g, fibers
+
+
+def _record(spec: BundleSpec, oracle_memo: OracleMemo | None) -> CyInvariants:
+    """Check the spec (see check_invariants) and build its record.
 
     The oracle reads only the Chern data, so with a memo it runs once per
     Chern datum; the comparison runs for every spec regardless.  The
     record's integrals are the oracle's, equal to the closed forms.
     """
     memo = {} if oracle_memo is None else oracle_memo
-    key = (spec.base_dim, spec.rank, spec.c1, spec.c2)
-    o = memo.get(key)
-    if o is None:
-        o = memo[key] = tuple(map(_oracle_numbers(spec).__getitem__, INTEGRAL_KEYS))
-    _compare(closed, o)
+    o, g, fibers = check_invariants(spec, memo)
     rho, note = picard_number(spec, memo) if spec.is_split else (None, None)
-    return CyInvariants(spec.base_dim, spec.c1, spec.c2, gamma, *o[:8], fibers, rho, note,
+    return CyInvariants(spec.base_dim, spec.c1, spec.c2, g, *o[:8], fibers, rho, note,
                         *(o[8:] if spec.base_dim == 1 else (None, None)))  # in field order
 
 
@@ -153,18 +201,7 @@ def invariants_p3(
     """Invariant record for rank-2 bundles over P^3 (see invariants_for)."""
     if (spec.base_dim, spec.rank) != (3, 2):
         raise ValueError("invariants_p3 needs a rank-2 bundle over P^3")
-    c1, c2, g = spec.c1, spec.c2, spec.gamma()
-    closed = (
-        -8 * g - 168,                                # c3_X
-        44,                                          # h_dot_c2
-        4 * g + 22 * c1 + 24,                        # xi_dot_c2
-        8 * g + 224,                                 # mk_dot_c2
-        2,                                           # h3
-        c1 + 4,                                      # xi_h2
-        c1 ** 2 - 2 * c2 + 4 * c1,                   # xi2_h
-        c1 ** 3 + 4 * c1 ** 2 - 3 * c1 * c2 - 4 * c2,  # xi3
-    )
-    return _record(spec, closed, oracle_memo, g, fiber_count(spec) if g <= 16 else None)
+    return _record(spec, oracle_memo)
 
 
 def invariants_p1(
@@ -173,20 +210,7 @@ def invariants_p1(
     """Invariant record for rank-4 bundles over P^1 (see invariants_for)."""
     if (spec.base_dim, spec.rank) != (1, 4):
         raise ValueError("invariants_p1 needs a rank-4 bundle over P^1")
-    c1 = spec.c1
-    closed = (
-        -168,         # c3_X
-        24,           # h_dot_c2
-        6 * c1 + 44,  # xi_dot_c2
-        224,          # mk_dot_c2
-        0,            # h3
-        0,            # xi_h2
-        4,            # xi2_h
-        3 * c1 + 2,   # xi3
-        512,          # mk_cubed
-        64,           # mk_sq_h
-    )
-    return _record(spec, closed, oracle_memo, None, None)
+    return _record(spec, oracle_memo)
 
 
 def invariants_for(

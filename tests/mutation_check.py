@@ -664,6 +664,44 @@ MUTATIONS = (
         "if inv.picard_number != 2:",
         ["tests/test_cli.py::TestReportRowGate"],
     ),
+    # a row copied from its Chern datum's row is still checked, is a dict of
+    # its own, and is found under the whole datum
+    Mutation(
+        "fast path skips the closed-form comparison",
+        PKG / "cli.py",
+        "            check_invariants(spec, oracle_memo)\n",
+        "",
+        ["tests/test_cli.py::TestOracleRuns::test_compare_once_per_row"],
+    ),
+    Mutation(
+        "datum row handed out uncopied",
+        PKG / "cli.py",
+        "row = datum_row.copy()",
+        "row = datum_row",
+        ["tests/test_cli.py::TestDatumRows::test_shared_memo_equals_no_memo"],
+    ),
+    Mutation(
+        "datum-row key without c1",
+        PKG / "cli.py",
+        'key = ("row", spec.base_dim, spec.rank, spec.c1, spec.c2)',
+        'key = ("row", spec.base_dim, spec.rank, spec.c2)',
+        ["tests/test_golden.py"],
+    ),
+    # on P^3, (1, 3) (rho 2) and (0, 4) (rho 1) share c1 = 4
+    Mutation(
+        "datum-row key without c2",
+        PKG / "cli.py",
+        'key = ("row", spec.base_dim, spec.rank, spec.c1, spec.c2)',
+        'key = ("row", spec.base_dim, spec.rank, spec.c1)',
+        ["tests/test_cli.py::TestDatumRows::test_shared_memo_equals_no_memo"],
+    ),
+    Mutation(
+        "int-list cell without its exact-int guard",
+        PKG / "cli.py",
+        "elif type(v) is list and {*map(type, v)} == _INT_ONLY:",
+        "elif type(v) is list:",
+        ["tests/test_cli.py::TestJsonWriter"],
+    ),
     Mutation(
         "c2-positivity guard lets xi.c2 = 0 pass",
         PKG / "kahler.py",
@@ -1022,6 +1060,13 @@ MUTATIONS = (
         PKG / "cli.py",
         "BundleSpec._trusted(1, 4, a1 + a2 + a3, 0, (0, a1, a2, a3))",
         "BundleSpec._trusted(1, 4, a2 + a3, 0, (0, a1, a2, a3))",
+        ["tests/test_cli.py::TestEnumerateCommand::test_p1_specs_equal_from_split"],
+    ),
+    Mutation(
+        "BundleSpec._trusted with c1 and c2 swapped",
+        PKG / "chow.py",
+        "_set_c1(spec, c1)\n        _set_c2(spec, c2)",
+        "_set_c1(spec, c2)\n        _set_c2(spec, c1)",
         ["tests/test_cli.py::TestEnumerateCommand::test_p1_specs_equal_from_split"],
     ),
 )

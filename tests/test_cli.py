@@ -465,6 +465,32 @@ class TestReportRowGate:
         assert 0 < refused < len(specs)
 
 
+class TestDatumRows:
+    """With a shared memo, a row whose Chern datum an earlier row had and
+    whose rho is not 2 is a copy of that datum's row: it must equal the row
+    the spec gets alone, and be a dict of its own."""
+
+    def test_shared_memo_equals_no_memo(self):
+        # the N = 20 p1 specs and their twists by -3..3, then p3 (a, a + gap)
+        # gap-major, so (1, 3) comes before (0, 4): the two share c1, not c2
+        specs = [BundleSpec.from_split(1, [d + t for d in spec.split_degrees])
+                 for spec in _enumerate_specs("p1", 20) for t in range(-3, 4)]
+        specs += [BundleSpec.from_split(3, (a, a + gap))
+                  for gap in range(10) for a in range(-3, 7)]
+        memo, rows = {}, []
+        for spec in specs:
+            row = _report_row(spec, memo)
+            assert row == _report_row(spec), spec
+            rows.append(row)
+        # one datum row per Chern datum, and most rows copied from one
+        data = {("row", s.base_dim, s.rank, s.c1, s.c2) for s in specs}
+        assert {key for key in memo if key[0] == "row"} == data
+        assert len(data) < len(specs) // 10
+        ids = [id(row) for row in rows]
+        assert len(set(ids)) == len(rows)
+        assert set(ids).isdisjoint(map(id, memo.values()))
+
+
 class TestReportRowSchema:
     """A report row holds the keys of ROW_KEYS in that order, and its record
     keys hold the record's values; the csv columns are those keys without
@@ -642,6 +668,18 @@ class TestOutPath:
             assert code == 2
             assert json.loads(capsys.readouterr().err)["exit_code"] == 2
             assert sorted(tmp_path.iterdir()) == [planted, victim]
+
+    def test_stale_temporary_file_is_left_and_passed_by(self, tmp_path, capsys, monkeypatch):
+        # a regular file at the temporary file's name, such as one left by a
+        # killed process whose pid this one reuses
+        monkeypatch.setattr(cybundle.cli.os, "getpid", lambda: 4242)
+        out, stale = tmp_path / "out.json", tmp_path / "out.json.4242.tmp"
+        stale.write_text("stale")
+        assert main(self.ARGV + [str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["row"]["c3_X"] == -200
+        assert stale.read_text() == "stale"
+        assert sorted(tmp_path.iterdir()) == [out, stale]
 
     def test_written_file_mode_follows_the_umask(self, tmp_path):
         out = tmp_path / "x.json"
