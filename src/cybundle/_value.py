@@ -8,6 +8,8 @@ record refuses attribute assignment and hashes as the tuple of its fields,
 as a frozen dataclass does; a plain ``Record`` is mutable and unhashable.
 The package imports no ``dataclasses``, which costs a fresh process more
 than the rest of its start-up.
+``fractions`` stands for that module in annotations: get_type_hints
+resolves ``fractions.Fraction`` by importing it then, not with the package.
 """
 
 from itertools import repeat
@@ -50,6 +52,16 @@ class Record:
         # pickle and copy rebuild through the constructor, which takes the
         # fields in _fields order
         return type(self), self._key()
+
+
+class _Fractions:
+    def __getattr__(self, name: str):
+        import fractions as module
+
+        return getattr(module, name)
+
+
+fractions = _Fractions()
 
 
 class Frozen(Record):

@@ -6,10 +6,12 @@ seed.  JSON reports carry ``"schema": 1``.  A report row holds the keys of
 ROW_KEYS; the CSV columns (CSV_COLUMNS) are those keys in that order
 without the free-text ``picard_hypothesis_note``, which only json and text
 rows carry.  Report rows are rendered from ROW_KEYS sorted once (a json row
-template, text cells), and a json row cell that is a list of exact ints,
+template, a text one), and a json row cell that is a list of exact ints,
 such as ``degrees``, is one join; every other json value goes through
 _json_text, and the json bytes are those of
-``json.dumps(indent=2, sort_keys=True)``.
+``json.dumps(indent=2, sort_keys=True)``.  Each writer renders a row's
+own cells (degrees, Picard fields) per row and its other cells, functions
+of the Chern datum, once per datum in one write (see _segments).
 ``enumerate`` shares one OracleMemo among its rows: the oracle runs once
 per Chern datum, and a row whose datum an earlier row had and whose rho is
 not 2 is that datum's checked row with its own degrees and Picard fields
@@ -54,6 +56,7 @@ import re
 import stat
 import sys
 from collections.abc import Callable
+from operator import itemgetter
 
 from .chow import BundleSpec
 from .discriminant import (
@@ -115,11 +118,8 @@ _JSON_LEAVES = {
     type(None): {None: "null"}.__getitem__,
 }
 
-# the element types of a nonempty list of exact ints, which _json_row joins
+# the element types of a nonempty list of exact ints, which _json_cell joins
 _INT_ONLY = {int}
-
-# csv and text cells of these exact types need no _csv_cell conversion
-_PLAIN = (int, str)
 
 # the keys of a report row, in csv column order: base and degrees, every
 # invariant field but base_dim, oracle_ok, then the cone and contraction
@@ -139,12 +139,16 @@ ROW_KEYS = (
 CSV_COLUMNS = tuple(k for k in ROW_KEYS if k != "picard_hypothesis_note")
 
 _NULL_ROW = dict.fromkeys(ROW_KEYS)
-# report row keys in sort_keys order: the json template of a row in a
-# top-level list, whose keys sit 6 spaces deep, and the text row template
+# the own cells of a report row, which _report_row sets per spec; the other,
+# datum cells are functions of the row's Chern datum
+_OWN_KEYS = ("degrees", "picard_hypothesis_note", "picard_number")
+# report row keys in sort_keys order, with the head of each cell: the json
+# template of a row in a top-level list, whose keys sit 6 spaces deep, and
+# the text template
 _ROW_ORDER = tuple(sorted(ROW_KEYS))
 _JSON_ROW_TEMPLATE = tuple(
     (k, ("," if i else "{") + f"\n      {_encode_str(k)}: ") for i, k in enumerate(_ROW_ORDER))
-_TEXT_ROW_TEMPLATE = " ".join(f"{k}=%s" for k in _ROW_ORDER) + "\n"
+_TEXT_ROW_TEMPLATE = tuple((k, f"{' ' if i else ''}{k}=") for i, k in enumerate(_ROW_ORDER))
 _RECORD_KEYS = tuple(k for k in ROW_KEYS if k in CyInvariants._fields)
 
 
@@ -224,9 +228,9 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
     element per write.  The bytes are those of the whole text written at
     once: ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline
     for json.  A report row (a dict with exactly the keys of ROW_KEYS) is
-    rendered in the key order sorted once from ROW_KEYS, in json from a row
-    template (see _json_row); every other json value goes through
-    _json_text.
+    rendered in the key order sorted once from ROW_KEYS, from a json or a
+    text row template (see _row_writer), its datum cells once per datum;
+    every other json value goes through _json_text.
     """
     try:
         if out:
@@ -259,35 +263,115 @@ def _write(fh: io.TextIOBase, payload: dict, fmt: str) -> None:
     if fmt == "json":
         _write_json(fh, payload)
     elif fmt == "csv":
-        import csv  # only --format csv needs it, so no other request loads it
-
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in payload["rows"]:
-            cells = map(row.get, CSV_COLUMNS)
-            writer.writerow([v if type(v) in _PLAIN else _csv_cell(v) for v in cells])
+        _write_csv(fh, payload["rows"])
     else:
+        segments: dict = {}
         for key in sorted(payload):
             if key == "rows":
                 for row in payload[key]:
-                    cells = map(row.__getitem__, _ROW_ORDER)
-                    fh.write(_TEXT_ROW_TEMPLATE % tuple(
-                        [v if type(v) in _PLAIN else _csv_cell(v) for v in cells]))
+                    fh.write(_text_row(row, segments))
             else:
                 fh.write(f"{key}: {json.dumps(payload[key], sort_keys=True)}\n")
+
+
+def _write_csv(fh: io.TextIOBase, rows: list) -> None:
+    """The csv header and rows.  Degrees that are a list of exact ints and
+    an exact int rho, which csv never quotes, are written between the texts
+    csv.writer gives the row's datum cells (see _segments); any other row,
+    such as one with a missing key, goes through writerow."""
+    import csv  # only --format csv needs it, so no other request loads it
+
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    buf = io.StringIO()
+    run_writer = csv.writer(buf, lineterminator="\n")
+
+    def render(row: dict) -> list[str]:
+        # a run of datum cells gets an empty cell on each side that meets an
+        # own cell, so that no run is a lone empty field, which csv quotes;
+        # a run before an own cell drops its line end
+        texts = []
+        for i, run in enumerate(_CSV_RUNS):
+            run_writer.writerow([""] * (i > 0) + [_csv_cell(row[k]) for k in run]
+                                + [""] * (i < 2))
+            texts.append(buf.getvalue()[:-1] if i < 2 else buf.getvalue())
+            buf.seek(0)
+            buf.truncate()
+        return texts
+
+    segments: dict = {}
+    for row in rows:
+        try:
+            values, degrees, rho = _csv_datum(row), row["degrees"], row["picard_number"]
+        except KeyError:
+            degrees = rho = None
+        if type(rho) is int and type(degrees) is list and _INT_ONLY.issuperset(
+                map(type, degrees)):
+            head, middle, tail = _segments(segments, values, render, row)
+            fh.write(f"{head}{' '.join(map(int.__repr__, degrees))}{middle}{rho}{tail}")
+        else:
+            writer.writerow([_csv_cell(row.get(k)) for k in CSV_COLUMNS])
+
+
+def _segments(segments: dict, values: tuple, render: Callable, row: dict) -> list[str]:
+    """``render(row)``, the texts around a row's own cells, kept in
+    ``segments`` (a dict local to one write) once per tuple of datum cells
+    ``values``.  The key holds each cell's exact type, so True and 1 or 1.0
+    and 1 never share texts, and texts are kept only where every cell has a
+    json leaf type, whose value and type fix its text ((1,) and (True,) are
+    equal); a row with an unhashable cell is rendered alone."""
+    types = tuple(map(type, values))
+    key = values, types
+    try:
+        texts = segments.get(key)
+    except TypeError:  # an unhashable datum cell
+        return render(row)
+    if texts is None:
+        texts = render(row)
+        if _JSON_LEAVES.keys() >= {*types}:
+            segments[key] = texts
+    return texts
+
+
+def _row_writer(template: tuple, cell: Callable[[object], str], end: str):
+    """The writer of a report row from ``template``, (key, head) pairs in
+    output order: ``head + cell(row[key])`` for each, then ``end``.  It
+    takes the row and the dict of one write, in which it keeps the texts
+    around the row's own cells once per datum (see _segments)."""
+    datum = itemgetter(*(k for k, _ in template if k not in _OWN_KEYS))
+    own = itemgetter(*(k for k, _ in template if k in _OWN_KEYS))
+
+    def render(row: dict) -> list[str]:
+        texts, parts = [], []
+        for k, head in template:
+            parts.append(head)
+            if k in _OWN_KEYS:  # a text ends with the head of each own cell
+                texts.append("".join(parts))
+                parts = []
+            else:
+                parts.append(cell(row[k]))
+        return [*texts, "".join(parts) + end]
+
+    def write_row(row: dict, segments: dict) -> str:
+        s0, s1, s2, s3 = _segments(segments, datum(row), render, row)
+        degrees, note, rho = own(row)  # _OWN_KEYS, in sorted order
+        return f"{s0}{cell(degrees)}{s1}{cell(note)}{s2}{cell(rho)}{s3}"
+
+    return write_row
 
 
 def _write_json(fh: io.TextIOBase, payload: dict) -> None:
     """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, one
     top-level key per write and a top-level list one element per write."""
-    sep = "{\n  "
+    sep, segments = "{\n  ", {}
     for key, value in sorted(payload.items()):
         head = f"{sep}{_encode_str(key)}: "
         if isinstance(value, (list, tuple)) and value:
             head += "[\n    "
             for item in value:
                 row = isinstance(item, dict) and item.keys() == _NULL_ROW.keys()
-                fh.write(f"{head}{_json_row(item) if row else _json_text(item, '    ')}")
+                text = _json_row(item, segments) if row else _json_text(item, "    ")
+                fh.write(f"{head}{text}")
                 head = ",\n    "
             fh.write("\n  ]")
         else:
@@ -296,21 +380,29 @@ def _write_json(fh: io.TextIOBase, payload: dict) -> None:
     fh.write("\n}\n" if payload else "{}\n")
 
 
-def _json_row(row: dict) -> str:
-    """``_json_text(row, "    ")`` for a report row, from the row template;
-    a nonempty list of exact ints, such as ``degrees``, is one join."""
-    parts = []
-    for key, head in _JSON_ROW_TEMPLATE:
-        v = row[key]
-        leaf = _JSON_LEAVES.get(type(v))
-        if leaf is not None:
-            parts.append(head + leaf(v))
-        elif type(v) is list and {*map(type, v)} == _INT_ONLY:
-            ints = ",\n        ".join(map(int.__repr__, v))
-            parts.append(f"{head}[\n        {ints}\n      ]")
-        else:
-            parts.append(head + _json_text(v, "      "))
-    return "".join(parts) + "\n    }"
+def _json_cell(v) -> str:
+    """``_json_text(v, "      ")`` for a report row cell; a nonempty list
+    of exact ints, such as ``degrees``, is one join."""
+    leaf = _JSON_LEAVES.get(type(v))
+    if leaf is not None:
+        return leaf(v)
+    if type(v) is list and {*map(type, v)} == _INT_ONLY:
+        ints = ",\n        ".join(map(int.__repr__, v))
+        return f"[\n        {ints}\n      ]"
+    return _json_text(v, "      ")
+
+
+def _text_cell(v) -> str:
+    """A text row cell: ``%s`` of _csv_cell's value."""
+    return str(_csv_cell(v))
+
+
+_json_row = _row_writer(_JSON_ROW_TEMPLATE, _json_cell, "\n    }")
+_text_row = _row_writer(_TEXT_ROW_TEMPLATE, _text_cell, "\n")
+# the csv datum cells before, between and after its own cells, degrees and rho
+_CSV_RUNS = (CSV_COLUMNS[:1], CSV_COLUMNS[2:CSV_COLUMNS.index("picard_number")],
+             CSV_COLUMNS[CSV_COLUMNS.index("picard_number") + 1:])
+_csv_datum = itemgetter(*_CSV_RUNS[0], *_CSV_RUNS[1], *_CSV_RUNS[2])
 
 
 def _json_text(value, indent: str = "") -> str:
@@ -391,8 +483,8 @@ def _write_atomic(path: str, write: Callable[[io.TextIOBase], None]) -> None:
 
 
 def _csv_cell(value):
-    """The csv and text cell of a None, bool or list value; int and str
-    cells (the types in _PLAIN) are written as they are."""
+    """The csv and text cell of a None, bool or list value; any other
+    value, such as an int or a str, is written as it is."""
     if value is None:
         return ""
     if isinstance(value, bool):

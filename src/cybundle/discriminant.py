@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ._value import Frozen
+from ._value import Frozen, fractions
 from .chow import BundleSpec
 from .invariants import section_degrees
 from .ratpoly import (
@@ -124,9 +124,9 @@ class WitnessRecord(Frozen):
     __slots__ = ("point", "s00", "s01", "s11", "delta", "gradient", "on_base_locus",
                  "singular_point_verified", "note")
 
-    def __init__(self, point: tuple[Fraction, Fraction, Fraction, Fraction],
-                 s00: Fraction, s01: Fraction, s11: Fraction, delta: Fraction,
-                 gradient: tuple[Fraction, Fraction, Fraction, Fraction],
+    def __init__(self, point: tuple[fractions.Fraction, ...], s00: fractions.Fraction,
+                 s01: fractions.Fraction, s11: fractions.Fraction, delta: fractions.Fraction,
+                 gradient: tuple[fractions.Fraction, ...],
                  on_base_locus: bool, singular_point_verified: bool, note: str) -> None:
         self._fill(point, s00, s01, s11, delta, gradient, on_base_locus,
                    singular_point_verified, note)

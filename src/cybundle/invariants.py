@@ -7,9 +7,10 @@ on plain ints (see _oracle_numbers).  The oracle needs only the Chern
 data, so bundles known by (c1, c2) alone are checked like split ones, and
 a caller reporting on many specs may pass an OracleMemo to compute it once
 per Chern datum; the closed forms of every spec are still compared
-against it.  The same dict keeps the symmetric powers of each p1 prefix
-(see picard_number), so specs that share their three smallest normalized
-degrees build them once, and it may keep the caller's own result per Chern
+against it.  The same dict keeps, for each p1 prefix, the j = 1 term of
+the Picard number and the symmetric powers the other terms read (see
+picard_number), so specs that share their three smallest normalized
+degrees compute them once, and it may keep the caller's own result per Chern
 datum (the CLI keeps a report row there).  Every field of a record but
 the Picard ones depends on the Chern datum alone, so check_invariants runs
 a spec's checks without building its record.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from math import comb
 from operator import mul
 
-from ._value import Record
+from ._value import Record, fractions
 from .chow import (
     BundleSpec,
     closed_form_intersections,
@@ -36,11 +37,12 @@ class OracleMismatchError(ArithmeticError):
 
 
 # three key kinds: Chern datum (base_dim, rank, c1, c2) -> its oracle integrals
-# in INTEGRAL_KEYS order; p1 prefix (0, a1, a2) -> its Sym^(4-j), j = 0..2, each
-# None until first used (see picard_number); and ("row", base_dim, rank, c1, c2)
-# -> the checked report row of that Chern datum, kept by cli._report_row.  The
-# keys differ in length, so no two kinds meet
-OracleMemo = dict[tuple, tuple[int, ...] | list[SplitBundle | None] | dict]
+# in INTEGRAL_KEYS order; p1 prefix (0, a1, a2) -> [F, the j = 1 term
+# h^1(Sym^3 F (x) O(2 - a1 - a2)), Sym^4 F, Sym^2 F], each power None until
+# first read (see picard_number); and ("row", base_dim, rank, c1, c2) -> the
+# checked report row of that Chern datum, kept by cli._report_row.  The keys
+# differ in length, so no two kinds meet
+OracleMemo = dict[tuple, tuple[int, ...] | list[SplitBundle | int | None] | dict]
 
 # CyInvariants' integral fields in order; p3 closed forms give only the first 8
 INTEGRAL_KEYS = ("c3_X", "h_dot_c2", "xi_dot_c2", "mk_dot_c2", "h3", "xi_h2", "xi2_h",
@@ -263,7 +265,7 @@ def fiber_count(spec: BundleSpec) -> int:
     return count
 
 
-def euler_characteristic_rank2_p3(spec: BundleSpec) -> Fraction:
+def euler_characteristic_rank2_p3(spec: BundleSpec) -> fractions.Fraction:
     """chi(E) for rank-2 E over P^3 by Riemann-Roch:
 
     gamma*(c1+4)/8 + c1^3/24 + c1^2/2 + 11*c1/6 + 2.
@@ -313,9 +315,12 @@ def picard_number(
     2 - a1 - a2 + (j - 1)*a3.  It is Bott's rule over every summand that
     can be nonzero: each S^k F has least degree 0, so it adds h^1 only at
     t < -1, and a3 >= a1, a2 gives t >= 2 for j >= 3.  Only S^4 F, S^3 F and
-    S^2 F can reach cohomology, each only at a twist below -1: a power is
-    built there, the first time a spec of its prefix needs it, and kept in
-    ``oracle_memo`` (a fresh dict when None) for the prefix's other specs.
+    S^2 F can reach cohomology, each only at a twist below -1.  The j = 1
+    twist 2 - a1 - a2 reads no a3, so that term is one number per prefix:
+    it is computed when the prefix's entry in ``oracle_memo`` (a fresh dict
+    when None) is made, and S^3 F is not kept.  S^4 F and S^2 F are built
+    the first time a spec of the prefix twists them below -1, and kept in
+    the entry for the prefix's other specs.
     """
     if not spec.is_split:
         raise ValueError("picard number needs split degrees")
@@ -327,16 +332,23 @@ def picard_number(
         return 2 + h2, "hypotheses-not-verified: split bundles are not stable"
     memo = {} if oracle_memo is None else oracle_memo
     prefix, a3 = norm.split_degrees[:3], norm.split_degrees[3]
-    powers = memo.get(prefix)
-    if powers is None:
-        powers = memo[prefix] = [None] * 3
-    h1, t0 = 0, 2 - norm.c1
-    for j, s in enumerate(powers):  # s = Sym^(4-j) F, None until first used
-        t = t0 + j * a3
-        if t < -1:  # else h^1(O(d + t)) = 0 for every summand, as d >= 0
-            if s is None:  # _trusted: BundleSpec sorts the degrees
-                s = powers[j] = sym_power(SplitBundle._trusted(1, prefix), 4 - j)
-            h1 += cohomology(s, 1, t)
+    entry = memo.get(prefix)
+    if entry is None:  # _trusted: BundleSpec sorts the degrees
+        f = SplitBundle._trusted(1, prefix)
+        t1 = 2 - prefix[1] - prefix[2]  # the j = 1 twist reads no a3
+        h1 = cohomology(sym_power(f, 3), 1, t1) if t1 < -1 else 0
+        entry = memo[prefix] = [f, h1, None, None]
+    h1 = entry[1]
+    t0 = 2 - norm.c1  # j = 0: Sym^4 F
+    if t0 < -1:  # else h^1(O(d + t)) = 0 for every summand, as d >= 0
+        if entry[2] is None:
+            entry[2] = sym_power(entry[0], 4)
+        h1 += cohomology(entry[2], 1, t0)
+    t2 = t0 + 2 * a3  # j = 2: Sym^2 F
+    if t2 < -1:
+        if entry[3] is None:
+            entry[3] = sym_power(entry[0], 2)
+        h1 += cohomology(entry[3], 1, t2)
     return 2 + h1, "normalized convention"
 
 

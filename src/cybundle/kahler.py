@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ._value import Frozen
+from ._value import Frozen, fractions
 from .chow import BundleSpec, ChowClass, anticanonical_class, closed_form_intersections, integrate
 from .invariants import RHO_ONE_SPLITTING_P3, CyInvariants, admissibility_p3
 from .ratpoly import _integer_coeffs, derivative, poly_gcd, rational_roots
@@ -47,8 +47,8 @@ class CubicForm(Frozen):
 
     __slots__ = ("w30", "w21", "w12", "w03")
 
-    def __init__(self, w30: int | Fraction, w21: int | Fraction, w12: int | Fraction,
-                 w03: int | Fraction) -> None:
+    def __init__(self, w30: int | fractions.Fraction, w21: int | fractions.Fraction,
+                 w12: int | fractions.Fraction, w03: int | fractions.Fraction) -> None:
         self._fill(w30, w21, w12, w03)
 
     def is_zero(self) -> bool:

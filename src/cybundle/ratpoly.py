@@ -50,6 +50,8 @@ from itertools import zip_longest
 from math import gcd, lcm
 from operator import index
 
+from ._value import fractions
+
 Exponent = tuple[int, int, int, int]
 
 NVARS = 4
@@ -78,7 +80,7 @@ class UniPoly:
         cs = [c if isinstance(c, F) else F(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: list[Fraction] = cs
+        self.coeffs: list[fractions.Fraction] = cs
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
@@ -222,8 +224,8 @@ class MultiPoly:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, terms: Mapping[Exponent, Fraction] | None = None) -> None:
-        tm: dict[Exponent, Fraction] = {}
+    def __init__(self, terms: Mapping[Exponent, fractions.Fraction] | None = None) -> None:
+        tm: dict[Exponent, fractions.Fraction] = {}
         if terms:
             F = _fraction()
             for e, c in terms.items():
@@ -336,7 +338,7 @@ class MultiPoly:
             num = {e: c for e in mons if (c := acc[e[1] + b1 * e[2] + b2 * e[3]])}
         return cls._trusted(num, den)
 
-    def evaluate(self, point: Sequence) -> Fraction:
+    def evaluate(self, point: Sequence) -> fractions.Fraction:
         """The value at a point of P^3 given by 4 rational coordinates: the
         value of value_and_gradient's one pass, its partials unused."""
         return value_and_gradient(self, point)[0]
@@ -401,7 +403,7 @@ def multipoly_gradient(p: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly, M
 
 def value_and_gradient(
     p: MultiPoly, point: Sequence
-) -> tuple[Fraction, tuple[Fraction, Fraction, Fraction, Fraction]]:
+) -> tuple[fractions.Fraction, tuple[fractions.Fraction, ...]]:
     """p and its four partials at a point, in one pass over p's live terms.
 
     The partials are those of ``multipoly_gradient(p)``, without building

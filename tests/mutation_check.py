@@ -50,6 +50,13 @@ class Mutation(NamedTuple):
     tests: Sequence[str]  # pytest node ids, relative to the repo root
 
 
+# the lines of picard_number between the lookup and the store of a prefix's entry
+PREFIX_ENTRY = """    if entry is None:  # _trusted: BundleSpec sorts the degrees
+        f = SplitBundle._trusted(1, prefix)
+        t1 = 2 - prefix[1] - prefix[2]  # the j = 1 twist reads no a3
+        h1 = cohomology(sym_power(f, 3), 1, t1) if t1 < -1 else 0
+        """
+
 MUTATIONS = (
     Mutation(
         "h^m bound by bisect_left",
@@ -448,8 +455,8 @@ MUTATIONS = (
     Mutation(
         "unsorted json row-template keys",
         PKG / "cli.py",
-        "for i, k in enumerate(_ROW_ORDER))",
-        "for i, k in enumerate(ROW_KEYS))",
+        '{_encode_str(k)}: ") for i, k in enumerate(_ROW_ORDER))',
+        '{_encode_str(k)}: ") for i, k in enumerate(ROW_KEYS))',
         ["tests/test_cli.py::TestJsonWriter"],
     ),
     Mutation(
@@ -462,8 +469,8 @@ MUTATIONS = (
     Mutation(
         "text cells over the unsorted ROW_KEYS",
         PKG / "cli.py",
-        "cells = map(row.__getitem__, _ROW_ORDER)",
-        "cells = map(row.__getitem__, ROW_KEYS)",
+        """{k}=") for i, k in enumerate(_ROW_ORDER))""",
+        """{k}=") for i, k in enumerate(ROW_KEYS))""",
         ["tests/test_cli.py::TestTextWriter"],
     ),
     Mutation(
@@ -698,9 +705,42 @@ MUTATIONS = (
     Mutation(
         "int-list cell without its exact-int guard",
         PKG / "cli.py",
-        "elif type(v) is list and {*map(type, v)} == _INT_ONLY:",
-        "elif type(v) is list:",
+        "if type(v) is list and {*map(type, v)} == _INT_ONLY:",
+        "if type(v) is list:",
         ["tests/test_cli.py::TestJsonWriter"],
+    ),
+    # 1 and True are equal and hash alike; the first row's texts then serve
+    # its twin, which json_writer_check's repeated payloads hold
+    Mutation(
+        "segment key without its types",
+        PKG / "cli.py",
+        "key = values, types",
+        "key = values",
+        ["tests/test_cli.py::TestJsonWriter::test_golden_and_seeded_payloads"],
+    ),
+    # rho rendered into the text before it, which is kept per Chern datum:
+    # a later row of the datum then shows the first row's rho
+    Mutation(
+        "picard_number cached in the segments",
+        PKG / "cli.py",
+        """        s0, s1, s2, s3 = _segments(segments, datum(row), render, row)
+        degrees, note, rho = own(row)  # _OWN_KEYS, in sorted order
+        return f"{s0}{cell(degrees)}{s1}{cell(note)}{s2}{cell(rho)}{s3}\"""",
+        """        s0, s1, s2, s3 = _segments(segments, datum(row), lambda row: [
+            *render(row)[:2], render(row)[2] + cell(row["picard_number"]), render(row)[3]],
+            row)
+        degrees, note, rho = own(row)  # _OWN_KEYS, in sorted order
+        return f"{s0}{cell(degrees)}{s1}{cell(note)}{s2}{s3}\"""",
+        ["tests/test_golden.py"],
+    ),
+    # degrees such as [1, "2,3"] then reach the file unquoted
+    Mutation(
+        "csv direct path without its exact-int guard",
+        PKG / "cli.py",
+        """if type(rho) is int and type(degrees) is list and _INT_ONLY.issuperset(
+                map(type, degrees)):""",
+        "if type(rho) is int and type(degrees) is list:",
+        ["tests/test_cli.py::TestJsonWriter::test_golden_and_seeded_payloads"],
     ),
     Mutation(
         "c2-positivity guard lets xi.c2 = 0 pass",
@@ -741,15 +781,15 @@ MUTATIONS = (
     Mutation(
         "rho twisted by the un-normalized c1",
         PKG / "invariants.py",
-        "h1, t0 = 0, 2 - norm.c1",
-        "h1, t0 = 0, 2 - spec.c1",
+        "t0 = 2 - norm.c1",
+        "t0 = 2 - spec.c1",
         ["tests/test_invariants.py::TestPicardNumber"],
     ),
     Mutation(
         "twist step j*a3 dropped from rho",
         PKG / "invariants.py",
-        "t = t0 + j * a3",
-        "t = t0",
+        "t2 = t0 + 2 * a3",
+        "t2 = t0",
         ["tests/test_invariants.py::TestPicardNumber::test_p1_examples"],
     ),
     # every power of F has least degree 0, so one at t = -2 has h^1 > 0
@@ -757,32 +797,31 @@ MUTATIONS = (
     Mutation(
         "rho's vanishing bound one too low",
         PKG / "invariants.py",
-        "if t < -1:",
-        "if t < -2:",
+        "if t0 < -1:",
+        "if t0 < -2:",
         ["tests/test_invariants.py::TestPicardNumber::test_vanishing_boundary"],
     ),
     Mutation(
         "rho's least degree read from the top of the power",
         PKG / "invariants.py",
-        "h1 += cohomology(s, 1, t)",
-        "h1 += cohomology(s, 1, t) if s.degrees[-1] + t < -1 else 0",
+        "h1 += cohomology(entry[2], 1, t0)",
+        "h1 += cohomology(entry[2], 1, t0) if entry[2].degrees[-1] + t0 < -1 else 0",
         ["tests/test_invariants.py::TestPicardNumber::test_vanishing_boundary"],
     ),
     # (0, 4, 4, 4) is the boundary case whose Sym^2 F adds 1
     Mutation(
         "Sym^2 F dropped from rho's powers",
         PKG / "invariants.py",
-        "powers = memo[prefix] = [None] * 3",
-        "powers = memo[prefix] = [None] * 2",
+        "if t2 < -1:",
+        "if False:",
         ["tests/test_invariants.py::TestPicardNumber::test_vanishing_boundary"],
     ),
     # all three powers of each prefix built whether or not a twist reads them
     Mutation(
         "rho's powers built eagerly",
         PKG / "invariants.py",
-        "powers = memo[prefix] = [None] * 3",
-        "powers = memo[prefix] = [sym_power(SplitBundle._trusted(1, prefix), 4 - j)"
-        " for j in range(3)]",
+        "entry = memo[prefix] = [f, h1, None, None]",
+        "entry = memo[prefix] = [f, h1, sym_power(f, 4), sym_power(f, 2)]",
         ["tests/test_invariants.py::TestPicardNumber::test_powers_built_only_where_read"],
     ),
     # the sum merges prefixes such as (0, 0, 2) and (0, 1, 1); a spec alone
@@ -790,9 +829,17 @@ MUTATIONS = (
     Mutation(
         "memo key that merges two prefixes",
         PKG / "invariants.py",
-        "powers = memo.get(prefix)\n    if powers is None:\n        powers = memo[prefix] =",
-        "powers = memo.get(sum(prefix))\n    if powers is None:\n        powers = memo[sum(prefix)] =",
+        "entry = memo.get(prefix)\n" + PREFIX_ENTRY + "entry = memo[prefix] =",
+        "entry = memo.get(sum(prefix))\n" + PREFIX_ENTRY + "entry = memo[sum(prefix)] =",
         ["tests/test_invariants.py::TestPicardNumber::test_shared_memo_equals_no_memo"],
+    ),
+    # (0, 2, 2, 2): Sym^3 (0, 2, 2) adds 1 at the j = 1 twist -2, 5 at -4
+    Mutation(
+        "j = 1 term taken at the j = 0 twist",
+        PKG / "invariants.py",
+        "t1 = 2 - prefix[1] - prefix[2]",
+        "t1 = 2 - norm.c1",
+        ["tests/test_invariants.py::TestPicardNumber::test_vanishing_boundary"],
     ),
     Mutation(
         "fiber_count's gamma > 16 guard dropped",

@@ -26,7 +26,6 @@ from cybundle.chow import BundleSpec
 from cybundle.cli import (
     CSV_COLUMNS,
     ROW_KEYS,
-    _csv_cell,
     _enumerate_specs,
     _json_text,
     _report_row,
@@ -921,20 +920,8 @@ class TestJsonWriter:
             _write_json(io.StringIO(), {1: 2})
 
 
-def text_reference(payload) -> str:
-    """The text writer with each row's cells in sorted(row.items()) order,
-    as it was before rows were rendered in a key order sorted once."""
-    lines = []
-    for key in sorted(payload):
-        if key == "rows":
-            for row in payload[key]:
-                lines.append(" ".join(
-                    f"{k}={v if type(v) in (int, str) else _csv_cell(v)}"
-                    for k, v in sorted(row.items())
-                ))
-        else:
-            lines.append(f"{key}: {json.dumps(payload[key], sort_keys=True)}")
-    return "".join(line + "\n" for line in lines)
+# the text writer's reference, kept with the json and csv ones
+text_reference = json_writer_check.text_reference
 
 
 class TestTextWriter:

@@ -19,6 +19,7 @@ ALLOWED_UNREACHED = {
     "_value.Frozen.__setattr__": "error path: assigning to a frozen record",
     "_value.Record.__reduce__": "value protocol: pickle and copy",
     "_value.Record.__repr__": "value protocol",
+    "_value._Fractions.__getattr__": "annotations: get_type_hints resolves fractions.Fraction",
     "chow.BundleSpec.from_chern": "acceptance: criterion 8",
     "chow.ChowClass.__eq__": "value protocol",
     "chow.ChowClass.__hash__": "value protocol",
