@@ -182,19 +182,22 @@ def _report_row(spec: BundleSpec, oracle_memo: OracleMemo | None = None) -> dict
     rho is not 2 runs the record's checks (check_invariants) and gets a copy
     of the datum row with its own degrees and Picard fields: every other
     field of the row is a function of the Chern datum, and its cone and
-    contraction fields are null.  Any other row comes from its record.
+    contraction fields are null.  Any other row comes from its record,
+    which takes the probe's rho, where there was one, instead of computing
+    it again.
     """
     key = ("row", spec.base_dim, spec.rank, spec.c1, spec.c2)
     datum_row = None if oracle_memo is None else oracle_memo.get(key)
+    picard = None
     if datum_row is not None:
-        rho, note = picard_number(spec, oracle_memo)
+        picard = rho, note = picard_number(spec, oracle_memo)
         if rho != 2:
             check_invariants(spec, oracle_memo)
             row = datum_row.copy()
             row["degrees"] = list(spec.split_degrees)
             row["picard_number"], row["picard_hypothesis_note"] = rho, note
             return row
-    inv = invariants_for(spec, oracle_memo)
+    inv = invariants_for(spec, oracle_memo, picard)
     row = _NULL_ROW.copy()
     row["base"] = "p3" if spec.base_dim == 3 else "p1"
     row["degrees"] = list(spec.split_degrees)
@@ -583,7 +586,7 @@ def _cmd_discriminant(args) -> dict:
     octic = build_discriminant(q)
     checks = {
         "homogeneous_degree_8": octic.is_homogeneous_octic(),
-        "scaling_law": scaling_law_check(q, octic, "3/2"),
+        "scaling_law": scaling_law_check(q, octic),
         "gradient_identity": gradient_identity_holds(q, octic),
     }
     wq = witness_section(q if args.bound >= 1 else sample_section(spec, args.seed, 1))

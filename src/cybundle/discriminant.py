@@ -31,11 +31,17 @@ from .ratpoly import (
 )
 
 
+# r0 = 3/2, the scalar of the Delta(r0*q) that both self-checks read
+_R0 = (3, 2)
+
+
 class QuadraticSection(Frozen):
     """The fiberwise quadric datum (s00, s01, s11) over a split spec; ``_trusted`` wraps
     components homogeneous of section_degrees already: sampled, scaled or truncated."""
 
-    __slots__ = ("spec", "s00", "s01", "s11")
+    # _check holds Delta(r0*q) once _check_delta has built it
+    __slots__ = ("spec", "s00", "s01", "s11", "_check")
+    _fields = ("spec", "s00", "s01", "s11")
 
     def __init__(self, spec: BundleSpec, s00: MultiPoly, s01: MultiPoly,
                  s11: MultiPoly) -> None:
@@ -53,6 +59,16 @@ class QuadraticSection(Frozen):
 
     def scale(self, r) -> "QuadraticSection":
         return QuadraticSection._trusted(self.spec, self.s00 * r, self.s01 * r, self.s11 * r)
+
+    def _check_delta(self) -> MultiPoly:
+        """Delta(r0*q) for r0 = 3/2, by the checks' own product
+        (_checks_product), built on the first call and kept: the scaling law
+        and the gradient identity of one request read the one product."""
+        try:
+            return self._check
+        except AttributeError:
+            object.__setattr__(self, "_check", _checks_product(self.scale(_fraction()(*_R0))))
+            return self._check
 
 
 class Octic(Frozen):
@@ -95,13 +111,33 @@ def build_discriminant(q: QuadraticSection) -> Octic:
     return Octic._trusted(MultiPoly.sum_of_products(((1, q.s01, q.s01), (-4, q.s00, q.s11))))
 
 
-def scaling_law_check(q: QuadraticSection, octic: Octic, r) -> bool:
+def _checks_product(q: QuadraticSection) -> MultiPoly:
+    """s01^2 - 4*s00*s11, written apart from build_discriminant: the checks
+    compare the printed octic with this product, so a wrong line in either
+    one fails them."""
+    return MultiPoly.sum_of_products(((1, q.s01, q.s01), (-4, q.s00, q.s11)))
+
+
+def scaling_law_check(q: QuadraticSection, octic: Octic, r=None) -> bool:
     """Delta(r*q) == r^2 * octic, exactly, where ``octic`` is the Delta(q)
-    of build_discriminant(q): the check verifies that octic."""
-    r = _fraction()(r)
-    lhs = build_discriminant(q.scale(r)).poly
-    rhs = octic.poly * (r * r)
-    return lhs == rhs
+    of build_discriminant(q): the check verifies that octic.
+
+    Delta(r*q) is the checks' own product (_checks_product), not
+    build_discriminant's.  ``r`` defaults to r0 = 3/2, whose Delta(r0*q)
+    the section keeps for the gradient identity too (_check_delta); any
+    other r builds its own.  With r = a/b in lowest terms the sides are
+    compared term by term, cross-multiplied: num * b^2 * octic.den against
+    octic.num * a^2 * den, so no r^2 * octic is built.
+    """
+    F = _fraction()
+    r = F(*_R0) if r is None else F(r)
+    a, b = r.numerator, r.denominator
+    lhs = q._check_delta() if (a, b) == _R0 else _checks_product(q.scale(r))
+    if not a:
+        return not lhs.num
+    fl, fr = b * b * octic.poly.den, a * a * lhs.den
+    return ({e: c * fl for e, c in lhs.num.items()}
+            == {e: c * fr for e, c in octic.poly.num.items()})
 
 
 def base_locus_expected(spec: BundleSpec) -> int:
@@ -143,13 +179,14 @@ def singularity_witness(q: QuadraticSection, point: Sequence) -> WitnessRecord:
     of their exponents on its zero coordinates) alone: a term of Delta of
     order < 2 comes only from pairs of them, and the others vanish at the
     point with their partials.  Delta and its gradient are evaluated in one
-    pass over Delta's terms.  A ValueError refuses a point without exactly 4
-    coordinates, or with all of them zero.  At the CLI's point (1, 0, 0, 0)
-    a witness section has no term of order 0, so every term of this Delta
-    has order 2: the verdict checks only that the product kernel adds none
-    of lower order.  Over 360 discriminant requests (p3 (0,0)..(0,4), seeds
-    0-11, bounds 0-3, 1000, 10^6) no Delta kept a live term, and the
-    section values kept only terms of order 1.
+    pass over Delta's terms.  A section term of order >= 1 vanishes at the
+    point, so each section value is that of its terms of order 0.  A
+    ValueError refuses a point without exactly 4 coordinates, or with all
+    of them zero.  At the CLI's point (1, 0, 0, 0) a witness section has
+    no term of order 0, so its values are evaluated from no term and every
+    term of this Delta has order 2: value_and_gradient keeps none of them,
+    and the verdict checks only that the product kernel adds no term of
+    lower order.
     """
     pt = tuple(map(_fraction(), point))
     if len(pt) != 4:
@@ -160,7 +197,8 @@ def singularity_witness(q: QuadraticSection, point: Sequence) -> WitnessRecord:
     live = QuadraticSection._trusted(q.spec, *(
         MultiPoly._trusted(_low_order_terms(p, zeros, 2), p.den) for p in (q.s00, q.s01, q.s11)))
     delta = build_discriminant(live).poly
-    v00, v01, v11 = (p.evaluate(pt) for p in (live.s00, live.s01, live.s11))
+    v00, v01, v11 = (MultiPoly._trusted(_low_order_terms(p, zeros, 1), p.den).evaluate(pt)
+                     for p in (live.s00, live.s01, live.s11))
     dval, grad = value_and_gradient(delta, pt)
     on_locus = v00 == v01 == v11 == 0
     if on_locus:
@@ -192,19 +230,22 @@ def gradient_identity_holds(q: QuadraticSection, octic: Octic) -> bool:
 
     Checked times z_i, which loses nothing (z_i is not a zero divisor).  By
     the product rule z_i times the right side is z_i*d/dz_i Delta(q), whose
-    term at z^e is e_i times Delta(q)'s: Delta(q) is built again here, by
-    one small-int pass of sum_of_products, and field i of slot e1 + 9*e2 +
-    81*e3 is e_i times its term at e.  The left side reads the partials of
-    multipoly_gradient(octic), not Delta(q): the i-th partial's term at
-    e - 1_i lands in field i of slot e, at offset 0, 1, 9 or 81 from its
-    own.  The fields are compared one by one, over a common denominator.
+    term at z^e is e_i times Delta(q)'s.  Delta(q) is read as
+    _check_delta() / r0^2, the product the scaling law also reads: with
+    r0 = a/b, its term at e is b^2 * num over a^2 * den, and field i of
+    slot e1 + 9*e2 + 81*e3 is e_i times that term.  The left side reads
+    the partials of multipoly_gradient(octic), not Delta(q): the i-th
+    partial's term at e - 1_i lands in field i of slot e, at offset 0, 1,
+    9 or 81 from its own.  The fields are compared one by one, over a
+    common denominator.
     """
-    delta = MultiPoly.sum_of_products(((1, q.s01, q.s01), (-4, q.s00, q.s11)))
-    den_r, den_l = delta.den, octic.poly.den
+    delta, (a, b), den_l = q._check_delta(), _R0, octic.poly.den
+    # Delta(q) over den_r, each numerator times den_l: a common denominator
+    den_r, f_r = delta.den * a * a, den_l * b * b
     # field i of slot k at index k + 729*i on both sides
     lhs, rhs = [0] * 2916, [0] * 2916
     for (e0, e1, e2, e3), v in delta.num.items():
-        k, v = e1 + 9 * e2 + 81 * e3, v * den_l
+        k, v = e1 + 9 * e2 + 81 * e3, v * f_r
         rhs[k], rhs[k + 729], rhs[k + 1458], rhs[k + 2187] = e0 * v, e1 * v, e2 * v, e3 * v
     for field, offset, g in zip((0, 729, 1458, 2187), (0, 1, 9, 81),
                                 multipoly_gradient(octic.poly)):

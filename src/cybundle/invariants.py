@@ -183,40 +183,49 @@ def check_invariants(
     return o, g, fibers
 
 
-def _record(spec: BundleSpec, oracle_memo: OracleMemo | None) -> CyInvariants:
+def _record(spec: BundleSpec, oracle_memo: OracleMemo | None,
+            _picard: tuple[int, str] | None = None) -> CyInvariants:
     """Check the spec (see check_invariants) and build its record.
 
     The oracle reads only the Chern data, so with a memo it runs once per
     Chern datum; the comparison runs for every spec regardless.  The
     record's integrals are the oracle's, equal to the closed forms.
+    ``_picard``, if given, must be picard_number(spec, oracle_memo), which
+    the caller has already computed; nothing checks it.
     """
     memo = {} if oracle_memo is None else oracle_memo
     o, g, fibers = check_invariants(spec, memo)
-    rho, note = picard_number(spec, memo) if spec.is_split else (None, None)
+    if _picard is not None:
+        rho, note = _picard
+    else:
+        rho, note = picard_number(spec, memo) if spec.is_split else (None, None)
     return CyInvariants(spec.base_dim, spec.c1, spec.c2, g, *o[:8], fibers, rho, note,
                         *(o[8:] if spec.base_dim == 1 else (None, None)))  # in field order
 
 
 def invariants_p3(
-    spec: BundleSpec, oracle_memo: OracleMemo | None = None
+    spec: BundleSpec, oracle_memo: OracleMemo | None = None,
+    _picard: tuple[int, str] | None = None,
 ) -> CyInvariants:
     """Invariant record for rank-2 bundles over P^3 (see invariants_for)."""
     if (spec.base_dim, spec.rank) != (3, 2):
         raise ValueError("invariants_p3 needs a rank-2 bundle over P^3")
-    return _record(spec, oracle_memo)
+    return _record(spec, oracle_memo, _picard)
 
 
 def invariants_p1(
-    spec: BundleSpec, oracle_memo: OracleMemo | None = None
+    spec: BundleSpec, oracle_memo: OracleMemo | None = None,
+    _picard: tuple[int, str] | None = None,
 ) -> CyInvariants:
     """Invariant record for rank-4 bundles over P^1 (see invariants_for)."""
     if (spec.base_dim, spec.rank) != (1, 4):
         raise ValueError("invariants_p1 needs a rank-4 bundle over P^1")
-    return _record(spec, oracle_memo)
+    return _record(spec, oracle_memo, _picard)
 
 
 def invariants_for(
-    spec: BundleSpec, oracle_memo: OracleMemo | None = None
+    spec: BundleSpec, oracle_memo: OracleMemo | None = None,
+    _picard: tuple[int, str] | None = None,
 ) -> CyInvariants:
     """Invariant record of either geometry, chosen by the base dimension.
 
@@ -226,11 +235,13 @@ def invariants_for(
     integrals are stored in it under the spec's Chern datum and reused for
     later specs with the same datum, so a survey computes them once per
     datum instead of once per spec.  A split p1 spec also stores the
-    symmetric powers of its prefix there (see picard_number).
+    symmetric powers of its prefix there (see picard_number).  ``_picard``,
+    if given, must be picard_number(spec, oracle_memo); the record takes
+    it instead of computing rho again, and nothing checks it.
     """
     if spec.base_dim == 3:
-        return invariants_p3(spec, oracle_memo)
-    return invariants_p1(spec, oracle_memo)
+        return invariants_p3(spec, oracle_memo, _picard)
+    return invariants_p1(spec, oracle_memo, _picard)
 
 
 def fiber_count(spec: BundleSpec) -> int:

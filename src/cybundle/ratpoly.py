@@ -31,14 +31,18 @@ pairs in all -- as every product the discriminant makes does -- a flat list
 of (D+1)^3 ints; otherwise (mixed degrees, sparse or huge-degree operands)
 a dict keyed by packed exponents.  The keys never leave the kernel: ``num``
 stays keyed by exponent 4-tuples, and the flat list is read back by one
-walk of the degree-D monomials in graded-lex order, taken from a table
-built at import for D up to 8.  One loop evaluates, ``value_and_gradient``:
-it drops the terms that vanish with all their first partials at the
-point's zero coordinates and makes one pass over the rest (an octic at
-(1, 0, 0, 0) keeps at most 4 of its 165); ``MultiPoly.evaluate`` is its
-value.  One walk renders: ``to_canonical_text`` writes each coefficient
-it meets in a walk of that order as ``n/d`` in lowest terms, reading each
-monomial's text from a table built for its degree on the first render.
+walk of the degree-D monomials in graded-lex order, each with its slot,
+from a table built on the first read-back of degree D for D up to 8.
+``multipoly_gradient`` reads the four shifted exponents e - 1_i of each
+term from a table built on the first gradient of its degree up to 8.  One
+loop evaluates, ``value_and_gradient``: it drops the terms that vanish
+with all their first partials at the point's zero coordinates and makes
+one pass over the rest (an octic at (1, 0, 0, 0) keeps at most 4 of its
+165), or returns zeros at once when none is left; ``MultiPoly.evaluate``
+is its value.  One walk renders: ``to_canonical_text`` writes each
+coefficient it meets in a walk of that order as ``n/d`` in lowest terms,
+reading each monomial's text from a table built for its degree on the
+first render.
 """
 
 from __future__ import annotations
@@ -292,9 +296,10 @@ class MultiPoly:
         * dense: every a and b is homogeneous, every a*b has one degree D,
           and (D+1)^3 <= sum |a|*|b|, so the array is no larger than the
           pair loop that fills it.  A flat list of (D+1)^3 ints, indexed
-          by e1 + B*e2 + B^2*e3 with B = D + 1, read back at the slot of
-          each monomial of degree D in graded-lex order: from the import
-          table for D up to 8, from monomials_of_degree above.
+          by e1 + B*e2 + B^2*e3 with B = D + 1, read back by one walk of
+          _slot_table(D), each monomial of degree D in graded-lex order
+          with its slot: a table built on first use for D up to 8, one
+          built per call above.
         * packed: anything else.  A dict keyed by four ``width``-bit fields,
           with 2^width above twice the largest exponent of any operand.
 
@@ -334,8 +339,8 @@ class MultiPoly:
                 if c
             }
         else:
-            mons = _MONOMIALS[degree] if degree < len(_MONOMIALS) else monomials_of_degree(degree)
-            num = {e: c for e in mons if (c := acc[e[1] + b1 * e[2] + b2 * e[3]])}
+            slots = _dense_slots(degree) if degree < len(_MONOMIALS) else _slot_table(degree)
+            num = {e: c for e, k in slots if (c := acc[k])}
         return cls._trusted(num, den)
 
     def evaluate(self, point: Sequence) -> fractions.Fraction:
@@ -387,18 +392,35 @@ def _dense_degree(terms) -> int | None:
 
 
 def multipoly_gradient(p: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
-    """Formal partial derivatives with respect to z0..z3, in one pass."""
+    """Formal partial derivatives with respect to z0..z3, in one pass.
+
+    The term c*z^e adds e_i*c at e - 1_i to the i-th partial.  The shifted
+    exponents e - 1_i come from _shift_table when p's first term has a
+    degree up to 8, and are built per term otherwise, or for a term the
+    table lacks (p mixes degrees)."""
     d0, d1, d2, d3 = parts = ({}, {}, {}, {})
-    for (e0, e1, e2, e3), c in p.num.items():
+    degree = sum(next(iter(p.num), ()))
+    table = _shift_table(degree) if degree < len(_MONOMIALS) else {}
+    for e, c in p.num.items():
+        e0, e1, e2, e3 = e
+        f0, f1, f2, f3 = table.get(e) or _shifted(e)
         if e0:
-            d0[(e0 - 1, e1, e2, e3)] = c * e0
+            d0[f0] = c * e0
         if e1:
-            d1[(e0, e1 - 1, e2, e3)] = c * e1
+            d1[f1] = c * e1
         if e2:
-            d2[(e0, e1, e2 - 1, e3)] = c * e2
+            d2[f2] = c * e2
         if e3:
-            d3[(e0, e1, e2, e3 - 1)] = c * e3
+            d3[f3] = c * e3
     return tuple(MultiPoly._trusted(tm, p.den) for tm in parts)  # type: ignore[return-value]
+
+
+def _shifted(e: Exponent) -> tuple[Exponent | None, ...]:
+    """e - 1_i for i = 0..3, None where e_i = 0: where the term at e lands
+    in each partial."""
+    e0, e1, e2, e3 = e
+    return ((e0 - 1, e1, e2, e3) if e0 else None, (e0, e1 - 1, e2, e3) if e1 else None,
+            (e0, e1, e2 - 1, e3) if e2 else None, (e0, e1, e2, e3 - 1) if e3 else None)
 
 
 def value_and_gradient(
@@ -410,7 +432,10 @@ def value_and_gradient(
     them, and ``p.evaluate(point)`` is the value.  A term whose exponents
     on the point's zero coordinates sum to 2 or more vanishes there with
     all four partials, so the pass skips it: at (1, 0, 0, 0) only the terms
-    z0^8 and z0^7*z_i of an octic are left.  At the point (n0, n1, n2,
+    z0^8 and z0^7*z_i of an octic are left.  With no term left, the value
+    and the partials are zero, returned without the pass: at (1, 0, 0, 0)
+    the discriminant command's witness keeps none, in its Delta and in
+    its three section values.  At the point (n0, n1, n2,
     n3)/q, q the lcm of the coordinates' denominators and D the largest
     degree of the terms left, all five sums are taken over den * q^D: c*z^e
     adds c * n^e * q^(D - |e|) to the value and c * e_i * n^(e - 1_i) *
@@ -423,7 +448,10 @@ def value_and_gradient(
     q = lcm(*(x.denominator for x in pt))
     bases = [x.numerator * (q // x.denominator) for x in pt]
     live = _low_order_terms(p, [not b for b in bases], 2)
-    top = max(map(sum, live), default=0)
+    if not live:
+        zero = F(0)
+        return zero, (zero, zero, zero, zero)
+    top = max(map(sum, live))
     p0, p1, p2, p3, pq = ([b**k for k in range(top + 2)] for b in (*bases, q))
     v = g0 = g1 = g2 = g3 = 0
     for (e0, e1, e2, e3), c in live.items():
@@ -456,6 +484,28 @@ def monomials_of_degree(d: int) -> list[Exponent]:
 
 # monomials_of_degree(d) for d = 0..8, the degrees of every section and octic
 _MONOMIALS = tuple(map(monomials_of_degree, range(9)))
+
+
+def _slot_table(d: int) -> tuple[tuple[Exponent, int], ...]:
+    """(e, e1 + B*e2 + B^2*e3) with B = d + 1 for every monomial e of degree
+    d, graded-lex: the slot of e in sum_of_products' dense accumulator."""
+    b1 = d + 1
+    b2 = b1 * b1
+    return tuple((e, e[1] + b1 * e[2] + b2 * e[3]) for e in monomials_of_degree(d))
+
+
+@cache
+def _dense_slots(d: int) -> tuple[tuple[Exponent, int], ...]:
+    """_slot_table(d) for d <= 8, built on the first dense read-back of
+    degree d, not at import."""
+    return _slot_table(d)
+
+
+@cache
+def _shift_table(d: int) -> dict[Exponent, tuple[Exponent | None, ...]]:
+    """_shifted(e) of every monomial e of degree d <= 8, keyed by e; built
+    on the first gradient of degree d, not at import."""
+    return {e: _shifted(e) for e in _MONOMIALS[d]}
 
 
 # "*z<i>^<k>" by variable and power up to 8; _monomial_text formats higher ones

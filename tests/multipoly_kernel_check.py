@@ -18,12 +18,15 @@ dicts of ``Fraction`` coefficients.  It runs on
 
 Each sum also checks which accumulator the size rule picks.  The script
 then compares ``gradient_identity_holds``, which checks the four partials
-field by field against Delta(q) rebuilt in one pair pass, with
+field by field against the checks' own Delta(r0*q) over r0^2, with
 ``ref_gradient_identity``, the four separate ``sum_of_products`` identities
 it replaced: on sections of p3 (0,0)..(0,4),
 (1,3) and (-2,2) at bounds 0, 1, 2, 1000 and 10^6, each with its own octic
 and with octics perturbed at 1 to 3 monomials by +-1 and by +-den in the
-numerator.  It also checks ``sample_section`` against ``ref_sample_section``,
+numerator.  On each of those sections it also compares that
+Delta(r0*q), ``_check_delta()``, with ``ref_check_delta``, the same
+product in Fraction arithmetic of the section scaled by r0 = 3/2.  It
+also checks ``sample_section`` against ``ref_sample_section``,
 which draws from ``_Lcg``, a generator object with the sampler's constants:
 p3 (0,0)..(0,4) at seeds 0, -3, 2^64 + 5 and 10^23 and bounds 0, 1, 2, 1000
 and ``MAX_SECTION_BOUND``.  And it checks ``to_canonical_text`` and
@@ -243,10 +246,20 @@ def perturbed_octics(rng: Random, octic: Octic):
             yield Octic(MultiPoly._trusted({e: c for e, c in num.items() if c}, den))
 
 
+def ref_check_delta(q) -> dict:
+    """Delta(r0*q) for r0 = 3/2, the product both self-checks read, as
+    ``reference`` computes it on the section's Fractions times 3/2."""
+    s00, s01, s11 = ({e: c * Fraction(3, 2) for e, c in as_fractions(p).items()}
+                     for p in (q.s00, q.s01, q.s11))
+    return reference(((1, s01, s01), (-4, s00, s11)))
+
+
 def check_gradient_identity(seed: int = 0, seeds_per_case: int = 2) -> Tuple[int, int]:
     """gradient_identity_holds against the reference on every spec and bound of
     GRADIENT_SPECS x GRADIENT_BOUNDS; returns (identities compared, of them
-    true).  The true ones are exactly the unperturbed octics."""
+    true).  The true ones are exactly the unperturbed octics.  Each
+    section's _check_delta(), which both checks read, is compared with
+    ref_check_delta too."""
     rng = Random(seed)
     compared = held = 0
     for degrees in GRADIENT_SPECS:
@@ -254,6 +267,9 @@ def check_gradient_identity(seed: int = 0, seeds_per_case: int = 2) -> Tuple[int
         for bound in GRADIENT_BOUNDS:
             for _ in range(seeds_per_case):
                 q = sample_section(spec, rng.randrange(2 ** 31), bound)
+                if coefficients(q._check_delta()) != ref_check_delta(q):
+                    raise AssertionError(f"_check_delta on {degrees} bound {bound} differs "
+                                         "from Fraction arithmetic")
                 octic = build_discriminant(q)
                 for i, o in enumerate((octic, *perturbed_octics(rng, octic))):
                     got, want = gradient_identity_holds(q, o), ref_gradient_identity(q, o)
@@ -483,7 +499,8 @@ if __name__ == "__main__":
         sys.exit(f"FAIL ({sys.version.split()[0]}): {exc}")
     print(f"ok: {n} sums of products match Fraction arithmetic "
           f"({n_dense} on the dense accumulator), {n_grad} gradient identities "
-          f"({n_held} true) match the four-product form, {n_sampled} sections match "
+          f"({n_held} true) match the four-product form and their sections' "
+          f"Delta(r0*q) Fraction arithmetic, {n_sampled} sections match "
           f"the _Lcg sampler, {n_rendered} renderings the sorting renderer and "
           f"{n_evaluated} evaluations the term-by-term reference under "
           f"Python {sys.version.split()[0]}")

@@ -178,8 +178,8 @@ MUTATIONS = (
     Mutation(
         "dense slot read back without e3",
         PKG / "ratpoly.py",
-        "acc[e[1] + b1 * e[2] + b2 * e[3]]",
-        "acc[e[1] + b1 * e[2]]",
+        "(e, e[1] + b1 * e[2] + b2 * e[3])",
+        "(e, e[1] + b1 * e[2])",
         # a fixed example, as for the sparse square above
         ["tests/test_ratpoly.py::TestSumOfProducts::"
          "test_discriminant_squares_take_the_dense_accumulator"],
@@ -187,9 +187,18 @@ MUTATIONS = (
     Mutation(
         "dense read-back past degree 8 walking the degree-8 row",
         PKG / "ratpoly.py",
-        "else monomials_of_degree(degree)",
-        "else _MONOMIALS[-1]",
+        "else _slot_table(degree)",
+        "else _dense_slots(8)",
         ["tests/test_ratpoly.py::TestSumOfProducts::test_dense_past_the_monomial_table"],
+    ),
+    # the read-back's slot table has its own base, apart from the keys'
+    Mutation(
+        "slot table built with base D",
+        PKG / "ratpoly.py",
+        "b1 = d + 1",
+        "b1 = d",
+        ["tests/test_ratpoly.py::TestSumOfProducts::"
+         "test_discriminant_squares_take_the_dense_accumulator"],
     ),
     Mutation(
         "one-pass witness without its q-power factor",
@@ -208,9 +217,28 @@ MUTATIONS = (
     Mutation(
         "wrong exponent in multipoly_gradient",
         PKG / "ratpoly.py",
-        "d1[(e0, e1 - 1, e2, e3)] = c * e1",
-        "d1[(e0, e1, e2, e3)] = c * e1",
+        "d1[f1] = c * e1",
+        "d1[e] = c * e1",
         ["tests/test_ratpoly.py::TestMultiPoly::test_gradient_examples"],
+    ),
+    # _shifted fills the per-degree tables and serves the terms they lack
+    Mutation(
+        "shift-table entry taking e_i + 1",
+        PKG / "ratpoly.py",
+        "(e0, e1 - 1, e2, e3) if e1 else None",
+        "(e0, e1 + 1, e2, e3) if e1 else None",
+        ["tests/test_ratpoly.py::TestMultiPoly::test_gradient_examples"],
+    ),
+    # with no live term the value is a sum of nothing; 1 fails the witness,
+    # whose Delta keeps no live term at (1, 0, 0, 0)
+    Mutation(
+        "value_and_gradient's no-live-term return giving the value 1",
+        PKG / "ratpoly.py",
+        "return zero, (zero, zero, zero, zero)",
+        "return F(1), (zero, zero, zero, zero)",
+        ["tests/test_ratpoly.py::TestValueAndGradient::test_zero_polynomial",
+         "tests/test_discriminant.py::TestSingularityWitness::"
+         "test_constructed_base_locus_point"],
     ),
     # with the guard gone, a float or str operand reaches the scalar product
     # and raises AttributeError (no .numerator), not TypeError
@@ -305,12 +333,46 @@ MUTATIONS = (
         "zip((0, 729, 1458, 2187), (0, 0, 0, 0),",
         ["tests/test_discriminant.py::TestGradientIdentity"],
     ),
+    # both checks read the one Delta(r0*q), so both fail
     Mutation(
-        "gradient identity's Delta(q) with +4*s00*s11",
+        "the checks' Delta(r0*q) with +4*s00*s11",
         PKG / "discriminant.py",
-        "delta = MultiPoly.sum_of_products(((1, q.s01, q.s01), (-4, q.s00, q.s11)))",
-        "delta = MultiPoly.sum_of_products(((1, q.s01, q.s01), (4, q.s00, q.s11)))",
-        ["tests/test_discriminant.py::TestGradientIdentity"],
+        "return MultiPoly.sum_of_products(((1, q.s01, q.s01), (-4, q.s00, q.s11)))",
+        "return MultiPoly.sum_of_products(((1, q.s01, q.s01), (4, q.s00, q.s11)))",
+        ["tests/test_discriminant.py::TestGradientIdentity::test_randomized",
+         "tests/test_discriminant.py::TestScalingLaw::test_random_scalars"],
+    ),
+    Mutation(
+        "cross-multiplied scaling comparison with r's numerator and denominator swapped",
+        PKG / "discriminant.py",
+        "fl, fr = b * b * octic.poly.den, a * a * lhs.den",
+        "fl, fr = a * a * octic.poly.den, b * b * lhs.den",
+        ["tests/test_discriminant.py::TestScalingLaw::test_random_scalars"],
+    ),
+    # at r = 0 the right side's numerators are all 0, not absent
+    Mutation(
+        "scaling law at r = 0 without its zero guard",
+        PKG / "discriminant.py",
+        """    if not a:
+        return not lhs.num
+""",
+        "",
+        ["tests/test_discriminant.py::TestScalingLaw::test_unit_and_zero"],
+    ),
+    # a third product per request, which the product count sees
+    Mutation(
+        "scaling law building its own Delta(r0*q) beside the kept one",
+        PKG / "discriminant.py",
+        "lhs = q._check_delta() if (a, b) == _R0 else",
+        "lhs = q._check_delta() if False else",
+        ["tests/test_cli.py::TestDiscriminantCommand::test_three_products_per_command"],
+    ),
+    Mutation(
+        "gradient identity dividing by r0 instead of r0^2",
+        PKG / "discriminant.py",
+        "den_r, f_r = delta.den * a * a, den_l * b * b",
+        "den_r, f_r = delta.den * a, den_l * b",
+        ["tests/test_discriminant.py::TestGradientIdentity::test_randomized"],
     ),
     # the witness's Delta keeps only the section terms of order 0 at the
     # point: at (1, 0, 0, 0) the terms z0^7*z_i, which carry the gradient,
@@ -1071,6 +1133,14 @@ MUTATIONS = (
         "for i in range(r - k):",
         "for i in range(r - k + 1):",
         ["tests/test_chow.py::TestTangentChern"],
+    ),
+    # a rho = 2 row of a known datum takes the probe's rho into its record
+    Mutation(
+        "probe's rho handed to the record off by one",
+        PKG / "invariants.py",
+        "rho, note = _picard\n",
+        "rho, note = _picard[0] + 1, _picard[1]\n",
+        ["tests/test_cli.py::TestDatumRows::test_shared_memo_equals_no_memo"],
     ),
     # one closed form per geometry, each caught by its oracle comparison
     Mutation(

@@ -402,10 +402,11 @@ class TestDiscriminantCommand:
         assert err == '{"error": "a discriminant self-check failed", "exit_code": 3}\n'
 
     @pytest.mark.parametrize("bound", [0, 1, 1000])
-    def test_three_builds_per_command(self, monkeypatch, capsys, bound):
-        # Delta(q) once for the printed octic and both checks, Delta(r*q) in
-        # the scaling check, Delta of the witness section's terms of order < 2
-        # at (1, 0, 0, 0), the only ones its value and gradient there read
+    def test_two_builds_per_command(self, monkeypatch, capsys, bound):
+        # Delta(q) once for the printed octic, which both checks verify
+        # against their own Delta(r0*q), and Delta of the witness section's
+        # terms of order < 2 at (1, 0, 0, 0), the only ones its value and
+        # gradient there read
         real = cybundle.discriminant.build_discriminant
         built = []
 
@@ -426,7 +427,42 @@ class TestDiscriminantCommand:
         low = QuadraticSection(spec, *(
             MultiPoly({e: c for e, c in as_fractions(p).items() if sum(e[1:]) < 2})
             for p in (wq.s00, wq.s01, wq.s11)))
-        assert built == [q, q.scale(Fraction(3, 2)), low]
+        assert built == [q, low]
+
+    @pytest.mark.parametrize("bound", [0, 1, 1000])
+    def test_three_products_per_command(self, monkeypatch, capsys, bound):
+        # the octic, the checks' Delta(r0*q) that both checks read, and the
+        # witness's Delta; the scaling law builds no r0^2 * octic
+        real = MultiPoly.sum_of_products
+        calls = []
+
+        def counted(cls, terms):
+            calls.append(terms)
+            return real(terms)
+
+        monkeypatch.setattr(MultiPoly, "sum_of_products", classmethod(counted))
+        argv = ["discriminant", "--degrees", "0,2", "--seed", "5", "--bound", str(bound)]
+        assert main(argv) == 0
+        assert all(json.loads(capsys.readouterr().out)["checks"].values())
+        assert len(calls) == 3
+
+    def test_wrong_build_line_fails_the_scaling_law(self, monkeypatch, capsys):
+        # the checks build their own Delta(r0*q), so a wrong line in
+        # build_discriminant fails the scaling law too, not only the
+        # gradient identity: a scaling law that scaled the octic's own
+        # product would agree with itself
+        def wrong(q):
+            return Octic._trusted(MultiPoly.sum_of_products(
+                ((1, q.s01, q.s01), (-3, q.s00, q.s11))))
+
+        monkeypatch.setattr(cybundle.cli, "build_discriminant", wrong)
+        monkeypatch.setattr(cybundle.discriminant, "build_discriminant", wrong)
+        assert main(["discriminant", "--degrees", "0,2", "--seed", "5"]) == 3
+        out, err = capsys.readouterr()
+        checks = json.loads(out)["checks"]
+        assert checks["scaling_law"] is False
+        assert checks["gradient_identity"] is False
+        assert err == '{"error": "a discriminant self-check failed", "exit_code": 3}\n'
 
 
 class TestReportRowGate:
@@ -488,6 +524,27 @@ class TestDatumRows:
         ids = [id(row) for row in rows]
         assert len(set(ids)) == len(rows)
         assert set(ids).isdisjoint(map(id, memo.values()))
+
+    def test_one_picard_number_per_row(self, monkeypatch, capsys):
+        # a rho = 2 row of a known datum hands the probe's rho to its record
+        real, specs = cybundle.invariants.picard_number, []
+
+        def counted(spec, memo=None):
+            specs.append(spec)
+            return real(spec, memo)
+
+        monkeypatch.setattr(cybundle.cli, "picard_number", counted)
+        monkeypatch.setattr(cybundle.invariants, "picard_number", counted)
+        assert main(["enumerate", "--base", "p1", "--max-degree", "20"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert specs == _enumerate_specs("p1", 20)
+        assert len(rows) == len(specs) == 1771
+        # rho = 2 rows whose Chern datum an earlier row had: the probe's case
+        first = {}
+        for spec in specs:
+            first.setdefault((spec.c1, spec.c2), spec)
+        assert sum(row["picard_number"] == 2 and first[(s.c1, s.c2)] is not s
+                   for row, s in zip(rows, specs)) == 3
 
 
 class TestReportRowSchema:

@@ -34,6 +34,7 @@ ALLOWED_UNREACHED = {
     "discriminant.base_locus_expected": "acceptance: criterion 11",
     "invariants.euler_characteristic_rank2_p3": "acceptance: criterion 7",
     "invariants.h0_split": "acceptance: criterion 7",
+    "ratpoly.MultiPoly.__eq__": "value protocol: Octic and QuadraticSection equality",
     "ratpoly.MultiPoly.__hash__": "value protocol: Octic and QuadraticSection hash",
     "ratpoly.MultiPoly.__repr__": "value protocol: Octic and QuadraticSection repr",
     "ratpoly.MultiPoly.total_degree": "acceptance: criterion 11",

@@ -202,3 +202,13 @@ def test_octic_texts_are_not_a_field():
     assert octic == fresh and hash(octic) == hash(fresh)
     assert repr(octic) == repr(fresh)
     assert octic.to_json_coeffs() == fresh.to_json_coeffs()
+
+
+def test_section_check_delta_is_not_a_field():
+    q = _section()
+    fresh = QuadraticSection(q.spec, q.s00, q.s01, q.s11)
+    q._check_delta()  # fills the lazily built Delta(r0*q)
+    assert q == fresh and hash(q) == hash(fresh)
+    assert repr(q) == repr(fresh)
+    assert pickle.loads(pickle.dumps(q)) == fresh
+    assert q._check_delta() is q._check_delta() == fresh._check_delta()
