@@ -425,10 +425,9 @@ def _json_text(value, indent: str = "") -> str:
         if not value:
             return "{}"
         # _encode_str refuses a key that is not a str; leaves render inline
-        items = []
-        for k, v in sorted(value.items()):
-            leaf = _JSON_LEAVES.get(type(v))
-            items.append(f"{_encode_str(k)}: {leaf(v) if leaf else _json_text(v, inner)}")
+        get = _JSON_LEAVES.get
+        items = [f"{_encode_str(k)}: {leaf(v) if (leaf := get(type(v))) else _json_text(v, inner)}"
+                 for k, v in sorted(value.items())]
         head, tail = "{", "}"
     elif isinstance(value, (list, tuple)):
         if not value:

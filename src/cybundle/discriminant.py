@@ -14,6 +14,7 @@ X -- are singular points of Delta.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import gcd
 
 from ._value import Frozen, fractions
 from .chow import BundleSpec
@@ -126,8 +127,11 @@ def scaling_law_check(q: QuadraticSection, octic: Octic, r=None) -> bool:
     build_discriminant's.  ``r`` defaults to r0 = 3/2, whose Delta(r0*q)
     the section keeps for the gradient identity too (_check_delta); any
     other r builds its own.  With r = a/b in lowest terms the sides are
-    compared term by term, cross-multiplied: num * b^2 * octic.den against
-    octic.num * a^2 * den, so no r^2 * octic is built.
+    compared term by term, cross-multiplied: num * fl against octic.num *
+    fr, with fl = b^2 * octic.den and fr = a^2 * den over their gcd, so no
+    r^2 * octic is built.  When both factors are then 1 (fl = fr = 576 on
+    every sampled octic of den 144), the two numerator dicts are compared
+    as stored: scaling both sides by one nonzero factor changes no verdict.
     """
     F = _fraction()
     r = F(*_R0) if r is None else F(r)
@@ -136,6 +140,10 @@ def scaling_law_check(q: QuadraticSection, octic: Octic, r=None) -> bool:
     if not a:
         return not lhs.num
     fl, fr = b * b * octic.poly.den, a * a * lhs.den
+    g = gcd(fl, fr)
+    fl, fr = fl // g, fr // g
+    if fl == fr:  # both 1
+        return lhs.num == octic.poly.num
     return ({e: c * fl for e, c in lhs.num.items()}
             == {e: c * fr for e, c in octic.poly.num.items()})
 
@@ -307,10 +315,17 @@ def witness_section(section: QuadraticSection) -> QuadraticSection:
     base locus and is a guaranteed singular point of the octic.  The
     discriminant command passes the section it sampled, or a draw at bound
     1 when its own bound is 0 (the zero section would witness nothing).
+    A component is homogeneous, so its one pure z0 monomial is (d, 0, 0, 0)
+    with d the degree of any of its terms: the component is copied and that
+    key popped, and reduced to lowest terms where the dropped term was the
+    one coprime to the denominator.  A degree-0 component, such as s00 of
+    (0, 4), becomes zero.
     """
 
     def drop_pure_z0(p: MultiPoly) -> MultiPoly:
-        return MultiPoly._trusted({e: c for e, c in p.num.items() if any(e[1:])}, p.den)
+        num = p.num.copy()
+        num.pop((sum(next(iter(num), ())), 0, 0, 0), None)
+        return MultiPoly._trusted(num, p.den)
 
     s00, s01, s11 = (drop_pure_z0(p) for p in (section.s00, section.s01, section.s11))
     return QuadraticSection._trusted(section.spec, s00, s01, s11)

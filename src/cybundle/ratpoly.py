@@ -34,15 +34,16 @@ stays keyed by exponent 4-tuples, and the flat list is read back by one
 walk of the degree-D monomials in graded-lex order, each with its slot,
 from a table built on the first read-back of degree D for D up to 8.
 ``multipoly_gradient`` reads the four shifted exponents e - 1_i of each
-term from a table built on the first gradient of its degree up to 8.  One
-loop evaluates, ``value_and_gradient``: it drops the terms that vanish
-with all their first partials at the point's zero coordinates and makes
-one pass over the rest (an octic at (1, 0, 0, 0) keeps at most 4 of its
-165), or returns zeros at once when none is left; ``MultiPoly.evaluate``
-is its value.  One walk renders: ``to_canonical_text`` writes each
-coefficient it meets in a walk of that order as ``n/d`` in lowest terms,
-reading each monomial's text from a table built for its degree on the
-first render.
+term from a table built on the first gradient of its degree up to 8, and
+builds each partial's dict once, already in lowest terms, as the product
+by a scalar builds its one.  One loop evaluates, ``value_and_gradient``:
+it drops the terms that vanish with all their first partials at the
+point's zero coordinates and makes one pass over the rest (an octic at
+(1, 0, 0, 0) keeps at most 4 of its 165), or returns zeros at once when
+none is left; ``MultiPoly.evaluate`` is its value.  One walk renders:
+``to_canonical_text`` writes each coefficient it meets in a walk of that
+order as ``n/d`` in lowest terms, reading each monomial's text from a
+table built for its degree on the first render.
 """
 
 from __future__ import annotations
@@ -252,6 +253,12 @@ class MultiPoly:
         if g != 1:
             num = {e: c // g for e, c in num.items()}
             den //= g
+        return cls._lowest(num, den)
+
+    @classmethod
+    def _lowest(cls, num: dict[Exponent, int], den: int) -> "MultiPoly":
+        """Wrap storage that is already in lowest terms: ``_trusted``'s
+        input with gcd(den, *num.values()) = 1.  Nothing checks it."""
         obj = object.__new__(cls)
         obj.num = num
         obj.den = den
@@ -271,14 +278,19 @@ class MultiPoly:
         return hash((self.den, frozenset(self.num.items())))
 
     def __mul__(self, other) -> "MultiPoly":
+        """The product with a MultiPoly (sum_of_products), or with an int or
+        Fraction a/b.  The scalar product reads its common factor first:
+        g = gcd(den*b, a*content), content the gcd of the numerators, so
+        its one dict holds c*a // g over den*b // g, in lowest terms."""
         if isinstance(other, MultiPoly):
             return MultiPoly.sum_of_products(((1, self, other),))
         if not isinstance(other, (int, _fraction())):
             return NotImplemented
         if not other:
             return MultiPoly()
-        tm = {e: c * other.numerator for e, c in self.num.items()}
-        return MultiPoly._trusted(tm, self.den * other.denominator)
+        a, den = other.numerator, self.den * other.denominator
+        g = gcd(den, a * gcd(*self.num.values()))
+        return MultiPoly._lowest({e: c * a // g for e, c in self.num.items()}, den // g)
 
     __rmul__ = __mul__
 
@@ -397,22 +409,35 @@ def multipoly_gradient(p: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly, M
     The term c*z^e adds e_i*c at e - 1_i to the i-th partial.  The shifted
     exponents e - 1_i come from _shift_table when p's first term has a
     degree up to 8, and are built per term otherwise, or for a term the
-    table lacks (p mixes degrees)."""
-    d0, d1, d2, d3 = parts = ({}, {}, {}, {})
+    table lacks (p mixes degrees).  Each partial's keys and values are
+    collected in two lists; its common factor g = gcd(den, *values) is
+    read from them, and its one dict is built already divided by g, in
+    lowest terms (an octic of den 144 has g = 2 or 4 in every partial)."""
+    k0, k1, k2, k3 = keys = ([], [], [], [])
+    v0, v1, v2, v3 = values = ([], [], [], [])
     degree = sum(next(iter(p.num), ()))
     table = _shift_table(degree) if degree < len(_MONOMIALS) else {}
     for e, c in p.num.items():
         e0, e1, e2, e3 = e
         f0, f1, f2, f3 = table.get(e) or _shifted(e)
         if e0:
-            d0[f0] = c * e0
+            k0.append(f0)
+            v0.append(c * e0)
         if e1:
-            d1[f1] = c * e1
+            k1.append(f1)
+            v1.append(c * e1)
         if e2:
-            d2[f2] = c * e2
+            k2.append(f2)
+            v2.append(c * e2)
         if e3:
-            d3[f3] = c * e3
-    return tuple(MultiPoly._trusted(tm, p.den) for tm in parts)  # type: ignore[return-value]
+            k3.append(f3)
+            v3.append(c * e3)
+    den, parts = p.den, []
+    for ks, vs in zip(keys, values):
+        g = gcd(den, *vs)
+        parts.append(MultiPoly._lowest(
+            dict(zip(ks, vs if g == 1 else [c // g for c in vs])), den // g))
+    return tuple(parts)  # type: ignore[return-value]
 
 
 def _shifted(e: Exponent) -> tuple[Exponent | None, ...]:

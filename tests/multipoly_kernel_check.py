@@ -39,7 +39,14 @@ degrees 0-12, mixed-degree ones and zero.  And it checks
 vanish at a zero coordinate with their partials, and ``MultiPoly.evaluate``,
 its value, against ``ref_value_and_gradient`` and ``ref_evaluate``, which
 compute every term: at (1, 0, 0, 0), (0, 0, 0, 1) and rational points with
-0 to 3 zero coordinates.  It exits 1 on the first difference and needs
+0 to 3 zero coordinates.  And it checks ``multipoly_gradient`` and the
+product by an int or Fraction, which build each result's dict once,
+already divided by its common factor with the denominator, against
+``ref_gradient`` and ``ref_scalar_product``, which differentiate and scale
+dicts of ``Fraction``: on the octics and sections of p3 (0,0)..(0,4) at
+bounds 0, 1, 2, 1000 and 10^6, polynomials of degrees 9-12, mixed-degree
+ones and zero, by the scalars 0, +-1, +-3/2, 7, -5/6 and 12, checking
+each result's storage rule too.  It exits 1 on the first difference and needs
 nothing outside the standard library, so it runs under any Python the
 package supports; ``tests/test_ratpoly.py`` runs it too.
 """
@@ -454,6 +461,63 @@ def check_evaluation(seed: int = 0, count: int = 3) -> int:
     return len(polys) * len(points)
 
 
+def ref_gradient(p: MultiPoly) -> tuple:
+    """The four partials of p as dicts of nonzero Fractions, by ref_partial."""
+    a = as_fractions(p)
+    return tuple(ref_partial(a, i) for i in range(4))
+
+
+def ref_scalar_product(p: MultiPoly, s) -> dict:
+    """p times the rational s as a dict of nonzero Fractions."""
+    return {e: c * s for e, c in as_fractions(p).items() if c * s}
+
+
+CONSTRUCTION_BOUNDS = (0, 1, 2, 1000, MAX_SECTION_BOUND)
+# 12 shares factors with the sections' den 12 and with their content
+SCALARS = (0, 1, -1, Fraction(3, 2), Fraction(-3, 2), 7, Fraction(-5, 6), 12)
+
+
+def construction_inputs(rng: Random, count: int) -> list:
+    """Zero; the octic and the three components of a sampled section of p3
+    (0,0)..(0,4) at each bound of CONSTRUCTION_BOUNDS; ``count`` dense and
+    ``count`` sparse homogeneous polynomials of each degree 9-12; and
+    ``count`` mixed-degree ones."""
+    polys = [MultiPoly()]
+    for b in range(5):
+        for bound in CONSTRUCTION_BOUNDS:
+            q = sample_section(BundleSpec.from_split(3, (0, b)), rng.randrange(2 ** 31), bound)
+            polys += [build_discriminant(q).poly, q.s00, q.s01, q.s11]
+    for degree in range(9, 13):
+        for _ in range(count):
+            polys.append(section_poly(rng, degree, 9))
+            polys.append(sparse_homogeneous(rng, degree, rng.randint(1, 40)))
+    for _ in range(count):
+        polys.append(MultiPoly.sum_of_products(
+            (1, sparse_homogeneous(rng, d, rng.randint(1, 2 * d + 1)), ONE)
+            for d in rng.sample(range(13), 3)))
+    return polys
+
+
+def check_constructions(seed: int = 0, count: int = 2) -> Tuple[int, int]:
+    """``multipoly_gradient`` against ref_gradient, and ``MultiPoly.__mul__``
+    by each scalar of SCALARS, from either side, against
+    ref_scalar_product, on construction_inputs; each of them builds its
+    dicts in lowest terms at once, which ``coefficients`` checks.  Returns
+    (gradients compared, scalar products compared)."""
+    polys = construction_inputs(Random(seed), count)
+    products = 0
+    for p in polys:
+        if tuple(map(coefficients, multipoly_gradient(p))) != ref_gradient(p):
+            raise AssertionError(f"multipoly_gradient differs from the reference on {p.num!r}")
+        for s in SCALARS:
+            want = ref_scalar_product(p, s)
+            if coefficients(p * s) != want or coefficients(s * p) != want:
+                raise AssertionError(f"the product by {s} differs from the reference "
+                                     f"on {p.num!r}")
+            products += 1
+    return len(polys), products
+
+
 def check(
     seed: int = 0, count: int = 2000, bounds: Sequence[int] = (0, 1, 2, 1000)
 ) -> Tuple[int, int]:
@@ -495,6 +559,7 @@ if __name__ == "__main__":
         n_grad, n_held = check_gradient_identity(seeds_per_case=6)
         n_sampled, n_rendered = check_sampler(), check_renderer()
         n_evaluated = check_evaluation()
+        n_gradients, n_scaled = check_constructions()
     except AssertionError as exc:
         sys.exit(f"FAIL ({sys.version.split()[0]}): {exc}")
     print(f"ok: {n} sums of products match Fraction arithmetic "
@@ -502,5 +567,6 @@ if __name__ == "__main__":
           f"({n_held} true) match the four-product form and their sections' "
           f"Delta(r0*q) Fraction arithmetic, {n_sampled} sections match "
           f"the _Lcg sampler, {n_rendered} renderings the sorting renderer and "
-          f"{n_evaluated} evaluations the term-by-term reference under "
-          f"Python {sys.version.split()[0]}")
+          f"{n_evaluated} evaluations the term-by-term reference, and "
+          f"{n_gradients} gradients and {n_scaled} scalar products Fraction "
+          f"arithmetic under Python {sys.version.split()[0]}")

@@ -217,9 +217,27 @@ MUTATIONS = (
     Mutation(
         "wrong exponent in multipoly_gradient",
         PKG / "ratpoly.py",
-        "d1[f1] = c * e1",
-        "d1[e] = c * e1",
+        "k1.append(f1)",
+        "k1.append(e)",
         ["tests/test_ratpoly.py::TestMultiPoly::test_gradient_examples"],
+    ),
+    # both constructions build their one dict already in lowest terms; with
+    # the common factor left in, the values are right but the storage is not
+    Mutation(
+        "partial's gcd skipped in multipoly_gradient",
+        PKG / "ratpoly.py",
+        "g = gcd(den, *vs)",
+        "g = 1",
+        ["tests/test_ratpoly.py::TestMultiPoly::"
+         "test_gradient_and_scalar_product_match_fraction_reference"],
+    ),
+    Mutation(
+        "scalar product's gcd skipped",
+        PKG / "ratpoly.py",
+        "g = gcd(den, a * gcd(*self.num.values()))",
+        "g = 1",
+        ["tests/test_ratpoly.py::TestMultiPoly::"
+         "test_gradient_and_scalar_product_match_fraction_reference"],
     ),
     # _shifted fills the per-degree tables and serves the terms they lack
     Mutation(
@@ -349,6 +367,16 @@ MUTATIONS = (
         "fl, fr = a * a * octic.poly.den, b * b * lhs.den",
         ["tests/test_discriminant.py::TestScalingLaw::test_random_scalars"],
     ),
+    # every sampled octic has fl = fr after the gcd: only an octic that
+    # keeps its den and moves a numerator reaches the shortcut wrong
+    Mutation(
+        "scaling law's equal-factor shortcut returning True",
+        PKG / "discriminant.py",
+        "        return lhs.num == octic.poly.num\n",
+        "        return True\n",
+        ["tests/test_discriminant.py::TestChecksVerifyTheGivenOctic::"
+         "test_octic_off_by_one_at_one_numerator_fails_both_checks"],
+    ),
     # at r = 0 the right side's numerators are all 0, not absent
     Mutation(
         "scaling law at r = 0 without its zero guard",
@@ -384,6 +412,22 @@ MUTATIONS = (
         "_low_order_terms(p, zeros, 1)",
         ["tests/test_discriminant.py::TestSingularityWitness::"
          "test_values_match_evaluated_partials"],
+    ),
+    Mutation(
+        "witness section popping (0, 0, 0, d) for the pure z0 monomial",
+        PKG / "discriminant.py",
+        "num.pop((sum(next(iter(num), ())), 0, 0, 0), None)",
+        "num.pop((0, 0, 0, sum(next(iter(num), ()))), None)",
+        ["tests/test_discriminant.py::TestSingularityWitness::"
+         "test_witness_drops_only_pure_z0_terms"],
+    ),
+    Mutation(
+        "witness section left unreduced after the pop",
+        PKG / "discriminant.py",
+        "        return MultiPoly._trusted(num, p.den)\n",
+        "        return MultiPoly._lowest(num, p.den)\n",
+        ["tests/test_discriminant.py::TestSingularityWitness::"
+         "test_dropped_term_coprime_to_den_leaves_lowest_terms"],
     ),
     Mutation(
         "inline LCG drawing d before n",
@@ -512,6 +556,13 @@ MUTATIONS = (
         PKG / "cli.py",
         'bool: {True: "true", False: "false"}.__getitem__,',
         'bool: {True: "false", False: "true"}.__getitem__,',
+        ["tests/test_cli.py::TestJsonWriter"],
+    ),
+    Mutation(
+        "_json_text's dict branch without its key sort",
+        PKG / "cli.py",
+        "for k, v in sorted(value.items())]",
+        "for k, v in value.items()]",
         ["tests/test_cli.py::TestJsonWriter"],
     ),
     Mutation(

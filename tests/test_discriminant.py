@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from random import Random
 
 import pytest
@@ -198,6 +198,27 @@ class TestChecksVerifyTheGivenOctic:
             assert not scaling_law_check(q, wrong, Fraction(3, 2))
             assert not gradient_identity_holds(q, wrong)
 
+    @pytest.mark.parametrize("spec", ADMISSIBLE, ids=str)
+    def test_octic_off_by_one_at_one_numerator_fails_both_checks(self, spec):
+        # the den stays, so the scaling law's cross factors 4*den and
+        # 9*den(Delta(r0*q)) stay equal (576 at den 144) and it compares the
+        # numerator dicts as stored
+        for seed, bound in ((0, 2), (6, 1000), (3, MAX_SECTION_BOUND)):
+            q = sample_section(spec, seed, bound)
+            octic = build_discriminant(q)
+            den = octic.poly.den
+            assert 4 * den == 9 * q._check_delta().den
+            for e, c in octic.poly.num.items():  # the first +1 that keeps den
+                num = {**octic.poly.num, e: c + 1}
+                if c + 1 and gcd(den, *num.values()) == 1:
+                    break
+            wrong = Octic(MultiPoly._trusted(num, den))
+            assert wrong.poly.den == den and wrong.poly.num != octic.poly.num
+            assert scaling_law_check(q, octic)
+            assert not scaling_law_check(q, wrong)
+            assert not scaling_law_check(q, wrong, Fraction(3, 2))
+            assert not gradient_identity_holds(q, wrong)
+
 
 class TestGapRule:
     """section_degrees holds the one gap refusal of this module: it, the
@@ -258,6 +279,24 @@ class TestSingularityWitness:
                 want = as_fractions(full)
                 want.pop((degree, 0, 0, 0), None)
                 assert dropped == MultiPoly(want)
+
+    @pytest.mark.parametrize("degrees", [(0, 4), (-3, 1)], ids=str)
+    def test_degree_0_component_becomes_zero(self, degrees):
+        # s00 has degree 0: its one term is the pure z0 monomial (0, 0, 0, 0)
+        spec = BundleSpec.from_split(3, degrees)
+        assert section_degrees(spec)[0] == 0
+        sections = [sample_section(spec, seed, 2) for seed in range(6)]
+        assert any(q.s00.num for q in sections)
+        for q in sections:
+            assert witness_section(q).s00 == MultiPoly()
+
+    def test_dropped_term_coprime_to_den_leaves_lowest_terms(self):
+        # s01 = z0^4/2 + z0^3*z1 is stored as 1 and 2 over 2; without z0^4
+        # it is z0^3*z1, stored as 1 over 1
+        spec = ADMISSIBLE[2]
+        s01 = MultiPoly({(4, 0, 0, 0): Fraction(1, 2), (3, 1, 0, 0): 1})
+        w = witness_section(QuadraticSection(spec, MultiPoly(), s01, MultiPoly()))
+        assert w.s01.num == {(3, 1, 0, 0): 1} and w.s01.den == 1
 
     def test_generic_point_no_claim(self):
         q = sample_section(ADMISSIBLE[1], 3, 2)

@@ -257,6 +257,12 @@ class TestMultiPoly:
         const = MultiPoly({(0, 0, 0, 0): 5})
         assert all(gi.is_zero() for gi in multipoly_gradient(const))
 
+    def test_gradient_and_scalar_product_match_fraction_reference(self):
+        # each builds its dicts once, in lowest terms: octics and sections,
+        # degrees 9-12, mixed degrees and zero, by 0, +-1, +-3/2, 7, -5/6
+        # and 12, also run as a script under other Pythons
+        assert multipoly_kernel_check.check_constructions(seed=1, count=1) == (110, 880)
+
     def test_euler_identity(self):
         rng = random.Random(3)
         for deg in (1, 2, 3, 4):
