@@ -12,15 +12,14 @@ _json_text, and the json bytes are those of
 ``json.dumps(indent=2, sort_keys=True)``.  Each writer renders a row's
 own cells (degrees, Picard fields) per row and its other cells, functions
 of the Chern datum, once per datum in one write (see _segments).
-``enumerate`` shares one OracleMemo among its rows: the oracle runs once
-per Chern datum, and a row whose datum an earlier row had and whose rho is
-not 2 is that datum's checked row with its own degrees and Picard fields
-(see _report_row); every row's closed forms are still compared.  CSV
-holds report rows, so ``--format csv`` is accepted by ``invariants`` and
-``enumerate`` only.  Each ``--degrees`` field is
-ASCII ``-?[0-9]+`` with at most MAX_DEGREE_DIGITS (1000) digits (no spaces,
-``+``, ``_`` or non-ASCII digits); a negative leading degree needs the form
-``--degrees=-5,0,0,0``.
+``enumerate`` shares one OracleMemo among its rows: the oracle runs and a
+record is built once per Chern datum, and every row is that datum's row
+with its own degrees and Picard fields (see _report_row); every row's
+closed forms are still compared.  CSV holds report rows, so ``--format
+csv`` is accepted by ``invariants`` and ``enumerate`` only.  Each
+``--degrees`` field is ASCII ``-?[0-9]+`` with at most MAX_DEGREE_DIGITS
+(1000) digits (no spaces, ``+``, ``_`` or non-ASCII digits); a negative
+leading degree needs the form ``--degrees=-5,0,0,0``.
 Exit codes: 0 ok, 2 invalid input (malformed or wrong-arity degrees, a
 ``--bound`` outside 0..MAX_SECTION_BOUND, a ``--max-degree`` outside
 0..MAX_ENUMERATE_DEGREE, ``--format csv`` on ``kaehler``, ``classify`` or
@@ -176,42 +175,40 @@ def _parse_spec(text: str, base: str) -> tuple[list[int], BundleSpec]:
 def _report_row(spec: BundleSpec, oracle_memo: OracleMemo | None = None) -> dict:
     """The report row of a split spec, a new dict on every call.
 
-    With a memo, the first row of each Chern datum is built from the spec's
-    record, and a copy of it without the cone and contraction fields is
-    kept in the memo as the datum row.  A later spec of that datum whose
-    rho is not 2 runs the record's checks (check_invariants) and gets a copy
-    of the datum row with its own degrees and Picard fields: every other
-    field of the row is a function of the Chern datum, and its cone and
-    contraction fields are null.  Any other row comes from its record,
-    which takes the probe's rho, where there was one, instead of computing
-    it again.
+    The memo (a fresh dict when None) keeps, per Chern datum, the datum row
+    and the datum record: the first spec of a datum builds its record and
+    takes rho from it; a later spec runs the record's checks
+    (check_invariants) and picard_number.  Every row is a copy of the datum
+    row with its own degrees and Picard fields, as every other record field
+    is a function of the Chern datum.  A rho = 2 row reads its cone from
+    the datum record when the spec is normalized, and from its
+    normalization's record otherwise.
     """
+    memo = {} if oracle_memo is None else oracle_memo
     key = ("row", spec.base_dim, spec.rank, spec.c1, spec.c2)
-    datum_row = None if oracle_memo is None else oracle_memo.get(key)
-    picard = None
-    if datum_row is not None:
-        picard = rho, note = picard_number(spec, oracle_memo)
-        if rho != 2:
-            check_invariants(spec, oracle_memo)
-            row = datum_row.copy()
-            row["degrees"] = list(spec.split_degrees)
-            row["picard_number"], row["picard_hypothesis_note"] = rho, note
-            return row
-    inv = invariants_for(spec, oracle_memo, picard)
-    row = _NULL_ROW.copy()
-    row["base"] = "p3" if spec.base_dim == 3 else "p1"
+    entry = memo.get(key)
+    if entry is None:
+        inv = invariants_for(spec, memo)
+        datum_row = _NULL_ROW.copy()
+        datum_row["base"] = "p3" if spec.base_dim == 3 else "p1"
+        # every record is oracle-checked; a mismatch raises before this
+        datum_row["oracle_ok"] = True
+        datum_row.update(zip(_RECORD_KEYS, map(inv.__getattribute__, _RECORD_KEYS)))
+        memo[key] = datum_row, inv
+        rho, note = inv.picard_number, inv.picard_hypothesis_note
+    else:
+        datum_row, inv = entry
+        check_invariants(spec, memo)
+        rho, note = picard_number(spec, memo)
+    row = datum_row.copy()
     row["degrees"] = list(spec.split_degrees)
-    # every record is oracle-checked; a mismatch raises before this
-    row["oracle_ok"] = True
-    row.update(zip(_RECORD_KEYS, map(inv.__getattribute__, _RECORD_KEYS)))
-    if datum_row is None and oracle_memo is not None:
-        oracle_memo[key] = row.copy()
-    # the record's rho = 2, and on p3 its fiber count (None where gamma > 16
-    # leaves no smooth X), fill the cone and contraction fields
-    if inv.picard_number != 2 or (spec.base_dim == 3 and inv.fiber_count is None):
+    row["picard_number"], row["picard_hypothesis_note"] = rho, note
+    # rho = 2, and on p3 a fiber count (None where gamma > 16 leaves no
+    # smooth X), fill the cone and contraction fields
+    if rho != 2 or (spec.base_dim == 3 and row["fiber_count"] is None):
         return row
     norm = spec.normalized()
-    kr = boundary_rays(norm, inv if norm is spec else invariants_for(norm, oracle_memo))
+    kr = boundary_rays(norm, inv if norm is spec else invariants_for(norm, memo))
     row["rationality"] = kr.rationality.value
     row["ray_c2_xi"], row["ray_c2_h"] = kr.c2_values
     if spec.base_dim == 1:

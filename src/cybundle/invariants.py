@@ -10,10 +10,10 @@ per Chern datum; the closed forms of every spec are still compared
 against it.  The same dict keeps, for each p1 prefix, the j = 1 term of
 the Picard number and the symmetric powers the other terms read (see
 picard_number), so specs that share their three smallest normalized
-degrees compute them once, and it may keep the caller's own result per Chern
-datum (the CLI keeps a report row there).  Every field of a record but
-the Picard ones depends on the Chern datum alone, so check_invariants runs
-a spec's checks without building its record.
+degrees compute them once, and it may keep the caller's own result per
+Chern datum (the CLI keeps a report row and a record there).  Every field
+of a record but the Picard ones depends on the Chern datum alone, so
+check_invariants runs a spec's checks without building its record.
 A disagreement raises OracleMismatchError -- self-validation is the point
 of the library, not an afterthought.
 """
@@ -40,9 +40,9 @@ class OracleMismatchError(ArithmeticError):
 # in INTEGRAL_KEYS order; p1 prefix (0, a1, a2) -> [F, the j = 1 term
 # h^1(Sym^3 F (x) O(2 - a1 - a2)), Sym^4 F, Sym^2 F], each power None until
 # first read (see picard_number); and ("row", base_dim, rank, c1, c2) -> the
-# checked report row of that Chern datum, kept by cli._report_row.  The keys
-# differ in length, so no two kinds meet
-OracleMemo = dict[tuple, tuple[int, ...] | list[SplitBundle | int | None] | dict]
+# pair (checked report row, record) of that Chern datum, kept by
+# cli._report_row.  The keys differ in length, so no two kinds meet
+OracleMemo = dict[tuple, tuple[int, ...] | list[SplitBundle | int | None] | tuple]
 
 # CyInvariants' integral fields in order; p3 closed forms give only the first 8
 INTEGRAL_KEYS = ("c3_X", "h_dot_c2", "xi_dot_c2", "mk_dot_c2", "h3", "xi_h2", "xi2_h",
@@ -183,50 +183,35 @@ def check_invariants(
     return o, g, fibers
 
 
-def _record(spec: BundleSpec, oracle_memo: OracleMemo | None,
-            _picard: tuple[int, str] | None = None) -> CyInvariants:
+def _record(spec: BundleSpec, oracle_memo: OracleMemo | None) -> CyInvariants:
     """Check the spec (see check_invariants) and build its record.
 
     The oracle reads only the Chern data, so with a memo it runs once per
     Chern datum; the comparison runs for every spec regardless.  The
     record's integrals are the oracle's, equal to the closed forms.
-    ``_picard``, if given, must be picard_number(spec, oracle_memo), which
-    the caller has already computed; nothing checks it.
     """
     memo = {} if oracle_memo is None else oracle_memo
     o, g, fibers = check_invariants(spec, memo)
-    if _picard is not None:
-        rho, note = _picard
-    else:
-        rho, note = picard_number(spec, memo) if spec.is_split else (None, None)
+    rho, note = picard_number(spec, memo) if spec.is_split else (None, None)
     return CyInvariants(spec.base_dim, spec.c1, spec.c2, g, *o[:8], fibers, rho, note,
                         *(o[8:] if spec.base_dim == 1 else (None, None)))  # in field order
 
 
-def invariants_p3(
-    spec: BundleSpec, oracle_memo: OracleMemo | None = None,
-    _picard: tuple[int, str] | None = None,
-) -> CyInvariants:
+def invariants_p3(spec: BundleSpec, oracle_memo: OracleMemo | None = None) -> CyInvariants:
     """Invariant record for rank-2 bundles over P^3 (see invariants_for)."""
     if (spec.base_dim, spec.rank) != (3, 2):
         raise ValueError("invariants_p3 needs a rank-2 bundle over P^3")
-    return _record(spec, oracle_memo, _picard)
+    return _record(spec, oracle_memo)
 
 
-def invariants_p1(
-    spec: BundleSpec, oracle_memo: OracleMemo | None = None,
-    _picard: tuple[int, str] | None = None,
-) -> CyInvariants:
+def invariants_p1(spec: BundleSpec, oracle_memo: OracleMemo | None = None) -> CyInvariants:
     """Invariant record for rank-4 bundles over P^1 (see invariants_for)."""
     if (spec.base_dim, spec.rank) != (1, 4):
         raise ValueError("invariants_p1 needs a rank-4 bundle over P^1")
-    return _record(spec, oracle_memo, _picard)
+    return _record(spec, oracle_memo)
 
 
-def invariants_for(
-    spec: BundleSpec, oracle_memo: OracleMemo | None = None,
-    _picard: tuple[int, str] | None = None,
-) -> CyInvariants:
+def invariants_for(spec: BundleSpec, oracle_memo: OracleMemo | None = None) -> CyInvariants:
     """Invariant record of either geometry, chosen by the base dimension.
 
     Every record's closed forms are compared against the Chern-class
@@ -235,13 +220,11 @@ def invariants_for(
     integrals are stored in it under the spec's Chern datum and reused for
     later specs with the same datum, so a survey computes them once per
     datum instead of once per spec.  A split p1 spec also stores the
-    symmetric powers of its prefix there (see picard_number).  ``_picard``,
-    if given, must be picard_number(spec, oracle_memo); the record takes
-    it instead of computing rho again, and nothing checks it.
+    symmetric powers of its prefix there (see picard_number).
     """
     if spec.base_dim == 3:
-        return invariants_p3(spec, oracle_memo, _picard)
-    return invariants_p1(spec, oracle_memo, _picard)
+        return invariants_p3(spec, oracle_memo)
+    return invariants_p1(spec, oracle_memo)
 
 
 def fiber_count(spec: BundleSpec) -> int:

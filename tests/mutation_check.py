@@ -542,7 +542,7 @@ MUTATIONS = (
         PKG / "cli.py",
         'if name != "base_dim"),',
         'if name not in ("base_dim", "picard_hypothesis_note")),',
-        ["tests/test_cli.py::TestEnumerateCommand"],
+        ["tests/test_cli.py::TestReportRowSchema"],
     ),
     Mutation(
         "oracle_ok dropped from the row keys",
@@ -768,28 +768,37 @@ MUTATIONS = (
         "if norm.c1 > 4:",
         ["tests/test_kahler.py::TestRhoTwoGate"],
     ),
-    # a report row reads rho = 2 from its record; a row the cone layer
-    # refuses then raises RhoNotTwoError from boundary_rays
+    # a report row reads rho = 2 from its own Picard cell; a row the cone
+    # layer refuses then raises RhoNotTwoError from boundary_rays
     Mutation(
         "row gate reads rho > 2",
         PKG / "cli.py",
-        "if inv.picard_number != 2 or",
-        "if inv.picard_number > 2 or",
+        "if rho != 2 or",
+        "if rho > 2 or",
         ["tests/test_cli.py::TestReportRowGate"],
     ),
     Mutation(
         "row gate without the P^3 fiber-count clause",
         PKG / "cli.py",
-        "if inv.picard_number != 2 or (spec.base_dim == 3 and inv.fiber_count is None):",
-        "if inv.picard_number != 2:",
+        'if rho != 2 or (spec.base_dim == 3 and row["fiber_count"] is None):',
+        "if rho != 2:",
         ["tests/test_cli.py::TestReportRowGate"],
     ),
-    # a row copied from its Chern datum's row is still checked, is a dict of
-    # its own, and is found under the whole datum
+    # a normalized spec's cone reads the datum's record, which the golden
+    # un-normalized specs (1, 3) and (1, 1, 2, 2) must not
+    Mutation(
+        "cone read from the datum's record for an un-normalized spec",
+        PKG / "cli.py",
+        "inv if norm is spec else invariants_for(norm, memo)",
+        "inv",
+        ["tests/test_golden.py"],
+    ),
+    # a later row of a Chern datum is still checked, every row is a dict of
+    # its own, and the datum is found under the whole datum key
     Mutation(
         "fast path skips the closed-form comparison",
         PKG / "cli.py",
-        "            check_invariants(spec, oracle_memo)\n",
+        "        check_invariants(spec, memo)\n",
         "",
         ["tests/test_cli.py::TestOracleRuns::test_compare_once_per_row"],
     ),
@@ -1185,12 +1194,12 @@ MUTATIONS = (
         "for i in range(r - k + 1):",
         ["tests/test_chow.py::TestTangentChern"],
     ),
-    # a rho = 2 row of a known datum takes the probe's rho into its record
+    # a later row of a known datum takes its own picard_number, not the record's
     Mutation(
-        "probe's rho handed to the record off by one",
-        PKG / "invariants.py",
-        "rho, note = _picard\n",
-        "rho, note = _picard[0] + 1, _picard[1]\n",
+        "later row's rho off by one",
+        PKG / "cli.py",
+        "rho, note = picard_number(spec, memo)\n",
+        "rho, note = picard_number(spec, memo)\n        rho += 1\n",
         ["tests/test_cli.py::TestDatumRows::test_shared_memo_equals_no_memo"],
     ),
     # one closed form per geometry, each caught by its oracle comparison

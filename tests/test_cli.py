@@ -466,7 +466,7 @@ class TestDiscriminantCommand:
 
 
 class TestReportRowGate:
-    """_report_row reads rho = 2 from the record it prints: the cone fields
+    """_report_row reads rho = 2 from the row it prints: the cone fields
     are null exactly when the row's picard_number is not 2 or, on p3, its
     fiber_count is null, which is exactly when require_rho_two refuses; on
     p1 so are the contraction fields, and p3 rows have no contraction."""
@@ -500,10 +500,17 @@ class TestReportRowGate:
         assert 0 < refused < len(specs)
 
 
+# p1 specs with degrees in -3..8, and p3 specs (a, a + gap) with gap 0..9
+P1_ROW_SPECS = st.lists(st.integers(-3, 8), min_size=4, max_size=4).map(
+    lambda d: BundleSpec.from_split(1, d))
+P3_ROW_SPECS = st.builds(lambda a, gap: BundleSpec.from_split(3, (a, a + gap)),
+                         st.integers(-3, 8), st.integers(0, 9))
+
+
 class TestDatumRows:
-    """With a shared memo, a row whose Chern datum an earlier row had and
-    whose rho is not 2 is a copy of that datum's row: it must equal the row
-    the spec gets alone, and be a dict of its own."""
+    """With a shared memo, every row is a copy of its Chern datum's row with
+    its own degrees and Picard fields: it must equal the row the spec gets
+    alone, and be a dict of its own."""
 
     def test_shared_memo_equals_no_memo(self):
         # the N = 20 p1 specs and their twists by -3..3, then p3 (a, a + gap)
@@ -523,10 +530,35 @@ class TestDatumRows:
         assert len(data) < len(specs) // 10
         ids = [id(row) for row in rows]
         assert len(set(ids)) == len(rows)
-        assert set(ids).isdisjoint(map(id, memo.values()))
+        datum_rows = [memo[key][0] for key in data]
+        assert all(type(row) is dict for row in datum_rows)
+        assert set(ids).isdisjoint(map(id, datum_rows))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(specs=st.lists(P1_ROW_SPECS | P3_ROW_SPECS, min_size=1, max_size=12))
+    def test_any_order_over_one_memo(self, specs):
+        # the datum's record serves every later normalized spec of the datum,
+        # so which spec of a datum comes first must not show in any row
+        memo = {}
+        for spec in specs:
+            assert _report_row(spec, memo) == _report_row(spec), spec
+
+    def test_one_record_per_datum(self, monkeypatch, capsys):
+        # N = 20 p1: 1771 normalized specs, c1 = 0..60
+        real, specs = cybundle.invariants._record, []
+
+        def counted(spec, *args):
+            specs.append(spec)
+            return real(spec, *args)
+
+        monkeypatch.setattr(cybundle.invariants, "_record", counted)
+        assert main(["enumerate", "--base", "p1", "--max-degree", "20"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 1771
+        assert len(specs) == len({s.c1 for s in specs}) == 61
 
     def test_one_picard_number_per_row(self, monkeypatch, capsys):
-        # a rho = 2 row of a known datum hands the probe's rho to its record
+        # the first row of a datum reads rho from the datum's record, and a
+        # later row computes its own
         real, specs = cybundle.invariants.picard_number, []
 
         def counted(spec, memo=None):
@@ -539,7 +571,8 @@ class TestDatumRows:
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert specs == _enumerate_specs("p1", 20)
         assert len(rows) == len(specs) == 1771
-        # rho = 2 rows whose Chern datum an earlier row had: the probe's case
+        # rho = 2 rows whose Chern datum an earlier row had, whose cones read
+        # that datum's record
         first = {}
         for spec in specs:
             first.setdefault((spec.c1, spec.c2), spec)
