@@ -15,14 +15,7 @@ from .chow import (
     reduce,
     tangent_total_chern,
 )
-from .cohomology import (
-    SplitBundle,
-    cohomology,
-    end_bundle,
-    euler_characteristic,
-    line_cohomology,
-    sym_power,
-)
+from .cohomology import SplitBundle, cohomology, end_bundle, sym_power
 from .discriminant import (
     Octic,
     QuadraticSection,

@@ -8,8 +8,10 @@ record refuses attribute assignment and hashes as the tuple of its fields,
 as a frozen dataclass does; a plain ``Record`` is mutable and unhashable.
 The package imports no ``dataclasses``, which costs a fresh process more
 than the rest of its start-up.
-``fractions`` stands for that module in annotations: get_type_hints
-resolves ``fractions.Fraction`` by importing it then, not with the package.
+``fractions`` stands for that module wherever the package names
+``fractions.Fraction``, in annotations and in code: the first read imports
+it and keeps the name, so the package loads ``fractions`` (and the
+``decimal`` and ``numbers`` it pulls in) only when a rational path runs.
 """
 
 from itertools import repeat
@@ -58,7 +60,9 @@ class _Fractions:
     def __getattr__(self, name: str):
         import fractions as module
 
-        return getattr(module, name)
+        value = getattr(module, name)
+        setattr(self, name, value)
+        return value
 
 
 fractions = _Fractions()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import combinations_with_replacement, repeat
-from math import comb, factorial, prod
+from math import comb
 from operator import index
 
 from ._value import Frozen
@@ -32,35 +32,15 @@ class SplitBundle(Frozen):
             raise ValueError("rank must be at least 1")
         object.__setattr__(self, "degrees", tuple(sorted(map(index, self.degrees))))
 
-    def twist(self, t: int) -> "SplitBundle":
-        # adding t keeps the degrees sorted
-        return SplitBundle._trusted(self.base_dim, tuple(map(index(t).__add__, self.degrees)))
-
-    def dual(self) -> "SplitBundle":
-        # negating the reversed degrees keeps them sorted
-        return SplitBundle._trusted(
-            self.base_dim, tuple(-d for d in reversed(self.degrees))
-        )
-
-
-def line_cohomology(m: int, d: int, i: int) -> int:
-    """h^i(P^m, O(d)):  h^0 = C(d+m, m) for d >= 0, h^m = C(-d-1, m) for
-    d <= -m-1, everything else zero."""
-    if not 0 <= i <= m:
-        raise ValueError(f"cohomology index {i} out of range for P^{m}")
-    if i == 0:
-        return comb(d + m, m) if d >= 0 else 0
-    if i == m:
-        return comb(-d - 1, m) if d <= -m - 1 else 0
-    return 0
-
 
 def cohomology(b: SplitBundle, i: int, twist: int = 0) -> int:
-    """h^i of b (x) O(twist), the sum of line_cohomology over the summands
-    O(d + twist), without building the twisted bundle; an index outside 0..m
-    raises ValueError.  Only d >= -twist (i = 0) and d <= -m-1-twist (i = m)
-    contribute; b.degrees is sorted ascending, so bisection finds them and
-    their binomials are summed in one map (on P^1, C(k, 1) = k in closed form)."""
+    """h^i of b (x) O(twist), the sum over the summands O(e), e = d + twist,
+    of Bott's rule on P^m: h^0 = C(e + m, m) for e >= 0, h^m = C(-e - 1, m)
+    for e <= -m-1, everything else zero.  The twisted bundle is not built;
+    an index outside 0..m raises ValueError.  Only d >= -twist (i = 0) and
+    d <= -m-1-twist (i = m) contribute; b.degrees is sorted ascending, so
+    bisection finds them and their binomials are summed in one map (on P^1,
+    C(k, 1) = k in closed form)."""
     m, degs, twist = b.base_dim, b.degrees, index(twist)
     if not 0 <= i <= m:
         raise ValueError(f"cohomology index {i} out of range for P^{m}")
@@ -73,17 +53,6 @@ def cohomology(b: SplitBundle, i: int, twist: int = 0) -> int:
             return (-1 - twist) * len(head) - sum(head)
         return sum(map(comb, map((-1 - twist).__sub__, head), repeat(m)))
     return 0
-
-
-def euler_characteristic(b: SplitBundle) -> int:
-    """chi(b) via the binomial polynomial C(d+m, m) extended to all integers.
-
-    For m = 3 this is (d+1)(d+2)(d+3)/6, valid for negative d as well, so it
-    matches the alternating sum of the Bott dimensions without case splits.
-    Each product of m consecutive integers is divisible by m!, so the sum is.
-    """
-    m = b.base_dim
-    return sum(prod(range(d + 1, d + m + 1)) for d in b.degrees) // factorial(m)
 
 
 def sym_power(b: SplitBundle, k: int) -> SplitBundle:

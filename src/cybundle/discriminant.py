@@ -22,7 +22,6 @@ from .invariants import section_degrees
 from .ratpoly import (
     _MONOMIALS,
     MultiPoly,
-    _fraction,
     _graded_lex,
     _homogeneous_degree,
     _low_order_terms,
@@ -68,7 +67,8 @@ class QuadraticSection(Frozen):
         try:
             return self._check
         except AttributeError:
-            object.__setattr__(self, "_check", _checks_product(self.scale(_fraction()(*_R0))))
+            r0 = fractions.Fraction(*_R0)
+            object.__setattr__(self, "_check", _checks_product(self.scale(r0)))
             return self._check
 
 
@@ -133,7 +133,7 @@ def scaling_law_check(q: QuadraticSection, octic: Octic, r=None) -> bool:
     every sampled octic of den 144), the two numerator dicts are compared
     as stored: scaling both sides by one nonzero factor changes no verdict.
     """
-    F = _fraction()
+    F = fractions.Fraction
     r = F(*_R0) if r is None else F(r)
     a, b = r.numerator, r.denominator
     lhs = q._check_delta() if (a, b) == _R0 else _checks_product(q.scale(r))
@@ -196,7 +196,7 @@ def singularity_witness(q: QuadraticSection, point: Sequence) -> WitnessRecord:
     and the verdict checks only that the product kernel adds no term of
     lower order.
     """
-    pt = tuple(map(_fraction(), point))
+    pt = tuple(map(fractions.Fraction, point))
     if len(pt) != 4:
         raise ValueError("a point of P^3 has 4 coordinates")
     if all(x == 0 for x in pt):

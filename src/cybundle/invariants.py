@@ -266,15 +266,12 @@ def euler_characteristic_rank2_p3(spec: BundleSpec) -> fractions.Fraction:
     """
     if (spec.base_dim, spec.rank) != (3, 2):
         raise ValueError("this Riemann-Roch form is for rank-2 bundles on P^3")
-    # imported here: fractions loads decimal, and no request calls this
-    from fractions import Fraction
-
-    g, c1 = spec.gamma(), spec.c1
+    F, g, c1 = fractions.Fraction, spec.gamma(), spec.c1
     return (
-        Fraction(g * (c1 + 4), 8)
-        + Fraction(c1 ** 3, 24)
-        + Fraction(c1 ** 2, 2)
-        + Fraction(11 * c1, 6)
+        F(g * (c1 + 4), 8)
+        + F(c1 ** 3, 24)
+        + F(c1 ** 2, 2)
+        + F(11 * c1, 6)
         + 2
     )
 

@@ -12,10 +12,9 @@ Two representations are used throughout the library:
 value equality, for library callers; ``MultiPoly`` keeps integer numerators
 over one common denominator in lowest terms.  No floating point appears
 anywhere in the library, so every equality test is exact.  ``Fraction`` is
-imported by ``_fraction`` on its first call, not with this module: a
-request that builds no UniPoly and scales or evaluates no MultiPoly (every
-command but ``discriminant``) never loads ``fractions``, nor the ``decimal``
-and ``numbers`` that it pulls in.
+read through ``_value.fractions``, which imports the module on its first
+read: a request that builds no UniPoly and scales or evaluates no MultiPoly
+(every command but ``discriminant``) never loads ``fractions``.
 
 ``poly_gcd`` runs Euclid on primitive pseudo-remainders and returns the
 primitive gcd (content divided out, leading coefficient positive);
@@ -62,18 +61,6 @@ Exponent = tuple[int, int, int, int]
 NVARS = 4
 
 
-@cache
-def _fraction() -> type:
-    """``fractions.Fraction``, imported on the first call and not with this
-    module: ``fractions`` loads ``decimal`` and ``numbers``, and only the
-    rational paths (UniPoly, a MultiPoly built from coefficients, a scalar
-    product, an evaluation) need it.  A later call returns the cached class
-    in about 0.05 us, where an import statement takes about 0.9 us (Python
-    3.11); a caller looks it up once per call."""
-    from fractions import Fraction
-    return Fraction
-
-
 class UniPoly:
     """Rational coefficient list without trailing zeros; of arithmetic it
     keeps only ``-``."""
@@ -81,7 +68,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence) -> None:
-        F = _fraction()
+        F = fractions.Fraction
         cs = [c if isinstance(c, F) else F(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -232,7 +219,7 @@ class MultiPoly:
     def __init__(self, terms: Mapping[Exponent, fractions.Fraction] | None = None) -> None:
         tm: dict[Exponent, fractions.Fraction] = {}
         if terms:
-            F = _fraction()
+            F = fractions.Fraction
             for e, c in terms.items():
                 if not isinstance(c, F):
                     c = F(c)
@@ -284,7 +271,7 @@ class MultiPoly:
         its one dict holds c*a // g over den*b // g, in lowest terms."""
         if isinstance(other, MultiPoly):
             return MultiPoly.sum_of_products(((1, self, other),))
-        if not isinstance(other, (int, _fraction())):
+        if not isinstance(other, (int, fractions.Fraction)):
             return NotImplemented
         if not other:
             return MultiPoly()
@@ -466,7 +453,7 @@ def value_and_gradient(
     adds c * n^e * q^(D - |e|) to the value and c * e_i * n^(e - 1_i) *
     q^(D + 1 - |e|) to the i-th partial.
     """
-    F = _fraction()
+    F = fractions.Fraction
     pt = [x if isinstance(x, F) else F(x) for x in point]
     if len(pt) != NVARS:
         raise ValueError("a point of P^3 has 4 coordinates")

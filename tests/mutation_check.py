@@ -1,19 +1,21 @@
-"""Mutation checks: each mutation breaks one line of a copy of ``src/`` and
-names the tests that must then fail.
+"""Mutation checks: each mutation breaks one line of a copy of ``src/`` or
+``tests/`` and names the tests that must then fail.
 
 Run from anywhere, with pytest and hypothesis installed (the script itself
 is stdlib only):
 
     python tests/mutation_check.py
 
-For each mutation the script copies ``src/`` to a temporary directory and
-replaces one exact ``old`` text with ``new`` in one file there; it refuses
-a mutation whose ``old`` does not occur exactly once, so a mutation cannot
-go stale silently.  It then runs the mutation's pytest subset with
-``PYTHONPATH`` set to the copy and requires pytest's exit code 1 (tests
-failed).  Before any mutation it runs every subset once on an unmutated
-copy and requires them to pass, so a mutation is never "caught" by a test
-that fails anyway.  The exit code is 0 when every mutation applied and was
+For each mutation the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory and replaces one exact ``old``
+text with ``new`` in one file there; it refuses a mutation whose ``old``
+does not occur exactly once, so a mutation cannot go stale silently.  A
+target under ``tests/`` is a reference or check script that the named
+tests import.  It then runs the mutation's pytest subset inside the copy,
+with ``PYTHONPATH`` set to the copy's ``src/``, and requires pytest's exit
+code 1 (tests failed).  Before any mutation it runs every subset once on
+an unmutated copy and requires them to pass, so a mutation is never
+"caught" by a test that fails anyway.  The exit code is 0 when every mutation applied and was
 caught, 1 otherwise.
 
 The name does not match ``test_*.py``, so tier-1 collection skips it.  A
@@ -33,8 +35,7 @@ from pathlib import Path
 from typing import List, NamedTuple, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
-PKG = Path("cybundle")
+PKG = Path("src/cybundle")
 
 # pytest's exit code when the run completed and some test failed; 2 to 5
 # (interrupted, internal error, usage error, nothing collected) would also
@@ -44,7 +45,7 @@ PYTEST_TESTS_FAILED = 1
 
 class Mutation(NamedTuple):
     name: str
-    path: Path  # relative to src/
+    path: Path  # relative to the repo root, under src/ or tests/
     old: str
     new: str
     tests: Sequence[str]  # pytest node ids, relative to the repo root
@@ -85,6 +86,22 @@ MUTATIONS = (
         "return SplitBundle._trusted(b.base_dim, tuple(sorted(sums)))",
         "return SplitBundle._trusted(b.base_dim, tuple(sums))",
         ["tests/test_cohomology.py"],
+    ),
+    # Riemann-Roch on X reads Sym^a E for a >= r: without repetition it
+    # has no summand past a = r
+    Mutation(
+        "sym_power taking combinations without replacement",
+        PKG / "cohomology.py",
+        "from itertools import combinations_with_replacement, repeat",
+        "from itertools import combinations as combinations_with_replacement, repeat",
+        ["tests/test_invariants.py::TestRiemannRochOnX::test_stdlib_script"],
+    ),
+    Mutation(
+        "closed_form_intersections with xi^4 off by one on P^1",
+        PKG / "chow.py",
+        "return IntersectionNumbers(0, 0, 1, c1)",
+        "return IntersectionNumbers(0, 0, 1, c1 + 1)",
+        ["tests/test_invariants.py::TestRiemannRochOnX::test_stdlib_script"],
     ),
     Mutation(
         "SplitBundle keeping a float base_dim",
@@ -134,9 +151,9 @@ MUTATIONS = (
     ),
     Mutation(
         "unreversed dual",
-        PKG / "cohomology.py",
-        "tuple(-d for d in reversed(self.degrees))",
-        "tuple(-d for d in self.degrees)",
+        Path("tests/bott_kernel_check.py"),
+        "tuple(-d for d in reversed(b.degrees))",
+        "tuple(-d for d in b.degrees)",
         ["tests/test_cohomology.py"],
     ),
     Mutation(
@@ -263,7 +280,7 @@ MUTATIONS = (
     Mutation(
         "MultiPoly.__mul__ without its NotImplemented guard",
         PKG / "ratpoly.py",
-        """        if not isinstance(other, (int, _fraction())):
+        """        if not isinstance(other, (int, fractions.Fraction)):
             return NotImplemented
 """,
         "",
@@ -1249,10 +1266,14 @@ MUTATIONS = (
 )
 
 
-def _copy_src(dest: Path) -> Path:
-    root = dest / "src"
-    shutil.copytree(SRC, root, ignore=shutil.ignore_patterns("__pycache__"))
-    return root
+def _copy(dest: Path) -> Path:
+    """src/, tests/ and the pytest configuration, so that pytest run inside
+    the copy imports the copy's tests/ modules as well as its package."""
+    for tree in ("src", "tests"):
+        shutil.copytree(ROOT / tree, dest / tree,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy2(ROOT / "pyproject.toml", dest)
+    return dest
 
 
 def _apply(root: Path, m: Mutation) -> None:
@@ -1267,7 +1288,7 @@ def _apply(root: Path, m: Mutation) -> None:
 def _env(root: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     return env
@@ -1277,7 +1298,7 @@ def _pytest(root: Path, tests: Sequence[str], *extra: str) -> int:
     argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *extra]
     return subprocess.run(
         argv + list(tests),
-        cwd=ROOT,
+        cwd=root,
         env=_env(root),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
@@ -1299,7 +1320,7 @@ def main() -> int:
     failures: List[str] = []
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="cybundle-mutation-") as tmp:
-        clean = _copy_src(Path(tmp) / "clean")
+        clean = _copy(Path(tmp) / "clean")
         where = _imported_from(clean)
         if clean.resolve() not in where.parents:
             print(f"error: cybundle imports from {where}, not the copy", file=sys.stderr)
@@ -1312,7 +1333,7 @@ def main() -> int:
             return 1
         for i, m in enumerate(MUTATIONS):
             began = time.perf_counter()
-            root = _copy_src(Path(tmp) / f"m{i}")
+            root = _copy(Path(tmp) / f"m{i}")
             try:
                 _apply(root, m)
             except LookupError as exc:

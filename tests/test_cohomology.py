@@ -7,17 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bott_kernel_check
-from cybundle.cohomology import (
-    SplitBundle,
-    cohomology,
-    end_bundle,
-    euler_characteristic,
-    line_cohomology,
-    sym_power,
-)
+from bott_kernel_check import dual, line_cohomology, twist
+from cybundle.cohomology import SplitBundle, cohomology, end_bundle, sym_power
+from rr_check import euler_characteristic
 
 
 class TestLineCohomology:
+    """The per-line-bundle reference that the kernel checks sum."""
+
     def test_structure_sheaf(self):
         assert line_cohomology(3, 0, 0) == 1
 
@@ -57,8 +54,6 @@ class TestConstructions:
     def test_non_integral_twist_refused(self, t):
         # a twist is an int, even where a float or Fraction equals one
         b = SplitBundle(1, (-5, 0, 1))
-        with pytest.raises(TypeError):
-            b.twist(t)
         for i in (0, 1):
             with pytest.raises(TypeError):
                 cohomology(b, i, t)
@@ -73,7 +68,7 @@ class TestConstructions:
     def test_sym2_twisted_pushforward_degrees(self):
         # Sym^2(a, b) twisted by -(a+b)+4 -> (a-b+4, 4, b-a+4)
         a, b = 1, 3
-        s = sym_power(SplitBundle(3, (a, b)), 2).twist(-(a + b) + 4)
+        s = twist(sym_power(SplitBundle(3, (a, b)), 2), -(a + b) + 4)
         assert s.degrees == tuple(sorted((a - b + 4, 4, b - a + 4)))
 
     def test_end_examples(self):
@@ -86,7 +81,7 @@ class TestConstructions:
     def test_end_self_dual(self):
         for degs in [(0, 3), (1, 4)]:
             e = end_bundle(SplitBundle(3, degs))
-            assert e.dual().degrees == e.degrees
+            assert dual(e).degrees == e.degrees
 
 
 class TestCohomologySums:
@@ -95,13 +90,13 @@ class TestCohomologySums:
 
     def test_h1_sym4_trivial_twisted(self):
         s = sym_power(SplitBundle(1, (0, 0, 0, 0)), 4)
-        assert cohomology(s.twist(2), 1) == cohomology(s, 1, 2) == 0
+        assert cohomology(twist(s, 2), 1) == cohomology(s, 1, 2) == 0
 
     def test_h1_sym4_0022_twisted(self):
         # Sym^4(0,0,2,2) has five degree-0 summands; the twist by -2 makes
         # each contribute h^1 = 1
         s = sym_power(SplitBundle(1, (0, 0, 2, 2)), 4)
-        assert cohomology(s.twist(-2), 1) == cohomology(s, 1, -2) == 5
+        assert cohomology(twist(s, -2), 1) == cohomology(s, 1, -2) == 5
 
     def test_twist_argument_examples(self):
         # (O(-4) + O(1) + O(4)) (x) O(-1) on P^1 is O(-5) + O + O(3):
@@ -145,11 +140,11 @@ class TestBottKernelProperties:
                 want += line_cohomology(m, d, i)
                 want_t += line_cohomology(m, d + t, i)
             assert cohomology(b, i) == want
-            assert cohomology(b, i, t) == cohomology(b.twist(t), i) == want_t
+            assert cohomology(b, i, t) == cohomology(twist(b, t), i) == want_t
         for i in (-1, m + 1):
-            for twist in (0, t):
+            for shift in (0, t):
                 with pytest.raises(ValueError):
-                    cohomology(b, i, twist)
+                    cohomology(b, i, shift)
 
     @PROPS
     @given(b=SPLIT_BUNDLES, k=st.integers(0, 4))
@@ -167,11 +162,11 @@ class TestBottKernelProperties:
     @PROPS
     @given(b=SPLIT_BUNDLES, t=st.integers(-20, 20))
     def test_twist_and_dual_equal_sorted_construction(self, b, t):
-        # twist and dual skip the constructor's sort; the result is the
-        # bundle the constructor builds from the same degrees
+        # the references twist and dual skip the constructor's sort; the
+        # result is the bundle the constructor builds from the same degrees
         for got, degrees in (
-            (b.twist(t), [d + t for d in b.degrees]),
-            (b.dual(), [-d for d in b.degrees]),
+            (twist(b, t), [d + t for d in b.degrees]),
+            (dual(b), [-d for d in b.degrees]),
         ):
             want = SplitBundle(b.base_dim, tuple(sorted(degrees)))
             assert got == want

@@ -1,3 +1,4 @@
+import copy
 import json
 from itertools import combinations_with_replacement
 from math import comb
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import chow_kernel_check
 import cybundle.invariants
+import rr_check
 from chow_kernel_check import oracle_by_products
 from cybundle.chow import BundleSpec, ChowClass
 from cybundle.cli import _enumerate_specs, main
@@ -336,9 +338,17 @@ class TestOraclePairing:
         assert chow_kernel_check.check(seed=1, count=300) == 1221 + 300
 
 
+TWISTS = given(
+    base=st.sampled_from([1, 3]),
+    degrees=st.lists(st.integers(-6, 9), min_size=4, max_size=4),
+    t=st.integers(-5, 5),
+)
+
+
 class TestTwistInvariance:
     """Twisting E by O(t) changes xi but not X: the fields that do not
-    involve xi are the same for E and E(t)."""
+    involve xi are the same for E and E(t), and the xi-fields of E(t) are
+    those of E in the basis xi' = xi + tH."""
 
     FIELDS = (
         "c3_X",
@@ -353,11 +363,7 @@ class TestTwistInvariance:
     )
 
     @settings(max_examples=80, derandomize=True, deadline=None)
-    @given(
-        base=st.sampled_from([1, 3]),
-        degrees=st.lists(st.integers(-6, 9), min_size=4, max_size=4),
-        t=st.integers(-5, 5),
-    )
+    @TWISTS
     def test_twist_keeps_the_xi_free_fields(self, base, degrees, t):
         degrees = degrees[: 2 if base == 3 else 4]
         spec = BundleSpec.from_split(base, degrees)
@@ -365,6 +371,19 @@ class TestTwistInvariance:
         before, after = ({k: getattr(inv, k) for k in inv._fields}
                          for inv in (invariants_for(spec), invariants_for(twisted)))
         assert {k: before[k] for k in self.FIELDS} == {k: after[k] for k in self.FIELDS}
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @TWISTS
+    def test_twist_shears_the_xi_fields(self, base, degrees, t):
+        degrees = degrees[: 2 if base == 3 else 4]
+        e, f = (invariants_for(BundleSpec.from_split(base, [d + s for d in degrees]))
+                for s in (0, t))
+        assert (f.xi3, f.xi2_h, f.xi_h2, f.xi_dot_c2) == (
+            e.xi3 + 3 * t * e.xi2_h + 3 * t * t * e.xi_h2 + t ** 3 * e.h3,
+            e.xi2_h + 2 * t * e.xi_h2 + t * t * e.h3,
+            e.xi_h2 + t * e.h3,
+            e.xi_dot_c2 + t * e.h_dot_c2,
+        )
 
 
 class TestFastPaths:
@@ -447,6 +466,31 @@ class TestEulerCharacteristic:
             for b in range(a, 9):
                 spec = BundleSpec.from_split(3, (a, b))
                 assert euler_characteristic_rank2_p3(spec) == h0_split(a, b)
+
+
+class TestRiemannRochOnX:
+    def test_stdlib_script(self):
+        # chi(X, a*xi + b*H) from the record against chi(Z, D) - chi(Z, D + K_Z)
+        # on the untwisted specs; the script's default adds the twists -2..2
+        assert rr_check.check(twists=(0,)) == 330
+
+    def test_twisted_specs(self):
+        # the script's default: each spec also twisted by t in -2..2, the
+        # same X in the basis xi + tH
+        assert rr_check.check() == 1650
+
+    @pytest.mark.parametrize("field", ["xi3", "xi2_h", "xi_h2", "h3", "xi_dot_c2", "h_dot_c2"])
+    def test_each_field_read(self, field, monkeypatch):
+        # one of the six record fields the left side reads, off by one on
+        # every record, makes the check fail
+        def off_by_one(spec):
+            inv = copy.copy(invariants_for(spec))
+            setattr(inv, field, getattr(inv, field) + 1)
+            return inv
+
+        monkeypatch.setattr(rr_check, "invariants_for", off_by_one)
+        with pytest.raises(AssertionError, match="!= chi"):
+            rr_check.check(specs=rr_check.SPECS[:1], twists=(0,))
 
 
 class TestPicardNumber:

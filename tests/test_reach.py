@@ -19,16 +19,11 @@ ALLOWED_UNREACHED = {
     "_value.Frozen.__setattr__": "error path: assigning to a frozen record",
     "_value.Record.__reduce__": "value protocol: pickle and copy",
     "_value.Record.__repr__": "value protocol",
-    "_value._Fractions.__getattr__": "annotations: get_type_hints resolves fractions.Fraction",
     "chow.BundleSpec.from_chern": "acceptance: criterion 8",
     "chow.ChowClass.__eq__": "value protocol",
     "chow.ChowClass.__hash__": "value protocol",
     "chow.intersection_numbers_by_reduction": "acceptance: criterion 1",
     "cli._discard_stdout": "error path: a stdout that cannot be written",
-    "cohomology.SplitBundle.dual": "reserved for ROADMAP V",
-    "cohomology.SplitBundle.twist": "reserved for ROADMAP V",
-    "cohomology.euler_characteristic": "reserved for ROADMAP V",
-    "cohomology.line_cohomology": "reserved for ROADMAP V",
     "discriminant.Octic.__init__": "value protocol: the validating constructor",
     "discriminant.QuadraticSection.__init__": "value protocol: the validating constructor",
     "discriminant.base_locus_expected": "acceptance: criterion 11",
