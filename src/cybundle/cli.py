@@ -181,8 +181,8 @@ def _report_row(spec: BundleSpec, oracle_memo: OracleMemo | None = None) -> dict
     (check_invariants) and picard_number.  Every row is a copy of the datum
     row with its own degrees and Picard fields, as every other record field
     is a function of the Chern datum.  A rho = 2 row reads its cone from
-    the datum record when the spec is normalized, and from its
-    normalization's record otherwise.
+    the datum record, which is the spec's own: boundary_rays shears it to
+    the normalized basis when the spec is not normalized.
     """
     memo = {} if oracle_memo is None else oracle_memo
     key = ("row", spec.base_dim, spec.rank, spec.c1, spec.c2)
@@ -207,12 +207,11 @@ def _report_row(spec: BundleSpec, oracle_memo: OracleMemo | None = None) -> dict
     # smooth X), fill the cone and contraction fields
     if rho != 2 or (spec.base_dim == 3 and row["fiber_count"] is None):
         return row
-    norm = spec.normalized()
-    kr = boundary_rays(norm, inv if norm is spec else invariants_for(norm, memo))
+    kr = boundary_rays(spec, inv)
     row["rationality"] = kr.rationality.value
     row["ray_c2_xi"], row["ray_c2_h"] = kr.c2_values
     if spec.base_dim == 1:
-        cr = classify_contraction_p1(norm)
+        cr = classify_contraction_p1(spec)
         row["contraction_kind"] = cr.kind.value
         row["contraction_count"] = cr.count
     return row
@@ -546,7 +545,8 @@ def _cmd_enumerate(args) -> dict:
 
 def _cmd_kaehler(args) -> dict:
     degs, spec = _parse_spec(args.degrees, args.base)
-    report = boundary_rays(spec, invariants_for(require_rho_two(spec)))
+    require_rho_two(spec)  # refuse before any computation
+    report = boundary_rays(spec, invariants_for(spec))
     w, analysis = report.cubic, report.analysis
     return {
         "base": args.base,

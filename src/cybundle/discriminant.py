@@ -232,9 +232,8 @@ def singularity_witness(q: QuadraticSection, point: Sequence) -> WitnessRecord:
 
 
 def gradient_identity_holds(q: QuadraticSection, octic: Octic) -> bool:
-    """grad octic = 2*s01*grad s01 - 4*s11*grad s00 - 4*s00*grad s11,
-    as an identity of polynomials, where ``octic`` is the Delta(q) of
-    build_discriminant(q) that the command prints.
+    """grad octic = 2*s01*grad s01 - 4*s11*grad s00 - 4*s00*grad s11, as an
+    identity of polynomials, where ``octic`` is the printed Delta(q).
 
     Checked times z_i, which loses nothing (z_i is not a zero divisor).  By
     the product rule z_i times the right side is z_i*d/dz_i Delta(q), whose
@@ -244,8 +243,9 @@ def gradient_identity_holds(q: QuadraticSection, octic: Octic) -> bool:
     slot e1 + 9*e2 + 81*e3 is e_i times that term.  The left side reads
     the partials of multipoly_gradient(octic), not Delta(q): the i-th
     partial's term at e - 1_i lands in field i of slot e, at offset 0, 1,
-    9 or 81 from its own.  The fields are compared one by one, over a
-    common denominator.
+    9 or 81 from its own; the fields are compared over a common denominator.
+    Every degree-8 monomial has some e_i != 0, so this accepts exactly the
+    octics scaling_law_check at r0 accepts: it is no independent check.
     """
     delta, (a, b), den_l = q._check_delta(), _R0, octic.poly.den
     # Delta(q) over den_r, each numerator times den_l: a common denominator

@@ -13,9 +13,10 @@ picard_number), so specs that share their three smallest normalized
 degrees compute them once, and it may keep the caller's own result per
 Chern datum (the CLI keeps a report row and a record there).  Every field
 of a record but the Picard ones depends on the Chern datum alone, so
-check_invariants runs a spec's checks without building its record.
-A disagreement raises OracleMismatchError -- self-validation is the point
-of the library, not an afterthought.
+check_invariants runs a spec's checks without building its record; a twist
+shears the xi-fields (kahler.boundary_rays), so no request builds a record
+for a spec's normalization.  A disagreement raises OracleMismatchError --
+self-validation is the point of the library, not an afterthought.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ class OracleMismatchError(ArithmeticError):
 # h^1(Sym^3 F (x) O(2 - a1 - a2)), Sym^4 F, Sym^2 F], each power None until
 # first read (see picard_number); and ("row", base_dim, rank, c1, c2) -> the
 # pair (checked report row, record) of that Chern datum, kept by
-# cli._report_row.  The keys differ in length, so no two kinds meet
+# cli._report_row; each row's cone is that record sheared to the row's
+# normalized basis.  The keys differ in length, so no two kinds meet
 OracleMemo = dict[tuple, tuple[int, ...] | list[SplitBundle | int | None] | tuple]
 
 # CyInvariants' integral fields in order; p3 closed forms give only the first 8
@@ -132,6 +134,35 @@ def _compare(closed: tuple, oracle: tuple) -> None:
                 raise OracleMismatchError(f"{key}: closed form {want} != oracle {got}")
 
 
+def closed_forms(spec: BundleSpec) -> tuple[int, ...]:
+    """``spec``'s closed forms in INTEGRAL_KEYS order (the first 8 on P^3)."""
+    c1, c2 = spec.c1, spec.c2
+    if spec.base_dim == 3:
+        g = spec.gamma()
+        return (
+            -8 * g - 168,                                # c3_X
+            44,                                          # h_dot_c2
+            4 * g + 22 * c1 + 24,                        # xi_dot_c2
+            8 * g + 224,                                 # mk_dot_c2
+            2,                                           # h3
+            c1 + 4,                                      # xi_h2
+            c1 ** 2 - 2 * c2 + 4 * c1,                   # xi2_h
+            c1 ** 3 + 4 * c1 ** 2 - 3 * c1 * c2 - 4 * c2,  # xi3
+        )
+    return (
+        -168,         # c3_X
+        24,           # h_dot_c2
+        6 * c1 + 44,  # xi_dot_c2
+        224,          # mk_dot_c2
+        0,            # h3
+        0,            # xi_h2
+        4,            # xi2_h
+        3 * c1 + 2,   # xi3
+        512,          # mk_cubed
+        64,           # mk_sq_h
+    )
+
+
 def check_invariants(
     spec: BundleSpec, oracle_memo: OracleMemo
 ) -> tuple[tuple[int, ...], int | None, int | None]:
@@ -147,39 +178,13 @@ def check_invariants(
     them, and so every field of the record but the Picard ones, depend on
     the Chern datum alone.
     """
-    c1, c2 = spec.c1, spec.c2
-    if spec.base_dim == 3:
-        g = spec.gamma()
-        fibers = fiber_count(spec) if g <= 16 else None
-        closed = (
-            -8 * g - 168,                                # c3_X
-            44,                                          # h_dot_c2
-            4 * g + 22 * c1 + 24,                        # xi_dot_c2
-            8 * g + 224,                                 # mk_dot_c2
-            2,                                           # h3
-            c1 + 4,                                      # xi_h2
-            c1 ** 2 - 2 * c2 + 4 * c1,                   # xi2_h
-            c1 ** 3 + 4 * c1 ** 2 - 3 * c1 * c2 - 4 * c2,  # xi3
-        )
-    else:
-        g = fibers = None
-        closed = (
-            -168,         # c3_X
-            24,           # h_dot_c2
-            6 * c1 + 44,  # xi_dot_c2
-            224,          # mk_dot_c2
-            0,            # h3
-            0,            # xi_h2
-            4,            # xi2_h
-            3 * c1 + 2,   # xi3
-            512,          # mk_cubed
-            64,           # mk_sq_h
-        )
-    key = (spec.base_dim, spec.rank, c1, c2)
+    g = spec.gamma() if spec.base_dim == 3 else None
+    fibers = fiber_count(spec) if g is not None and g <= 16 else None
+    key = (spec.base_dim, spec.rank, spec.c1, spec.c2)
     o = oracle_memo.get(key)
     if o is None:
         o = oracle_memo[key] = tuple(map(_oracle_numbers(spec).__getitem__, INTEGRAL_KEYS))
-    _compare(closed, o)
+    _compare(closed_forms(spec), o)
     return o, g, fibers
 
 

@@ -19,7 +19,8 @@ from enum import Enum
 
 from ._value import Frozen, fractions
 from .chow import BundleSpec, ChowClass, anticanonical_class, closed_form_intersections, integrate
-from .invariants import RHO_ONE_SPLITTING_P3, CyInvariants, admissibility_p3
+from .invariants import (RHO_ONE_SPLITTING_P3, CyInvariants, OracleMismatchError,
+                         admissibility_p3, closed_forms)
 from .ratpoly import _integer_coeffs, derivative, poly_gcd, rational_roots
 
 
@@ -159,20 +160,29 @@ def require_rho_two(spec: BundleSpec) -> BundleSpec:
 def boundary_rays(spec: BundleSpec, inv: CyInvariants) -> KahlerReport:
     """Kaehler-cone boundary rays with their c2-values.
 
-    ``inv`` is the invariant record of ``spec.normalized()``.  For
-    normalized split bundles the rays are exactly xi|X = (1, 0) and
-    pi^*h = (0, 1); both c2-values must be strictly positive.
+    ``inv`` is the spec's own record.  In the normalized basis the rays are
+    exactly xi|X = (1, 0) and pi^*h = (0, 1), both of positive c2.  A twist
+    by O(t), t the least degree, moves only xi: D = x*xi + y*H =
+    x*xi_norm + (y + t*x)*H, so the report reads the cubic w(x, y - t*x) and
+    c2.xi_norm = c2.xi - t*c2.h, checked against spec.normalized()'s closed forms.
     """
     norm = require_rho_two(spec)
-    if (inv.base_dim, inv.c1, inv.c2) != (norm.base_dim, norm.c1, norm.c2):
-        raise ValueError("inv is not the record of the normalized spec")
-    ray_xi, ray_h = (1, 0), (0, 1)
-    c2_xi, c2_h = inv.xi_dot_c2, inv.h_dot_c2
+    if (inv.base_dim, inv.c1, inv.c2) != (spec.base_dim, spec.c1, spec.c2):
+        raise ValueError("inv is not the record of the spec")
+    t, w = spec.split_degrees[0], w_cubic(inv)
+    w = CubicForm(w.w30 - t * w.w21 + t * t * w.w12 - t ** 3 * w.w03,
+                  w.w21 - 2 * t * w.w12 + 3 * t * t * w.w03, w.w12 - 3 * t * w.w03, w.w03)
+    c2_xi, c2_h = inv.xi_dot_c2 - t * inv.h_dot_c2, inv.h_dot_c2
     if c2_xi <= 0 or c2_h <= 0:
         raise ArithmeticError("c2-positivity violated on a boundary ray")
-    w = w_cubic(inv)
+    if norm is not spec:  # c in INTEGRAL_KEYS order; w's w21 is 3*xi2_h, its w12 3*xi_h2
+        c = closed_forms(norm)
+        for key, want, got in (("xi_dot_c2", c[2], c2_xi), ("xi3", c[7], w.w30),
+                               ("3*xi2_h", 3 * c[6], w.w21), ("3*xi_h2", 3 * c[5], w.w12)):
+            if got != want:
+                raise OracleMismatchError(f"sheared {key}: closed form {want} != {got}")
     return KahlerReport(
-        rays=(ray_xi, ray_h),
+        rays=((1, 0), (0, 1)),
         cubic=w,
         analysis=rationality_analysis(w),
         c2_values=(c2_xi, c2_h),

@@ -801,14 +801,37 @@ MUTATIONS = (
         "if rho != 2:",
         ["tests/test_cli.py::TestReportRowGate"],
     ),
-    # a normalized spec's cone reads the datum's record, which the golden
-    # un-normalized specs (1, 3) and (1, 1, 2, 2) must not
+    # a spec's cone is its own record sheared by its least degree t to the
+    # normalized basis: unsheared, the golden un-normalized specs (1, 3) and
+    # (1, 1, 2, 2) would read their datum's cone; at t = 1 the t^2 term is
+    # t, so only the shear tests' other twists see it
     Mutation(
         "cone read from the datum's record for an un-normalized spec",
-        PKG / "cli.py",
-        "inv if norm is spec else invariants_for(norm, memo)",
-        "inv",
+        PKG / "kahler.py",
+        "t, w = spec.split_degrees[0], w_cubic(inv)",
+        "t, w = 0, w_cubic(inv)",
         ["tests/test_golden.py"],
+    ),
+    Mutation(
+        "the shear's sign flipped",
+        PKG / "kahler.py",
+        "t, w = spec.split_degrees[0], w_cubic(inv)",
+        "t, w = -spec.split_degrees[0], w_cubic(inv)",
+        ["tests/test_cli.py::TestConeShear"],
+    ),
+    Mutation(
+        "the t^2 term of the sheared w30 taken as t",
+        PKG / "kahler.py",
+        "+ t * t * w.w12",
+        "+ t * w.w12",
+        ["tests/test_cli.py::TestConeShear"],
+    ),
+    Mutation(
+        "sheared c2.xi without its -t*c2.h term",
+        PKG / "kahler.py",
+        "c2_xi, c2_h = inv.xi_dot_c2 - t * inv.h_dot_c2, inv.h_dot_c2",
+        "c2_xi, c2_h = inv.xi_dot_c2, inv.h_dot_c2",
+        ["tests/test_cli.py::TestConeShear"],
     ),
     # a later row of a Chern datum is still checked, every row is a dict of
     # its own, and the datum is found under the whole datum key

@@ -22,6 +22,7 @@ import cybundle.cli
 import json_writer_check
 import cybundle.discriminant
 import cybundle.invariants
+import cybundle.kahler
 from cybundle.chow import BundleSpec
 from cybundle.cli import (
     CSV_COLUMNS,
@@ -42,7 +43,7 @@ from cybundle.discriminant import (
     witness_section,
 )
 from cybundle.invariants import invariants_for
-from cybundle.kahler import RhoNotTwoError, require_rho_two
+from cybundle.kahler import RhoNotTwoError, boundary_rays, require_rho_two
 from cybundle.ratpoly import MultiPoly
 from multipoly_kernel_check import ONE, as_fractions
 
@@ -507,6 +508,69 @@ P3_ROW_SPECS = st.builds(lambda a, gap: BundleSpec.from_split(3, (a, a + gap)),
                          st.integers(-3, 8), st.integers(0, 9))
 
 
+# every rho = 2 spec with degrees in -6..9: the p1 ones are the seven
+# normalized (0, a1, a2, a3), a1 + a2 + a3 <= 3, twisted by -6..6; any p1
+# degrees in -6..9 too, most of which the rho gate refuses
+P1_RHO2_TWISTS = st.builds(
+    lambda d, t: BundleSpec.from_split(1, [a + t for a in d]),
+    st.sampled_from([d for d in combinations_with_replacement(range(4), 3) if sum(d) <= 3]
+                    ).map(lambda d: (0, *d)),
+    st.integers(-6, 6))
+TWISTED_SPECS = (
+    P1_RHO2_TWISTS
+    | st.lists(st.integers(-6, 9), min_size=4, max_size=4).map(
+        lambda d: BundleSpec.from_split(1, d))
+    | st.builds(lambda a, gap: BundleSpec.from_split(3, (a, a + gap)),
+                st.integers(-6, 6), st.integers(0, 3)))
+CONE_CELLS = ("rationality", "ray_c2_xi", "ray_c2_h", "contraction_kind", "contraction_count")
+
+
+class TestConeShear:
+    """A twist leaves X alone: a spec's cone, read from its own record
+    through the shear, is its normalization's, and a shear that disagrees
+    with the normalized closed forms exits 3."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(spec=TWISTED_SPECS)
+    def test_cone_is_the_normalizations(self, spec):
+        norm = spec.normalized()
+        cells = [[_report_row(s)[k] for k in CONE_CELLS] for s in (spec, norm)]
+        assert cells[0] == cells[1]
+        try:
+            want = boundary_rays(norm, invariants_for(norm))
+        except RhoNotTwoError:
+            assert cells[0] == [None] * len(CONE_CELLS)
+            with pytest.raises(RhoNotTwoError):
+                boundary_rays(spec, invariants_for(spec))
+            return
+        assert cells[0][1:3] == list(want.c2_values)
+        assert boundary_rays(spec, invariants_for(spec)) == want
+
+    @pytest.mark.parametrize("index,key", [(2, "xi_dot_c2"), (7, "xi3"), (6, "3*xi2_h"),
+                                           (5, "3*xi_h2")])
+    @pytest.mark.parametrize("command,base,degrees,normalized", [
+        ("kaehler", "p3", "1,3", "0,2"),
+        ("invariants", "p3", "-1,2", "0,3"),
+        ("invariants", "p1", "1,1,2,2", "0,0,1,1"),
+    ])
+    def test_disagreement_exits_3(self, monkeypatch, capsys, index, key, command, base,
+                                  degrees, normalized):
+        real = cybundle.kahler.closed_forms
+
+        def off_by_one(spec):
+            c = list(real(spec))
+            c[index] += 1
+            return tuple(c)
+
+        monkeypatch.setattr(cybundle.kahler, "closed_forms", off_by_one)
+        assert main([command, "--base", base, f"--degrees={degrees}"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"].startswith(f"sheared {key}: closed form ")
+        # a normalized spec has nothing to shear, so reads no closed form here
+        assert main([command, "--base", base, "--degrees", normalized]) == 0
+
+
 class TestDatumRows:
     """With a shared memo, every row is a copy of its Chern datum's row with
     its own degrees and Picard fields: it must equal the row the spec gets
@@ -537,8 +601,8 @@ class TestDatumRows:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(specs=st.lists(P1_ROW_SPECS | P3_ROW_SPECS, min_size=1, max_size=12))
     def test_any_order_over_one_memo(self, specs):
-        # the datum's record serves every later normalized spec of the datum,
-        # so which spec of a datum comes first must not show in any row
+        # the datum's record serves every later spec of the datum, twisted
+        # or not, so which spec of a datum comes first must not show in any row
         memo = {}
         for spec in specs:
             assert _report_row(spec, memo) == _report_row(spec), spec
@@ -781,9 +845,10 @@ class TestOutPath:
 
 
 class TestOracleRuns:
-    """The oracle runs once per Chern datum a command reports on: the spec
-    itself, plus its normalization when the degrees are not normalized; a
-    survey shares one run among the rows of equal Chern data."""
+    """The oracle runs once per Chern datum a command reports on: the
+    spec's own, also when its degrees are not normalized, as its cone is
+    its own record sheared; a survey shares one run among the rows of equal
+    Chern data."""
 
     @pytest.mark.parametrize(
         "argv,runs",
@@ -791,7 +856,9 @@ class TestOracleRuns:
             (["kaehler", "--base", "p3", "--degrees", "0,2"], 1),
             (["kaehler", "--base", "p1", "--degrees", "0,0,1,1"], 1),
             (["invariants", "--base", "p1", "--degrees", "0,0,1,1"], 1),
-            (["invariants", "--base", "p3", "--degrees", "1,3"], 2),
+            (["invariants", "--base", "p3", "--degrees", "1,3"], 1),
+            (["invariants", "--base", "p1", "--degrees", "1,1,2,2"], 1),
+            (["kaehler", "--base", "p3", "--degrees", "1,3"], 1),
             # 20 rows, c1 = 0..9
             (["enumerate", "--base", "p1", "--max-degree", "3"], 10),
         ],

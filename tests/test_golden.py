@@ -51,6 +51,10 @@ CASES = (
         # un-normalized degrees: the row's spec and its normalization differ
         ("invariants-p3-13", ["invariants", "--base", "p3", "--degrees", "1,3"], 0),
         ("invariants-p1-1122", ["invariants", "--base", "p1", "--degrees", "1,1,2,2"], 0),
+        # the cone of an un-normalized spec is its normalization's
+        ("kaehler-p3-13", ["kaehler", "--base", "p3", "--degrees", "1,3"], 0),
+        ("kaehler-p1-1122",
+         ["kaehler", "--base", "p1", "--degrees", "1,1,2,2", "--format", "json"], 0),
         # rho = 1: the cone fields are null
         ("invariants-p3-04", ["invariants", "--base", "p3", "--degrees", "0,4"], 0),
         ("refuse-kaehler-p3-04-exit4", ["kaehler", "--base", "p3", "--degrees", "0,4"], 4),

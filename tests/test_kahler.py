@@ -218,7 +218,7 @@ class TestDoubleLineAgainstDiscriminant:
 
 
 def _rays(spec):
-    return boundary_rays(spec, invariants_for(spec.normalized()))
+    return boundary_rays(spec, invariants_for(spec))
 
 
 class TestBoundaryRays:
@@ -266,13 +266,18 @@ class TestBoundaryRays:
         setattr(inv, field, 1)
         assert 1 in boundary_rays(spec, inv).c2_values
 
-    def test_unnormalized_spec_takes_normalized_record(self):
-        spec = BundleSpec.from_split(3, (1, 3))
-        assert _rays(spec) == _rays(spec.normalized())
-        with pytest.raises(ValueError, match="normalized"):
-            boundary_rays(spec, invariants_p3(spec))
-        with pytest.raises(ValueError, match="normalized"):
-            boundary_rays(spec, invariants_p3(BundleSpec.from_split(3, (0, 1))))
+    @pytest.mark.parametrize("degrees,other", [
+        ((1, 3), (0, 2)),  # the normalization's record
+        ((1, 3), (0, 1)),
+        ((0, 2), (1, 3)),
+        ((1, 1, 2, 2), (0, 0, 1, 1)),  # the normalization's record
+        ((0, 0, 1, 1), (0, 0, 0, 1)),
+    ])
+    def test_record_of_another_spec_refused(self, degrees, other):
+        spec = BundleSpec.from_split(3 if len(degrees) == 2 else 1, degrees)
+        inv = invariants_for(BundleSpec.from_split(spec.base_dim, other))
+        with pytest.raises(ValueError, match="not the record of the spec"):
+            boundary_rays(spec, inv)
 
 
 class TestRhoTwoGate:
