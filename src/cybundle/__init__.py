@@ -8,7 +8,6 @@ cross-checked against an independent Chow-ring oracle.
 from .chow import (
     BundleSpec,
     ChowClass,
-    anticanonical_class,
     closed_form_intersections,
     integrate,
     intersection_numbers_by_reduction,

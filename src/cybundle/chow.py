@@ -10,9 +10,11 @@ Z[xi, H] modulo
 so every class has a unique normal form with xi-power < r and H-power <= m,
 and every coefficient is an ``int``.  The two supported geometries are
 (m, r) = (3, 2) and (1, 4).  ``reduce`` gives the normal form of any formal
-polynomial, and ``ChowClass.__mul__`` is ``reduce`` of the formal product;
-the oracle and the Gram determinant need neither: ``tangent_total_chern``
-writes c(T_Z) in normal form and the top intersections are closed forms.
+polynomial, and ``ChowClass.__mul__`` is ``reduce`` of the formal product.
+No request adds classes, so a class has no sum or difference; the additive
+reference ring is in ``tests/chow_kernel_check.py``.  The oracle and the
+Gram determinant need neither: ``tangent_total_chern`` writes c(T_Z) in
+normal form and the top intersections are closed forms.
 
 Top-degree integration reads off the coefficient of xi^(r-1) * H^m, which is
 the class of a point.
@@ -173,22 +175,6 @@ class ChowClass:
                     raise ValueError(f"({i},{j}) is not in normal form")
                 self.coeffs[(i, j)] = c
 
-    @classmethod
-    def _trusted(cls, spec: BundleSpec, coeffs: FormalPoly) -> "ChowClass":
-        """Wrap a grid already in normal form, with nonzero int entries."""
-        obj = object.__new__(cls)
-        obj.spec = spec
-        obj.coeffs = coeffs
-        return obj
-
-    @classmethod
-    def xi(cls, spec: BundleSpec) -> "ChowClass":
-        return cls(spec, {(1, 0): 1})
-
-    @classmethod
-    def hyperplane(cls, spec: BundleSpec) -> "ChowClass":
-        return cls(spec, {(0, 1): 1})
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ChowClass)
@@ -198,21 +184,6 @@ class ChowClass:
 
     def __hash__(self):
         return hash((self.spec, frozenset(self.coeffs.items())))
-
-    def __add__(self, other: "ChowClass") -> "ChowClass":
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        self._check(other)
-        cs = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            cs[k] = cs.get(k, 0) + c
-        return ChowClass._trusted(self.spec, _stored(cs))
-
-    def __neg__(self) -> "ChowClass":
-        return ChowClass._trusted(self.spec, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other: "ChowClass") -> "ChowClass":
-        return self + (-other)
 
     def __mul__(self, other: "ChowClass") -> "ChowClass":
         if not isinstance(other, ChowClass):
@@ -265,14 +236,6 @@ def reduce(spec: BundleSpec, formal: FormalPoly) -> ChowClass:
 def integrate(c: ChowClass) -> int:
     """Degree of the top piece: the coefficient of xi^(r-1) * H^m."""
     return c.coeffs.get((c.spec.rank - 1, c.spec.base_dim), 0)
-
-
-def anticanonical_class(spec: BundleSpec) -> ChowClass:
-    """-K_Z = r*xi + (m + 1 - c1)*H."""
-    return ChowClass(
-        spec,
-        {(1, 0): spec.rank, (0, 1): spec.base_dim + 1 - spec.c1},
-    )
 
 
 class IntersectionNumbers(Frozen):

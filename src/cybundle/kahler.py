@@ -18,7 +18,7 @@ from __future__ import annotations
 from enum import Enum
 
 from ._value import Frozen, fractions
-from .chow import BundleSpec, ChowClass, anticanonical_class, closed_form_intersections, integrate
+from .chow import BundleSpec, ChowClass, closed_form_intersections, integrate
 from .invariants import (RHO_ONE_SPLITTING_P3, CyInvariants, OracleMismatchError,
                          admissibility_p3, closed_forms)
 from .ratpoly import _integer_coeffs, derivative, poly_gcd, rational_roots
@@ -285,5 +285,7 @@ def verify_KY_squared(spec: BundleSpec) -> int:
     """
     if spec.base_dim != 1 or (norm := spec.normalized()).split_degrees != (0, 0, 0, 1):
         raise ValueError("K_Y^2 verification is for degrees (0, 0, 0, 1)")
-    e = ChowClass.xi(norm) - ChowClass.hyperplane(norm)
-    return integrate(anticanonical_class(norm) * e * e * e)
+    e = ChowClass(norm, {(1, 0): 1, (0, 1): -1})
+    # -K_Z = r*xi + (m + 1 - c1)*H = 4*xi + H
+    L = ChowClass(norm, {(1, 0): 4, (0, 1): 1})
+    return integrate(L * e * e * e)

@@ -1,5 +1,5 @@
 """Stdlib-only check of the integer Chern-class oracle against ChowClass
-arithmetic.
+arithmetic, and the reference ring the Chow tests build classes with.
 
     PYTHONPATH=src python tests/chow_kernel_check.py
 
@@ -16,6 +16,10 @@ p1 bundles, p1 c1 in -8..70 and seeded data with entries up to 10^6.  It
 exits 1 on the first difference and needs nothing outside the standard
 library, so it runs under any Python the package supports;
 ``tests/test_invariants.py`` runs it too.
+
+``ChowClass`` keeps only the product; the reference ring here adds the rest
+on grids: ``combine`` (an integer combination of classes), the generators
+``xi`` and ``hyperplane``, and ``anticanonical_class``.
 """
 
 import sys
@@ -23,14 +27,33 @@ from itertools import combinations_with_replacement
 from math import comb
 from random import Random
 
-from cybundle.chow import (
-    BundleSpec,
-    ChowClass,
-    anticanonical_class,
-    integrate,
-    tangent_total_chern,
-)
+from cybundle.chow import BundleSpec, ChowClass, integrate, tangent_total_chern
 from cybundle.invariants import _oracle_numbers
+
+
+def combine(spec, *terms):
+    """sum_k w_k * a_k over the (w_k, a_k) pairs, each a_k a class on spec."""
+    grid = {}
+    for w, a in terms:
+        if a.spec != spec:
+            raise ValueError("classes live on different bundles")
+        for k, c in a.coeffs.items():
+            grid[k] = grid.get(k, 0) + w * c
+    return ChowClass(spec, grid)
+
+
+def xi(spec):
+    return ChowClass(spec, {(1, 0): 1})
+
+
+def hyperplane(spec):
+    return ChowClass(spec, {(0, 1): 1})
+
+
+def anticanonical_class(spec):
+    """-K_Z = r*xi + (m + 1 - c1)*H."""
+    return combine(spec, (spec.rank, xi(spec)),
+                   (spec.base_dim + 1 - spec.c1, hyperplane(spec)))
 
 
 def graded_parts(c):
@@ -55,8 +78,8 @@ def ref_reduced_bracket(spec):
         for i in range(r - k + 1)
         if i < r
     }
-    xi_r = ChowClass.xi(spec) * ChowClass(spec, {(r - 1, 0): 1})
-    bracket = ChowClass(spec, below) + xi_r
+    xi_r = xi(spec) * ChowClass(spec, {(r - 1, 0): 1})
+    bracket = combine(spec, (1, ChowClass(spec, below)), (1, xi_r))
     base = ChowClass(spec, {(0, j): comb(m + 1, j) for j in range(m + 1)})
     return graded_parts(bracket * base)
 
@@ -77,17 +100,16 @@ def oracle_by_products(spec):
     L = anticanonical_class(spec)
     ct = ref_reduced_bracket(spec)
     c2Z, c3Z = as_class(spec, ct[2]), as_class(spec, ct[3])
-    xi = ChowClass.xi(spec)
-    H = ChowClass.hyperplane(spec)
+    x, H = xi(spec), hyperplane(spec)
     integrands = {
-        "c3_X": c3Z - c2Z * L,
+        "c3_X": combine(spec, (1, c3Z), (-1, c2Z * L)),
         "h_dot_c2": H * c2Z,
-        "xi_dot_c2": xi * c2Z,
+        "xi_dot_c2": x * c2Z,
         "mk_dot_c2": L * c2Z,
         "h3": H * H * H,
-        "xi_h2": xi * H * H,
-        "xi2_h": xi * xi * H,
-        "xi3": xi * xi * xi,
+        "xi_h2": x * H * H,
+        "xi2_h": x * x * H,
+        "xi3": x * x * x,
         "mk_cubed": L * L * L,
         "mk_sq_h": L * L * H,
     }

@@ -940,6 +940,32 @@ MUTATIONS = (
         "g11, g12, g22 = n.xi2_h2, n.xi4, n.xi4",
         ["tests/test_kahler.py::TestDeterminants::test_h4_unimodular"],
     ),
+    # the two classes of K_Y^2 = (-K_Z).e^3, each written as a grid: every
+    # coefficient moves the integral off -7
+    Mutation(
+        "-K_Z's H coefficient 1 -> 2 in K_Y^2 (reads -6)",
+        PKG / "kahler.py",
+        "L = ChowClass(norm, {(1, 0): 4, (0, 1): 1})",
+        "L = ChowClass(norm, {(1, 0): 4, (0, 1): 2})",
+        ["tests/test_kahler.py::TestKYSquared::test_value",
+         "tests/test_kahler.py::TestContractionClassification::test_sixteen_case_extras"],
+    ),
+    Mutation(
+        "exceptional divisor written as xi + H in K_Y^2 (reads 17)",
+        PKG / "kahler.py",
+        "e = ChowClass(norm, {(1, 0): 1, (0, 1): -1})",
+        "e = ChowClass(norm, {(1, 0): 1, (0, 1): 1})",
+        ["tests/test_kahler.py::TestKYSquared::test_value",
+         "tests/test_kahler.py::TestContractionClassification::test_sixteen_case_extras"],
+    ),
+    Mutation(
+        "-K_Z's xi coefficient 4 -> 3 in K_Y^2 (reads -5)",
+        PKG / "kahler.py",
+        "L = ChowClass(norm, {(1, 0): 4, (0, 1): 1})",
+        "L = ChowClass(norm, {(1, 0): 3, (0, 1): 1})",
+        ["tests/test_kahler.py::TestKYSquared::test_value",
+         "tests/test_kahler.py::TestContractionClassification::test_sixteen_case_extras"],
+    ),
     Mutation(
         "rho twisted by the un-normalized c1",
         PKG / "invariants.py",
@@ -1285,6 +1311,21 @@ MUTATIONS = (
         "_set_c1(spec, c1)\n        _set_c2(spec, c2)",
         "_set_c1(spec, c2)\n        _set_c2(spec, c1)",
         ["tests/test_cli.py::TestEnumerateCommand::test_p1_specs_equal_from_split"],
+    ),
+    # the test-side strata rule for a smooth member over P^1
+    Mutation(
+        "smooth along C0 with one g_j of positive degree",
+        Path("tests/test_paper_theorems.py"),
+        "sum(d > 0 for d in g) < 2",
+        "sum(d > 0 for d in g) < 1",
+        ["tests/test_paper_theorems.py::test_strata_counts_at_n20"],
+    ),
+    Mutation(
+        "P(O + O(a1)) test read with 3*a1 (drops (0,1,1,4))",
+        Path("tests/test_paper_theorems.py"),
+        "if 2 - c1 + 4 * a1 < 0:",
+        "if 2 - c1 + 3 * a1 < 0:",
+        ["tests/test_paper_theorems.py::test_strata_counts_at_n20"],
     ),
 )
 

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chow_kernel_check
+from chow_kernel_check import anticanonical_class, combine
 from cybundle.chow import (
     BundleSpec,
     ChowClass,
     IntersectionNumbers,
-    anticanonical_class,
     closed_form_intersections,
     integrate,
     intersection_numbers_by_reduction,
@@ -82,6 +82,8 @@ class TestReduce:
                 prod[k] = prod.get(k, 0) + c1 * c2
         x = reduce(spec, f1) * reduce(spec, f2)
         assert x == reduce(spec, prod)
+        total = {k: f1.get(k, 0) + f2.get(k, 0) for k in f1.keys() | f2.keys()}
+        assert reduce(spec, total) == combine(spec, (1, reduce(spec, f1)), (1, reduce(spec, f2)))
         # the grid stores nonzero ints only
         assert all(type(c) is int and c for c in x.coeffs.values())
         assert type(integrate(x)) is int
@@ -100,7 +102,7 @@ class TestReduce:
             ChowClass(BundleSpec.from_split(3, (0, 1)), {(5, 0): 1})
 
     def test_unsupported_operand_raises_type_error(self):
-        xi = ChowClass.xi(BundleSpec.from_split(3, (0, 4)))
+        xi = ChowClass(BundleSpec.from_split(3, (0, 4)), {(1, 0): 1})
         for other in (2, Fraction(1, 2), 0.5, "x"):
             for op in (operator.add, operator.sub, operator.mul):
                 with pytest.raises(TypeError):
@@ -112,11 +114,33 @@ class TestReduce:
 class TestChowClass:
     def test_classes_on_different_bundles_refused(self):
         # both specs are rank 2 over P^3, so each grid is in normal form on either
-        a = ChowClass.xi(BundleSpec.from_split(3, (0, 1)))
-        b = ChowClass.xi(BundleSpec.from_split(3, (0, 2)))
-        for op in (operator.add, operator.mul):
+        a = ChowClass(BundleSpec.from_split(3, (0, 1)), {(1, 0): 1})
+        b = ChowClass(BundleSpec.from_split(3, (0, 2)), {(1, 0): 1})
+        with pytest.raises(ValueError, match="classes live on different bundles"):
+            a * b
+
+
+class TestReferenceRing:
+    """The test-side sum the Chow tests build classes with."""
+
+    def test_combine_refuses_classes_on_different_bundles(self):
+        # both specs are rank 2 over P^3, so each grid is in normal form on either
+        s, t = BundleSpec.from_split(3, (0, 1)), BundleSpec.from_split(3, (0, 2))
+        for a, b in ((chow_kernel_check.xi(s), chow_kernel_check.xi(s)),
+                     (chow_kernel_check.xi(s), chow_kernel_check.xi(t))):
             with pytest.raises(ValueError, match="classes live on different bundles"):
-                op(a, b)
+                combine(t, (1, a), (1, b))
+
+    def test_combine_is_the_integer_combination(self):
+        spec = BundleSpec.from_split(1, (0, 0, 0, 1))
+        x, H = chow_kernel_check.xi(spec), chow_kernel_check.hyperplane(spec)
+        a = ChowClass(spec, {(0, 0): 3, (1, 1): -2, (3, 0): 5})
+        assert combine(spec, (4, x), (1, H)) == ChowClass(spec, {(1, 0): 4, (0, 1): 1})
+        assert combine(spec, (2, a), (-1, x), (-3, a)) == \
+            ChowClass(spec, {(0, 0): -3, (1, 0): -1, (1, 1): 2, (3, 0): -5})
+        # cancelled coefficients are not stored
+        assert combine(spec, (2, a), (-2, a)).coeffs == {}
+        assert combine(spec) == ChowClass(spec)
 
 
 class TestIntegrate:

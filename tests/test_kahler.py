@@ -6,7 +6,8 @@ from math import lcm
 import pytest
 
 import unipoly_kernel_check
-from cybundle.chow import BundleSpec
+from chow_kernel_check import anticanonical_class, combine, hyperplane, xi
+from cybundle.chow import BundleSpec, integrate
 from cybundle.invariants import (
     admissibility_p3,
     invariants_for,
@@ -417,8 +418,18 @@ class TestKYSquared:
         with pytest.raises(ValueError):
             verify_KY_squared(BundleSpec.from_split(1, (0, 0, 1, 1)))
 
+    @pytest.mark.parametrize("t", range(-2, 3))
+    def test_matches_reference_ring(self, t):
+        # the request's two grids against the test-side ring: e = xi - H and
+        # -K_Z = r*xi + (m + 1 - c1)*H on the normalized spec, for any twist
+        spec = BundleSpec.from_split(1, (t, t, t, t + 1))
+        norm = spec.normalized()
+        e = combine(norm, (1, xi(norm)), (-1, hyperplane(norm)))
+        L = anticanonical_class(norm)
+        assert verify_KY_squared(spec) == integrate(L * e * e * e) == -7
+
     def test_point_class_subcheck(self):
-        from cybundle.chow import integrate, reduce
+        from cybundle.chow import reduce
 
         spec = BundleSpec.from_split(3, (0, 1))
         assert integrate(reduce(spec, {(1, 3): 1})) == 1
