@@ -5,13 +5,14 @@ All output is deterministic byte-for-byte for a fixed configuration and
 seed.  JSON reports carry ``"schema": 1``.  A report row holds the keys of
 ROW_KEYS; the CSV columns (CSV_COLUMNS) are those keys in that order
 without the free-text ``picard_hypothesis_note``, which only json and text
-rows carry.  Report rows are rendered from ROW_KEYS sorted once (a json row
-template, a text one), and a json row cell that is a list of exact ints,
-such as ``degrees``, is one join; every other json value goes through
-_json_text, and the json bytes are those of
-``json.dumps(indent=2, sort_keys=True)``.  Each writer renders a row's
-own cells (degrees, Picard fields) per row and its other cells, functions
-of the Chern datum, once per datum in one write (see _segments).
+rows carry.  Report rows are rendered from a row template per format
+(json and text from ROW_KEYS sorted once, csv from CSV_COLUMNS), and a
+json row cell that is a list of exact ints, such as ``degrees``, is one
+join; every other json value goes through _json_text, and the json bytes
+are those of ``json.dumps(indent=2, sort_keys=True)``.  Each writer
+renders a row's own cells (degrees, picard_number) per row and its other
+cells, functions of the Chern datum such as the Picard note, once per
+datum in one write (see _row_writer).
 ``enumerate`` shares one OracleMemo among its rows: the oracle runs and a
 record is built once per Chern datum, and every row is that datum's row
 with its own degrees and Picard fields (see _report_row); every row's
@@ -138,16 +139,19 @@ ROW_KEYS = (
 CSV_COLUMNS = tuple(k for k in ROW_KEYS if k != "picard_hypothesis_note")
 
 _NULL_ROW = dict.fromkeys(ROW_KEYS)
-# the own cells of a report row, which _report_row sets per spec; the other,
-# datum cells are functions of the row's Chern datum
-_OWN_KEYS = ("degrees", "picard_hypothesis_note", "picard_number")
+# the own cells of a report row, which take many values per Chern datum;
+# the other, datum cells are functions of the row's Chern datum (the Picard
+# note too: on p1 it is always the same, and on p3 (c1, c2) fixes the
+# splitting)
+_OWN_KEYS = ("degrees", "picard_number")
 # report row keys in sort_keys order, with the head of each cell: the json
 # template of a row in a top-level list, whose keys sit 6 spaces deep, and
-# the text template
+# the text template; then the csv template, in column order
 _ROW_ORDER = tuple(sorted(ROW_KEYS))
 _JSON_ROW_TEMPLATE = tuple(
     (k, ("," if i else "{") + f"\n      {_encode_str(k)}: ") for i, k in enumerate(_ROW_ORDER))
 _TEXT_ROW_TEMPLATE = tuple((k, f"{' ' if i else ''}{k}=") for i, k in enumerate(_ROW_ORDER))
+_CSV_ROW_TEMPLATE = tuple((k, "," if i else "") for i, k in enumerate(CSV_COLUMNS))
 _RECORD_KEYS = tuple(k for k in ROW_KEYS if k in CyInvariants._fields)
 
 
@@ -226,10 +230,10 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
     top-level key per write, and a top-level list such as ``rows`` one
     element per write.  The bytes are those of the whole text written at
     once: ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline
-    for json.  A report row (a dict with exactly the keys of ROW_KEYS) is
-    rendered in the key order sorted once from ROW_KEYS, from a json or a
-    text row template (see _row_writer), its datum cells once per datum;
-    every other json value goes through _json_text.
+    for json.  A report row is rendered from its format's row template,
+    its datum cells once per datum (see _row_writer); json takes that path
+    only for a dict with exactly the keys of ROW_KEYS, and every other json
+    value goes through _json_text.
     """
     try:
         if out:
@@ -274,69 +278,45 @@ def _write(fh: io.TextIOBase, payload: dict, fmt: str) -> None:
 
 
 def _write_csv(fh: io.TextIOBase, rows: list) -> None:
-    """The csv header and rows.  Degrees that are a list of exact ints and
-    an exact int rho, which csv never quotes, are written between the texts
-    csv.writer gives the row's datum cells (see _segments); any other row,
-    such as one with a missing key, goes through writerow."""
+    """The csv header and rows, each row through the csv row template (see
+    _row_writer) and a row with a missing key, like the header, as one
+    csv.writer line.  A row cell csv never quotes, an exact int, a list of
+    exact ints, None or a bool, is written directly; any other row cell is
+    the text csv.writer gives it as the first of two fields, so that an
+    empty str is not a lone field, which csv quotes."""
     import csv  # only --format csv needs it, so no other request loads it
 
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    buf = io.StringIO()
-    run_writer = csv.writer(buf, lineterminator="\n")
+    # writerow returns what its file's write returns: here the line itself
+    line = csv.writer(argparse.Namespace(write=str), lineterminator="\n").writerow
 
-    def render(row: dict) -> list[str]:
-        # a run of datum cells gets an empty cell on each side that meets an
-        # own cell, so that no run is a lone empty field, which csv quotes;
-        # a run before an own cell drops its line end
-        texts = []
-        for i, run in enumerate(_CSV_RUNS):
-            run_writer.writerow([""] * (i > 0) + [_csv_cell(row[k]) for k in run]
-                                + [""] * (i < 2))
-            texts.append(buf.getvalue()[:-1] if i < 2 else buf.getvalue())
-            buf.seek(0)
-            buf.truncate()
-        return texts
+    def cell(v) -> str:
+        if type(v) is int:
+            return int.__repr__(v)
+        if type(v) is list and _INT_ONLY.issuperset(map(type, v)):
+            return " ".join(map(int.__repr__, v))
+        if v is None or type(v) is bool:
+            return _csv_cell(v)
+        return line((_csv_cell(v), ""))[:-2]
 
-    segments: dict = {}
+    write_row, segments = _row_writer(_CSV_ROW_TEMPLATE, cell, "\n"), {}
+    fh.write(line(CSV_COLUMNS))
     for row in rows:
         try:
-            values, degrees, rho = _csv_datum(row), row["degrees"], row["picard_number"]
+            fh.write(write_row(row, segments))
         except KeyError:
-            degrees = rho = None
-        if type(rho) is int and type(degrees) is list and _INT_ONLY.issuperset(
-                map(type, degrees)):
-            head, middle, tail = _segments(segments, values, render, row)
-            fh.write(f"{head}{' '.join(map(int.__repr__, degrees))}{middle}{rho}{tail}")
-        else:
-            writer.writerow([_csv_cell(row.get(k)) for k in CSV_COLUMNS])
-
-
-def _segments(segments: dict, values: tuple, render: Callable, row: dict) -> list[str]:
-    """``render(row)``, the texts around a row's own cells, kept in
-    ``segments`` (a dict local to one write) once per tuple of datum cells
-    ``values``.  The key holds each cell's exact type, so True and 1 or 1.0
-    and 1 never share texts, and texts are kept only where every cell has a
-    json leaf type, whose value and type fix its text ((1,) and (True,) are
-    equal); a row with an unhashable cell is rendered alone."""
-    types = tuple(map(type, values))
-    key = values, types
-    try:
-        texts = segments.get(key)
-    except TypeError:  # an unhashable datum cell
-        return render(row)
-    if texts is None:
-        texts = render(row)
-        if _JSON_LEAVES.keys() >= {*types}:
-            segments[key] = texts
-    return texts
+            fh.write(line([_csv_cell(row.get(k)) for k in CSV_COLUMNS]))
 
 
 def _row_writer(template: tuple, cell: Callable[[object], str], end: str):
     """The writer of a report row from ``template``, (key, head) pairs in
     output order: ``head + cell(row[key])`` for each, then ``end``.  It
-    takes the row and the dict of one write, in which it keeps the texts
-    around the row's own cells once per datum (see _segments)."""
+    takes the row and a dict local to one write, in which it keeps the
+    texts around the row's own cells (_OWN_KEYS) once per tuple of datum
+    cells.  The key holds each cell's exact type, so True and 1 or 1.0 and
+    1 never share texts, and texts are kept only where every cell has a
+    json leaf type, whose value and type fix its text ((1,) and (True,) are
+    equal); a row with an unhashable cell is rendered alone.  A row without
+    a template key raises KeyError."""
     datum = itemgetter(*(k for k, _ in template if k not in _OWN_KEYS))
     own = itemgetter(*(k for k, _ in template if k in _OWN_KEYS))
 
@@ -352,9 +332,21 @@ def _row_writer(template: tuple, cell: Callable[[object], str], end: str):
         return [*texts, "".join(parts) + end]
 
     def write_row(row: dict, segments: dict) -> str:
-        s0, s1, s2, s3 = _segments(segments, datum(row), render, row)
-        degrees, note, rho = own(row)  # _OWN_KEYS, in sorted order
-        return f"{s0}{cell(degrees)}{s1}{cell(note)}{s2}{cell(rho)}{s3}"
+        values = datum(row)
+        types = tuple(map(type, values))
+        key = values, types
+        try:
+            texts = segments.get(key)
+        except TypeError:  # an unhashable datum cell
+            texts = render(row)
+        else:
+            if texts is None:
+                texts = render(row)
+                if _JSON_LEAVES.keys() >= {*types}:
+                    segments[key] = texts
+        head, middle, tail = texts
+        degrees, rho = own(row)  # _OWN_KEYS, in the order of every template
+        return f"{head}{cell(degrees)}{middle}{cell(rho)}{tail}"
 
     return write_row
 
@@ -398,10 +390,6 @@ def _text_cell(v) -> str:
 
 _json_row = _row_writer(_JSON_ROW_TEMPLATE, _json_cell, "\n    }")
 _text_row = _row_writer(_TEXT_ROW_TEMPLATE, _text_cell, "\n")
-# the csv datum cells before, between and after its own cells, degrees and rho
-_CSV_RUNS = (CSV_COLUMNS[:1], CSV_COLUMNS[2:CSV_COLUMNS.index("picard_number")],
-             CSV_COLUMNS[CSV_COLUMNS.index("picard_number") + 1:])
-_csv_datum = itemgetter(*_CSV_RUNS[0], *_CSV_RUNS[1], *_CSV_RUNS[2])
 
 
 def _json_text(value, indent: str = "") -> str:

@@ -11,13 +11,18 @@ keys (``cli.ROW_KEYS``), which the writer renders from its row template, and
 dicts with one key missing or one key extra, which it must not.  The csv and
 text writers are compared with their references (``csv_reference``,
 ``text_reference``) on the same ``enumerate`` payloads; all three writers
-also on seeded payloads whose rows repeat a few Chern data, which the writers
-render once per datum: twin rows whose one datum cell differs only in type
-(True and 1, an IntEnum and an int, a str subclass and a str, a float after
-an equal int), list and dict cells, cells csv must quote, an empty base,
-empty, non-int or non-list degrees, a non-int rho and rows with a missing
-key.  It needs nothing outside the standard library, so it runs under any
-Python the package supports; ``tests/test_cli.py`` runs it too.
+also on seeded payloads whose rows repeat a few Chern data.  The writers are
+one row writer (``cli._row_writer``), with a row template and a cell function
+per format, which renders a row's datum cells once per datum; csv's cell
+function takes any cell that is not an exact int, a list of exact ints, None
+or a bool from csv.writer, one field at a time.  The seeded rows hold twin
+rows whose one datum cell differs only in type (True and 1, an IntEnum and an
+int, a str subclass and a str, a float after an equal int), a Picard note
+that differs between rows of one datum, list and dict cells, cells csv must
+quote, an empty base, empty, non-int or non-list degrees, a non-int rho and
+rows with a missing key.  It needs nothing outside the standard library, so
+it runs under any Python the package supports; ``tests/test_cli.py`` runs it
+too.
 """
 
 import csv
@@ -164,8 +169,10 @@ class Name(str):
     pass
 
 
-# the own cells of a report row, set per spec; every other key is a datum cell
-OWN_KEYS = ("degrees", "picard_hypothesis_note", "picard_number")
+# the own cells of a report row, set per spec; every other key is a datum
+# cell, which the writers render once per datum (the note too, though the
+# seeded rows below vary it within a datum)
+OWN_KEYS = ("degrees", "picard_number")
 DATUM_KEYS = tuple(k for k in ROW_KEYS if k not in OWN_KEYS)
 # equal values that render differently in some format, in row order; the
 # float comes after its equal int, and json must still refuse it

@@ -885,24 +885,47 @@ MUTATIONS = (
     Mutation(
         "picard_number cached in the segments",
         PKG / "cli.py",
-        """        s0, s1, s2, s3 = _segments(segments, datum(row), render, row)
-        degrees, note, rho = own(row)  # _OWN_KEYS, in sorted order
-        return f"{s0}{cell(degrees)}{s1}{cell(note)}{s2}{cell(rho)}{s3}\"""",
-        """        s0, s1, s2, s3 = _segments(segments, datum(row), lambda row: [
-            *render(row)[:2], render(row)[2] + cell(row["picard_number"]), render(row)[3]],
-            row)
-        degrees, note, rho = own(row)  # _OWN_KEYS, in sorted order
-        return f"{s0}{cell(degrees)}{s1}{cell(note)}{s2}{s3}\"""",
+        """                texts = render(row)
+                if _JSON_LEAVES.keys() >= {*types}:
+                    segments[key] = texts
+        head, middle, tail = texts
+        degrees, rho = own(row)  # _OWN_KEYS, in the order of every template
+        return f"{head}{cell(degrees)}{middle}{cell(rho)}{tail}\"""",
+        """                head, middle, tail = render(row)
+                texts = head, middle + cell(row["picard_number"]), tail
+                if _JSON_LEAVES.keys() >= {*types}:
+                    segments[key] = texts
+        head, middle, tail = texts
+        degrees, rho = own(row)  # _OWN_KEYS, in the order of every template
+        return f"{head}{cell(degrees)}{middle}{tail}\"""",
         ["tests/test_golden.py"],
     ),
-    # degrees such as [1, "2,3"] then reach the file unquoted
+    # degrees such as [1, "2,3"] then skip csv.writer, and [True, 0] is
+    # written as ints
     Mutation(
         "csv direct path without its exact-int guard",
         PKG / "cli.py",
-        """if type(rho) is int and type(degrees) is list and _INT_ONLY.issuperset(
-                map(type, degrees)):""",
-        "if type(rho) is int and type(degrees) is list:",
+        "if type(v) is list and _INT_ONLY.issuperset(map(type, v)):",
+        "if type(v) is list:",
         ["tests/test_cli.py::TestJsonWriter::test_golden_and_seeded_payloads"],
+    ),
+    # a cell csv must quote, such as "a,b", then reaches the file unquoted
+    Mutation(
+        "csv cell without its writer",
+        PKG / "cli.py",
+        'return line((_csv_cell(v), ""))[:-2]',
+        "return str(_csv_cell(v))",
+        ["tests/test_cli.py::TestJsonWriter"],
+    ),
+    # a null cell of a csv or text row then reads None
+    Mutation(
+        "None cell written as str(v)",
+        PKG / "cli.py",
+        """    if value is None:
+        return \"\"""",
+        """    if value is None:
+        return str(value)""",
+        ["tests/test_golden.py"],
     ),
     Mutation(
         "c2-positivity guard lets xi.c2 = 0 pass",

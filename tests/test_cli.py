@@ -643,6 +643,25 @@ class TestDatumRows:
         assert sum(row["picard_number"] == 2 and first[(s.c1, s.c2)] is not s
                    for row, s in zip(rows, specs)) == 3
 
+    def test_only_the_own_keys_vary_within_a_datum(self):
+        # the premise of cli._OWN_KEYS, which the writers render per row:
+        # the Picard note takes one value per Chern datum, and the N = 20 p1
+        # rows hold few tuples of the other cells
+        rows = json_writer_check.enumerate_payload("p1", 20)["rows"]
+        notes = {}
+        for row in rows:
+            notes.setdefault((row["base"], row["c1"], row["c2"]), set()).add(
+                row["picard_hypothesis_note"])
+        assert len(rows) == 1771 and len(notes) == 61
+        assert all(len(values) == 1 for values in notes.values())
+        datum_keys = [k for k in ROW_KEYS if k not in cybundle.cli._OWN_KEYS]
+        assert len({tuple(row[k] for k in datum_keys) for row in rows}) == 63
+        # on P^3 the note is a function of the splitting, which (c1, c2) =
+        # (a + b, ab) fixes
+        splittings = [(a, b) for a in range(-6, 10) for b in range(a, 10)]
+        specs = [BundleSpec.from_split(3, d) for d in splittings]
+        assert len({(s.c1, s.c2) for s in specs}) == len(splittings)
+
 
 class TestReportRowSchema:
     """A report row holds the keys of ROW_KEYS in that order, and its record
@@ -1063,7 +1082,9 @@ class TestJsonWriter:
         "bad",
         [1.5, Fraction(1, 2), b"x", {1, 2}, object(), {1: "a"}, {None: 0},
          [0, [1.0]], {"a": {"b": 2.5}}, (None, {"c": Fraction(3)})],
-        ids=repr,
+        # repr of each value, except object(), whose repr holds its address
+        ids=["1.5", "Fraction(1, 2)", "b'x'", "{1, 2}", "object()", "{1: 'a'}", "{None: 0}",
+             "[0, [1.0]]", "{'a': {'b': 2.5}}", "(None, {'c': Fraction(3, 1)})"],
     )
     def test_unsupported_types_raise_type_error(self, bad):
         with pytest.raises(TypeError):
